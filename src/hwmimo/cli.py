@@ -8,6 +8,7 @@ configuration or arguments, 3 violated numerical invariant.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -29,31 +30,25 @@ from .circuits import (
 from .estimator import build_cache, error_covariance
 from .experiments import (
     ConfigError,
+    _multiplicities,
+    _pilot_book,
+    _serving_cell,
+    _trajectories,
     config_from_dict,
     preset,
     run,
     write_rows,
 )
 from .model import HardwareProfile, LoMode, NoiseFigure, conventional_profile, validate
-from .montecarlo import FilterKind, McConfig, empirical_mse, estimate_moments
-from .pilots import PlacementKind, dft_book, place, temporal_book
+from .montecarlo import FilterKind, McConfig, _rate_from_means, empirical_mse, estimate_moments
+from .pilots import PlacementKind, place
 from .rates import (
     NumericalInvariantError,
     ScalingExponents,
     check_scaling_law,
-    mrc_moment_coefficients,
     scaled_profile,
-    sinr_trajectory,
-    sinr_trajectory_from_coefficients,
-    ue_rate,
 )
-from .scenario_gen import (
-    CENTER_CELL,
-    SHADOW_STD_DB,
-    generate,
-    load_scenario,
-    save_scenario,
-)
+from .scenario_gen import SHADOW_STD_DB, generate, load_scenario, save_scenario
 
 
 def _env_default(name: str, cast, fallback):
@@ -106,6 +101,38 @@ def _add_pilots(p: argparse.ArgumentParser) -> None:
     p.add_argument("-B", "--pilot-length", type=int, default=None)
 
 
+@contextlib.contextmanager
+def _user_input():
+    """Report a ValueError or unreadable file met while building the inputs
+    of a subcommand as a ConfigError (exit code 2)."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _check_args(args) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    for name in ("trials", "t_stride"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
+def _check_index(args, name: str, bound: int) -> None:
+    value = getattr(args, name, None)
+    if value is not None and not 0 <= value < bound:
+        raise ConfigError(f"--{name.replace('_', '-')} {value} out of range 0..{bound - 1}")
+
+
+def _validated(scen, hw=None) -> None:
+    report = validate(scen, hw)
+    if not report.ok:
+        raise ConfigError("; ".join(report.violations))
+
+
 def _scenario_from(args):
     if args.scenario:
         return load_scenario(args.scenario)
@@ -153,23 +180,46 @@ def _hardware_from(args, sigma2: float) -> HardwareProfile:
     )
 
 
-def _book_from(args, scenario):
-    B = args.pilot_length if args.pilot_length is not None else scenario.K
-    pl = place(PlacementKind(args.pilot_place), scenario.T, B)
-    if args.pilot_book == "temporal":
-        return temporal_book(scenario.powers, pl)
-    return dft_book(scenario.powers, pl)
+def _scenario_and_book(args):
+    """Validated scenario and pilot book of a subcommand, and the cell it
+    reports."""
+    with _user_input():
+        scen = _scenario_from(args)
+        _validated(scen)
+        book = _pilot_book(scen, args.pilot_book, args.pilot_place, args.pilot_length)
+    _check_index(args, "cell", scen.L)
+    _check_index(args, "source_cell", scen.L)
+    _check_index(args, "ue", scen.K)
+    return scen, book, args.cell if args.cell is not None else _serving_cell(scen)
 
 
-def _default_cell(scenario) -> int:
-    return CENTER_CELL if scenario.L == 25 else 0
+def _inputs(args):
+    """Scenario, hardware profile, pilot book, estimator cache and reported
+    cell of a subcommand with a hardware source."""
+    scen, book, cell = _scenario_and_book(args)
+    with _user_input():
+        hw = _hardware_from(args, scen.sigma2)
+    _validated(scen, hw)
+    return scen, hw, book, build_cache(scen, hw, book), cell
 
 
-def _write_manifest(out_dir: Path, name: str, payload: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}_manifest.json"
-    payload = {"version": __version__, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+def _finish(args, path=None, **extra) -> int:
+    """Write the subcommand's manifest: its resolved arguments plus
+    ``extra``.  Prints ``path``, the main output, when given."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    resolved = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+    payload = {"version": __version__, "command": args.command, "args": resolved, **extra}
+    manifest = args.out / f"{args.name}_manifest.json"
+    manifest.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    if path is not None:
+        print(path)
+    return 0
+
+
+def _write_csv(args, columns, rows, suffix: str = "") -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"{args.name}{suffix}.csv"
+    write_rows(path, columns, rows)
     return path
 
 
@@ -177,10 +227,9 @@ def _write_manifest(out_dir: Path, name: str, payload: dict) -> Path:
 
 
 def _cmd_scenario_gen(args) -> int:
-    scen = _scenario_from(args)
-    report = validate(scen)
-    if not report.ok:
-        raise ConfigError("; ".join(report.violations))
+    with _user_input():
+        scen = _scenario_from(args)
+    _validated(scen)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.name}.json"
     save_scenario(
@@ -194,245 +243,138 @@ def _cmd_scenario_gen(args) -> int:
             "shadow_std_db": args.shadow_std_db,
         },
     )
-    _write_manifest(args.out, args.name, {"command": "scenario-gen", "args": vars(args)})
-    print(path)
-    return 0
+    return _finish(args, path)
+
+
+def _data_times(book, t_stride: int) -> np.ndarray:
+    return np.asarray(book.data_times(), dtype=float)[::t_stride]
 
 
 def _cmd_estimate(args) -> int:
-    scen = _scenario_from(args)
-    hw = _hardware_from(args, scen.sigma2)
-    book = _book_from(args, scen)
-    j = args.cell if args.cell is not None else _default_cell(scen)
+    scen, hw, book, cache, j = _inputs(args)
     l = args.source_cell if args.source_cell is not None else j
-    cache = build_cache(scen, hw, book)
-    ts = np.asarray(book.data_times(), dtype=float)[:: args.t_stride]
+    ts = _data_times(book, args.t_stride)
     closed = np.array([error_covariance(cache, j, l, args.ue, t)[1] for t in ts])
     mc_mean, _ = empirical_mse(
         cache, j, l, args.ue, ts, McConfig(trials=args.trials, seed=args.seed, threads=args.threads)
     )
     rows = [(int(t), closed[i], mc_mean[i]) for i, t in enumerate(ts)]
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{args.name}.csv"
-    write_rows(path, ("t", "mse_closed_form", "mse_monte_carlo"), rows)
-    _write_manifest(args.out, args.name, {"command": "estimate", "args": vars(args)})
-    print(path)
-    return 0
-
-
-def _sinr_rows(scen, cache, hw, j, n_value, t_stride):
-    rows = []
-    for k in range(scen.K):
-        rep = ue_rate(cache, j, k, hw.lo_mode)
-        traj = sinr_trajectory(cache, j, k, rep.ts[::t_stride], hw.lo_mode)
-        for i, t in enumerate(traj.ts):
-            rows.append(
-                (
-                    n_value,
-                    k,
-                    int(t),
-                    traj.sinr[i],
-                    rep.rate,
-                    traj.signal[i],
-                    traj.interference[i],
-                    traj.distortion[i],
-                    traj.noise[i],
-                )
-            )
-    return rows
+    return _finish(args, _write_csv(args, ("t", "mse_closed_form", "mse_monte_carlo"), rows))
 
 
 _SINR_COLUMNS = ("N", "ue", "t", "sinr", "rate", "signal", "interference", "distortion", "noise")
 
 
+def _sinr_rows(cache, cell, n_values, mults, t_stride, asymptote=False) -> list:
+    """CSV rows of the closed-form trajectories: every ``t_stride``-th data
+    channel use per UE and array size; ``n_values`` labels the entries of
+    ``mults`` and, with ``asymptote``, the limit after them."""
+    rows = []
+    for k, _lo, i, traj, rate in _trajectories(cache, cell, [cache.hw.lo_mode], mults, asymptote):
+        for it in range(0, traj.ts.size, t_stride):
+            rows.append((
+                n_values[i], k, int(traj.ts[it]), traj.sinr[it], rate, traj.signal[it],
+                traj.interference[it], traj.distortion[it], traj.noise[it],
+            ))
+    return rows
+
+
 def _cmd_rates_cf(args) -> int:
-    scen = _scenario_from(args)
-    hw = _hardware_from(args, scen.sigma2)
-    book = _book_from(args, scen)
-    j = args.cell if args.cell is not None else _default_cell(scen)
-    cache = build_cache(scen, hw, book)
-    rows = _sinr_rows(scen, cache, hw, j, scen.N, args.t_stride)
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{args.name}.csv"
-    write_rows(path, _SINR_COLUMNS, rows)
-    _write_manifest(args.out, args.name, {"command": "rates-cf", "args": vars(args)})
-    print(path)
-    return 0
+    scen, _hw, _book, cache, j = _inputs(args)
+    rows = _sinr_rows(cache, j, [scen.N], [cache.mult], args.t_stride)
+    return _finish(args, _write_csv(args, _SINR_COLUMNS, rows))
 
 
 def _cmd_sweep_n(args) -> int:
-    scen = _scenario_from(args)
-    hw = _hardware_from(args, scen.sigma2)
-    book = _book_from(args, scen)
-    j = args.cell if args.cell is not None else _default_cell(scen)
-    cache = build_cache(scen, hw, book)
-    ts = np.asarray(book.data_times(), dtype=float)[:: args.t_stride]
-    rows = []
-    for k in range(scen.K):
-        co = mrc_moment_coefficients(cache, j, k, ts)
-        full = mrc_moment_coefficients(
-            cache, j, k, np.asarray(book.data_times(), dtype=float)
-        ) if args.t_stride > 1 else co
-        for n in args.n_grid:
-            if n % scen.subarrays:
-                raise ConfigError(f"N={n} not a multiple of the subarray count {scen.subarrays}")
-            mult = n // scen.subarrays
-            traj = sinr_trajectory_from_coefficients(co, scen, hw, mult, hw.lo_mode)
-            rate_traj = sinr_trajectory_from_coefficients(full, scen, hw, mult, hw.lo_mode)
-            rate = float(np.log2(1.0 + rate_traj.sinr).sum() / scen.T)
-            for i, t in enumerate(ts):
-                rows.append(
-                    (n, k, int(t), traj.sinr[i], rate, traj.signal[i],
-                     traj.interference[i], traj.distortion[i], traj.noise[i])
-                )
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{args.name}.csv"
-    write_rows(path, _SINR_COLUMNS, rows)
-    _write_manifest(args.out, args.name, {"command": "sweep-n", "args": vars(args)})
-    print(path)
-    return 0
-
-
-def _cmd_rates_mc(args) -> int:
-    scen = _scenario_from(args)
-    hw = _hardware_from(args, scen.sigma2)
-    book = _book_from(args, scen)
-    j = args.cell if args.cell is not None else _default_cell(scen)
-    cache = build_cache(scen, hw, book)
-    mc = McConfig(
-        trials=args.trials,
-        seed=args.seed,
-        filter_kind=FilterKind(args.filter),
-        threads=args.threads,
-    )
-    ts = np.asarray(book.data_times(), dtype=float)[:: args.t_stride]
-    ues = range(scen.K) if args.ue is None else [args.ue]
-    rows = []
-    for k in ues:
-        sinr_vals = []
-        per_t = []
-        for t in ts:
-            m = estimate_moments(scen, hw, book, mc.filter_kind, j, k, t, mc, cache=cache)
-            p = scen.powers
-            signal = p[j, k] * abs(m.first) ** 2
-            inter = float(np.sum(p * m.second))
-            noise = hw.xi * m.norm2
-            den = inter - signal + m.distortion + noise
-            sinr = signal / den if den > 0 else math.inf
-            sinr_vals.append(sinr)
-            per_t.append((k, int(t), m, sinr))
-        share = len(book.data_times()) / scen.T
-        rate = float(np.mean([math.log2(1 + s) for s in sinr_vals]) * share)
-        for k_, t_, m, sinr in per_t:
-            rows.append(
-                (
-                    k_, t_, m.norm2, m.norm2_se, m.first.real, m.first.imag, m.first_se,
-                    float(np.sum(scen.powers * m.second)), float(np.sum(m.second_se)),
-                    m.distortion, m.distortion_se, hw.xi * m.norm2, sinr, rate,
-                )
-            )
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{args.name}.csv"
-    write_rows(
-        path,
-        (
-            "ue", "t", "norm2", "norm2_se", "first_re", "first_im", "first_se",
-            "interference", "interference_se", "distortion", "distortion_se",
-            "noise", "sinr", "rate",
-        ),
-        rows,
-    )
-    _write_manifest(args.out, args.name, {"command": "rates-mc", "args": vars(args)})
-    print(path)
-    return 0
+    scen, _hw, _book, cache, j = _inputs(args)
+    mults = _multiplicities(scen, args.n_grid)
+    rows = _sinr_rows(cache, j, args.n_grid, mults, args.t_stride)
+    return _finish(args, _write_csv(args, _SINR_COLUMNS, rows))
 
 
 def _cmd_asymptotic(args) -> int:
-    scen = _scenario_from(args)
-    if scen.reduced_dim != scen.subarrays:
-        raise ConfigError("asymptotic analysis needs subarray-factorized covariances")
-    hw = _hardware_from(args, scen.sigma2)
-    book = _book_from(args, scen)
-    j = args.cell if args.cell is not None else _default_cell(scen)
-    cache = build_cache(scen, hw, book)
-    ts = np.asarray(book.data_times(), dtype=float)[:: args.t_stride]
-    p = scen.powers
+    _scen, _hw, _book, cache, j = _inputs(args)
+    rows = _sinr_rows(cache, j, ["inf"], [], args.t_stride, asymptote=True)
+    return _finish(args, _write_csv(args, _SINR_COLUMNS, rows))
+
+
+def _cmd_rates_mc(args) -> int:
+    scen, hw, book, cache, j = _inputs(args)
+    mc = McConfig(trials=args.trials, seed=args.seed, threads=args.threads)
+    ts = _data_times(book, args.t_stride)
+    ues = range(scen.K) if args.ue is None else [args.ue]
     rows = []
-    for k in range(scen.K):
-        co = mrc_moment_coefficients(cache, j, k, ts)
-        sig = p[j, k] * co.c_norm**2
-        inter = np.einsum("lk,tlk->t", p, co.quad(hw.lo_mode))
-        den = inter - sig
-        with np.errstate(divide="ignore"):
-            vals = np.where(den > 1e-12 * np.maximum(inter, 1e-300), sig / np.maximum(den, 1e-300), math.inf)
-        rate = float(np.log2(1.0 + vals).mean() * (scen.T - book.B) / scen.T)
-        for i, t in enumerate(ts):
-            rows.append(("inf", k, int(t), vals[i], rate, sig[i], inter[i], 0.0, 0.0))
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{args.name}.csv"
-    write_rows(path, _SINR_COLUMNS, rows)
-    _write_manifest(args.out, args.name, {"command": "asymptotic", "args": vars(args)})
-    print(path)
-    return 0
+    for k in ues:
+        ms = [
+            estimate_moments(scen, hw, book, FilterKind(args.filter), j, k, t, mc, cache=cache)
+            for t in ts
+        ]
+        rate, traj = _rate_from_means(
+            scen, hw, book, j, k, mc.trials, ts,
+            np.array([m.norm2 for m in ms]), np.array([m.first for m in ms]),
+            np.array([m.second for m in ms]), np.array([m.distortion for m in ms]),
+        )
+        for i, m in enumerate(ms):
+            rows.append((
+                k, int(ts[i]), m.norm2, m.norm2_se, m.first.real, m.first.imag, m.first_se,
+                traj.interference[i], float(np.sum(m.second_se)), m.distortion,
+                m.distortion_se, traj.noise[i], traj.sinr[i], rate,
+            ))
+    columns = (
+        "ue", "t", "norm2", "norm2_se", "first_re", "first_im", "first_se",
+        "interference", "interference_se", "distortion", "distortion_se",
+        "noise", "sinr", "rate",
+    )
+    return _finish(args, _write_csv(args, columns, rows))
 
 
 def _cmd_scaling_law(args) -> int:
-    exp = ScalingExponents(args.z1, args.z2, args.z3, delta_0=args.delta0)
+    with _user_input():
+        exp = ScalingExponents(args.z1, args.z2, args.z3, delta_0=args.delta0)
+        tau = place(PlacementKind(args.pilot_place), args.block_length,
+                    args.pilot_length or 8).tau
     lo = LoMode(args.lo)
-    tau = place(PlacementKind(args.pilot_place), args.block_length,
-                args.pilot_length or 8).tau
     worst_t = max(
         (t for t in range(1, args.block_length + 1) if t not in set(tau)),
         key=lambda t: min(abs(t - x) for x in tau),
     )
     rep = check_scaling_law(exp, lo, t=worst_t, tau=tau)
     print(f"satisfied={rep.satisfied} margin={rep.margin:.6g} lhs={rep.lhs:.6g}")
-    payload = {
-        "command": "scaling-law",
-        "args": vars(args),
-        "satisfied": rep.satisfied,
-        "margin": rep.margin,
-        "lhs": rep.lhs,
-        "worst_t": worst_t,
-    }
-    rows = []
+    path = None
     if args.n_grid:
-        scen = _scenario_from(args)
-        book = _book_from(args, scen)
-        j = args.cell if args.cell is not None else _default_cell(scen)
-        base = HardwareProfile(
-            delta=args.delta0, kappa2=args.kappa20, xi=args.xi0 * scen.sigma2, lo_mode=lo
-        )
-        for n in args.n_grid:
-            hw_n = scaled_profile(base, n, exp, sigma2=scen.sigma2)
+        scen, book, j = _scenario_and_book(args)
+        with _user_input():
+            base = HardwareProfile(
+                delta=args.delta0, kappa2=args.kappa20, xi=args.xi0 * scen.sigma2, lo_mode=lo
+            )
+            profiles = [scaled_profile(base, n, exp, sigma2=scen.sigma2) for n in args.n_grid]
+        rows = []
+        for n, hw_n in zip(args.n_grid, profiles):
+            _validated(scen, hw_n)
             cache = build_cache(scen, hw_n, book)
-            rows.extend(_sinr_rows(scen, cache, hw_n, j, n, args.t_stride))
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"{args.name}.csv"
-        write_rows(path, _SINR_COLUMNS, rows)
-        print(path)
-    _write_manifest(args.out, args.name, payload)
-    return 0
+            rows.extend(_sinr_rows(cache, j, [n], [cache.mult], args.t_stride))
+        path = _write_csv(args, _SINR_COLUMNS, rows)
+    return _finish(
+        args, path, satisfied=rep.satisfied, margin=rep.margin, lhs=rep.lhs, worst_t=worst_t
+    )
 
 
 def _cmd_circuit(args) -> int:
-    hw = profile_from_circuits(
-        AdcSpec(args.adc_bits),
-        LnaSpec(F=NoiseFigure.from_db(args.lna_nf_db).F),
-        LoSpec(args.carrier_hz, args.symbol_time_s, args.lo_quality),
-        sigma2=1.0,
-        lo_mode=LoMode(args.lo),
-    )
+    with _user_input():
+        hw = profile_from_circuits(
+            AdcSpec(args.adc_bits),
+            LnaSpec(F=NoiseFigure.from_db(args.lna_nf_db).F),
+            LoSpec(args.carrier_hz, args.symbol_time_s, args.lo_quality),
+            sigma2=1.0,
+            lo_mode=LoMode(args.lo),
+        )
+        table = power_scaling_report(args.n_grid, args.z1, args.z2, args.z3)
     print(f"delta={hw.delta:.6g} kappa2={hw.kappa2:.6g} xi_over_sigma2={hw.xi:.6g}")
     rows = [("delta", hw.delta), ("kappa2", hw.kappa2), ("xi_over_sigma2", hw.xi)]
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_rows(args.out / f"{args.name}_triple.csv", ("parameter", "value"), rows)
-    table = power_scaling_report(args.n_grid, args.z1, args.z2, args.z3)
+    _write_csv(args, ("parameter", "value"), rows, "_triple")
     cols = tuple(table[0].keys())
-    write_rows(args.out / f"{args.name}_power.csv", cols, [tuple(r[c] for c in cols) for r in table])
-    _write_manifest(args.out, args.name, {"command": "circuit", "args": vars(args)})
-    print(args.out / f"{args.name}_power.csv")
-    return 0
+    path = _write_csv(args, cols, [tuple(r[c] for c in cols) for r in table], "_power")
+    return _finish(args, path)
 
 
 def _cmd_preset(args) -> int:
@@ -597,6 +539,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

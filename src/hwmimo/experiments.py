@@ -10,37 +10,25 @@ byte-identical CSV at any thread count.
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .estimator import build_cache
-from .model import HardwareProfile, LoMode, Scenario, conventional_profile
-from .montecarlo import FilterKind, McConfig, mc_rate
+from .estimator import EstimatorCache, build_cache
+from .model import ConfigError, HardwareProfile, LoMode, Scenario, conventional_profile
+from .montecarlo import FilterKind, McConfig, _fan_out, mc_rate
 from .pilots import PilotBook, PlacementKind, dft_book, place, temporal_book
 from .rates import (
+    MomentCoefficients,
     ScalingExponents,
+    _asymptote,
     mrc_moment_coefficients,
     scaled_profile,
     sinr_trajectory_from_coefficients,
 )
-from .scenario_gen import (
-    CENTER_CELL,
-    SHADOW_STD_DB,
-    build_layout,
-    drop_users,
-    link_gains,
-    load_scenario,
-    make_scenario,
-    power_control,
-)
-
-
-class ConfigError(ValueError):
-    """Unusable run configuration (maps to CLI exit code 2)."""
+from .scenario_gen import CENTER_CELL, NUM_CELLS, SHADOW_STD_DB, generate, load_scenario
 
 
 RESULT_COLUMNS = ("experiment", "N", "T", "drop", "ue", "metric", "value", "stderr")
@@ -242,7 +230,7 @@ def preset(name: str) -> RunConfig:
 # -- scenario and pilot material ------------------------------------------------
 
 
-def _book_for(scenario: Scenario, kind: str, placement: str, length: int | None) -> PilotBook:
+def _pilot_book(scenario: Scenario, kind: str, placement: str, length: int | None) -> PilotBook:
     B = length if length is not None else scenario.K
     pl = place(PlacementKind(placement), scenario.T, B)
     if kind == "temporal":
@@ -250,76 +238,92 @@ def _book_for(scenario: Scenario, kind: str, placement: str, length: int | None)
     return dft_book(scenario.powers, pl)
 
 
+def _serving_cell(scenario: Scenario) -> int:
+    """Cell whose UEs are reported: the center of the generated 5 x 5 grid,
+    cell 0 of any other network."""
+    return CENTER_CELL if scenario.L == NUM_CELLS else 0
+
+
+def _multiplicities(scenario: Scenario, n_grid) -> list:
+    """Antennas per subarray for each array size of an N grid."""
+    for n in n_grid:
+        if n % scenario.subarrays or n < scenario.subarrays:
+            raise ConfigError(
+                f"N={n} is not a positive multiple of the subarray count {scenario.subarrays}"
+            )
+    return [n // scenario.subarrays for n in n_grid]
+
+
 def _drop_scenario(cfg: RunConfig, deployment: str, drop_index: int) -> Scenario:
     spec = cfg.scenario
     if spec.file:
         return load_scenario(spec.file)
-    layout = build_layout(deployment, spec.n_antennas)
-    drop = drop_users(layout, cfg.seed, drop_index)
-    gains = link_gains(layout, drop, cfg.seed, drop_index, spec.shadow_std_db)
-    rho = 10.0 ** (spec.snr_db / 10.0) * spec.sigma2
-    return make_scenario(layout, gains, power_control(gains, rho), spec.T, spec.sigma2)
+    return generate(
+        deployment, N=spec.n_antennas, snr_db=spec.snr_db, T=spec.T, seed=cfg.seed,
+        drop_index=drop_index, sigma2=spec.sigma2, shadow_std_db=spec.shadow_std_db,
+    )
 
 
-def _rates_all_ues(
-    scenario: Scenario,
-    hw: HardwareProfile,
-    book: PilotBook,
-    cell: int,
-    los,
-    mults,
-) -> dict:
-    """Closed-form per-UE rates for each multiplicity and requested
-    oscillator topology, sharing one coefficient pass per UE (the tensors
-    carry both branches); drift-free profiles collapse to a single channel
-    use.  Returns {lo: (len(mults), K) array}."""
-    los = list(los)
-    cache = build_cache(scenario, hw, book)
-    ts = np.asarray(book.data_times(), dtype=float)
-    if ts.size == 0:
-        return {lo: np.zeros((len(mults), scenario.K)) for lo in los}
-    eval_ts = ts[:1] if hw.delta == 0.0 else ts
-    out = {lo: np.empty((len(mults), scenario.K)) for lo in los}
-    for k in range(scenario.K):
-        co = mrc_moment_coefficients(cache, cell, k, eval_ts)
+# -- closed-form rates -----------------------------------------------------------
+
+
+def _data_coefficients(cache: EstimatorCache, cell: int, k: int) -> MomentCoefficients:
+    """Moment coefficients of UE k of ``cell`` at every data channel use.
+    Without phase drift they do not depend on t, so one channel use is
+    evaluated and broadcast over the others."""
+    ts = np.asarray(cache.book.data_times(), dtype=float)
+    if cache.hw.delta != 0.0:
+        return mrc_moment_coefficients(cache, cell, k, ts)
+    co = mrc_moment_coefficients(cache, cell, k, ts[:1])
+    per_t = ("c_norm", "tr_term", "quad_clo", "quad_slo", "third_clo", "third_slo", "c_dist")
+    return dataclasses.replace(co, ts=ts, **{
+        f: np.broadcast_to(getattr(co, f), (ts.size,) + getattr(co, f).shape[1:]) for f in per_t
+    })
+
+
+def _trajectories(cache: EstimatorCache, cell: int, los, mults, asymptote: bool = False):
+    """Closed-form SINR trajectories over every data channel use, from one
+    coefficient pass per UE of ``cell``.  Yields ``(k, lo, i, trajectory,
+    rate)`` for each oscillator topology in ``los`` and each entry i of
+    ``mults``; with ``asymptote``, entry ``len(mults)`` is the large-array
+    limit.  The rate sums log2(1 + SINR) over the data uses and divides by T,
+    charging the pilot uses against it."""
+    scen = cache.scenario
+    for k in range(scen.K):
+        co = _data_coefficients(cache, cell, k)
         for lo in los:
-            for i, mult in enumerate(mults):
-                traj = sinr_trajectory_from_coefficients(co, scenario, hw, int(mult), lo)
-                s = np.full(ts.size, traj.sinr[0]) if hw.delta == 0.0 else traj.sinr
-                out[lo][i, k] = float(np.log2(1.0 + s).sum() / scenario.T)
-    return out
+            trajs = [
+                sinr_trajectory_from_coefficients(co, scen, cache.hw, int(m), lo) for m in mults
+            ]
+            if asymptote:
+                trajs.append(_asymptote(co, scen, lo))
+            for i, traj in enumerate(trajs):
+                yield k, lo, i, traj, float(np.log2(1.0 + traj.sinr).sum() / scen.T)
 
 
-def _variant_groups(hardware) -> list:
-    """Group hardware variants that share the impairment triple (and its
-    growth exponents) so they also share moment coefficients."""
+def _variant_rates(
+    cfg: RunConfig, scenario: Scenario, book: PilotBook, cell: int, mults,
+    asymptote: bool = False, N: int | None = None,
+) -> dict:
+    """Closed-form per-UE rates of every hardware variant, {label: array of
+    shape (len(mults) + asymptote, K)}: one row per multiplicity, plus the
+    large-array limit with ``asymptote``.  ``N`` grows the impairment
+    triples of variants with scaling exponents.  Variants sharing a triple
+    (and its exponents) share the estimator cache and the coefficient pass,
+    whose tensors carry both oscillator branches."""
     groups: dict = {}
-    for hv in hardware:
+    for hv in cfg.hardware:
         key = (hv.ideal, hv.delta, hv.kappa2, hv.xi_over_sigma2, hv.exponents)
         groups.setdefault(key, []).append(hv)
-    return list(groups.values())
-
-
-def _asymptotic_rates(scenario, hw, book, cell: int, los) -> dict:
-    """Per-UE rates built from the large-array SINR limits, per topology."""
-    los = list(los)
-    cache = build_cache(scenario, hw, book)
-    ts = np.asarray(book.data_times(), dtype=float)
-    eval_ts = ts[:1] if hw.delta == 0.0 else ts
-    p = scenario.powers
-    out = {lo: np.empty(scenario.K) for lo in los}
-    for k in range(scenario.K):
-        co = mrc_moment_coefficients(cache, cell, k, eval_ts)
-        sig = p[cell, k] * co.c_norm**2
-        for lo in los:
-            inter = np.einsum("lk,tlk->t", p, co.quad(lo))
-            den = inter - sig
-            with np.errstate(divide="ignore"):
-                s = np.where(
-                    den > 1e-12 * np.maximum(inter, 1e-300), sig / np.maximum(den, 1e-300), np.inf
-                )
-            s_full = np.full(ts.size, s[0]) if hw.delta == 0.0 else s
-            out[lo][k] = float(np.log2(1.0 + s_full).sum() / scenario.T)
+    out = {}
+    for variants in groups.values():
+        los = {hv.lo for hv in variants}
+        cache = build_cache(scenario, variants[0].profile(scenario.sigma2, N=N), book)
+        rates = {lo: np.empty((len(mults) + asymptote, scenario.K)) for lo in los}
+        for k, lo, i, _traj, rate in _trajectories(cache, cell, los, mults, asymptote):
+            rates[lo][i, k] = rate
+        for hv in variants:
+            out[hv.label] = rates[hv.lo]
     return out
 
 
@@ -334,118 +338,89 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _job_sweep_n(cfg: RunConfig, deployment: str, drop: int) -> list:
-    scen = _drop_scenario(cfg, deployment, drop)
-    cell = CENTER_CELL if scen.L == 25 else 0
-    mults = [n // scen.subarrays for n in cfg.experiment.n_grid]
-    for n in cfg.experiment.n_grid:
-        if n % scen.subarrays or n < scen.subarrays:
-            raise ConfigError(f"N={n} is not a multiple of the subarray count {scen.subarrays}")
-    rows = []
-    for book_kind in cfg.pilots.books:
+def _books(cfg: RunConfig, deployment: str, scenario: Scenario):
+    """Pilot book of every (book kind, placement) of the run, with the run
+    label of each hardware variant on it, {variant label: run label}."""
+    for kind in cfg.pilots.books:
         for placement in cfg.pilots.placements:
-            book = _book_for(scen, book_kind, placement, cfg.pilots.length)
-            per_variant = {}
-            for variants in _variant_groups(cfg.hardware):
-                hw = variants[0].profile(scen.sigma2)
-                rates = _rates_all_ues(scen, hw, book, cell, {hv.lo for hv in variants}, mults)
-                for hv in variants:
-                    per_variant[hv.label] = rates[hv.lo]
-            for hv in cfg.hardware:
-                label = f"{cfg.name}:{deployment}:{hv.label}:{book_kind}:{placement}"
-                for i, n in enumerate(cfg.experiment.n_grid):
-                    for k in range(scen.K):
-                        rows.append((label, n, scen.T, drop, k, "rate", per_variant[hv.label][i, k], ""))
-    return rows
+            labels = {
+                hv.label: f"{cfg.name}:{deployment}:{hv.label}:{kind}:{placement}"
+                for hv in cfg.hardware
+            }
+            yield labels, _pilot_book(scenario, kind, placement, cfg.pilots.length)
+
+
+def _rate_rows(label: str, ns, T: int, drop: int, metric: str, rates: np.ndarray) -> list:
+    """One row per (array size in ``ns``, UE) of a (len(ns), K) rate array."""
+    return [
+        (label, n, T, drop, k, metric, rates[i, k], "")
+        for i, n in enumerate(ns)
+        for k in range(rates.shape[1])
+    ]
+
+
+def _sweep_rows(cfg: RunConfig, deployment: str, drop: int, asymptote: bool) -> list:
+    """Rate rows over the N grid, followed by the large-array limit rows
+    (N = 0) with ``asymptote``."""
+    scen = _drop_scenario(cfg, deployment, drop)
+    n_grid = cfg.experiment.n_grid
+    mults = _multiplicities(scen, n_grid)
+    rows, limits = [], []
+    for labels, book in _books(cfg, deployment, scen):
+        rates = _variant_rates(cfg, scen, book, _serving_cell(scen), mults, asymptote)
+        for hv, label in labels.items():
+            rows += _rate_rows(label, n_grid, scen.T, drop, "rate", rates[hv])
+            if asymptote:
+                limits += _rate_rows(label, [0], scen.T, drop, "rate_asymptotic", rates[hv][-1:])
+    return rows + limits
+
+
+def _job_sweep_n(cfg: RunConfig, deployment: str, drop: int) -> list:
+    return _sweep_rows(cfg, deployment, drop, asymptote=False)
 
 
 def _job_asymptotics(cfg: RunConfig, deployment: str, drop: int) -> list:
-    rows = _job_sweep_n(cfg, deployment, drop)
-    if not cfg.experiment.include_asymptote:
-        return rows
-    scen = _drop_scenario(cfg, deployment, drop)
-    cell = CENTER_CELL if scen.L == 25 else 0
-    for book_kind in cfg.pilots.books:
-        for placement in cfg.pilots.placements:
-            book = _book_for(scen, book_kind, placement, cfg.pilots.length)
-            per_variant = {}
-            for variants in _variant_groups(cfg.hardware):
-                hw = variants[0].profile(scen.sigma2)
-                vals = _asymptotic_rates(scen, hw, book, cell, {hv.lo for hv in variants})
-                for hv in variants:
-                    per_variant[hv.label] = vals[hv.lo]
-            for hv in cfg.hardware:
-                label = f"{cfg.name}:{deployment}:{hv.label}:{book_kind}:{placement}"
-                for k in range(scen.K):
-                    rows.append((label, 0, scen.T, drop, k, "rate_asymptotic", per_variant[hv.label][k], ""))
-    return rows
+    return _sweep_rows(cfg, deployment, drop, asymptote=cfg.experiment.include_asymptote)
 
 
 def _job_scaling(cfg: RunConfig, deployment: str, drop: int) -> list:
     scen = _drop_scenario(cfg, deployment, drop)
-    cell = CENTER_CELL if scen.L == 25 else 0
+    n_grid = cfg.experiment.n_grid
     rows = []
-    for book_kind in cfg.pilots.books:
-        for placement in cfg.pilots.placements:
-            book = _book_for(scen, book_kind, placement, cfg.pilots.length)
-            per_variant = {hv.label: {} for hv in cfg.hardware}
-            for variants in _variant_groups(cfg.hardware):
-                for n in cfg.experiment.n_grid:
-                    hw = variants[0].profile(scen.sigma2, N=n)  # triple grows with N
-                    rates = _rates_all_ues(
-                        scen, hw, book, cell, {hv.lo for hv in variants}, [n // scen.subarrays]
-                    )
-                    for hv in variants:
-                        per_variant[hv.label][n] = rates[hv.lo]
-            for hv in cfg.hardware:
-                label = f"{cfg.name}:{deployment}:{hv.label}:{book_kind}:{placement}"
-                for n in cfg.experiment.n_grid:
-                    for k in range(scen.K):
-                        rows.append((label, n, scen.T, drop, k, "rate", per_variant[hv.label][n][0, k], ""))
+    for labels, book in _books(cfg, deployment, scen):
+        per_n = [
+            _variant_rates(cfg, scen, book, _serving_cell(scen), [mult], N=n)
+            for n, mult in zip(n_grid, _multiplicities(scen, n_grid))
+        ]
+        for hv, label in labels.items():
+            rates = np.vstack([r[hv] for r in per_n])
+            rows += _rate_rows(label, n_grid, scen.T, drop, "rate", rates)
     return rows
 
 
 def _job_sweep_t(cfg: RunConfig, deployment: str, drop: int) -> list:
     base = _drop_scenario(cfg, deployment, drop)
-    cell = CENTER_CELL if base.L == 25 else 0
     rows = []
     for T in cfg.experiment.t_grid:
         scen = dataclasses.replace(base, T=int(T))
-        for book_kind in cfg.pilots.books:
-            for placement in cfg.pilots.placements:
-                book = _book_for(scen, book_kind, placement, cfg.pilots.length)
-                per_variant = {}
-                for variants in _variant_groups(cfg.hardware):
-                    hw = variants[0].profile(scen.sigma2)
-                    rates = _rates_all_ues(
-                        scen, hw, book, cell, {hv.lo for hv in variants}, [scen.multiplicity]
-                    )
-                    for hv in variants:
-                        per_variant[hv.label] = rates[hv.lo]
-                for hv in cfg.hardware:
-                    label = f"{cfg.name}:{deployment}:{hv.label}:{book_kind}:{placement}"
-                    for k in range(scen.K):
-                        rows.append((label, scen.N, T, drop, k, "rate", per_variant[hv.label][0, k], ""))
+        for labels, book in _books(cfg, deployment, scen):
+            rates = _variant_rates(cfg, scen, book, _serving_cell(scen), [scen.multiplicity])
+            for hv, label in labels.items():
+                rows += _rate_rows(label, [scen.N], T, drop, "rate", rates[hv])
     return rows
 
 
 def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
     scen = _drop_scenario(cfg, deployment, drop)
-    cell = CENTER_CELL if scen.L == 25 else 0
+    cell = _serving_cell(scen)
+    mc = McConfig(trials=cfg.experiment.trials, seed=cfg.seed + drop)
     rows = []
-    for book_kind in cfg.pilots.books:
-        for placement in cfg.pilots.placements:
-            book = _book_for(scen, book_kind, placement, cfg.pilots.length)
-            for hv in cfg.hardware:
-                hw = hv.profile(scen.sigma2)
-                label = f"{cfg.name}:{deployment}:{hv.label}:{book_kind}:{placement}"
-                for k in range(scen.K):
-                    rep = mc_rate(
-                        scen, hw, book, cfg.experiment.filter_kind,
-                        McConfig(trials=cfg.experiment.trials, seed=cfg.seed + drop),
-                        cell, k,
-                    )
-                    rows.append((label, scen.N, scen.T, drop, k, "rate_mc", rep.rate, ""))
+    for labels, book in _books(cfg, deployment, scen):
+        for hv in cfg.hardware:
+            hw = hv.profile(scen.sigma2)
+            for k in range(scen.K):
+                rep = mc_rate(scen, hw, book, cfg.experiment.filter_kind, mc, cell, k)
+                rows.append((labels[hv.label], scen.N, scen.T, drop, k, "rate_mc", rep.rate, ""))
     return rows
 
 
@@ -488,15 +463,7 @@ def run(cfg: RunConfig) -> RunResult:
     job = _JOBS[cfg.experiment.kind]
     tasks = [(dep, drop) for dep in cfg.scenario.deployments for drop in range(cfg.scenario.drops)]
 
-    def work(args):
-        dep, drop = args
-        return job(cfg, dep, drop)
-
-    if cfg.threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(work, tasks))
-    else:
-        chunks = [work(t) for t in tasks]
+    chunks = _fan_out(lambda task: job(cfg, *task), tasks, cfg.threads)
     rows = [r for chunk in chunks for r in chunk]
     if cfg.experiment.kind == "sweep-t":
         rows.extend(_mark_t_maxima(rows))

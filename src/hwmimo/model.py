@@ -11,10 +11,15 @@ Conventions used throughout the package:
 * One :class:`HardwareProfile` applies to all cells.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Unusable run configuration (maps to CLI exit code 2)."""
 
 
 class LoMode(str, Enum):
@@ -140,23 +145,25 @@ def validate(scenario: Scenario, hw: HardwareProfile | None = None) -> Validatio
         v.append(f"cov last axis {s.reduced_dim} is neither A={s.subarrays} nor N={s.N}")
     elif s.N % s.reduced_dim != 0:
         v.append(f"cov last axis {s.reduced_dim} must divide N={s.N}")
-    neg = np.argwhere(s.cov < 0)
+    neg = np.argwhere(~(np.isfinite(s.cov) & (s.cov >= 0)))
     if neg.size:
-        v.append(f"covariance entries must be >= 0, first violation at {tuple(neg[0])}")
+        v.append(f"covariance entries must be finite and >= 0, first violation at {tuple(neg[0])}")
     if s.powers.shape != (s.L, s.K):
         v.append(f"powers shape {s.powers.shape} != (L, K)")
     else:
-        negp = np.argwhere(s.powers < 0)
+        negp = np.argwhere(~(np.isfinite(s.powers) & (s.powers >= 0)))
         if negp.size:
-            v.append(f"powers must be >= 0, first violation at {tuple(negp[0])}")
-    if not s.sigma2 > 0:
-        v.append("sigma2 must be > 0")
+            v.append(f"powers must be finite and >= 0, first violation at {tuple(negp[0])}")
+    if not (s.sigma2 > 0 and math.isfinite(s.sigma2)):
+        v.append("sigma2 must be finite and > 0")
     if hw is not None:
-        if hw.delta < 0:
-            v.append("delta must be >= 0")
-        if hw.kappa2 < 0:
-            v.append("kappa2 must be >= 0")
-        if hw.xi < s.sigma2:
+        if not (hw.delta >= 0 and math.isfinite(hw.delta)):
+            v.append("delta must be finite and >= 0")
+        if not (hw.kappa2 >= 0 and math.isfinite(hw.kappa2)):
+            v.append("kappa2 must be finite and >= 0")
+        if not math.isfinite(hw.xi):
+            v.append("xi must be finite")
+        elif hw.xi < s.sigma2:
             v.append(f"xi below sigma2 (xi={hw.xi}, sigma2={s.sigma2})")
     return ValidationReport(ok=not v, violations=tuple(v))
 

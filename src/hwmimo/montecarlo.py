@@ -25,9 +25,10 @@ from . import rng as _rng
 from .estimator import EstimatorCache, build_cache, error_covariance
 from .model import HardwareProfile, LoMode, Scenario
 from .pilots import PilotBook
-from .rates import NumericalInvariantError, RateReport
+from .rates import NumericalInvariantError, RateReport, SinrTrajectory
 
 _CHUNK_TARGET_BYTES = 64 * 2**20
+_BATCHES = 100  # batch means behind every standard error
 
 
 class FilterKind(str, Enum):
@@ -37,13 +38,15 @@ class FilterKind(str, Enum):
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, master seed and filter choice for one simulation."""
+    """Trial count, master seed and worker-thread count of one simulation.
+
+    The receive filter is an argument of each entry point, not a field
+    here.  Results do not depend on ``threads``: trials run in fixed-size
+    chunks, each on its own substream, reduced in chunk order.
+    """
 
     trials: int
     seed: int = 0
-    filter_kind: FilterKind = FilterKind.MRC
-    report_confidence: bool = True
-    batches: int = 100
     threads: int = 1
 
     def __post_init__(self):
@@ -68,12 +71,10 @@ class McMoments:
     distortion_se: float
 
 
-def _batch_se(values: np.ndarray, batches: int, enabled: bool = True) -> np.ndarray:
+def _batch_se(values: np.ndarray) -> np.ndarray:
     """Standard error along the first axis via batch means."""
-    if not enabled:
-        return np.zeros(values.shape[1:])
     n = values.shape[0]
-    nb = min(batches, n)
+    nb = min(_BATCHES, n)
     means = np.stack([chunk.mean(axis=0) for chunk in np.array_split(values, nb)])
     if nb < 2:
         return np.zeros_like(np.abs(means[0]))
@@ -114,6 +115,15 @@ def _chunk_sizes(trials: int, per_trial_bytes: int) -> list:
     size = max(1, min(trials, _CHUNK_TARGET_BYTES // max(per_trial_bytes, 1)))
     n_full, rem = divmod(trials, size)
     return [size] * n_full + ([rem] if rem else [])
+
+
+def _fan_out(fn, jobs: list, threads: int) -> list:
+    """``[fn(job) for job in jobs]``, on a thread pool when ``threads > 1``
+    and there is more than one job.  Results keep the order of ``jobs``."""
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +222,7 @@ def _draw_chunk_phases(delta, times, n_osc, seed, chunk_index, cell, size):
 
 
 def _collect_values(
-    cache: EstimatorCache, j: int, k: int, ts, mc: McConfig
+    cache: EstimatorCache, j: int, k: int, ts, mc: McConfig, filter_kind: FilterKind
 ) -> _TrialValues:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     scen = cache.scenario
@@ -224,20 +234,15 @@ def _collect_values(
         + 3 * B * N
         + ts.size * (L * K + 4)
     )
-    if mc.filter_kind is FilterKind.MMSE:
+    if filter_kind is FilterKind.MMSE:
         per_trial += 16 * (L * K * N + N * N)
     sizes = _chunk_sizes(mc.trials, per_trial)
 
     def run(args):
         idx, size = args
-        return _simulate_chunk(cache, j, k, ts, idx, size, mc.seed, mc.filter_kind)
+        return _simulate_chunk(cache, j, k, ts, idx, size, mc.seed, filter_kind)
 
-    jobs = list(enumerate(sizes))
-    if mc.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(job) for job in jobs]
+    parts = _fan_out(run, list(enumerate(sizes)), mc.threads)
     return _TrialValues(
         norm2=np.concatenate([p.norm2 for p in parts]),
         first=np.concatenate([p.first for p in parts]),
@@ -260,42 +265,57 @@ def estimate_moments(
     """Sample means of the four SINR expectations for UE k of cell j at
     channel use t."""
     cache = cache or build_cache(scenario, hw, pilots)
-    cfg = McConfig(
-        trials=mc.trials, seed=mc.seed, filter_kind=filter_kind,
-        report_confidence=mc.report_confidence, batches=mc.batches, threads=mc.threads,
-    )
-    vals = _collect_values(cache, j, k, [t], cfg)
-    conf = mc.report_confidence
+    vals = _collect_values(cache, j, k, [t], mc, filter_kind)
     return McMoments(
         trials=mc.trials,
         norm2=float(vals.norm2[:, 0].mean()),
-        norm2_se=float(_batch_se(vals.norm2[:, 0], mc.batches, conf)),
+        norm2_se=float(_batch_se(vals.norm2[:, 0])),
         first=complex(vals.first[:, 0].mean()),
-        first_se=float(_batch_se(vals.first[:, 0], mc.batches, conf)),
+        first_se=float(_batch_se(vals.first[:, 0])),
         second=vals.second[:, 0].mean(axis=0),
-        second_se=_batch_se(vals.second[:, 0], mc.batches, conf),
+        second_se=_batch_se(vals.second[:, 0]),
         distortion=float(vals.distortion[:, 0].mean()),
-        distortion_se=float(_batch_se(vals.distortion[:, 0], mc.batches, conf)),
+        distortion_se=float(_batch_se(vals.distortion[:, 0])),
     )
 
 
-def _assemble_sinr(
-    scenario: Scenario, hw: HardwareProfile, j: int, k: int, vals: _TrialValues
-) -> np.ndarray:
-    """Per-time SINR from the sample means of the expectations."""
+def _rate_from_means(
+    scenario: Scenario,
+    hw: HardwareProfile,
+    pilots: PilotBook,
+    j: int,
+    k: int,
+    trials: int,
+    ts: np.ndarray,
+    norm2: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    distortion: np.ndarray,
+) -> tuple[float, SinrTrajectory]:
+    """Rate and per-time SINR of UE k in cell j from the sample means of
+    the four expectations at channel uses ``ts`` (``second`` is (nt, L, K)).
+
+    The rate averages log2(1 + SINR) over ``ts`` and scales it by the data
+    share of the block.  The subtraction in the denominator can dip below
+    zero by sampling noise: a denominator under the floor
+    -3 (|interference| + |signal|) / sqrt(trials) raises, one between the
+    floor and zero gives an infinite SINR.
+    """
     p = scenario.powers
-    norm2 = vals.norm2.mean(axis=0)
-    first = vals.first.mean(axis=0)
-    second = vals.second.mean(axis=0)  # (nt, L, K)
-    dist = vals.distortion.mean(axis=0)
     signal = p[j, k] * np.abs(first) ** 2
     inter = np.einsum("lk,tlk->t", p, second)
-    den = inter - signal + dist + hw.xi * norm2
-    # statistical tolerance: the subtraction can dip slightly negative
-    floor = -3.0 * (np.abs(inter) + np.abs(signal)) / math.sqrt(vals.norm2.shape[0])
+    noise = hw.xi * norm2
+    den = inter - signal + distortion + noise
+    floor = -3.0 * (np.abs(inter) + np.abs(signal)) / math.sqrt(trials)
     if np.any(den < floor):
         raise NumericalInvariantError("MC SINR denominator negative beyond tolerance")
-    return signal / np.maximum(den, np.finfo(float).tiny)
+    with np.errstate(divide="ignore"):
+        sinr = np.where(den > 0.0, signal / np.maximum(den, np.finfo(float).tiny), np.inf)
+    share = len(pilots.data_times()) / scenario.T
+    rate = float(np.log2(1.0 + sinr).mean() * share)
+    return rate, SinrTrajectory(
+        ts=ts, sinr=sinr, signal=signal, interference=inter, distortion=distortion, noise=noise
+    )
 
 
 def mc_rate(
@@ -314,17 +334,15 @@ def mc_rate(
     overhead pre-log.  ``ts`` restricts evaluation to a subset of data times
     (the rate then averages over that subset, scaled by the data share)."""
     cache = cache or build_cache(scenario, hw, pilots)
-    data = np.asarray(pilots.data_times(), dtype=float)
-    eval_ts = data if ts is None else np.atleast_1d(np.asarray(ts, dtype=float))
-    cfg = McConfig(
-        trials=mc.trials, seed=mc.seed, filter_kind=filter_kind,
-        report_confidence=mc.report_confidence, batches=mc.batches, threads=mc.threads,
+    if ts is None:
+        ts = pilots.data_times()
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    vals = _collect_values(cache, j, k, ts, mc, filter_kind)
+    rate, traj = _rate_from_means(
+        scenario, hw, pilots, j, k, mc.trials, ts, vals.norm2.mean(axis=0),
+        vals.first.mean(axis=0), vals.second.mean(axis=0), vals.distortion.mean(axis=0),
     )
-    vals = _collect_values(cache, j, k, eval_ts, cfg)
-    sinr_t = _assemble_sinr(scenario, hw, j, k, vals)
-    share = len(data) / scenario.T
-    rate = float(np.log2(1.0 + sinr_t).mean() * share)
-    return RateReport(rate=rate, ts=eval_ts, sinr=sinr_t)
+    return RateReport(rate=rate, ts=ts, sinr=traj.sinr)
 
 
 def empirical_mse(
@@ -348,11 +366,5 @@ def empirical_mse(
             out[:, it] = np.sum(np.abs(h_t - est) ** 2, axis=-1)
         return out
 
-    jobs = list(enumerate(sizes))
-    if mc.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(job) for job in jobs]
-    errs = np.concatenate(parts)
-    return errs.mean(axis=0), _batch_se(errs, mc.batches)
+    errs = np.concatenate(_fan_out(run, list(enumerate(sizes)), mc.threads))
+    return errs.mean(axis=0), _batch_se(errs)

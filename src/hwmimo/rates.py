@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .estimator import EstimatorCache
-from .model import HardwareProfile, LoMode, Scenario
+from .model import ConfigError, HardwareProfile, LoMode, Scenario
 from .pilots import PilotBook
 
 
@@ -309,6 +309,31 @@ def ue_rate(cache: EstimatorCache, j: int, k: int, lo_mode: LoMode | None = None
 # -- asymptotics and hardware scaling laws ----------------------------------
 
 
+def _asymptote(co: MomentCoefficients, scenario: Scenario, lo_mode: LoMode) -> SinrTrajectory:
+    """Large-array SINR limits over the coefficient grid.
+
+    Distortion and receiver noise vanish in the limit; what survives is the
+    ratio of the squared signal coefficient to the interference that shares
+    its quadratic growth (pilot contamination).  The SINR is +inf where no
+    contamination survives: interference minus signal at most 1e-12 of the
+    interference.
+    """
+    if scenario.reduced_dim != scenario.subarrays:
+        raise ConfigError("asymptotic analysis needs subarray-factorized covariances")
+    p = scenario.powers
+    signal = p[co.j, co.k] * co.c_norm**2
+    inter = np.einsum("lk,tlk->t", p, co.quad(lo_mode))
+    den = inter - signal
+    with np.errstate(divide="ignore"):
+        sinr = np.where(
+            den > 1e-12 * np.maximum(inter, 1e-300), signal / np.maximum(den, 1e-300), np.inf
+        )
+    zero = np.zeros_like(signal)
+    return SinrTrajectory(
+        ts=co.ts, sinr=sinr, signal=signal, interference=inter, distortion=zero, noise=zero
+    )
+
+
 def asymptotic_sinr(
     cache_or_scenario,
     hw: HardwareProfile | None = None,
@@ -318,33 +343,19 @@ def asymptotic_sinr(
     t=None,
     lo_mode: LoMode | None = None,
 ) -> float:
-    """SINR limit as the per-subarray antenna count grows without bound.
-
-    Distortion and receiver noise vanish in the limit; what survives is the
-    ratio of the squared signal coefficient to the interference that shares
-    its quadratic growth (pilot contamination).  Returns +inf when no
-    contamination survives.
-    """
+    """SINR limit of UE k in cell j at channel use t (default: the first
+    data channel use) as the per-subarray antenna count grows without
+    bound; +inf when no pilot contamination survives."""
     from .estimator import build_cache
 
     if isinstance(cache_or_scenario, EstimatorCache):
         cache = cache_or_scenario
     else:
         cache = build_cache(cache_or_scenario, hw, book)
-    scenario = cache.scenario
-    if scenario.reduced_dim != scenario.subarrays:
-        raise ValueError("asymptotic SINR needs covariances in subarray-factorized form")
-    lo = lo_mode or cache.hw.lo_mode
     if t is None:
         t = cache.book.data_times()[0]
     co = mrc_moment_coefficients(cache, j, k, [t])
-    sig = float(co.c_norm[0] ** 2)
-    inter = float(np.einsum("lk,lk->", scenario.powers, co.quad(lo)[0]))
-    p_sig = scenario.powers[j, k] * sig
-    den = inter - p_sig
-    if den <= 1e-12 * max(inter, 1e-300):
-        return math.inf
-    return p_sig / den
+    return float(_asymptote(co, cache.scenario, lo_mode or cache.hw.lo_mode).sinr[0])
 
 
 @dataclass(frozen=True)

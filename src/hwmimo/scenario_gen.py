@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import rng as _rng
-from .model import Scenario
+from .model import ConfigError, Scenario
 
 CELL_SIDE_M = 250.0
 GRID_SIDE = 5
@@ -233,8 +233,8 @@ def save_scenario(scenario: Scenario, path, meta: dict | None = None) -> None:
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != "hwmimo-scenario":
-        raise ValueError(f"{path} is not a scenario file")
+    if not isinstance(payload, dict) or payload.get("format") != "hwmimo-scenario":
+        raise ConfigError(f"{path} is not a scenario file")
     return Scenario(
         L=payload["L"],
         K=payload["K"],

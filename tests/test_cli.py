@@ -33,16 +33,21 @@ def test_scenario_gen_and_rates_cf(tmp_path):
     payload = json.loads(scen_file.read_text())
     assert payload["format"] == "hwmimo-scenario" and payload["N"] == 16
 
-    rc = main([
+    argv = [
         "rates-cf", "--scenario", str(scen_file), "--ideal", "--out", str(tmp_path),
         "--t-stride", "4", "--name", "rates",
-    ])
-    assert rc == 0
+    ]
+    assert main(argv) == 0
     header, rows = read_csv(tmp_path / "rates.csv")
     assert header == ["N", "ue", "t", "sinr", "rate", "signal", "interference", "distortion", "noise"]
     assert len(rows) == 8 * math.ceil((30 - 8) / 4)
     assert all(float(r["sinr"]) > 0 for r in rows)
-    assert (tmp_path / "rates_manifest.json").exists()
+    manifest = (tmp_path / "rates_manifest.json").read_bytes()
+    assert main(argv) == 0
+    assert (tmp_path / "rates_manifest.json").read_bytes() == manifest
+    payload = json.loads(manifest)
+    assert payload["command"] == "rates-cf"
+    assert "fn" not in payload["args"] and "command" not in payload["args"]
 
 
 def test_cli_requires_single_hardware_source(tmp_path):
@@ -53,6 +58,29 @@ def test_cli_requires_single_hardware_source(tmp_path):
     ])
     assert rc == 2
     assert not (tmp_path / "rates_cf.csv").exists()
+
+
+_SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates-cf", "--scenario", "{tmp}/not_a_scenario.json", "--ideal"],
+    ["rates-cf", *_SMALL, "--delta", "nan", "--kappa2", "0", "--xi-over-sigma2", "1"],
+    ["rates-cf", *_SMALL, "--ideal", "-B", "3"],
+    ["rates-cf", "--deployment", "distributed", "-N", "15", "-T", "20", "--ideal"],
+    ["rates-mc", *_SMALL, "--ideal", "--trials", "0"],
+    ["rates-cf", *_SMALL, "--ideal", "--t-stride", "0"],
+    ["sweep-n", *_SMALL, "--ideal", "--n-grid", "0"],
+    ["rates-cf", *_SMALL, "--delta", "0", "--kappa2", "0", "--xi-over-sigma2", "0.5"],
+], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
+        "t-stride-0", "n-grid-0", "xi-below-sigma2"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "not_a_scenario.json").write_text(json.dumps({"hello": "world"}))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_circuit_hardware_source(tmp_path):
@@ -142,9 +170,10 @@ def test_preset_from_yaml_config(tmp_path):
         "hardware": [
             {"label": "ideal", "ideal": True},
             {"label": "slo", "delta": 1e-3, "kappa2": 1e-4, "xi_over_sigma2": 1.3, "lo": "slo"},
+            {"label": "clo", "delta": 1e-3, "kappa2": 1e-4, "xi_over_sigma2": 1.3, "lo": "clo"},
         ],
         "pilots": {"books": ["dft"], "placements": ["beginning"], "length": 8},
-        "experiment": {"kind": "sweep-n", "n_grid": [8, 16]},
+        "experiment": {"kind": "asymptotics", "n_grid": [8, 16], "include_asymptote": True},
     }
     path = tmp_path / "mini.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -152,8 +181,24 @@ def test_preset_from_yaml_config(tmp_path):
     header, rows = read_csv(tmp_path / "mini.csv")
     assert header == ["experiment", "N", "T", "drop", "ue", "metric", "value", "stderr"]
     labels = {r["experiment"] for r in rows}
-    assert labels == {"mini:colocated:ideal:dft:beginning", "mini:colocated:slo:dft:beginning"}
-    assert len(rows) == 2 * 2 * 2 * 8  # hw x drops x N x UEs
+    assert labels == {f"mini:colocated:{hw}:dft:beginning" for hw in ("ideal", "slo", "clo")}
+    assert len(rows) == 3 * 2 * (2 + 1) * 8  # hw x drops x (N grid + limit) x UEs
+
+    # the single-run commands on drop 0 go through the same rate path
+    preset_rows = {(r["experiment"], r["metric"], r["N"], r["ue"]): r["value"]
+                   for r in rows if r["drop"] == "0"}
+    scen = ["--deployment", "colocated", "-N", "16", "-T", "40", "--seed", "5", "-B", "8"]
+    for hw in ("ideal", "clo"):
+        source = ["--ideal"] if hw == "ideal" else [
+            "--delta", "1e-3", "--kappa2", "1e-4", "--xi-over-sigma2", "1.3", "--lo", "clo"]
+        label = f"mini:colocated:{hw}:dft:beginning"
+        out = tmp_path / hw
+        assert main(["sweep-n", *scen, *source, "--n-grid", "8,16", "--out", str(out)]) == 0
+        assert main(["asymptotic", *scen, *source, "--out", str(out)]) == 0
+        for r in read_csv(out / "sweep_n.csv")[1]:
+            assert r["rate"] == preset_rows[(label, "rate", r["N"], r["ue"])]
+        for r in read_csv(out / "asymptotic.csv")[1]:
+            assert r["rate"] == preset_rows[(label, "rate_asymptotic", "0", r["ue"])]
 
 
 def test_malformed_yaml_config_exits_2(tmp_path):

@@ -162,6 +162,30 @@ def test_mmse_filter_direction_single_user():
     assert cross == pytest.approx(1.0, rel=1e-12)
 
 
+def test_mmse_filter_matches_direct_construction(rng):
+    # per trial c: (sum p h h^H + diag(sum p C) + kappa2 diag(sum p |h|^2 + sum p C) + xi I) v = h_jk
+    scen = random_scenario(rng, L=2, K=3, N=5, T=8)
+    hw = HardwareProfile(delta=0.0, kappa2=0.3, xi=1.4, lo_mode=LoMode.SLO)
+    est = rng.normal(size=(4, 2, 3, 5)) + 1j * rng.normal(size=(4, 2, 3, 5))
+    ecov = rng.uniform(0.1, 1.0, size=(2, 3, 5))
+    p = scen.powers
+    v = mmse_filter(est, ecov, scen, hw, 1, 2)
+    assert v.shape == (4, 5)
+    for c in range(4):
+        M = np.zeros((5, 5), dtype=complex)
+        err = np.zeros(5)
+        energy = np.zeros(5)
+        for l in range(2):
+            for m in range(3):
+                h = est[c, l, m]
+                M += p[l, m] * np.outer(h, h.conj())
+                err += p[l, m] * ecov[l, m]
+                energy += p[l, m] * np.abs(h) ** 2
+        M += np.diag(err + hw.kappa2 * (energy + err) + hw.xi)
+        np.testing.assert_allclose(v[c], np.linalg.solve(M, est[c, 1, 2]), rtol=1e-10)
+    np.testing.assert_allclose(mmse_filter(est[2], ecov, scen, hw, 1, 2), v[2], rtol=1e-12)
+
+
 def test_mmse_filter_finite_for_extreme_distortion(rng):
     scen = random_scenario(rng, L=2, K=2, N=3, T=8)
     hw = HardwareProfile(delta=0.0, kappa2=100.0, xi=1.0, lo_mode=LoMode.SLO)

@@ -8,7 +8,6 @@ configuration or arguments, 3 violated numerical invariant.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -30,6 +29,7 @@ from .circuits import (
 from .estimator import build_cache, error_covariance
 from .experiments import (
     ConfigError,
+    HardwareVariant,
     _multiplicities,
     _pilot_book,
     _serving_cell,
@@ -39,15 +39,17 @@ from .experiments import (
     run,
     write_rows,
 )
-from .model import HardwareProfile, LoMode, NoiseFigure, conventional_profile, validate
+from .model import (
+    HardwareProfile,
+    LoMode,
+    NoiseFigure,
+    conventional_profile,
+    require_valid,
+    user_input,
+)
 from .montecarlo import FilterKind, McConfig, _rate_from_means, empirical_mse, estimate_moments
 from .pilots import PlacementKind, place
-from .rates import (
-    NumericalInvariantError,
-    ScalingExponents,
-    check_scaling_law,
-    scaled_profile,
-)
+from .rates import NumericalInvariantError, ScalingExponents, check_scaling_law
 from .scenario_gen import SHADOW_STD_DB, generate, load_scenario, save_scenario
 
 
@@ -101,16 +103,6 @@ def _add_pilots(p: argparse.ArgumentParser) -> None:
     p.add_argument("-B", "--pilot-length", type=int, default=None)
 
 
-@contextlib.contextmanager
-def _user_input():
-    """Report a ValueError or unreadable file met while building the inputs
-    of a subcommand as a ConfigError (exit code 2)."""
-    try:
-        yield
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _check_args(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -125,12 +117,6 @@ def _check_index(args, name: str, bound: int) -> None:
     value = getattr(args, name, None)
     if value is not None and not 0 <= value < bound:
         raise ConfigError(f"--{name.replace('_', '-')} {value} out of range 0..{bound - 1}")
-
-
-def _validated(scen, hw=None) -> None:
-    report = validate(scen, hw)
-    if not report.ok:
-        raise ConfigError("; ".join(report.violations))
 
 
 def _scenario_from(args):
@@ -183,9 +169,9 @@ def _hardware_from(args, sigma2: float) -> HardwareProfile:
 def _scenario_and_book(args):
     """Validated scenario and pilot book of a subcommand, and the cell it
     reports."""
-    with _user_input():
+    with user_input():
         scen = _scenario_from(args)
-        _validated(scen)
+        require_valid(scen)
         book = _pilot_book(scen, args.pilot_book, args.pilot_place, args.pilot_length)
     _check_index(args, "cell", scen.L)
     _check_index(args, "source_cell", scen.L)
@@ -197,9 +183,9 @@ def _inputs(args):
     """Scenario, hardware profile, pilot book, estimator cache and reported
     cell of a subcommand with a hardware source."""
     scen, book, cell = _scenario_and_book(args)
-    with _user_input():
+    with user_input():
         hw = _hardware_from(args, scen.sigma2)
-    _validated(scen, hw)
+    require_valid(scen, hw)
     return scen, hw, book, build_cache(scen, hw, book), cell
 
 
@@ -227,9 +213,9 @@ def _write_csv(args, columns, rows, suffix: str = "") -> Path:
 
 
 def _cmd_scenario_gen(args) -> int:
-    with _user_input():
+    with user_input():
         scen = _scenario_from(args)
-    _validated(scen)
+    require_valid(scen)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.name}.json"
     save_scenario(
@@ -305,20 +291,13 @@ def _cmd_rates_mc(args) -> int:
     ues = range(scen.K) if args.ue is None else [args.ue]
     rows = []
     for k in ues:
-        ms = [
-            estimate_moments(scen, hw, book, FilterKind(args.filter), j, k, t, mc, cache=cache)
-            for t in ts
-        ]
-        rate, traj = _rate_from_means(
-            scen, hw, book, j, k, mc.trials, ts,
-            np.array([m.norm2 for m in ms]), np.array([m.first for m in ms]),
-            np.array([m.second for m in ms]), np.array([m.distortion for m in ms]),
-        )
-        for i, m in enumerate(ms):
+        m = estimate_moments(scen, hw, book, FilterKind(args.filter), j, k, ts, mc, cache=cache)
+        rate, traj = _rate_from_means(scen, hw, book, j, k, m)
+        for i, t in enumerate(ts):
             rows.append((
-                k, int(ts[i]), m.norm2, m.norm2_se, m.first.real, m.first.imag, m.first_se,
-                traj.interference[i], float(np.sum(m.second_se)), m.distortion,
-                m.distortion_se, traj.noise[i], traj.sinr[i], rate,
+                k, int(t), m.norm2[i], m.norm2_se[i], m.first[i].real, m.first[i].imag,
+                m.first_se[i], traj.interference[i], float(np.sum(m.second_se[i])),
+                m.distortion[i], m.distortion_se[i], traj.noise[i], traj.sinr[i], rate,
             ))
     columns = (
         "ue", "t", "norm2", "norm2_se", "first_re", "first_im", "first_se",
@@ -329,7 +308,7 @@ def _cmd_rates_mc(args) -> int:
 
 
 def _cmd_scaling_law(args) -> int:
-    with _user_input():
+    with user_input():
         exp = ScalingExponents(args.z1, args.z2, args.z3, delta_0=args.delta0)
         tau = place(PlacementKind(args.pilot_place), args.block_length,
                     args.pilot_length or 8).tau
@@ -343,16 +322,14 @@ def _cmd_scaling_law(args) -> int:
     path = None
     if args.n_grid:
         scen, book, j = _scenario_and_book(args)
-        with _user_input():
-            base = HardwareProfile(
-                delta=args.delta0, kappa2=args.kappa20, xi=args.xi0 * scen.sigma2, lo_mode=lo
-            )
-            profiles = [scaled_profile(base, n, exp, sigma2=scen.sigma2) for n in args.n_grid]
+        law = HardwareVariant("law", delta=args.delta0, kappa2=args.kappa20,
+                              xi_over_sigma2=args.xi0, lo=lo, exponents=(args.z1, args.z2, args.z3))
         rows = []
-        for n, hw_n in zip(args.n_grid, profiles):
-            _validated(scen, hw_n)
-            cache = build_cache(scen, hw_n, book)
-            rows.extend(_sinr_rows(cache, j, [n], [cache.mult], args.t_stride))
+        for n, mult in zip(args.n_grid, _multiplicities(scen, args.n_grid)):
+            with user_input():
+                hw_n = law.profile(scen.sigma2, N=n)
+            require_valid(scen, hw_n)
+            rows.extend(_sinr_rows(build_cache(scen, hw_n, book), j, [n], [mult], args.t_stride))
         path = _write_csv(args, _SINR_COLUMNS, rows)
     return _finish(
         args, path, satisfied=rep.satisfied, margin=rep.margin, lhs=rep.lhs, worst_t=worst_t
@@ -360,7 +337,7 @@ def _cmd_scaling_law(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
-    with _user_input():
+    with user_input():
         hw = profile_from_circuits(
             AdcSpec(args.adc_bits),
             LnaSpec(F=NoiseFigure.from_db(args.lna_nf_db).F),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .model import HardwareProfile, Scenario
+from .model import HardwareProfile, NumericalInvariantError, Scenario
 from .pilots import PilotBook
 
 
@@ -84,7 +84,11 @@ class EstimatorCache:
         tmp = np.einsum("lkbc,lka->bca", self.X, lam_j)
         psi = np.einsum("bca,ae->bace", tmp, np.eye(Ae)).reshape(B * Ae, B * Ae)
         psi[np.diag_indices_from(psi)] += self.hw.xi
-        cho = scipy.linalg.cho_factor(psi)
+        try:  # raises ValueError when psi is not finite
+            cho = scipy.linalg.cho_factor(psi)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            msg = f"reduced pilot covariance of cell {j} cannot be factorized: {exc}"
+            raise NumericalInvariantError(msg) from exc
         inv = scipy.linalg.cho_solve(cho, np.eye(B * Ae, dtype=complex))
         self._psi_inv[j] = inv
         inv4 = inv.reshape(B, Ae, B, Ae)

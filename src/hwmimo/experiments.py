@@ -17,7 +17,15 @@ import numpy as np
 
 from . import __version__
 from .estimator import EstimatorCache, build_cache
-from .model import ConfigError, HardwareProfile, LoMode, Scenario, conventional_profile
+from .model import (
+    ConfigError,
+    HardwareProfile,
+    LoMode,
+    Scenario,
+    conventional_profile,
+    require_valid,
+    user_input,
+)
 from .montecarlo import FilterKind, McConfig, _fan_out, mc_rate
 from .pilots import PilotBook, PlacementKind, dft_book, place, temporal_book
 from .rates import (
@@ -117,6 +125,9 @@ def validate_config(cfg: RunConfig) -> None:
     _require(bool(cfg.hardware), "at least one hardware variant is required")
     labels = [h.label for h in cfg.hardware]
     _require(len(set(labels)) == len(labels), "hardware variant labels must be unique")
+    for h in cfg.hardware:
+        _require(h.exponents is None or len(h.exponents) == 3,
+                 f"exponents of {h.label!r} must be a (z1, z2, z3) triple")
     _require(cfg.experiment.kind in {"sweep-n", "asymptotics", "scaling", "sweep-t", "rates-mc"},
              f"unknown experiment kind {cfg.experiment.kind!r}")
     if cfg.experiment.kind in {"sweep-n", "asymptotics", "scaling"}:
@@ -232,10 +243,11 @@ def preset(name: str) -> RunConfig:
 
 def _pilot_book(scenario: Scenario, kind: str, placement: str, length: int | None) -> PilotBook:
     B = length if length is not None else scenario.K
-    pl = place(PlacementKind(placement), scenario.T, B)
-    if kind == "temporal":
-        return temporal_book(scenario.powers, pl)
-    return dft_book(scenario.powers, pl)
+    with user_input():  # a pilot length the block or the book cannot take
+        pl = place(PlacementKind(placement), scenario.T, B)
+        if kind == "temporal":
+            return temporal_book(scenario.powers, pl)
+        return dft_book(scenario.powers, pl)
 
 
 def _serving_cell(scenario: Scenario) -> int:
@@ -255,13 +267,23 @@ def _multiplicities(scenario: Scenario, n_grid) -> list:
 
 
 def _drop_scenario(cfg: RunConfig, deployment: str, drop_index: int) -> Scenario:
+    """Validated scenario of one (deployment, drop) job."""
     spec = cfg.scenario
-    if spec.file:
-        return load_scenario(spec.file)
-    return generate(
-        deployment, N=spec.n_antennas, snr_db=spec.snr_db, T=spec.T, seed=cfg.seed,
-        drop_index=drop_index, sigma2=spec.sigma2, shadow_std_db=spec.shadow_std_db,
-    )
+    with user_input():
+        scen = load_scenario(spec.file) if spec.file else generate(
+            deployment, N=spec.n_antennas, snr_db=spec.snr_db, T=spec.T, seed=cfg.seed,
+            drop_index=drop_index, sigma2=spec.sigma2, shadow_std_db=spec.shadow_std_db,
+        )
+    require_valid(scen)
+    return scen
+
+
+def _profile(hv: HardwareVariant, scenario: Scenario, N: int | None = None) -> HardwareProfile:
+    """Validated impairment triple of a hardware variant on ``scenario``."""
+    with user_input():
+        hw = hv.profile(scenario.sigma2, N=N)
+    require_valid(scenario, hw)
+    return hw
 
 
 # -- closed-form rates -----------------------------------------------------------
@@ -318,7 +340,7 @@ def _variant_rates(
     out = {}
     for variants in groups.values():
         los = {hv.lo for hv in variants}
-        cache = build_cache(scenario, variants[0].profile(scenario.sigma2, N=N), book)
+        cache = build_cache(scenario, _profile(variants[0], scenario, N), book)
         rates = {lo: np.empty((len(mults) + asymptote, scenario.K)) for lo in los}
         for k, lo, i, _traj, rate in _trajectories(cache, cell, los, mults, asymptote):
             rates[lo][i, k] = rate
@@ -417,7 +439,7 @@ def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
     rows = []
     for labels, book in _books(cfg, deployment, scen):
         for hv in cfg.hardware:
-            hw = hv.profile(scen.sigma2)
+            hw = _profile(hv, scen)
             for k in range(scen.K):
                 rep = mc_rate(scen, hw, book, cfg.experiment.filter_kind, mc, cell, k)
                 rows.append((labels[hv.label], scen.N, scen.T, drop, k, "rate_mc", rep.rate, ""))

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 * One :class:`HardwareProfile` applies to all cells.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +21,12 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Unusable run configuration (maps to CLI exit code 2)."""
+
+
+class NumericalInvariantError(RuntimeError):
+    """A computed quantity violated a structural invariant (e.g. a negative
+    SINR denominator), signalling a bug rather than a modelling choice
+    (maps to CLI exit code 3)."""
 
 
 class LoMode(str, Enum):
@@ -166,6 +173,23 @@ def validate(scenario: Scenario, hw: HardwareProfile | None = None) -> Validatio
         elif hw.xi < s.sigma2:
             v.append(f"xi below sigma2 (xi={hw.xi}, sigma2={s.sigma2})")
     return ValidationReport(ok=not v, violations=tuple(v))
+
+
+def require_valid(scenario: Scenario, hw: HardwareProfile | None = None) -> None:
+    """Raise a ConfigError listing every violation :func:`validate` finds."""
+    report = validate(scenario, hw)
+    if not report.ok:
+        raise ConfigError("; ".join(report.violations))
+
+
+@contextlib.contextmanager
+def user_input():
+    """Report a ValueError or unreadable file met while building inputs that
+    come from outside the program as a ConfigError (exit code 2)."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def conventional_profile(sigma2: float) -> HardwareProfile:

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from . import rng as _rng
+from .channel import draw_phases
 from .estimator import EstimatorCache, build_cache, error_covariance
 from .model import HardwareProfile, LoMode, Scenario
 from .pilots import PilotBook
@@ -56,19 +57,21 @@ class McConfig:
 
 @dataclass(frozen=True, eq=False)
 class McMoments:
-    """Sample means of the four SINR expectations with batch-means standard
-    errors.  ``first`` keeps its imaginary part so tests can verify it is
-    statistically zero."""
+    """Sample means of the four SINR expectations at channel uses ``ts``,
+    with batch-means standard errors; every array leads with the
+    channel-use axis.  ``first`` keeps its imaginary part so tests can
+    verify it is statistically zero."""
 
     trials: int
-    norm2: float
-    norm2_se: float
-    first: complex
-    first_se: float
-    second: np.ndarray  # (L, K)
+    ts: np.ndarray  # (nt,)
+    norm2: np.ndarray  # (nt,)
+    norm2_se: np.ndarray
+    first: np.ndarray  # (nt,) complex
+    first_se: np.ndarray
+    second: np.ndarray  # (nt, L, K)
     second_se: np.ndarray
-    distortion: float
-    distortion_se: float
+    distortion: np.ndarray  # (nt,)
+    distortion_se: np.ndarray
 
 
 def _batch_se(values: np.ndarray) -> np.ndarray:
@@ -126,16 +129,6 @@ def _fan_out(fn, jobs: list, threads: int) -> list:
     return [fn(job) for job in jobs]
 
 
-@dataclass(frozen=True, eq=False)
-class _TrialValues:
-    """Per-trial samples of the SINR ingredients at each evaluated time."""
-
-    norm2: np.ndarray  # (C, nt)
-    first: np.ndarray  # (C, nt) complex
-    second: np.ndarray  # (C, nt, L, K)
-    distortion: np.ndarray  # (C, nt)
-
-
 def _draw_world(
     cache: EstimatorCache, j: int, ts: np.ndarray, chunk_index: int, size: int, seed: int
 ):
@@ -152,7 +145,8 @@ def _draw_world(
 
     times = np.unique(np.concatenate([tau.astype(float), ts]))
     n_osc = N if hw.lo_mode is LoMode.SLO else 1
-    phi = _draw_chunk_phases(hw.delta, times, n_osc, seed, chunk_index, j, size)
+    phases = _rng.substream(seed, chunk_index, j, _rng.PHASE)
+    phi = draw_phases(hw.delta, times, n_osc, phases, trials=size)
     rot = np.exp(1j * phi)  # (size, n_times, n_osc)
     where = {t: i for i, t in enumerate(times)}
     rot_tau = rot[:, [where[float(t)] for t in tau], :]  # (size, B, n_osc)
@@ -180,7 +174,10 @@ def _simulate_chunk(
     size: int,
     seed: int,
     filter_kind: FilterKind,
-) -> _TrialValues:
+) -> tuple:
+    """Per-trial samples of the four SINR ingredients at each channel use of
+    ``ts``, all drawn from one world: ``(norm2, first, second, distortion)``
+    of shapes (size, nt), (size, nt), (size, nt, L, K) and (size, nt)."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
     h, rot_ts, psi = _draw_world(cache, j, ts, chunk_index, size, seed)
@@ -191,13 +188,13 @@ def _simulate_chunk(
     first = np.empty((size, nt), dtype=complex)
     second = np.empty((size, nt, L, K))
     distortion = np.empty((size, nt))
+    if filter_kind is FilterKind.MMSE:
+        est = np.empty((size, L, K, N), dtype=complex)
+        ecov = np.empty((L, K, N))
     for it, t in enumerate(ts):
         if filter_kind is FilterKind.MRC:
-            gain = cache.reduced_gain(j, j, k, t)
-            v = cache.apply_reduced_gain(gain, psi)
+            v = cache.apply_reduced_gain(cache.reduced_gain(j, j, k, t), psi)
         else:
-            est = np.empty((size, L, K, N), dtype=complex)
-            ecov = np.empty((L, K, N))
             for l in range(L):
                 for m in range(K):
                     est[:, l, m, :] = cache.apply_reduced_gain(
@@ -205,28 +202,32 @@ def _simulate_chunk(
                     )
                     ecov[l, m] = error_covariance(cache, j, l, m, t)[0]
             v = mmse_filter(est, ecov, scen, hw, j, k)
-        h_t = rot_ts[:, it, None, None, :] * h  # (size, L, K, N)
-        inner = np.einsum("sn,slkn->slk", v.conj(), h_t)
+        # v^H h(t) with h(t) = rot(t) * h, without forming h(t)
+        inner = np.einsum("sn,slkn->slk", v.conj() * rot_ts[:, it, :], h)
         norm2[:, it] = np.einsum("sn,sn->s", v.conj(), v).real
         first[:, it] = inner[:, j, k]
         second[:, it] = np.abs(inner) ** 2
         distortion[:, it] = np.einsum("sn,sn->s", np.abs(v) ** 2, dist_weight)
-    return _TrialValues(norm2=norm2, first=first, second=second, distortion=distortion)
+    return norm2, first, second, distortion
 
 
-def _draw_chunk_phases(delta, times, n_osc, seed, chunk_index, cell, size):
-    from .channel import draw_phases
-
-    gen = _rng.substream(seed, chunk_index, cell, _rng.PHASE)
-    return draw_phases(delta, times, n_osc, gen, trials=size)
-
-
-def _collect_values(
-    cache: EstimatorCache, j: int, k: int, ts, mc: McConfig, filter_kind: FilterKind
-) -> _TrialValues:
+def estimate_moments(
+    scenario: Scenario,
+    hw: HardwareProfile,
+    pilots: PilotBook,
+    filter_kind: FilterKind,
+    j: int,
+    k: int,
+    ts,
+    mc: McConfig,
+    cache: EstimatorCache | None = None,
+) -> McMoments:
+    """Sample means of the four SINR expectations for UE k of cell j at the
+    channel uses ``ts``.  Every chunk of trials draws one world (channels,
+    phase trajectories, pilot observations) shared by all of ``ts``."""
+    cache = cache or build_cache(scenario, hw, pilots)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    scen = cache.scenario
-    L, K, N, B = scen.L, scen.K, scen.N, cache.B
+    L, K, N, B = cache.scenario.L, cache.scenario.K, cache.scenario.N, cache.B
     n_times = len(set(cache.book.tau) | set(ts.tolist()))
     per_trial = 16 * (
         2 * L * K * N
@@ -243,39 +244,18 @@ def _collect_values(
         return _simulate_chunk(cache, j, k, ts, idx, size, mc.seed, filter_kind)
 
     parts = _fan_out(run, list(enumerate(sizes)), mc.threads)
-    return _TrialValues(
-        norm2=np.concatenate([p.norm2 for p in parts]),
-        first=np.concatenate([p.first for p in parts]),
-        second=np.concatenate([p.second for p in parts]),
-        distortion=np.concatenate([p.distortion for p in parts]),
-    )
-
-
-def estimate_moments(
-    scenario: Scenario,
-    hw: HardwareProfile,
-    pilots: PilotBook,
-    filter_kind: FilterKind,
-    j: int,
-    k: int,
-    t,
-    mc: McConfig,
-    cache: EstimatorCache | None = None,
-) -> McMoments:
-    """Sample means of the four SINR expectations for UE k of cell j at
-    channel use t."""
-    cache = cache or build_cache(scenario, hw, pilots)
-    vals = _collect_values(cache, j, k, [t], mc, filter_kind)
+    norm2, first, second, distortion = (np.concatenate(v) for v in zip(*parts))
     return McMoments(
         trials=mc.trials,
-        norm2=float(vals.norm2[:, 0].mean()),
-        norm2_se=float(_batch_se(vals.norm2[:, 0])),
-        first=complex(vals.first[:, 0].mean()),
-        first_se=float(_batch_se(vals.first[:, 0])),
-        second=vals.second[:, 0].mean(axis=0),
-        second_se=_batch_se(vals.second[:, 0]),
-        distortion=float(vals.distortion[:, 0].mean()),
-        distortion_se=float(_batch_se(vals.distortion[:, 0])),
+        ts=ts,
+        norm2=norm2.mean(axis=0),
+        norm2_se=_batch_se(norm2),
+        first=first.mean(axis=0),
+        first_se=_batch_se(first),
+        second=second.mean(axis=0),
+        second_se=_batch_se(second),
+        distortion=distortion.mean(axis=0),
+        distortion_se=_batch_se(distortion),
     )
 
 
@@ -285,28 +265,23 @@ def _rate_from_means(
     pilots: PilotBook,
     j: int,
     k: int,
-    trials: int,
-    ts: np.ndarray,
-    norm2: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-    distortion: np.ndarray,
+    m: McMoments,
 ) -> tuple[float, SinrTrajectory]:
-    """Rate and per-time SINR of UE k in cell j from the sample means of
-    the four expectations at channel uses ``ts`` (``second`` is (nt, L, K)).
+    """Rate and per-time SINR of UE k in cell j from the sample means ``m``
+    of the four expectations at the channel uses ``m.ts``.
 
-    The rate averages log2(1 + SINR) over ``ts`` and scales it by the data
-    share of the block.  The subtraction in the denominator can dip below
-    zero by sampling noise: a denominator under the floor
+    The rate averages log2(1 + SINR) over those uses and scales it by the
+    data share of the block.  The subtraction in the denominator can dip
+    below zero by sampling noise: a denominator under the floor
     -3 (|interference| + |signal|) / sqrt(trials) raises, one between the
     floor and zero gives an infinite SINR.
     """
     p = scenario.powers
-    signal = p[j, k] * np.abs(first) ** 2
-    inter = np.einsum("lk,tlk->t", p, second)
-    noise = hw.xi * norm2
-    den = inter - signal + distortion + noise
-    floor = -3.0 * (np.abs(inter) + np.abs(signal)) / math.sqrt(trials)
+    signal = p[j, k] * np.abs(m.first) ** 2
+    inter = np.einsum("lk,tlk->t", p, m.second)
+    noise = hw.xi * m.norm2
+    den = inter - signal + m.distortion + noise
+    floor = -3.0 * (np.abs(inter) + np.abs(signal)) / math.sqrt(m.trials)
     if np.any(den < floor):
         raise NumericalInvariantError("MC SINR denominator negative beyond tolerance")
     with np.errstate(divide="ignore"):
@@ -314,7 +289,8 @@ def _rate_from_means(
     share = len(pilots.data_times()) / scenario.T
     rate = float(np.log2(1.0 + sinr).mean() * share)
     return rate, SinrTrajectory(
-        ts=ts, sinr=sinr, signal=signal, interference=inter, distortion=distortion, noise=noise
+        ts=m.ts, sinr=sinr, signal=signal, interference=inter, distortion=m.distortion,
+        noise=noise,
     )
 
 
@@ -333,16 +309,11 @@ def mc_rate(
     expectations at every data channel use, then averaged with the pilot
     overhead pre-log.  ``ts`` restricts evaluation to a subset of data times
     (the rate then averages over that subset, scaled by the data share)."""
-    cache = cache or build_cache(scenario, hw, pilots)
     if ts is None:
         ts = pilots.data_times()
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    vals = _collect_values(cache, j, k, ts, mc, filter_kind)
-    rate, traj = _rate_from_means(
-        scenario, hw, pilots, j, k, mc.trials, ts, vals.norm2.mean(axis=0),
-        vals.first.mean(axis=0), vals.second.mean(axis=0), vals.distortion.mean(axis=0),
-    )
-    return RateReport(rate=rate, ts=ts, sinr=traj.sinr)
+    m = estimate_moments(scenario, hw, pilots, filter_kind, j, k, ts, mc, cache)
+    rate, traj = _rate_from_means(scenario, hw, pilots, j, k, m)
+    return RateReport(rate=rate, ts=m.ts, sinr=traj.sinr)
 
 
 def empirical_mse(

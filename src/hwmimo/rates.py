@@ -18,13 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from .estimator import EstimatorCache
-from .model import ConfigError, HardwareProfile, LoMode, Scenario
+from .model import ConfigError, HardwareProfile, LoMode, NumericalInvariantError, Scenario
 from .pilots import PilotBook
-
-
-class NumericalInvariantError(RuntimeError):
-    """A computed quantity violated a structural invariant (e.g. a negative
-    SINR denominator), signalling a bug rather than a modelling choice."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -83,6 +83,55 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+_YAML_BASE = {
+    "name": "bad",
+    "seed": 1,
+    "scenario": {"deployments": ["colocated"], "n_antennas": 16, "T": 40},
+    "hardware": [{"label": "hw", "delta": 1e-3, "kappa2": 1e-4, "xi_over_sigma2": 1.3}],
+    "pilots": {"length": 8},
+    "experiment": {"kind": "sweep-n", "n_grid": [8, 16]},
+}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("hardware", "delta", -1.0),
+    ("hardware", "delta", math.nan),
+    ("hardware", "kappa2", math.inf),
+    ("scenario", "snr_db", math.nan),
+    ("scenario", "sigma2", -1.0),
+    ("scenario", "T", 4),
+    ("scenario", "n_antennas", 15),
+    ("scenario", "shadow_std_db", math.inf),
+    ("hardware", "xi_over_sigma2", 0.5),
+    ("hardware", "exponents", [0.5, 0.5]),
+])
+def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(_YAML_BASE))
+    (cfg["hardware"][0] if section == "hardware" else cfg[section])[key] = value
+    if key == "n_antennas":
+        cfg["scenario"]["deployments"] = ["distributed"]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["preset", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_overflowing_pilot_covariance_exits_3(tmp_path, capsys):
+    from hwmimo.model import Scenario
+    from hwmimo.scenario_gen import save_scenario
+
+    scen = Scenario(L=1, K=2, N=4, T=12, cov=np.full((1, 1, 2, 1), 1e200),
+                    powers=np.full((1, 2), 1e200), sigma2=1.0)
+    save_scenario(scen, tmp_path / "big.json")
+    argv = ["rates-cf", "--scenario", str(tmp_path / "big.json"), "--ideal", "-B", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant violated: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_circuit_hardware_source(tmp_path):
     rc = main([
         "rates-cf", "--deployment", "colocated", "-N", "8", "-T", "20", "--seed", "1",
@@ -138,6 +187,66 @@ def test_scaling_law_command(tmp_path, capsys):
     assert "satisfied=False" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "scaling_law_manifest.json").read_text())
     assert manifest["satisfied"] is False
+
+
+def test_scaling_law_n_grid_evaluates_at_each_n(tmp_path):
+    law = ["scaling-law", "--z1", "0.5", "--z2", "0.5", "--z3", "0", "--deployment",
+           "colocated", "-T", "100", "--n-grid", "16,64", "--t-stride", "16"]
+    for n in ("32", "64"):
+        assert main([*law, "-N", n, "--out", str(tmp_path / n)]) == 0
+    csv = (tmp_path / "32" / "scaling_law.csv").read_bytes()
+    assert csv == (tmp_path / "64" / "scaling_law.csv").read_bytes()
+
+    # the fig9 preset kind evaluates the same law on the same drop
+    cfg = {
+        "name": "law", "seed": 0,
+        "scenario": {"deployments": ["colocated"], "n_antennas": 64, "T": 100},
+        "hardware": [{"label": "law", "delta": 7e-5, "kappa2": 0.05**2, "xi_over_sigma2": 3.0,
+                      "lo": "slo", "exponents": [0.5, 0.5, 0.0]}],
+        "experiment": {"kind": "scaling", "n_grid": [16, 64]},
+    }
+    (tmp_path / "law.yaml").write_text(yaml.safe_dump(cfg))
+    assert main(["preset", str(tmp_path / "law.yaml"), "--out", str(tmp_path)]) == 0
+    preset_rates = {(r["N"], r["ue"]): r["value"] for r in read_csv(tmp_path / "law.csv")[1]}
+    rows = read_csv(tmp_path / "64" / "scaling_law.csv")[1]
+    assert {(r["N"], r["ue"]) for r in rows} == set(preset_rates)
+    for r in rows:
+        assert r["rate"] == preset_rates[(r["N"], r["ue"])]
+
+
+def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch):
+    from hwmimo import montecarlo
+    from hwmimo.experiments import _fmt, _pilot_book, _serving_cell
+    from hwmimo.model import HardwareProfile, LoMode
+    from hwmimo.scenario_gen import generate
+
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 1)  # one trial per chunk
+    draws = []
+    draw_world = montecarlo._draw_world
+    monkeypatch.setattr(montecarlo, "_draw_world",
+                        lambda *a, **kw: draws.append(a[3]) or draw_world(*a, **kw))
+    trials, stride = 6, 5
+    rc = main([
+        "rates-mc", "--deployment", "colocated", "-N", "8", "-T", "20", "--seed", "3",
+        "--delta", "1e-3", "--kappa2", "1e-3", "--xi-over-sigma2", "1.2", "--lo", "slo",
+        "--filter", "mmse", "--ue", "1", "--trials", str(trials), "--t-stride", str(stride),
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    rows = read_csv(tmp_path / "rates_mc.csv")[1]
+    assert len(rows) == 3
+    assert sorted(draws) == list(range(trials))  # one world per chunk for all 3 uses
+
+    scen = generate("colocated", N=8, snr_db=5.0, T=20, seed=3)
+    hw = HardwareProfile(delta=1e-3, kappa2=1e-3, xi=1.2 * scen.sigma2, lo_mode=LoMode.SLO)
+    book = _pilot_book(scen, "dft", "beginning", None)
+    ts = np.asarray(book.data_times(), dtype=float)[::stride]
+    rep = montecarlo.mc_rate(scen, hw, book, montecarlo.FilterKind.MMSE,
+                             montecarlo.McConfig(trials=trials, seed=3), _serving_cell(scen), 1,
+                             ts=ts)
+    assert [r["t"] for r in rows] == [str(int(t)) for t in ts]
+    assert [r["sinr"] for r in rows] == [_fmt(float(x)) for x in rep.sinr]
+    assert {r["rate"] for r in rows} == {_fmt(rep.rate)}
 
 
 def test_preset_reproducible_across_threads_and_seeds(tmp_path):

@@ -35,18 +35,18 @@ def test_mc_moments_match_closed_form(rng, lo, book_kind, delta, kappa):
     t = 7
     cf = mrc_moments(cache, 0, 0, t)
     mc = estimate_moments(
-        scen, hw, book, FilterKind.MRC, 0, 0, t, McConfig(trials=30_000, seed=5), cache=cache
+        scen, hw, book, FilterKind.MRC, 0, 0, [t], McConfig(trials=30_000, seed=5), cache=cache
     )
-    assert within(mc.norm2, cf.norm2, mc.norm2_se, rel=0.04)
-    assert within(mc.first.real, cf.first, mc.first_se, rel=0.04)
-    assert abs(mc.first.imag) <= 5 * mc.first_se + 1e-9
+    assert within(mc.norm2[0], cf.norm2, mc.norm2_se[0], rel=0.04)
+    assert within(mc.first[0].real, cf.first, mc.first_se[0], rel=0.04)
+    assert abs(mc.first[0].imag) <= 5 * mc.first_se[0] + 1e-9
     for l in range(2):
         for m in range(2):
-            assert within(mc.second[l, m], cf.second[l, m], mc.second_se[l, m], rel=0.05)
+            assert within(mc.second[0, l, m], cf.second[l, m], mc.second_se[0, l, m], rel=0.05)
     if kappa > 0:
-        assert within(mc.distortion, cf.distortion, mc.distortion_se, rel=0.05)
+        assert within(mc.distortion[0], cf.distortion, mc.distortion_se[0], rel=0.05)
     else:
-        assert mc.distortion == 0.0 == cf.distortion
+        assert mc.distortion[0] == 0.0 == cf.distortion
 
 
 def test_mc_scalar_conventional_case():
@@ -58,13 +58,13 @@ def test_mc_scalar_conventional_case():
     hw = conventional_profile(1.0)
     book = make_book(scen, "temporal", B=1)
     mc = estimate_moments(
-        scen, hw, book, FilterKind.MRC, 0, 0, 4, McConfig(trials=60_000, seed=9)
+        scen, hw, book, FilterKind.MRC, 0, 0, [4], McConfig(trials=60_000, seed=9)
     )
     # gain 1/2 applied to psi with E|psi|^2 = 2: E||v||^2 = 1/2
-    assert mc.norm2 == pytest.approx(0.5, rel=0.03)
-    assert mc.first.real == pytest.approx(0.5, rel=0.03)
+    assert mc.norm2[0] == pytest.approx(0.5, rel=0.03)
+    assert mc.first[0].real == pytest.approx(0.5, rel=0.03)
     # E|v^H h|^2 = E|h|^4/4 + E|h|^2 E|n|^2/4 = 2/4 + 1/4
-    assert mc.second[0, 0] == pytest.approx(0.75, rel=0.05)
+    assert mc.second[0, 0, 0] == pytest.approx(0.75, rel=0.05)
 
 
 def test_lemma_gaussian_fourth_moment_identity(rng):
@@ -91,18 +91,18 @@ def test_sinr_invariant_to_filter_scaling(rng):
     scen = random_scenario(rng, L=2, K=2, N=3, T=8)
     hw = impaired_profile(lo=LoMode.SLO, delta=2e-3, kappa2=0.04)
     book = make_book(scen)
-    mc = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 1, 6, McConfig(trials=5_000, seed=3))
+    mc = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 1, [6], McConfig(trials=5_000, seed=3))
 
     def assemble(m):
         p = scen.powers
-        num = p[0, 1] * abs(m.first) ** 2
-        den = float(np.sum(p * m.second)) - num + m.distortion + hw.xi * m.norm2
+        num = p[0, 1] * abs(m.first[0]) ** 2
+        den = float(np.sum(p * m.second[0])) - num + m.distortion[0] + hw.xi * m.norm2[0]
         return num / den
 
     base = assemble(mc)
     c = 3.7
     scaled = type(mc)(
-        trials=mc.trials,
+        trials=mc.trials, ts=mc.ts,
         norm2=c**2 * mc.norm2, norm2_se=0.0,
         first=c * mc.first, first_se=0.0,
         second=c**2 * mc.second, second_se=mc.second_se * 0,
@@ -118,9 +118,9 @@ def test_stderr_scaling_with_trials(rng):
     ses = []
     for m in (4_000, 16_000):
         est = estimate_moments(
-            scen, hw, book, FilterKind.MRC, 0, 0, 5, McConfig(trials=m, seed=8)
+            scen, hw, book, FilterKind.MRC, 0, 0, [5], McConfig(trials=m, seed=8)
         )
-        ses.append(est.norm2_se)
+        ses.append(est.norm2_se[0])
     # quadrupling the trials halves the standard error, within 20%
     assert ses[0] / ses[1] == pytest.approx(2.0, rel=0.35)
 
@@ -130,12 +130,12 @@ def test_deterministic_across_thread_counts(rng):
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     book = make_book(scen)
     kw = dict(trials=6_000, seed=42)
-    a = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 0, 5, McConfig(**kw, threads=1))
-    b = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 0, 5, McConfig(**kw, threads=4))
-    assert a.norm2 == b.norm2
-    assert a.first == b.first
-    np.testing.assert_array_equal(a.second, b.second)
-    assert a.distortion == b.distortion
+    a = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 0, [5], McConfig(**kw, threads=1))
+    b = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 0, [5], McConfig(**kw, threads=4))
+    assert a.norm2[0] == b.norm2[0]
+    assert a.first[0] == b.first[0]
+    np.testing.assert_array_equal(a.second[0], b.second[0])
+    assert a.distortion[0] == b.distortion[0]
 
 
 def test_mc_rate_matches_closed_form(rng):

@@ -32,6 +32,7 @@ from .rates import (
     MomentCoefficients,
     ScalingExponents,
     _asymptote,
+    ergodic_rate,
     mrc_moment_coefficients,
     scaled_profile,
     sinr_trajectory_from_coefficients,
@@ -308,8 +309,7 @@ def _trajectories(cache: EstimatorCache, cell: int, los, mults, asymptote: bool 
     coefficient pass per UE of ``cell``.  Yields ``(k, lo, i, trajectory,
     rate)`` for each oscillator topology in ``los`` and each entry i of
     ``mults``; with ``asymptote``, entry ``len(mults)`` is the large-array
-    limit.  The rate sums log2(1 + SINR) over the data uses and divides by T,
-    charging the pilot uses against it."""
+    limit.  The rate is :func:`rates.ergodic_rate` over the data uses."""
     scen = cache.scenario
     for k in range(scen.K):
         co = _data_coefficients(cache, cell, k)
@@ -320,7 +320,7 @@ def _trajectories(cache: EstimatorCache, cell: int, los, mults, asymptote: bool 
             if asymptote:
                 trajs.append(_asymptote(co, scen, lo))
             for i, traj in enumerate(trajs):
-                yield k, lo, i, traj, float(np.log2(1.0 + traj.sinr).sum() / scen.T)
+                yield k, lo, i, traj, ergodic_rate(traj.sinr, scen.T, cache.B)
 
 
 def _variant_rates(
@@ -440,8 +440,9 @@ def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
     for labels, book in _books(cfg, deployment, scen):
         for hv in cfg.hardware:
             hw = _profile(hv, scen)
+            cache = build_cache(scen, hw, book)
             for k in range(scen.K):
-                rep = mc_rate(scen, hw, book, cfg.experiment.filter_kind, mc, cell, k)
+                rep = mc_rate(scen, hw, book, cfg.experiment.filter_kind, mc, cell, k, cache)
                 rows.append((labels[hv.label], scen.N, scen.T, drop, k, "rate_mc", rep.rate, ""))
     return rows
 

@@ -154,13 +154,13 @@ def validate(scenario: Scenario, hw: HardwareProfile | None = None) -> Validatio
         v.append(f"cov last axis {s.reduced_dim} must divide N={s.N}")
     neg = np.argwhere(~(np.isfinite(s.cov) & (s.cov >= 0)))
     if neg.size:
-        v.append(f"covariance entries must be finite and >= 0, first violation at {tuple(neg[0])}")
+        v.append(f"covariance entries must be finite and >= 0, first violation at {tuple(neg[0].tolist())}")
     if s.powers.shape != (s.L, s.K):
         v.append(f"powers shape {s.powers.shape} != (L, K)")
     else:
         negp = np.argwhere(~(np.isfinite(s.powers) & (s.powers >= 0)))
         if negp.size:
-            v.append(f"powers must be finite and >= 0, first violation at {tuple(negp[0])}")
+            v.append(f"powers must be finite and >= 0, first violation at {tuple(negp[0].tolist())}")
     if not (s.sigma2 > 0 and math.isfinite(s.sigma2)):
         v.append("sigma2 must be finite and > 0")
     if hw is not None:

@@ -26,7 +26,7 @@ from .channel import draw_phases
 from .estimator import EstimatorCache, build_cache, error_covariance
 from .model import HardwareProfile, LoMode, Scenario
 from .pilots import PilotBook
-from .rates import NumericalInvariantError, RateReport, SinrTrajectory
+from .rates import RateReport, SinrTrajectory, _sinr_from_moments, ergodic_rate
 
 _CHUNK_TARGET_BYTES = 64 * 2**20
 _BATCHES = 100  # batch means behind every standard error
@@ -75,13 +75,14 @@ class McMoments:
 
 
 def _batch_se(values: np.ndarray) -> np.ndarray:
-    """Standard error along the first axis via batch means."""
+    """Standard error along the first axis via batch means; for complex
+    values, sqrt(var re + var im) of the batch means."""
     n = values.shape[0]
     nb = min(_BATCHES, n)
     means = np.stack([chunk.mean(axis=0) for chunk in np.array_split(values, nb)])
     if nb < 2:
-        return np.zeros_like(np.abs(means[0]))
-    return np.abs(means).std(axis=0, ddof=1) / math.sqrt(nb)
+        return np.zeros(means.shape[1:])
+    return means.std(axis=0, ddof=1) / math.sqrt(nb)
 
 
 def mmse_filter(
@@ -268,30 +269,12 @@ def _rate_from_means(
     m: McMoments,
 ) -> tuple[float, SinrTrajectory]:
     """Rate and per-time SINR of UE k in cell j from the sample means ``m``
-    of the four expectations at the channel uses ``m.ts``.
-
-    The rate averages log2(1 + SINR) over those uses and scales it by the
-    data share of the block.  The subtraction in the denominator can dip
-    below zero by sampling noise: a denominator under the floor
-    -3 (|interference| + |signal|) / sqrt(trials) raises, one between the
-    floor and zero gives an infinite SINR.
-    """
-    p = scenario.powers
-    signal = p[j, k] * np.abs(m.first) ** 2
-    inter = np.einsum("lk,tlk->t", p, m.second)
-    noise = hw.xi * m.norm2
-    den = inter - signal + m.distortion + noise
-    floor = -3.0 * (np.abs(inter) + np.abs(signal)) / math.sqrt(m.trials)
-    if np.any(den < floor):
-        raise NumericalInvariantError("MC SINR denominator negative beyond tolerance")
-    with np.errstate(divide="ignore"):
-        sinr = np.where(den > 0.0, signal / np.maximum(den, np.finfo(float).tiny), np.inf)
-    share = len(pilots.data_times()) / scenario.T
-    rate = float(np.log2(1.0 + sinr).mean() * share)
-    return rate, SinrTrajectory(
-        ts=m.ts, sinr=sinr, signal=signal, interference=inter, distortion=m.distortion,
-        noise=noise,
+    of the four expectations at the channel uses ``m.ts``; the SINR takes
+    the sampled-moment denominator floor of :func:`rates._sinr_from_moments`."""
+    traj = _sinr_from_moments(
+        scenario, hw.xi, j, k, m.ts, m.norm2, m.first, m.second, m.distortion, trials=m.trials
     )
+    return ergodic_rate(traj.sinr, scenario.T, pilots.B), traj
 
 
 def mc_rate(

@@ -19,7 +19,6 @@ import scipy.linalg
 
 from .estimator import EstimatorCache
 from .model import ConfigError, HardwareProfile, LoMode, NumericalInvariantError, Scenario
-from .pilots import PilotBook
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +51,11 @@ class MomentCoefficients:
 
     def third(self, lo_mode: LoMode) -> np.ndarray:
         return self.third_clo if lo_mode is LoMode.CLO else self.third_slo
+
+    def second(self, mult: int, lo_mode: LoMode) -> np.ndarray:
+        """Per-link second moments E|v^H h_lm|^2 at multiplicity ``mult``,
+        shape (nt, L, K)."""
+        return mult * (self.tr_term + self.third(lo_mode)) + mult**2 * self.quad(lo_mode)
 
 
 def mrc_moment_coefficients(cache: EstimatorCache, j: int, k: int, ts) -> MomentCoefficients:
@@ -127,10 +131,12 @@ class MrcMoments:
 def moments_from_coefficients(
     co: MomentCoefficients, mult: int, lo_mode: LoMode, idx: int = 0
 ) -> MrcMoments:
-    second = mult * (co.tr_term[idx] + co.third(lo_mode)[idx]) + mult**2 * co.quad(lo_mode)[idx]
     norm2 = float(mult * co.c_norm[idx])
     return MrcMoments(
-        norm2=norm2, first=norm2, second=second, distortion=float(mult * co.c_dist[idx])
+        norm2=norm2,
+        first=norm2,
+        second=co.second(mult, lo_mode)[idx],
+        distortion=float(mult * co.c_dist[idx]),
     )
 
 
@@ -182,46 +188,6 @@ def mrc_moments_colocated(
 
 
 @dataclass(frozen=True, eq=False)
-class SinrBreakdown:
-    """Per-channel-use SINR with every term of its ratio kept separate."""
-
-    signal: float
-    interference: np.ndarray  # (L, K) weighted second moments p_lm * E|v^H h_lm|^2
-    self_subtraction: float
-    distortion: float
-    noise: float
-    sinr: float
-
-
-def sinr(scenario: Scenario, hw: HardwareProfile, j: int, k: int, moments: MrcMoments) -> SinrBreakdown:
-    """Assemble one SINR value from the four moments.
-
-    Denominator is accumulated with compensated summation; a (tolerably)
-    negative denominator indicates a moment computation bug and raises.
-    """
-    p = scenario.powers
-    signal = float(p[j, k] * moments.first**2)
-    interference = p * moments.second
-    noise = float(hw.xi * moments.norm2)
-    terms = [float(x) for x in interference.reshape(-1)]
-    terms += [-signal, float(moments.distortion), noise]
-    den = math.fsum(terms)
-    pos = math.fsum(t for t in terms if t > 0)
-    if den < -1e-9 * pos:
-        raise NumericalInvariantError(f"negative SINR denominator: {den}")
-    den = max(den, 0.0)
-    value = math.inf if den == 0.0 else signal / den
-    return SinrBreakdown(
-        signal=signal,
-        interference=interference,
-        self_subtraction=signal,
-        distortion=float(moments.distortion),
-        noise=noise,
-        sinr=value,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class SinrTrajectory:
     """SINR and its denominator terms over a grid of channel uses."""
 
@@ -233,6 +199,54 @@ class SinrTrajectory:
     noise: np.ndarray
 
 
+def _sinr_from_moments(
+    scenario: Scenario,
+    xi: float,
+    j: int,
+    k: int,
+    ts: np.ndarray,
+    norm2: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    distortion: np.ndarray,
+    trials: int | None = None,
+) -> SinrTrajectory:
+    """SINR of UE k in cell j at the channel uses ``ts`` from the four
+    expectations: filter energy, desired inner product (complex allowed),
+    per-link second moments (nt, L, K) and the distortion cross moment.
+
+    The denominator subtracts the desired signal from the total
+    interference.  With exact moments (``trials=None``) it may undercut
+    zero only by rounding, 1e-9 of the positive terms; with sample means
+    over ``trials`` trials, by sampling noise down to the floor
+    -3 (|interference| + |signal|) / sqrt(trials).  Below its floor it
+    raises; between the floor and zero the SINR is infinite, unless the
+    signal is zero.
+    """
+    p = scenario.powers
+    signal = p[j, k] * np.abs(first) ** 2
+    inter = np.einsum("lk,tlk->t", p, second)
+    noise = xi * norm2
+    den = inter - signal + distortion + noise
+    if trials is None:
+        floor = -1e-9 * (inter + distortion + noise)
+    else:
+        floor = -3.0 * (np.abs(inter) + np.abs(signal)) / math.sqrt(trials)
+    bad = den < floor
+    if np.any(bad):
+        raise NumericalInvariantError(
+            f"negative SINR denominator at t={ts[bad][0]}: {den[bad][0]} "
+            f"(floor {floor[bad][0]})"
+        )
+    # no signal (a filter whose damping underflowed to zero) is zero SINR
+    live = (den > 0.0) | (signal == 0.0)
+    with np.errstate(over="ignore"):
+        vals = np.where(live, signal / np.maximum(den, np.finfo(float).tiny), np.inf)
+    return SinrTrajectory(
+        ts=ts, sinr=vals, signal=signal, interference=inter, distortion=distortion, noise=noise
+    )
+
+
 def sinr_trajectory_from_coefficients(
     co: MomentCoefficients,
     scenario: Scenario,
@@ -242,24 +256,9 @@ def sinr_trajectory_from_coefficients(
 ) -> SinrTrajectory:
     """Vectorized SINR over the coefficient grid for a given multiplicity."""
     lo = lo_mode or hw.lo_mode
-    p = scenario.powers
     e21 = mult * co.c_norm
-    second = mult * (co.tr_term + co.third(lo)) + mult**2 * co.quad(lo)
-    inter = np.einsum("lk,tlk->t", p, second)
-    signal = p[co.j, co.k] * e21**2
-    dist = mult * co.c_dist
-    noise = hw.xi * e21
-    den = inter - signal + dist + noise
-    bad = den < -1e-9 * (inter + dist + noise)
-    if np.any(bad):
-        raise NumericalInvariantError(
-            f"negative SINR denominator at t={co.ts[bad][0]}: {den[bad][0]}"
-        )
-    den = np.maximum(den, 0.0)
-    with np.errstate(divide="ignore"):
-        vals = np.where(den > 0.0, signal / np.maximum(den, np.finfo(float).tiny), np.inf)
-    return SinrTrajectory(
-        ts=co.ts, sinr=vals, signal=signal, interference=inter, distortion=dist, noise=noise
+    return _sinr_from_moments(
+        scenario, hw.xi, co.j, co.k, co.ts, e21, e21, co.second(mult, lo), mult * co.c_dist
     )
 
 
@@ -283,22 +282,27 @@ class RateReport:
     sinr: np.ndarray
 
 
-def ergodic_rate(sinr_trajectory, T: int, B: int) -> RateReport:
-    """Average log(1 + SINR) over the data channel uses, with the 1/T pre-log
-    charging the B pilot uses against the rate."""
-    traj = np.atleast_1d(np.asarray(sinr_trajectory, dtype=float))
-    if traj.size != T - B:
-        raise ValueError(f"expected {T - B} SINR values for T={T}, B={B}; got {traj.size}")
-    rate = float(np.log2(1.0 + traj).sum() / T)
-    return RateReport(rate=rate, ts=np.arange(traj.size, dtype=float), sinr=traj)
+def ergodic_rate(sinr, T: int, B: int) -> float:
+    """Ergodic rate from the SINR at the data channel uses, or at a subset
+    of them: the mean of log2(1 + SINR) over the given values times the
+    T - B data uses, divided by T, which charges the B pilot uses against
+    the rate.  Over all T - B data uses this is sum log2(1 + SINR) / T."""
+    sinr = np.atleast_1d(np.asarray(sinr, dtype=float))
+    if sinr.size > T - B or (sinr.size == 0 and T > B):
+        raise ValueError(
+            f"expected {min(1, T - B)}..{T - B} SINR values for T={T}, B={B}; got {sinr.size}"
+        )
+    if sinr.size == 0:
+        return 0.0
+    return float(np.log2(1.0 + sinr).sum() * ((T - B) / sinr.size) / T)
 
 
 def ue_rate(cache: EstimatorCache, j: int, k: int, lo_mode: LoMode | None = None) -> RateReport:
     """Closed-form ergodic rate for UE k of cell j under MRC."""
-    ts = np.asarray(cache.book.data_times(), dtype=float)
-    traj = sinr_trajectory(cache, j, k, ts, lo_mode)
-    rep = ergodic_rate(traj.sinr, cache.scenario.T, cache.B)
-    return RateReport(rate=rep.rate, ts=ts, sinr=traj.sinr)
+    traj = sinr_trajectory(cache, j, k, lo_mode=lo_mode)
+    return RateReport(
+        rate=ergodic_rate(traj.sinr, cache.scenario.T, cache.B), ts=traj.ts, sinr=traj.sinr
+    )
 
 
 # -- asymptotics and hardware scaling laws ----------------------------------
@@ -330,23 +334,11 @@ def _asymptote(co: MomentCoefficients, scenario: Scenario, lo_mode: LoMode) -> S
 
 
 def asymptotic_sinr(
-    cache_or_scenario,
-    hw: HardwareProfile | None = None,
-    book: PilotBook | None = None,
-    j: int = 0,
-    k: int = 0,
-    t=None,
-    lo_mode: LoMode | None = None,
+    cache: EstimatorCache, j: int = 0, k: int = 0, t=None, lo_mode: LoMode | None = None
 ) -> float:
     """SINR limit of UE k in cell j at channel use t (default: the first
     data channel use) as the per-subarray antenna count grows without
     bound; +inf when no pilot contamination survives."""
-    from .estimator import build_cache
-
-    if isinstance(cache_or_scenario, EstimatorCache):
-        cache = cache_or_scenario
-    else:
-        cache = build_cache(cache_or_scenario, hw, book)
     if t is None:
         t = cache.book.data_times()[0]
     co = mrc_moment_coefficients(cache, j, k, [t])

@@ -115,6 +115,9 @@ def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, v
     assert main(["preset", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "np.int64" not in err
+    if key == "snr_db":
+        assert "first violation at (0, 0)" in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -4,8 +4,11 @@ import pytest
 from hwmimo.estimator import build_cache
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile
 from hwmimo.montecarlo import (
+    _BATCHES,
     FilterKind,
     McConfig,
+    _batch_se,
+    _rate_from_means,
     estimate_moments,
     mc_rate,
     mmse_filter,
@@ -94,10 +97,7 @@ def test_sinr_invariant_to_filter_scaling(rng):
     mc = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 1, [6], McConfig(trials=5_000, seed=3))
 
     def assemble(m):
-        p = scen.powers
-        num = p[0, 1] * abs(m.first[0]) ** 2
-        den = float(np.sum(p * m.second[0])) - num + m.distortion[0] + hw.xi * m.norm2[0]
-        return num / den
+        return _rate_from_means(scen, hw, book, 0, 1, m)[1].sinr[0]
 
     base = assemble(mc)
     c = 3.7
@@ -109,6 +109,14 @@ def test_sinr_invariant_to_filter_scaling(rng):
         distortion=c**2 * mc.distortion, distortion_se=0.0,
     )
     assert assemble(scaled) == pytest.approx(base, rel=1e-12)
+
+
+def test_batch_se_includes_imaginary_spread():
+    # one value per batch: the SE is the spread of the batch means, here
+    # carried entirely by the imaginary part
+    noise = np.random.default_rng(4).normal(scale=1e-3, size=_BATCHES)
+    se = _batch_se(1.0 + 1j * noise)
+    assert se == pytest.approx(noise.std(ddof=1) / np.sqrt(_BATCHES), rel=1e-12)
 
 
 def test_stderr_scaling_with_trials(rng):

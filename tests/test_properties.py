@@ -1,0 +1,84 @@
+"""Model invariants over randomized small scenarios (hypothesis).
+
+Each example draws a network (L, K in 1..3, one or two subarrays, per-antenna
+or per-subarray covariances), a pilot book and placement, and an impairment
+triple up to delta = 50 and kappa2 = 1, then checks the closed forms at every
+channel use of the block.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hwmimo.estimator import build_cache, error_covariance
+from hwmimo.model import HardwareProfile, LoMode
+from hwmimo.pilots import PlacementKind
+from hwmimo.rates import mrc_moment_coefficients, sinr_trajectory_from_coefficients
+
+from conftest import make_book, random_scenario
+
+
+@st.composite
+def caches(draw, delta=st.floats(0.0, 50.0)):
+    L, K = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    A = draw(st.sampled_from([1, 2]))
+    N = A * draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["temporal", "dft"]))
+    B = K if kind == "temporal" else K + draw(st.integers(0, 2))
+    T = B + draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scen = random_scenario(rng, L=L, K=K, N=N, T=T, subarrays=A, factorized=draw(st.booleans()))
+    hw = HardwareProfile(
+        delta=draw(delta),
+        kappa2=draw(st.floats(0.0, 1.0)),
+        xi=draw(st.floats(1.0, 3.0)) * scen.sigma2,
+        lo_mode=LoMode.CLO,
+    )
+    placement = draw(st.sampled_from(list(PlacementKind)))
+    return build_cache(scen, hw, make_book(scen, kind, placement, B))
+
+
+def _data_times(cache):
+    return np.asarray(cache.book.data_times(), dtype=float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(caches(), st.integers(1, 10**4))
+def test_closed_form_sinr_is_non_negative_and_zero_without_signal(cache, mult):
+    ts = _data_times(cache)
+    for j in range(cache.scenario.L):
+        for k in range(cache.scenario.K):
+            co = mrc_moment_coefficients(cache, j, k, ts)
+            for lo in LoMode:
+                for m in (cache.mult, mult):
+                    traj = sinr_trajectory_from_coefficients(co, cache.scenario, cache.hw, m, lo)
+                    assert np.all(traj.sinr >= 0.0), (j, k, lo, m, traj.sinr)
+                    # a filter that has decayed to zero carries no signal
+                    assert np.all(traj.sinr[traj.signal == 0.0] == 0.0), (j, k, lo, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(caches(delta=st.just(0.0)))
+def test_clo_and_slo_bitwise_equal_without_drift(cache):
+    ts = _data_times(cache)
+    for k in range(cache.scenario.K):
+        co = mrc_moment_coefficients(cache, 0, k, ts)
+        clo, slo = (
+            sinr_trajectory_from_coefficients(co, cache.scenario, cache.hw, cache.mult, lo)
+            for lo in (LoMode.CLO, LoMode.SLO)
+        )
+        for field in ("sinr", "signal", "interference", "distortion", "noise"):
+            assert np.array_equal(getattr(clo, field), getattr(slo, field)), field
+
+
+@settings(max_examples=100, deadline=None)
+@given(caches())
+def test_error_covariance_at_most_prior(cache):
+    scen = cache.scenario
+    prior = scen.full_cov()
+    for t in range(1, scen.T + 1):
+        for j in range(scen.L):
+            for l in range(scen.L):
+                for k in range(scen.K):
+                    diag, _ = error_covariance(cache, j, l, k, t)
+                    assert np.all(diag <= prior[j, l, k] * (1 + 1e-12)), (j, l, k, t)

@@ -5,8 +5,11 @@ import pytest
 
 from hwmimo.estimator import build_cache, damped_pilot_grams
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile, expand_covariance
+from hwmimo.montecarlo import McMoments, _rate_from_means
 from hwmimo.pilots import place, temporal_book
 from hwmimo.rates import (
+    MomentCoefficients,
+    NumericalInvariantError,
     ScalingExponents,
     asymptotic_sinr,
     check_scaling_law,
@@ -14,9 +17,7 @@ from hwmimo.rates import (
     mrc_moment_coefficients,
     mrc_moments,
     mrc_moments_colocated,
-    moments_from_coefficients,
     scaled_profile,
-    sinr,
     sinr_trajectory,
     sinr_trajectory_from_coefficients,
     ue_rate,
@@ -129,12 +130,11 @@ def test_clo_slo_identical_without_drift(rng):
     # bitwise equality of the two branches
     assert np.array_equal(co.quad_clo, co.quad_slo)
     assert np.array_equal(co.third_clo, co.third_slo)
-    a = moments_from_coefficients(co, cache.mult, LoMode.CLO)
-    b = moments_from_coefficients(co, cache.mult, LoMode.SLO)
-    s_a = sinr(scen, hw, 0, 0, a)
-    s_b = sinr(scen, hw, 0, 0, b)
-    assert s_a.sinr == s_b.sinr
-    assert s_a.signal == s_b.signal and s_a.noise == s_b.noise
+    s_a = sinr_trajectory_from_coefficients(co, scen, hw, cache.mult, LoMode.CLO)
+    s_b = sinr_trajectory_from_coefficients(co, scen, hw, cache.mult, LoMode.SLO)
+    np.testing.assert_array_equal(s_a.sinr, s_b.sinr)
+    np.testing.assert_array_equal(s_a.signal, s_b.signal)
+    np.testing.assert_array_equal(s_a.noise, s_b.noise)
     np.testing.assert_array_equal(s_a.interference, s_b.interference)
 
 
@@ -144,7 +144,7 @@ def test_distortion_zero_without_kappa(rng):
     cache = build_cache(scen, hw, make_book(scen))
     m = mrc_moments(cache, 0, 0, 5)
     assert m.distortion == 0.0
-    assert sinr(scen, hw, 0, 0, m).distortion == 0.0
+    assert sinr_trajectory(cache, 0, 0, [5]).distortion[0] == 0.0
 
 
 def test_own_second_moment_dominates_mean_square(rng):
@@ -211,30 +211,81 @@ def test_sinr_single_active_ue(rng):
     hw = conventional_profile(1.0)
     cache = build_cache(scen, hw, make_book(scen, "temporal"))
     m = mrc_moments(cache, 0, 0, 5)
-    bd = sinr(scen, hw, 0, 0, m)
+    traj = sinr_trajectory(cache, 0, 0, [5])
     p = 1.7
     expected = p * m.first**2 / (p * (m.second[0, 0] - m.first**2) + 1.0 * m.norm2)
-    assert bd.sinr == pytest.approx(expected, rel=1e-12)
-    assert bd.noise > 0 and bd.distortion == 0.0
+    assert traj.sinr[0] == pytest.approx(expected, rel=1e-12)
+    assert traj.noise[0] > 0 and traj.distortion[0] == 0.0
 
 
 def test_sinr_denominator_dominated_by_noise_floor(rng):
     scen = random_scenario(rng)
     hw = impaired_profile()
     cache = build_cache(scen, hw, make_book(scen))
-    m = mrc_moments(cache, 0, 0, 6)
-    bd = sinr(scen, hw, 0, 0, m)
-    inter_total = float(np.sum(bd.interference))
-    den = inter_total - bd.self_subtraction + bd.distortion + bd.noise
-    assert den >= bd.noise > 0
+    traj = sinr_trajectory(cache, 0, 0, [6])
+    den = traj.interference[0] - traj.signal[0] + traj.distortion[0] + traj.noise[0]
+    assert den >= traj.noise[0] > 0
+
+
+def _one_link(T=4):
+    scen = Scenario(L=1, K=1, N=1, T=T, cov=np.ones((1, 1, 1, 1)), powers=np.ones((1, 1)),
+                    sigma2=1.0)
+    return scen, HardwareProfile(delta=0.0, kappa2=0.0, xi=1.0, lo_mode=LoMode.CLO)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0], ids=["above-floor", "below-floor"])
+def test_exact_moment_denominator_floor(ratio):
+    # c = E||v||^2 = E{v^H h} = 3 and xi = 1, so the denominator is
+    # second - c^2 + c; second is set so that it equals ratio times the
+    # exact-moment floor -1e-9 (second + c)
+    scen, hw = _one_link()
+    c, eps = 3.0, ratio * 1e-9
+    second = c**2 / (1 + eps) - c
+    zero = np.zeros((1, 1, 1))
+    co = MomentCoefficients(
+        j=0, k=0, ts=np.array([2.0]), c_norm=np.array([c]), tr_term=np.full((1, 1, 1), second),
+        quad_clo=zero, quad_slo=zero, third_clo=zero, third_slo=zero, c_dist=np.zeros(1),
+    )
+    if ratio < 1:
+        assert sinr_trajectory_from_coefficients(co, scen, hw, 1).sinr[0] == math.inf
+    else:
+        with pytest.raises(NumericalInvariantError, match="t=2.0"):
+            sinr_trajectory_from_coefficients(co, scen, hw, 1)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0], ids=["above-floor", "below-floor"])
+def test_sampled_moment_denominator_floor(ratio):
+    # signal |first|^2 = 4, no noise or distortion: the denominator is
+    # second - 4; second is set so that it equals ratio times the sampled
+    # floor -3 (second + 4) / sqrt(trials) = -0.3 (second + 4)
+    scen, hw = _one_link()
+    book = make_book(scen, "temporal")
+    f = 0.3 * ratio
+    second = 4.0 * (1 - f) / (1 + f)
+    m = McMoments(
+        trials=100, ts=np.array([3.0]), norm2=np.zeros(1), norm2_se=np.zeros(1),
+        first=np.array([2.0j]), first_se=np.zeros(1), second=np.full((1, 1, 1), second),
+        second_se=np.zeros((1, 1, 1)), distortion=np.zeros(1), distortion_se=np.zeros(1),
+    )
+    if ratio < 1:
+        rate, traj = _rate_from_means(scen, hw, book, 0, 0, m)
+        assert traj.sinr[0] == math.inf and rate == math.inf
+    else:
+        with pytest.raises(NumericalInvariantError, match="t=3.0"):
+            _rate_from_means(scen, hw, book, 0, 0, m)
 
 
 def test_ergodic_rate_examples():
-    assert ergodic_rate(np.ones(8), T=10, B=2).rate == pytest.approx(0.8)
-    assert ergodic_rate(np.zeros(8), T=10, B=2).rate == 0.0
-    assert ergodic_rate(np.zeros(0), T=4, B=4).rate == 0.0
+    assert ergodic_rate(np.ones(8), T=10, B=2) == pytest.approx(0.8)
+    assert ergodic_rate(np.zeros(8), T=10, B=2) == 0.0
+    assert ergodic_rate(np.zeros(0), T=4, B=4) == 0.0
+    # a subset of the data uses: mean log2(1 + SINR) times the data share
+    assert ergodic_rate(np.ones(5), T=10, B=2) == pytest.approx(0.8)
+    assert ergodic_rate([3.0, 0.0], T=10, B=2) == pytest.approx(0.8)
     with pytest.raises(ValueError):
-        ergodic_rate(np.ones(5), T=10, B=2)
+        ergodic_rate(np.ones(9), T=10, B=2)
+    with pytest.raises(ValueError):
+        ergodic_rate(np.zeros(0), T=10, B=2)
 
 
 def test_rate_bounds(rng):
@@ -283,7 +334,7 @@ def test_asymptotic_infinite_without_contamination():
     scen = Scenario(L=1, K=2, N=4, T=10, cov=cov, powers=np.ones((1, 2)), sigma2=1.0, subarrays=1)
     hw = conventional_profile(1.0)
     book = temporal_book(scen.powers, place("beginning", 10, 2))
-    assert asymptotic_sinr(scen, hw, book, 0, 0, t=5) == math.inf
+    assert asymptotic_sinr(build_cache(scen, hw, book), 0, 0, t=5) == math.inf
 
 
 def test_asymptotic_two_symmetric_cells():
@@ -292,7 +343,7 @@ def test_asymptotic_two_symmetric_cells():
     scen = Scenario(L=2, K=1, N=4, T=8, cov=cov, powers=np.ones((2, 1)), sigma2=1.0, subarrays=1)
     hw = HardwareProfile(delta=0.0, kappa2=0.0, xi=1.0, lo_mode=LoMode.SLO)
     book = temporal_book(scen.powers, place("beginning", 8, 1))
-    val = asymptotic_sinr(scen, hw, book, 0, 0, t=4)
+    val = asymptotic_sinr(build_cache(scen, hw, book), 0, 0, t=4)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 

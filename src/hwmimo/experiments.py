@@ -29,7 +29,6 @@ from .model import (
 from .montecarlo import FilterKind, McConfig, _fan_out, mc_rate
 from .pilots import PilotBook, PlacementKind, dft_book, place, temporal_book
 from .rates import (
-    MomentCoefficients,
     ScalingExponents,
     _asymptote,
     ergodic_rate,
@@ -290,20 +289,6 @@ def _profile(hv: HardwareVariant, scenario: Scenario, N: int | None = None) -> H
 # -- closed-form rates -----------------------------------------------------------
 
 
-def _data_coefficients(cache: EstimatorCache, cell: int, k: int) -> MomentCoefficients:
-    """Moment coefficients of UE k of ``cell`` at every data channel use.
-    Without phase drift they do not depend on t, so one channel use is
-    evaluated and broadcast over the others."""
-    ts = np.asarray(cache.book.data_times(), dtype=float)
-    if cache.hw.delta != 0.0:
-        return mrc_moment_coefficients(cache, cell, k, ts)
-    co = mrc_moment_coefficients(cache, cell, k, ts[:1])
-    per_t = ("c_norm", "tr_term", "quad_clo", "quad_slo", "third_clo", "third_slo", "c_dist")
-    return dataclasses.replace(co, ts=ts, **{
-        f: np.broadcast_to(getattr(co, f), (ts.size,) + getattr(co, f).shape[1:]) for f in per_t
-    })
-
-
 def _trajectories(cache: EstimatorCache, cell: int, los, mults, asymptote: bool = False):
     """Closed-form SINR trajectories over every data channel use, from one
     coefficient pass per UE of ``cell``.  Yields ``(k, lo, i, trajectory,
@@ -311,8 +296,9 @@ def _trajectories(cache: EstimatorCache, cell: int, los, mults, asymptote: bool 
     ``mults``; with ``asymptote``, entry ``len(mults)`` is the large-array
     limit.  The rate is :func:`rates.ergodic_rate` over the data uses."""
     scen = cache.scenario
+    ts = np.asarray(cache.book.data_times(), dtype=float)
     for k in range(scen.K):
-        co = _data_coefficients(cache, cell, k)
+        co = mrc_moment_coefficients(cache, cell, k, ts)
         for lo in los:
             trajs = [
                 sinr_trajectory_from_coefficients(co, scen, cache.hw, int(m), lo) for m in mults

@@ -33,6 +33,10 @@ class MomentCoefficients:
         distortion(t) = m * c_dist
 
     quad_* are exactly the pilot-contamination terms that persist as m grows.
+    scale(t) is the larger of the two gap factors of the damping d(t) (see
+    :func:`_gaps`); the ``*_unit`` fields repeat c_norm and quad_* at
+    d(t) / scale(t), where they cannot underflow, and the large-array limit
+    is taken from them.
     """
 
     j: int
@@ -45,6 +49,10 @@ class MomentCoefficients:
     third_clo: np.ndarray
     third_slo: np.ndarray
     c_dist: np.ndarray  # (nt,)
+    scale: np.ndarray  # (nt,)
+    c_norm_unit: np.ndarray  # (nt,)
+    quad_clo_unit: np.ndarray  # (nt, L, K)
+    quad_slo_unit: np.ndarray
 
     def quad(self, lo_mode: LoMode) -> np.ndarray:
         return self.quad_clo if lo_mode is LoMode.CLO else self.quad_slo
@@ -58,61 +66,195 @@ class MomentCoefficients:
         return mult * (self.tr_term + self.third(lo_mode)) + mult**2 * self.quad(lo_mode)
 
 
-def mrc_moment_coefficients(cache: EstimatorCache, j: int, k: int, ts) -> MomentCoefficients:
-    """Evaluate the coefficient tensors for UE k of cell j at channel uses ts.
+def _coefficient_parts(cache: EstimatorCache, j: int, k: int, dm: np.ndarray, dn: np.ndarray):
+    """Coefficient tensors of UE k of cell j as forms in two damping rows.
 
-    Runs fully vectorized over t; the only linear solve happens once per
-    receiving cell when the cache builds its reduced inverse.
+    Every coefficient is a bilinear form in the per-pilot damping, or the
+    squared modulus of one: the filter side is damped by the rows ``dm``,
+    the channel side by ``dn``, both (n, B).  Returns ``(quadratic,
+    amplitudes)``: the real parts of the degree-2 forms c_norm, tr_term,
+    sXs, c_dist and, with phase drift, quad_clo and third_clo; and the
+    complex amplitudes (Q^H dxlm, cw * sdx) whose products
+    :func:`_quartic` turns into the degree-4 parts.  At dm = dn = d(t) these
+    are the coefficients at channel use t.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     book, hw = cache.book, cache.hw
     P = cache.pblocks(j)  # (Ae, B, B)
-    dm = cache.d_delta(ts)  # (nt, B)
-    dx = dm * book.sequences[j, :, k]  # (nt, B)
-    s = np.einsum("abc,tc->tab", P, dx, optimize=True)  # (nt, Ae, B)
-    s_conj = s.conj()
-    g = np.einsum("tb,tab->ta", dx.conj(), s, optimize=True).real  # PSD quadratic forms
+    x = book.sequences[j, :, k]
+    dx = dm * x  # (n, B)
+    sm = np.einsum("abc,tc->tab", P, dx, optimize=True)  # (n, Ae, B)
+    sn = np.einsum("abc,tc->tab", P, dn * x, optimize=True)
+    g = np.einsum("tb,tab->ta", dx.conj(), sn, optimize=True).real
 
     lam_j = cache.lam[j]  # (L, K, Ae)
     own = cache.lam[j, j, k]  # (Ae,)
-    c_norm = g @ own**2
     tr_term = np.einsum("lka,a,ta->tlk", lam_j, own**2, g, optimize=True)
 
     cw = own[None, None, :] * lam_j  # (L, K, Ae)
     w2 = cw**2
-    Q = np.einsum("lka,tab->tlkb", cw, s, optimize=True)
-    dxlm = dm[:, None, None, :] * book.sequences.transpose(0, 2, 1)[None]  # (nt, L, K, B)
-    quad_slo = np.abs(np.einsum("tlkb,tlkb->tlk", Q.conj(), dxlm, optimize=True)) ** 2
+    Q = np.einsum("lka,tab->tlkb", cw, sm, optimize=True)
+    dxlm = dn[:, None, None, :] * book.sequences.transpose(0, 2, 1)[None]  # (n, L, K, B)
+    z = np.einsum("tlkb,tlkb->tlk", Q.conj(), dxlm, optimize=True)
+    sdx = np.einsum("tab,tlkb->tlka", sm.conj(), dxlm, optimize=True)
 
-    R = s_conj[:, :, :, None] * s[:, :, None, :]  # (nt, Ae, B, B)
+    R = sm.conj()[:, :, :, None] * sn[:, :, None, :]  # (n, Ae, B, B)
     sXs = np.einsum("tabc,lkbc,lka->tlk", R, cache.X, w2, optimize=True).real
-    sdx = np.einsum("tab,tlkb->tlka", s_conj, dxlm, optimize=True)
-    third_slo = sXs - np.einsum("lka,tlka->tlk", w2, np.abs(sdx) ** 2, optimize=True)
+    quadratic = {
+        "c_norm": g @ own**2,
+        "tr_term": tr_term,
+        "sXs": sXs,
+        "c_dist": hw.kappa2 * np.einsum(
+            "lk,tlk->t", cache.scenario.powers, tr_term + sXs, optimize=True
+        ),
+    }
+    if hw.delta != 0.0:
+        Qn = np.einsum("lka,tab->tlkb", cw, sn, optimize=True)
+        quadratic["quad_clo"] = np.einsum(
+            "tlkb,lkbc,tlkc->tlk", Q.conj(), cache.Xbar, Qn, optimize=True
+        ).real
+        # X - Xbar = kappa2 diag(|pilot|^2)
+        energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
+        quadratic["third_clo"] = hw.kappa2 * np.einsum(
+            "lka,lkb,tab->tlk", w2, energy, (sm.conj() * sn).real, optimize=True
+        )
+    return quadratic, (z, cw * sdx)
 
-    if hw.delta == 0.0:
+
+def _quartic(a, b) -> dict:
+    """Degree-4 parts quad_slo = |Q^H dxlm|^2 and sdx2 = w2 |sdx|^2 from
+    the products of two sets of amplitudes of :func:`_coefficient_parts`
+    (the real part of a times conj(b)); a = b gives them at one row."""
+    (za, ya), (zb, yb) = a, b
+    return {"quad_slo": (za * zb.conj()).real, "sdx2": (ya * yb.conj()).real.sum(axis=-1)}
+
+
+def _gaps(delta: float, tau, ts: np.ndarray):
+    """Split the channel uses ts by the gap between pilots they lie in.
+
+    Yields ``(sel, rows, logf)``: the indices of the gap's uses in ts, the
+    damping rows of its sides (s, B) and the log side factors (len(sel), s),
+    with d(t) = sum_i exp(logf[t, i]) rows[i].  Between pilots t_L < t <
+    t_R the sides are u (the pilots up to t_L damped to t_L) with factor
+    exp(-delta/2 (t - t_L)) and w (the pilots from t_R on, damped to t_R)
+    with factor exp(-delta/2 (t_R - t)); before the first and after the
+    last pilot only one side exists.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if delta == 0.0 or ts.size == 0:  # every use sees the undamped pilots
+        yield np.arange(ts.size), np.ones((1, tau.size)), np.zeros((ts.size, 1))
+        return
+    gap = np.searchsorted(tau, ts)
+    for g in np.unique(gap):
+        sel = np.flatnonzero(gap == g)
+        rows, logf = [], []
+        if g > 0:
+            t_l = tau[g - 1]
+            rows.append(np.exp(-0.5 * delta * np.abs(t_l - tau)) * (tau <= t_l))
+            logf.append(-0.5 * delta * (ts[sel] - t_l))
+        if g < tau.size:
+            t_r = tau[g]
+            rows.append(np.exp(-0.5 * delta * np.abs(tau - t_r)) * (tau >= t_r))
+            logf.append(-0.5 * delta * (t_r - ts[sel]))
+        yield sel, np.array(rows), np.stack(logf, axis=1)
+
+
+def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> dict:
+    """The parts of :func:`_coefficient_parts` (degree-4 ones through
+    :func:`_quartic`) at the channel uses ts, (nt, ...) each, plus the
+    ``*_unit`` parts and ``scale`` of :class:`MomentCoefficients`.
+
+    Within one gap the damping is d(t) = sum_i f_i(t) r_i over the gap's
+    sides (see :func:`_gaps`), so a degree-2 part is sum_pq f_p f_q F(r_p,
+    r_q) and a degree-4 part sum_pqp'q' f_p f_q f_p' f_q' Re z(r_p, r_q)
+    conj(z(r_p', r_q')).  The forms are evaluated once per gap, on the
+    ordered pairs of its sides, and every use is rebuilt from products of
+    the side factors, formed in log space; no coefficient is fitted, so
+    one that vanishes stays exactly zero.
+    """
+    gaps = list(_gaps(cache.hw.delta, cache.book.tau, ts))
+    # the ordered pairs (p, q) of every gap's sides, evaluated in one call
+    pairs = [np.divmod(np.arange(len(rows) ** 2), len(rows)) for _, rows, _ in gaps]
+    quadratic, amp = _coefficient_parts(
+        cache, j, k,
+        np.concatenate([rows[pm] for (_, rows, _), (pm, _) in zip(gaps, pairs)]),
+        np.concatenate([rows[pn] for (_, rows, _), (_, pn) in zip(gaps, pairs)]),
+    )
+    # log weights of every use on every pair (degree 2) and pair of pairs
+    # (degree 4); -inf, a zero weight, outside the use's gap
+    lw2 = np.full((ts.size, sum(pm.size for pm, _ in pairs)), -np.inf)
+    lw4 = np.full((ts.size, sum(pm.size**2 for pm, _ in pairs)), -np.inf)
+    top = np.empty(ts.size)  # log scale(t)
+    quartic = []
+    c2 = c4 = 0
+    for (sel, rows, logf), (pm, pn) in zip(gaps, pairs):
+        m = pm.size
+        ga = [a[c2:c2 + m] for a in amp]
+        quartic.append(_quartic([a[:, None] for a in ga], [a[None] for a in ga]))
+        l2 = logf[:, pm] + logf[:, pn]
+        lw2[sel, c2:c2 + m] = l2
+        lw4[sel, c4:c4 + m * m] = (l2[:, :, None] + l2[:, None, :]).reshape(sel.size, m * m)
+        top[sel] = logf.max(axis=1)
+        c2, c4 = c2 + m, c4 + m * m
+    quartic = {
+        name: np.concatenate([q[name].reshape((-1,) + q[name].shape[2:]) for q in quartic])
+        for name in quartic[0]
+    }
+    unit2 = {"c_norm_unit": quadratic["c_norm"]}
+    if "quad_clo" in quadratic:
+        unit2["quad_clo_unit"] = quadratic["quad_clo"]
+    groups = (
+        (lw2, quadratic),
+        (lw4, quartic),
+        (lw2 - 2 * top[:, None], unit2),
+        (lw4 - 4 * top[:, None], {"quad_slo_unit": quartic["quad_slo"]}),
+    )
+    # every rebuilt part is a block of one buffer: a single large
+    # allocation costs far fewer page faults than a dozen fresh ones
+    buf = np.empty(ts.size * sum(p[0].size for _, parts in groups for p in parts.values()))
+    f = {"scale": np.exp(top)}
+    at = 0
+    for lw, parts in groups:
+        w = np.exp(lw)
+        for name, part in parts.items():
+            out = buf[at:at + ts.size * part[0].size].reshape(ts.size, part[0].size)
+            np.dot(w, part.reshape(len(part), -1), out=out)
+            f[name] = out.reshape(ts.shape + part.shape[1:])
+            at += out.size
+    return f
+
+
+def mrc_moment_coefficients(cache: EstimatorCache, j: int, k: int, ts) -> MomentCoefficients:
+    """Evaluate the coefficient tensors for UE k of cell j at channel uses ts.
+
+    The cost does not grow with len(ts): the coefficient forms are
+    evaluated once per gap between pilots and every use is rebuilt from
+    exact algebra (:func:`_separable_parts`).  Without phase drift every
+    use sees the undamped pilots, so one evaluation serves them all.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    f = _separable_parts(cache, j, k, ts)
+    third_slo = np.subtract(f["sXs"], f["sdx2"], out=f["sXs"])  # sXs is not read again
+    if cache.hw.delta == 0.0:
         # both oscillator topologies coincide; reuse one arithmetic path so
         # downstream comparisons are bitwise equal
-        quad_clo = quad_slo
-        third_clo = third_slo
+        quad_clo, third_clo, quad_clo_unit = f["quad_slo"], third_slo, f["quad_slo_unit"]
     else:
-        quad_clo = np.einsum("tlkb,lkbc,tlkc->tlk", Q.conj(), cache.Xbar, Q, optimize=True).real
-        sXbars = np.einsum("tabc,lkbc,lka->tlk", R, cache.Xbar, w2, optimize=True).real
-        third_clo = sXs - sXbars
-
-    c_dist = hw.kappa2 * np.einsum(
-        "lk,tlk->t", cache.scenario.powers, tr_term + sXs, optimize=True
-    )
+        quad_clo, third_clo, quad_clo_unit = f["quad_clo"], f["third_clo"], f["quad_clo_unit"]
     return MomentCoefficients(
         j=j,
         k=k,
         ts=ts,
-        c_norm=c_norm,
-        tr_term=tr_term,
+        c_norm=f["c_norm"],
+        tr_term=f["tr_term"],
         quad_clo=quad_clo,
-        quad_slo=quad_slo,
+        quad_slo=f["quad_slo"],
         third_clo=third_clo,
         third_slo=third_slo,
-        c_dist=c_dist,
+        c_dist=f["c_dist"],
+        scale=f["scale"],
+        c_norm_unit=f["c_norm_unit"],
+        quad_clo_unit=quad_clo_unit,
+        quad_slo_unit=f["quad_slo_unit"],
     )
 
 
@@ -315,17 +457,25 @@ def _asymptote(co: MomentCoefficients, scenario: Scenario, lo_mode: LoMode) -> S
     ratio of the squared signal coefficient to the interference that shares
     its quadratic growth (pilot contamination).  The SINR is +inf where no
     contamination survives: interference minus signal at most 1e-12 of the
-    interference.
+    interference.  The ratio is taken at the normalized damping d(t) /
+    scale(t), where neither term underflows: c_norm^2 and quad_slo are of
+    degree 4 in d(t), so the SLO limit does not depend on the scale, while
+    quad_clo is of degree 2, so the CLO signal keeps a factor scale^2.
     """
     if scenario.reduced_dim != scenario.subarrays:
         raise ConfigError("asymptotic analysis needs subarray-factorized covariances")
     p = scenario.powers
     signal = p[co.j, co.k] * co.c_norm**2
     inter = np.einsum("lk,tlk->t", p, co.quad(lo_mode))
-    den = inter - signal
+    sig_u = p[co.j, co.k] * co.c_norm_unit**2
+    if lo_mode is LoMode.CLO:
+        sig_u = sig_u * co.scale**2
+    unit = co.quad_clo_unit if lo_mode is LoMode.CLO else co.quad_slo_unit
+    inter_u = np.einsum("lk,tlk->t", p, unit)
+    den = inter_u - sig_u
     with np.errstate(divide="ignore"):
         sinr = np.where(
-            den > 1e-12 * np.maximum(inter, 1e-300), signal / np.maximum(den, 1e-300), np.inf
+            den > 1e-12 * np.maximum(inter_u, 1e-300), sig_u / np.maximum(den, 1e-300), np.inf
         )
     zero = np.zeros_like(signal)
     return SinrTrajectory(

@@ -5,6 +5,7 @@ import pytest
 
 from hwmimo.model import HardwareProfile, LoMode, Scenario
 from hwmimo.pilots import PlacementKind, dft_book, place, temporal_book
+from hwmimo.rates import _coefficient_parts, _quartic, _separable_parts
 
 
 def random_scenario(
@@ -40,3 +41,19 @@ def rng():
 
 def impaired_profile(lo=LoMode.SLO, delta=1e-3, kappa2=0.01, xi=1.3, sigma2=1.0):
     return HardwareProfile(delta=delta, kappa2=kappa2, xi=xi * sigma2, lo_mode=lo)
+
+
+def assert_separable_matches_direct(cache, j, k, ts, rtol=1e-12):
+    """The per-gap coefficient pass against its evaluator applied at the
+    damping d(t) of every channel use: each part within ``rtol`` of its
+    per-use scale (the largest entry over links), or within 1e-300.  sXs and
+    w2 |sdx|^2 are checked apart because third_slo, their difference,
+    cancels."""
+    got = _separable_parts(cache, j, k, ts)
+    d = cache.d_delta(ts)
+    quadratic, amp = _coefficient_parts(cache, j, k, d, d)
+    for name, want in {**quadratic, **_quartic(amp, amp)}.items():
+        scale = np.abs(want).reshape(ts.size, -1).max(axis=1, initial=0.0)
+        err = np.abs(got[name] - want).reshape(ts.size, -1).max(axis=1, initial=0.0)
+        bad = err > np.maximum(rtol * scale, 1e-300)
+        assert not np.any(bad), (name, ts[bad], err[bad], scale[bad])

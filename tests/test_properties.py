@@ -15,7 +15,7 @@ from hwmimo.model import HardwareProfile, LoMode
 from hwmimo.pilots import PlacementKind
 from hwmimo.rates import mrc_moment_coefficients, sinr_trajectory_from_coefficients
 
-from conftest import make_book, random_scenario
+from conftest import assert_separable_matches_direct, make_book, random_scenario
 
 
 @st.composite
@@ -55,6 +55,15 @@ def test_closed_form_sinr_is_non_negative_and_zero_without_signal(cache, mult):
                     assert np.all(traj.sinr >= 0.0), (j, k, lo, m, traj.sinr)
                     # a filter that has decayed to zero carries no signal
                     assert np.all(traj.sinr[traj.signal == 0.0] == 0.0), (j, k, lo, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(caches())
+def test_separable_pass_matches_direct_evaluation(cache):
+    ts = _data_times(cache)
+    for j in range(cache.scenario.L):
+        for k in range(cache.scenario.K):
+            assert_separable_matches_direct(cache, j, k, ts)
 
 
 @settings(max_examples=100, deadline=None)

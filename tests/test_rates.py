@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from hwmimo.estimator import build_cache, damped_pilot_grams
+from hwmimo.experiments import (
+    REFERENCE_KAPPA,
+    REFERENCE_XI_OVER_SIGMA2,
+    _drop_scenario,
+    _serving_cell,
+    preset,
+)
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile, expand_covariance
 from hwmimo.montecarlo import McMoments, _rate_from_means
-from hwmimo.pilots import place, temporal_book
+from hwmimo.pilots import PlacementKind, place, temporal_book
 from hwmimo.rates import (
     MomentCoefficients,
     NumericalInvariantError,
@@ -23,7 +30,7 @@ from hwmimo.rates import (
     ue_rate,
 )
 
-from conftest import impaired_profile, make_book, random_scenario
+from conftest import assert_separable_matches_direct, impaired_profile, make_book, random_scenario
 
 
 # -- dense closed-form oracle (explicit Kronecker products, no reductions) ----
@@ -227,6 +234,52 @@ def test_sinr_denominator_dominated_by_noise_floor(rng):
     assert den >= traj.noise[0] > 0
 
 
+@pytest.mark.parametrize("deployment", ["colocated", "distributed"])
+def test_separable_pass_matches_direct_evaluation(deployment):
+    # the fig7 drop-0 networks with every placement and book, from the
+    # reference drift to damping that underflows a few uses from a pilot
+    scen = _drop_scenario(preset("fig7"), deployment, 0)
+    j = _serving_cell(scen)
+    case = 0
+    for placement in PlacementKind:
+        for kind in ("dft", "temporal"):
+            book = make_book(scen, kind, placement, B=8)
+            ts = np.asarray(book.data_times(), dtype=float)[::4]
+            for delta in (1.58e-4, 1e-2, 0.3, 50.0):
+                hw = impaired_profile(
+                    delta=delta, kappa2=REFERENCE_KAPPA**2, xi=REFERENCE_XI_OVER_SIGMA2,
+                    sigma2=scen.sigma2,
+                )
+                cache = build_cache(scen, hw, book)
+                assert_separable_matches_direct(cache, j, case % scen.K, ts)
+                case += 1
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_block_without_data_uses(rng, delta):
+    scen = random_scenario(rng, T=4)
+    cache = build_cache(scen, impaired_profile(delta=delta), make_book(scen, "dft", B=4))
+    co = mrc_moment_coefficients(cache, 0, 0, [])
+    assert co.c_norm.shape == (0,) and co.quad_slo_unit.shape == (0, scen.L, scen.K)
+    assert ue_rate(cache, 0, 0).rate == 0.0
+
+
+def test_third_clo_is_linear_in_kappa2(rng):
+    # X - Xbar = kappa2 diag(|pilot|^2): third_clo is kappa2 times a form
+    # that depends on kappa2 only through the pilot covariance inverse
+    scen = random_scenario(rng, L=2, K=2, N=4, T=12)
+    book = make_book(scen, "dft", "uniform", B=3)
+    ts = np.asarray(book.data_times(), dtype=float)
+    third = [
+        mrc_moment_coefficients(
+            build_cache(scen, impaired_profile(lo=LoMode.CLO, delta=1e-2, kappa2=kap), book),
+            0, 0, ts,
+        ).third_clo
+        for kap in (1e-12, 2e-12)
+    ]
+    np.testing.assert_allclose(third[1] / third[0], 2.0, rtol=1e-9, atol=0)
+
+
 def _one_link(T=4):
     scen = Scenario(L=1, K=1, N=1, T=T, cov=np.ones((1, 1, 1, 1)), powers=np.ones((1, 1)),
                     sigma2=1.0)
@@ -245,6 +298,7 @@ def test_exact_moment_denominator_floor(ratio):
     co = MomentCoefficients(
         j=0, k=0, ts=np.array([2.0]), c_norm=np.array([c]), tr_term=np.full((1, 1, 1), second),
         quad_clo=zero, quad_slo=zero, third_clo=zero, third_slo=zero, c_dist=np.zeros(1),
+        scale=np.ones(1), c_norm_unit=np.array([c]), quad_clo_unit=zero, quad_slo_unit=zero,
     )
     if ratio < 1:
         assert sinr_trajectory_from_coefficients(co, scen, hw, 1).sinr[0] == math.inf
@@ -345,6 +399,23 @@ def test_asymptotic_two_symmetric_cells():
     book = temporal_book(scen.powers, place("beginning", 8, 1))
     val = asymptotic_sinr(build_cache(scen, hw, book), 0, 0, t=4)
     assert val == pytest.approx(1.0, rel=1e-12)
+
+
+def test_asymptote_survives_damping_underflow():
+    # two cells share one pilot, gains 1 and 0.3 at cell 0: the SLO limit is
+    # 1 / 0.3^2 at every channel use, also where the damping underflows
+    cov = np.array([[[[1.0]], [[0.3]]], [[[0.4]], [[1.0]]]])
+    scen = Scenario(L=2, K=1, N=4, T=40, cov=cov, powers=np.ones((2, 1)), sigma2=1.0, subarrays=1)
+    book = temporal_book(scen.powers, place("beginning", 40, 1))
+    ts = (3, 5, 10, 20, 30)
+    for delta in (0.5, 50.0):
+        cache = build_cache(scen, HardwareProfile(delta=delta, kappa2=0.0, xi=1.0), book)
+        slo = [asymptotic_sinr(cache, 0, 0, t, LoMode.SLO) for t in ts]
+        np.testing.assert_allclose(slo, 1 / 0.3**2, rtol=1e-12)
+        # the CLO limit decays with the damping, down to 0 where it underflows
+        clo = [asymptotic_sinr(cache, 0, 0, t, LoMode.CLO) for t in ts]
+        assert np.all(np.isfinite(clo)) and np.all(np.diff(clo) <= 0), clo
+    assert clo[-1] == 0.0
 
 
 def test_finite_n_converges_inverse_linearly(rng):

@@ -1,19 +1,18 @@
-"""Random realizations of the impaired uplink: block-fading channels,
-Wiener phase-drift trajectories, distortion and receiver noise, and the
-received signal they produce.
+"""Random realizations of the impaired uplink at a receiving cell's pilot
+times: block-fading channels, Wiener phase-drift trajectories, distortion
+and receiver noise, and the stacked pilot observation they produce.
 
-The received signal of cell j at channel use t is
+The observation of cell j at pilot time tau_b is
 
-    y_j(t) = diag(exp(i phi_j(t))) * sum_l H_jl x_l(t) + upsilon_j(t) + eta_j(t)
+    y_j(tau_b) = diag(exp(i phi_j(tau_b))) * sum_l H_jl x_l(tau_b) + upsilon_j(tau_b) + eta_j(tau_b)
 
 where the phase-drifts phi follow a random walk with innovation variance
 ``delta`` (one walk per antenna for SLOs, one per cell for a CLO), the
 distortion noise upsilon has per-antenna variance proportional to the
-received signal power at that antenna for the given channel realization,
-and eta is amplified receiver noise of variance ``xi``.
+received pilot power at that antenna for the given channel realization,
+and eta is amplified receiver noise of variance ``xi``.  Samples at data
+times are never drawn.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,161 +34,78 @@ def draw_phases(
     times,
     n_osc: int,
     rng: np.random.Generator,
-    trials: int | None = None,
+    trials: int,
 ) -> np.ndarray:
     """Sample Wiener phase trajectories at the given (sorted, 1-based) times.
 
     Only phase differences and the marginal modulo 2*pi matter downstream,
     so the walk starts from a uniform phase at the first requested time.
-    Returns shape (len(times), n_osc) or (trials, len(times), n_osc).
+    Returns shape (trials, len(times), n_osc).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    lead = () if trials is None else (trials,)
-    shape = lead + (times.size, n_osc)
-    phi = np.empty(shape)
-    phi[..., 0, :] = rng.uniform(0.0, 2.0 * np.pi, size=lead + (n_osc,))
+    phi = np.empty((trials, times.size, n_osc))
+    phi[:, 0, :] = rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_osc))
     if times.size > 1:
         gaps = np.diff(times)
         std = np.sqrt(delta * gaps)
-        incr = rng.standard_normal(lead + (times.size - 1, n_osc)) * std[:, None]
-        phi[..., 1:, :] = phi[..., :1, :] + np.cumsum(incr, axis=-2)
+        incr = rng.standard_normal((trials, times.size - 1, n_osc)) * std[:, None]
+        phi[:, 1:, :] = phi[:, :1, :] + np.cumsum(incr, axis=1)
     return phi
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseTrajectories:
-    """Oscillator phase-drift trajectories at a set of channel uses.
-
-    phi has shape (n_times, n_osc) or (trials, n_times, n_osc) with one
-    oscillator per cell for a CLO and one per antenna for SLOs.
-    """
-
-    mode: LoMode
-    delta: float
-    times: np.ndarray
-    phi: np.ndarray
-
-    @classmethod
-    def draw(
-        cls,
-        hw: HardwareProfile,
-        times,
-        n_antennas: int,
-        rng: np.random.Generator,
-        trials: int | None = None,
-    ) -> "PhaseTrajectories":
-        times = np.asarray(times, dtype=float)
-        n_osc = n_antennas if hw.lo_mode is LoMode.SLO else 1
-        phi = draw_phases(hw.delta, times, n_osc, rng, trials=trials)
-        return cls(mode=hw.lo_mode, delta=hw.delta, times=times, phi=phi)
-
-    def rotations(self, time_index: int) -> np.ndarray:
-        """exp(i phi) at the given index into ``times``; broadcasts over
-        antennas for a common oscillator."""
-        return np.exp(1j * self.phi[..., time_index, :])
+def world_bytes(scenario: Scenario, hw: HardwareProfile, book: PilotBook, ts) -> int:
+    """Bytes per trial that Monte Carlo chunking budgets for one
+    :func:`draw_world` world at the channel uses ``ts``: channels, phase
+    rotations and pilot observations."""
+    L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
+    n_times = len(set(book.tau) | set(np.asarray(ts).tolist()))
+    n_osc = N if hw.lo_mode is LoMode.SLO else 1
+    return 16 * (2 * L * K * N + n_times * n_osc + 3 * B * N)
 
 
-@dataclass(frozen=True, eq=False)
-class ReceivedBlock:
-    """One coherence block seen by a single cell, with all latent draws
-    retained for diagnostics.
-
-    y: (T, N) received samples.  h: (L, K, N) block-fading channels.
-    phases: (T, n_osc) drift trajectories (n_osc = 1 for a CLO, N for SLOs).
-    x: (L, K, T) transmitted symbols (pilots at tau, data elsewhere).
-    upsilon / eta: (T, N) distortion and receiver noise.
-    """
-
-    cell: int
-    lo_mode: LoMode
-    y: np.ndarray
-    h: np.ndarray
-    phases: np.ndarray
-    x: np.ndarray
-    upsilon: np.ndarray
-    eta: np.ndarray
-
-    def phase_matrix(self, t: int) -> np.ndarray:
-        """exp(i phi) rotations at 1-based time t, broadcastable to (N,)."""
-        return np.exp(1j * self.phases[t - 1])
-
-    def effective_channel(self, l: int, k: int, t: int) -> np.ndarray:
-        """Channel as seen through the drifted receiver at time t."""
-        return self.phase_matrix(t) * self.h[l, k]
-
-
-def draw_block(
+def draw_world(
     scenario: Scenario,
     hw: HardwareProfile,
     book: PilotBook,
-    rng_seed: int,
-    cell: int = 0,
-    data_symbols: np.ndarray | None = None,
-    realization: int = 0,
-) -> ReceivedBlock:
-    """Synthesize one full coherence block for the given receiving cell.
+    j: int,
+    ts: np.ndarray,
+    chunk_index: int,
+    size: int,
+    seed: int,
+):
+    """One chunk of ``size`` trials seen by cell j: channels h (size, L, K, N),
+    phase rotations rot_ts (size, len(ts), n_osc) at the channel uses ``ts``
+    and the stacked pilot observation psi (size, B*N), pilot-time major.
+    Each entity has its own substream keyed (seed, chunk_index, j, entity)."""
+    L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
+    lam = scenario.full_cov()[j]  # (L, K, N)
+    tau = np.asarray(book.tau, dtype=int)
 
-    Data symbols may be supplied as an (L, K, T-B) array over the data times
-    (in increasing time order); otherwise they are drawn as independent
-    Gaussian codebook symbols at full power p_lk.  All draws come from
-    substreams keyed by (realization, cell, entity), so blocks are
-    reproducible independently of any surrounding parallelism.
-    """
-    L, K, N, T = scenario.L, scenario.K, scenario.N, scenario.T
-    lam = scenario.full_cov()[cell]  # (L, K, N)
-    seed = rng_seed
-
-    h = _rng.complex_normal(_rng.substream(seed, realization, cell, _rng.CHANNEL), lam, (L, K, N))
-
-    n_osc = N if hw.lo_mode is LoMode.SLO else 1
-    phases = draw_phases(
-        hw.delta, np.arange(1, T + 1), n_osc, _rng.substream(seed, realization, cell, _rng.PHASE)
+    h = _rng.complex_normal(
+        _rng.substream(seed, chunk_index, j, _rng.CHANNEL), lam, (size, L, K, N)
     )
 
-    x = np.zeros((L, K, T), dtype=complex)
-    data_times = np.asarray(book.data_times(), dtype=int)
-    if data_times.size:
-        if data_symbols is None:
-            data_symbols = _rng.complex_normal(
-                _rng.substream(seed, realization, cell, _rng.DATA),
-                scenario.powers[:, :, None],
-                (L, K, data_times.size),
-            )
-        else:
-            data_symbols = np.asarray(data_symbols, dtype=complex)
-            if data_symbols.shape != (L, K, data_times.size):
-                raise ValueError(
-                    f"data symbols must have shape {(L, K, data_times.size)}, got {data_symbols.shape}"
-                )
-        x[:, :, data_times - 1] = data_symbols
-    tau = np.asarray(book.tau, dtype=int)
-    x[:, :, tau - 1] = book.sequences.transpose(0, 2, 1)
+    times = np.unique(np.concatenate([tau.astype(float), ts]))
+    n_osc = N if hw.lo_mode is LoMode.SLO else 1
+    phases = _rng.substream(seed, chunk_index, j, _rng.PHASE)
+    phi = draw_phases(hw.delta, times, n_osc, phases, trials=size)
+    rot = np.exp(1j * phi)  # (size, n_times, n_osc)
+    where = {t: i for i, t in enumerate(times)}
+    rot_tau = rot[:, [where[float(t)] for t in tau], :]  # (size, B, n_osc)
+    rot_ts = rot[:, [where[float(t)] for t in ts], :]  # (size, nt, n_osc)
 
-    # distortion variance per (t, n): kappa2 * sum_lk E|x_lk(t)|^2 |h^(n)|^2,
-    # with E|x|^2 equal to |x(tau_b)|^2 at pilot times and p_lk at data times
-    energy = np.broadcast_to(scenario.powers[:, :, None], (L, K, T)).copy()
-    energy[:, :, tau - 1] = np.abs(book.sequences.transpose(0, 2, 1)) ** 2
-    ups_var = hw.kappa2 * np.einsum("lkt,lkn->tn", energy, np.abs(h) ** 2)
+    clean = np.einsum("lbk,slkn->sbn", book.sequences, h)
+    energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
+    ups_var = hw.kappa2 * np.einsum("lkb,slkn->sbn", energy, np.abs(h) ** 2)
     upsilon = _rng.complex_normal(
-        _rng.substream(seed, realization, cell, _rng.DISTORTION), ups_var, (T, N)
+        _rng.substream(seed, chunk_index, j, _rng.DISTORTION), ups_var, (size, B, N)
     )
     eta = _rng.complex_normal(
-        _rng.substream(seed, realization, cell, _rng.RECEIVER_NOISE), hw.xi, (T, N)
+        _rng.substream(seed, chunk_index, j, _rng.RECEIVER_NOISE), hw.xi, (size, B, N)
     )
-
-    clean = np.einsum("lkt,lkn->tn", x, h)
-    y = np.exp(1j * phases) * clean + upsilon + eta
-    return ReceivedBlock(
-        cell=cell, lo_mode=hw.lo_mode, y=y, h=h, phases=phases, x=x, upsilon=upsilon, eta=eta
-    )
-
-
-def stack_pilot_observation(block: ReceivedBlock, tau) -> np.ndarray:
-    """Stack the received pilot samples into one length-B*N vector, pilot-time
-    major: entry (b-1)*N + n is antenna n at time tau_b."""
-    tau = np.asarray(tau, dtype=int)
-    return block.y[tau - 1].reshape(-1)
+    psi = (rot_tau * clean + upsilon + eta).reshape(size, B * N)
+    return h, rot_ts, psi

@@ -21,15 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .channel import phase_correlation
 from .model import HardwareProfile, NumericalInvariantError, Scenario
 from .pilots import PilotBook
-
-
-def damping_vector(delta: float, tau, ts) -> np.ndarray:
-    """Per-pilot damping exp(-delta/2 |t - tau_b|); shape (len(ts), B)."""
-    tau = np.asarray(tau, dtype=float)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return np.exp(-0.5 * delta * np.abs(ts[:, None] - tau[None, :]))
 
 
 def damped_pilot_grams(book: PilotBook, delta: float) -> np.ndarray:
@@ -39,7 +33,7 @@ def damped_pilot_grams(book: PilotBook, delta: float) -> np.ndarray:
     the diagonal is the per-symbol pilot energy.
     """
     tau = np.asarray(book.tau, dtype=float)
-    kern = np.exp(-0.5 * delta * np.abs(tau[:, None] - tau[None, :]))
+    kern = phase_correlation(delta, tau[:, None] - tau[None, :])
     outer = np.einsum("lbk,lck->lkbc", book.sequences, book.sequences.conj())
     return outer * kern
 
@@ -74,7 +68,10 @@ class EstimatorCache:
         return self.lam.shape[-1]
 
     def d_delta(self, ts) -> np.ndarray:
-        return damping_vector(self.hw.delta, self.book.tau, ts)
+        """Per-pilot damping exp(-delta/2 |t - tau_b|); shape (len(ts), B)."""
+        tau = np.asarray(self.book.tau, dtype=float)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return phase_correlation(self.hw.delta, ts[:, None] - tau[None, :])
 
     # -- reduced pilot covariance ------------------------------------------
 

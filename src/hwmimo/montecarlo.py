@@ -21,10 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import rng as _rng
-from .channel import draw_phases
+from .channel import draw_world, world_bytes
 from .estimator import EstimatorCache, build_cache, error_covariance
-from .model import HardwareProfile, LoMode, Scenario
+from .model import HardwareProfile, Scenario
 from .pilots import PilotBook
 from .rates import RateReport, SinrTrajectory, _sinr_from_moments, ergodic_rate
 
@@ -130,42 +129,6 @@ def _fan_out(fn, jobs: list, threads: int) -> list:
     return [fn(job) for job in jobs]
 
 
-def _draw_world(
-    cache: EstimatorCache, j: int, ts: np.ndarray, chunk_index: int, size: int, seed: int
-):
-    """One chunk of trials: channels, phase rotations at the evaluation times
-    and the stacked pilot observation of cell j."""
-    scen, hw, book = cache.scenario, cache.hw, cache.book
-    L, K, N, B = scen.L, scen.K, scen.N, book.B
-    lam = scen.full_cov()[j]  # (L, K, N)
-    tau = np.asarray(book.tau, dtype=int)
-
-    h = _rng.complex_normal(
-        _rng.substream(seed, chunk_index, j, _rng.CHANNEL), lam, (size, L, K, N)
-    )
-
-    times = np.unique(np.concatenate([tau.astype(float), ts]))
-    n_osc = N if hw.lo_mode is LoMode.SLO else 1
-    phases = _rng.substream(seed, chunk_index, j, _rng.PHASE)
-    phi = draw_phases(hw.delta, times, n_osc, phases, trials=size)
-    rot = np.exp(1j * phi)  # (size, n_times, n_osc)
-    where = {t: i for i, t in enumerate(times)}
-    rot_tau = rot[:, [where[float(t)] for t in tau], :]  # (size, B, n_osc)
-    rot_ts = rot[:, [where[float(t)] for t in ts], :]  # (size, nt, n_osc)
-
-    clean = np.einsum("lbk,slkn->sbn", book.sequences, h)
-    energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
-    ups_var = hw.kappa2 * np.einsum("lkb,slkn->sbn", energy, np.abs(h) ** 2)
-    upsilon = _rng.complex_normal(
-        _rng.substream(seed, chunk_index, j, _rng.DISTORTION), ups_var, (size, B, N)
-    )
-    eta = _rng.complex_normal(
-        _rng.substream(seed, chunk_index, j, _rng.RECEIVER_NOISE), hw.xi, (size, B, N)
-    )
-    psi = (rot_tau * clean + upsilon + eta).reshape(size, B * N)
-    return h, rot_ts, psi
-
-
 def _simulate_chunk(
     cache: EstimatorCache,
     j: int,
@@ -181,7 +144,7 @@ def _simulate_chunk(
     of shapes (size, nt), (size, nt), (size, nt, L, K) and (size, nt)."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
-    h, rot_ts, psi = _draw_world(cache, j, ts, chunk_index, size, seed)
+    h, rot_ts, psi = draw_world(scen, hw, cache.book, j, ts, chunk_index, size, seed)
     dist_weight = hw.kappa2 * np.einsum("lk,slkn->sn", scen.powers, np.abs(h) ** 2)
 
     nt = ts.size
@@ -228,14 +191,8 @@ def estimate_moments(
     phase trajectories, pilot observations) shared by all of ``ts``."""
     cache = cache or build_cache(scenario, hw, pilots)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    L, K, N, B = cache.scenario.L, cache.scenario.K, cache.scenario.N, cache.B
-    n_times = len(set(cache.book.tau) | set(ts.tolist()))
-    per_trial = 16 * (
-        2 * L * K * N
-        + n_times * (N if cache.hw.lo_mode is LoMode.SLO else 1)
-        + 3 * B * N
-        + ts.size * (L * K + 4)
-    )
+    L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
+    per_trial = world_bytes(cache.scenario, cache.hw, cache.book, ts) + 16 * ts.size * (L * K + 4)
     if filter_kind is FilterKind.MMSE:
         per_trial += 16 * (L * K * N + N * N)
     sizes = _chunk_sizes(mc.trials, per_trial)
@@ -306,13 +263,12 @@ def empirical_mse(
     requested channel use, with batch-means standard errors; the Monte Carlo
     counterpart of the closed-form error covariance trace."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    scen = cache.scenario
-    per_trial = 16 * (2 * scen.L * scen.K * scen.N + 3 * cache.B * scen.N + ts.size * 2)
-    sizes = _chunk_sizes(mc.trials, per_trial)
+    scen, hw, book = cache.scenario, cache.hw, cache.book
+    sizes = _chunk_sizes(mc.trials, world_bytes(scen, hw, book, ts) + 16 * ts.size * 2)
 
     def run(args):
         idx, size = args
-        h, rot_ts, psi = _draw_world(cache, j, ts, idx, size, mc.seed)
+        h, rot_ts, psi = draw_world(scen, hw, book, j, ts, idx, size, mc.seed)
         out = np.empty((size, ts.size))
         for it, t in enumerate(ts):
             est = cache.apply_reduced_gain(cache.reduced_gain(j, l, k, t), psi)

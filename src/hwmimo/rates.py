@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .channel import phase_correlation
 from .estimator import EstimatorCache
 from .model import ConfigError, HardwareProfile, LoMode, NumericalInvariantError, Scenario
 
@@ -149,11 +150,11 @@ def _gaps(delta: float, tau, ts: np.ndarray):
         rows, logf = [], []
         if g > 0:
             t_l = tau[g - 1]
-            rows.append(np.exp(-0.5 * delta * np.abs(t_l - tau)) * (tau <= t_l))
+            rows.append(phase_correlation(delta, t_l - tau) * (tau <= t_l))
             logf.append(-0.5 * delta * (ts[sel] - t_l))
         if g < tau.size:
             t_r = tau[g]
-            rows.append(np.exp(-0.5 * delta * np.abs(tau - t_r)) * (tau >= t_r))
+            rows.append(phase_correlation(delta, tau - t_r) * (tau >= t_r))
             logf.append(-0.5 * delta * (t_r - ts[sel]))
         yield sel, np.array(rows), np.stack(logf, axis=1)
 

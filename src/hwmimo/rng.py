@@ -13,7 +13,6 @@ CHANNEL = 0
 PHASE = 1
 DISTORTION = 2
 RECEIVER_NOISE = 3
-DATA = 4
 DROP = 10
 SHADOW = 11
 

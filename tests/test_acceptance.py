@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from hwmimo.channel import draw_world
 from hwmimo.circuits import (
     AdcSpec,
     LnaSpec,
@@ -23,7 +24,7 @@ from hwmimo.circuits import (
 from hwmimo.estimator import build_cache, error_covariance, lmmse_estimate, lmmse_estimate_colocated
 from hwmimo.experiments import preset, run
 from hwmimo.model import HardwareProfile, LoMode, NoiseFigure, Scenario, conventional_profile, expand_covariance
-from hwmimo.montecarlo import FilterKind, McConfig, _draw_world, estimate_moments
+from hwmimo.montecarlo import FilterKind, McConfig, estimate_moments
 from hwmimo.pilots import dft_book, place, temporal_book
 from hwmimo.rates import (
     ScalingExponents,
@@ -222,7 +223,7 @@ def test_criterion_4_lmmse_properties():
     err_sq = 0.0
     chunk = 10_000
     for ci in range(M // chunk):
-        h, rot_ts, psi = _draw_world(cache, j, np.array([t]), ci, chunk, seed=4040)
+        h, rot_ts, psi = draw_world(scen, hw, book, j, np.array([t]), ci, chunk, seed=4040)
         est = cache.apply_reduced_gain(gain, psi)
         err = rot_ts[:, 0, :] * h[:, l, k, :] - est
         cross += err.T @ psi.conj()

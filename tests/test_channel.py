@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hwmimo.channel import draw_block, draw_phases, phase_correlation, stack_pilot_observation
+from hwmimo.channel import draw_phases, draw_world, phase_correlation
 from hwmimo.model import HardwareProfile, LoMode, conventional_profile
-from hwmimo.rng import substream
+from hwmimo.rng import RECEIVER_NOISE, complex_normal, substream
 
 from conftest import impaired_profile, make_book, random_scenario
 
@@ -32,7 +32,7 @@ def test_phase_correlation_monte_carlo_oracle():
 
 @pytest.mark.parametrize("lo", [LoMode.CLO, LoMode.SLO])
 def test_empirical_phase_correlation_both_topologies(lo):
-    # same statistic through draw_block's trajectories, one walk per oscillator
+    # same statistic through draw_world's trajectories, one walk per oscillator
     delta = 2e-3
     n_osc = 4 if lo is LoMode.SLO else 1
     phi = draw_phases(delta, np.arange(1, 41), n_osc, np.random.default_rng(11), trials=120_000)
@@ -54,45 +54,76 @@ def test_draw_phases_increment_statistics():
     assert abs(c) < 3e-3
 
 
+def _clean(book, h):
+    """Noiseless, undrifted pilot observation sum_l H_jl x_l(tau_b), (size, B, N)."""
+    return np.einsum("lbk,slkn->sbn", book.sequences, h)
+
+
+def _eta(hw, seed, j, shape):
+    """Receiver noise of chunk 0 of cell j, read back from its own substream."""
+    return complex_normal(substream(seed, 0, j, RECEIVER_NOISE), hw.xi, shape)
+
+
+def _pilot_times(book):
+    return np.asarray(book.tau, dtype=float)
+
+
 def test_received_block_obeys_model_equation(rng):
+    # psi = rot(tau) * sum_l H_jl x_l(tau) + eta without distortion, laid out
+    # pilot-time major
     scen = random_scenario(rng, L=2, K=2, N=4, T=10)
-    hw = impaired_profile(lo=LoMode.SLO, delta=5e-3, kappa2=0.05)
+    hw = impaired_profile(lo=LoMode.SLO, delta=5e-3, kappa2=0.0)
     book = make_book(scen, "dft", "uniform")
-    block = draw_block(scen, hw, book, rng_seed=99, cell=1)
-    clean = np.einsum("lkt,lkn->tn", block.x, block.h)
-    expected = np.exp(1j * block.phases) * clean + block.upsilon + block.eta
-    np.testing.assert_allclose(block.y, expected, rtol=1e-12)
+    size, B, N = 3, book.B, scen.N
+    h, rot_tau, psi = draw_world(scen, hw, book, 1, _pilot_times(book), 0, size, seed=99)
+    eta = _eta(hw, 99, 1, (size, B, N))
+    np.testing.assert_allclose(psi.reshape(size, B, N) - eta, rot_tau * _clean(book, h), rtol=1e-12)
 
 
 def test_conventional_profile_reduces_to_clean_model(rng):
     scen = random_scenario(rng, T=8)
     book = make_book(scen, "temporal")
-    block = draw_block(scen, conventional_profile(scen.sigma2), book, rng_seed=5)
-    assert np.all(block.upsilon == 0)
+    hw = conventional_profile(scen.sigma2)
+    ts = np.arange(1.0, 9.0)
+    h, rot, psi = draw_world(scen, hw, book, 0, ts, 0, 1, seed=5)
+    # no distortion: the observation is the drifted clean signal plus eta only
+    B, N = book.B, scen.N
+    eta = _eta(hw, 5, 0, (1, B, N))
+    tau = np.asarray(book.tau) - 1
+    np.testing.assert_allclose(
+        psi.reshape(1, B, N) - eta, rot[:, tau] * _clean(book, h), rtol=1e-12
+    )
     # common-oscillator rotation with zero drift stays constant over the block
-    rot = np.exp(1j * block.phases)
-    assert rot.shape[1] == 1
-    np.testing.assert_allclose(rot, np.broadcast_to(rot[0], rot.shape), rtol=1e-12)
+    assert rot.shape == (1, 8, 1)
+    np.testing.assert_allclose(rot, np.broadcast_to(rot[:, :1], rot.shape), rtol=1e-12)
 
 
 def test_clo_applies_common_rotation(rng):
     scen = random_scenario(rng, T=6)
-    hw = impaired_profile(lo=LoMode.CLO, delta=0.01)
-    block = draw_block(scen, hw, make_book(scen, "dft"), rng_seed=2)
-    assert block.phases.shape == (6, 1)
-    eff = block.effective_channel(0, 0, 3)
-    np.testing.assert_allclose(eff, np.exp(1j * block.phases[2, 0]) * block.h[0, 0], rtol=1e-12)
+    book = make_book(scen, "dft")
+    ts = np.arange(1.0, 7.0)
+    tau = np.asarray(book.tau) - 1
+    size, B, N = 5, book.B, scen.N
+    # one oscillator per cell for a CLO, one per antenna for SLOs; every
+    # antenna sees its pilots through its oscillator's rotation
+    for lo, n_osc in [(LoMode.CLO, 1), (LoMode.SLO, N)]:
+        hw = impaired_profile(lo=lo, delta=0.01, kappa2=0.0)
+        h, rot_ts, psi = draw_world(scen, hw, book, 0, ts, 0, size, seed=2)
+        assert rot_ts.shape == (size, 6, n_osc)
+        eta = _eta(hw, 2, 0, (size, B, N))
+        np.testing.assert_allclose(
+            psi.reshape(size, B, N) - eta, rot_ts[:, tau] * _clean(book, h), rtol=1e-12
+        )
 
 
 def test_receiver_noise_variance_statistical(rng):
     scen = random_scenario(rng, L=1, K=1, N=8, T=4)
     hw = HardwareProfile(delta=0.0, kappa2=0.0, xi=1.7, lo_mode=LoMode.CLO)
     book = make_book(scen, "temporal", B=1)
-    samples = []
-    for r in range(400):
-        block = draw_block(scen, hw, book, rng_seed=31, realization=r)
-        samples.append(np.abs(block.eta) ** 2)
-    var = np.mean(samples)  # 400 * 4 * 8 = 12800 draws per entry stat
+    M = 1600  # 1600 trials * B = 1 * N = 8 = 12800 draws per entry stat
+    h, rot_tau, psi = draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=31)
+    eta = psi.reshape(M, 1, scen.N) - rot_tau * _clean(book, h)
+    var = np.mean(np.abs(eta) ** 2)
     assert var == pytest.approx(hw.xi, rel=0.02)
 
 
@@ -100,12 +131,9 @@ def test_channel_variance_matches_covariance(rng):
     scen = random_scenario(rng, L=2, K=2, N=4, T=4)
     hw = conventional_profile(scen.sigma2)
     book = make_book(scen, "temporal")
-    acc = np.zeros((2, 2, 4))
     M = 3000
-    for r in range(M):
-        block = draw_block(scen, hw, book, rng_seed=77, realization=r)
-        acc += np.abs(block.h) ** 2
-    emp = acc / M
+    h, _, _ = draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=77)
+    emp = np.mean(np.abs(h) ** 2, axis=0)
     lam = scen.full_cov()[0]
     # O(1/sqrt(M)) convergence of the empirical second moment
     assert np.all(np.abs(emp - lam) < 5 * lam / np.sqrt(M))
@@ -115,40 +143,27 @@ def test_distortion_variance_conditional_on_channel(rng):
     scen = random_scenario(rng, L=1, K=1, N=2, T=3)
     hw = impaired_profile(lo=LoMode.CLO, delta=0.0, kappa2=0.5)
     book = make_book(scen, "temporal", B=1)
-    # same channel substream across realizations is not guaranteed, so check
-    # the per-realization conditional variance by averaging normalized power
-    ratios = []
-    for r in range(2000):
-        block = draw_block(scen, hw, book, rng_seed=13, realization=r)
-        energy = np.broadcast_to(scen.powers[:, :, None], block.x.shape).copy()
-        tau = np.asarray(book.tau)
-        energy[:, :, tau - 1] = np.abs(book.sequences.transpose(0, 2, 1)) ** 2
-        var = hw.kappa2 * np.einsum("lkt,lkn->tn", energy, np.abs(block.h) ** 2)
-        ratios.append(np.abs(block.upsilon) ** 2 / var)
-    assert np.mean(ratios) == pytest.approx(1.0, rel=0.03)
-
-
-def test_stack_pilot_observation_layout(rng):
-    scen = random_scenario(rng, N=3, T=9)
-    book = make_book(scen, "dft", "uniform", B=2)
-    block = draw_block(scen, impaired_profile(), book, rng_seed=4)
-    psi = stack_pilot_observation(block, book.tau)
-    assert psi.shape == (2 * 3,)
-    for b, t in enumerate(book.tau):
-        np.testing.assert_array_equal(psi[b * 3 : (b + 1) * 3], block.y[t - 1])
-    single = stack_pilot_observation(block, book.tau[:1])
-    np.testing.assert_array_equal(single, block.y[book.tau[0] - 1])
+    M = 6000  # 6000 trials * B = 1 * N = 2 = 12000 normalized powers
+    h, rot_tau, psi = draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=13)
+    # each trial has its own channel, so check the conditional variance by
+    # averaging the distortion power normalized by it
+    upsilon = psi.reshape(M, 1, scen.N) - rot_tau * _clean(book, h) - _eta(hw, 13, 0, (M, 1, scen.N))
+    energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
+    var = hw.kappa2 * np.einsum("lkb,slkn->sbn", energy, np.abs(h) ** 2)
+    assert np.mean(np.abs(upsilon) ** 2 / var) == pytest.approx(1.0, rel=0.03)
 
 
 def test_blocks_deterministic_per_seed(rng):
     scen = random_scenario(rng)
     hw = impaired_profile()
     book = make_book(scen)
-    b1 = draw_block(scen, hw, book, rng_seed=123, cell=1, realization=7)
-    b2 = draw_block(scen, hw, book, rng_seed=123, cell=1, realization=7)
-    np.testing.assert_array_equal(b1.y, b2.y)
-    b3 = draw_block(scen, hw, book, rng_seed=124, cell=1, realization=7)
-    assert not np.array_equal(b1.y, b3.y)
+    ts = np.array([3.0, 9.0])
+    w1 = draw_world(scen, hw, book, 1, ts, 7, 4, seed=123)
+    w2 = draw_world(scen, hw, book, 1, ts, 7, 4, seed=123)
+    for a, b in zip(w1, w2):
+        np.testing.assert_array_equal(a, b)
+    w3 = draw_world(scen, hw, book, 1, ts, 7, 4, seed=124)
+    assert not np.array_equal(w1[2], w3[2])
 
 
 def test_substreams_disjoint():
@@ -158,20 +173,3 @@ def test_substreams_disjoint():
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
     np.testing.assert_array_equal(a, substream(1, 0, 0, 0).standard_normal(8))
-
-
-def test_phase_trajectories_type(rng):
-    from hwmimo.channel import PhaseTrajectories
-
-    hw_clo = impaired_profile(lo=LoMode.CLO, delta=0.01)
-    traj = PhaseTrajectories.draw(hw_clo, [1, 5, 9], n_antennas=6, rng=np.random.default_rng(1))
-    assert traj.phi.shape == (3, 1)
-    assert traj.rotations(1).shape == (1,)
-    hw_slo = impaired_profile(lo=LoMode.SLO, delta=0.01)
-    traj_s = PhaseTrajectories.draw(
-        hw_slo, [1, 5, 9], n_antennas=6, rng=np.random.default_rng(1), trials=50
-    )
-    assert traj_s.phi.shape == (50, 3, 6)
-    # identical increments statistics; independent per oscillator
-    inc = np.diff(traj_s.phi, axis=1)
-    assert inc.shape == (50, 2, 6)

@@ -225,9 +225,9 @@ def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch
 
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 1)  # one trial per chunk
     draws = []
-    draw_world = montecarlo._draw_world
-    monkeypatch.setattr(montecarlo, "_draw_world",
-                        lambda *a, **kw: draws.append(a[3]) or draw_world(*a, **kw))
+    draw_world = montecarlo.draw_world
+    monkeypatch.setattr(montecarlo, "draw_world",
+                        lambda *a, **kw: draws.append(a[5]) or draw_world(*a, **kw))
     trials, stride = 6, 5
     rc = main([
         "rates-mc", "--deployment", "colocated", "-N", "8", "-T", "20", "--seed", "3",

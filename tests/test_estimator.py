@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hwmimo.channel import draw_block, stack_pilot_observation
+from hwmimo.channel import draw_world
 from hwmimo.estimator import (
     build_cache,
     damped_pilot_grams,
@@ -50,6 +50,11 @@ def conventional_mmse_estimate(scen, book, psi_vec, j, l, k, sigma2):
             Psi += np.kron(np.outer(x, x.conj()), np.diag(lam[ll, mm]))
     left = np.kron(book.sequences[l, :, k].conj()[None, :], np.diag(lam[l, k]))
     return left @ np.linalg.solve(Psi, psi_vec)
+
+
+def pilot_observation(scen, hw, book, seed, j=0):
+    """One stacked pilot observation of cell j, (B*N,)."""
+    return draw_world(scen, hw, book, j, np.asarray(book.tau, dtype=float), 0, 1, seed)[2][0]
 
 
 # -- hand-computed scalar case ------------------------------------------------
@@ -142,8 +147,7 @@ def test_estimator_matches_dense_oracle(rng, factorized, book_kind):
     hw = impaired_profile(lo=LoMode.SLO, delta=4e-3, kappa2=0.05, xi=1.4)
     book = make_book(scen, book_kind, "uniform")
     cache = build_cache(scen, hw, book)
-    block = draw_block(scen, hw, book, rng_seed=17, cell=1)
-    psi = stack_pilot_observation(block, book.tau)
+    psi = pilot_observation(scen, hw, book, seed=17, j=1)
     for (l, k, t) in [(0, 0, 3), (1, 1, 9), (0, 1, 14)]:
         got = lmmse_estimate(cache, psi, 1, l, k, t)
         want_h, want_c = brute_force_estimate(scen, hw, book, psi, 1, l, k, t)
@@ -156,8 +160,7 @@ def test_degenerates_to_conventional_mmse(rng):
     hw = conventional_profile(scen.sigma2)
     book = make_book(scen, "dft")
     cache = build_cache(scen, hw, book)
-    block = draw_block(scen, hw, book, rng_seed=3)
-    psi = stack_pilot_observation(block, book.tau)
+    psi = pilot_observation(scen, hw, book, seed=3)
     for (l, k) in [(0, 0), (1, 1)]:
         got = lmmse_estimate(cache, psi, 0, l, k, t=7)
         want = conventional_mmse_estimate(scen, book, psi, 0, l, k, scen.sigma2)
@@ -169,8 +172,7 @@ def test_colocated_matches_general_path(rng):
     hw = impaired_profile(lo=LoMode.CLO, delta=2e-3, kappa2=0.02)
     book = make_book(scen, "dft")
     cache = build_cache(scen, hw, book)
-    block = draw_block(scen, hw, book, rng_seed=8)
-    psi = stack_pilot_observation(block, book.tau)
+    psi = pilot_observation(scen, hw, book, seed=8)
     for (l, k, t) in [(0, 0, 4), (1, 0, 11)]:
         a = lmmse_estimate(cache, psi, 0, l, k, t)
         b = lmmse_estimate_colocated(cache, psi, 0, l, k, t)
@@ -198,8 +200,7 @@ def test_kronecker_reduction_equals_full_solve(rng):
     book = make_book(scen_f, "dft", "uniform")
     cache_f = build_cache(scen_f, hw, book)
     cache_d = build_cache(scen_d, hw, book)
-    block = draw_block(scen_d, hw, book, rng_seed=21)
-    psi = stack_pilot_observation(block, book.tau)
+    psi = pilot_observation(scen_d, hw, book, seed=21)
     for (l, k, t) in [(0, 1, 2), (1, 0, 12)]:
         a = lmmse_estimate(cache_f, psi, 0, l, k, t)
         b = lmmse_estimate(cache_d, psi, 0, l, k, t)
@@ -213,8 +214,7 @@ def test_estimate_vanishes_far_from_pilots(rng):
     hw = impaired_profile(delta=0.5)  # heavy drift
     book = make_book(scen, "dft", "beginning")
     cache = build_cache(scen, hw, book)
-    block = draw_block(scen, hw, book, rng_seed=6)
-    psi = stack_pilot_observation(block, book.tau)
+    psi = pilot_observation(scen, hw, book, seed=6)
     res = lmmse_estimate(cache, psi, 0, 0, 0, t=1900)
     assert np.max(np.abs(res.hhat)) < 1e-12
     lam = scen.full_cov()[0, 0, 0]
@@ -251,15 +251,11 @@ def test_estimation_statistics_monte_carlo(rng):
     cache = build_cache(scen, hw, book)
     t, l, k = 6, 0, 1
     M = 4000
-    err_sq = 0.0
-    cross = np.zeros((scen.N, book.B * scen.N), dtype=complex)
-    for r in range(M):
-        block = draw_block(scen, hw, book, rng_seed=55, realization=r)
-        psi = stack_pilot_observation(block, book.tau)
-        est = lmmse_estimate(cache, psi, 0, l, k, t)
-        err = block.effective_channel(l, k, t) - est.hhat
-        err_sq += np.sum(np.abs(err) ** 2)
-        cross += np.outer(err, psi.conj())
+    h, rot_ts, psi = draw_world(scen, hw, book, 0, np.array([float(t)]), 0, M, seed=55)
+    est = cache.apply_reduced_gain(cache.reduced_gain(0, l, k, t), psi)
+    err = rot_ts[:, 0, :] * h[:, l, k, :] - est
+    err_sq = np.sum(np.abs(err) ** 2)
+    cross = err.T @ psi.conj()
     _, mse = error_covariance(cache, 0, l, k, t)
     assert err_sq / M == pytest.approx(mse, rel=0.08)
     assert np.max(np.abs(cross / M)) < 10 / np.sqrt(M)
@@ -274,11 +270,8 @@ def test_estimation_mse_matches_for_common_oscillator(rng):
     cache = build_cache(scen, hw, book)
     t, l, k = 6, 1, 0
     M = 4000
-    err_sq = 0.0
-    for r in range(M):
-        block = draw_block(scen, hw, book, rng_seed=66, realization=r)
-        psi = stack_pilot_observation(block, book.tau)
-        est = lmmse_estimate(cache, psi, 0, l, k, t)
-        err_sq += np.sum(np.abs(block.effective_channel(l, k, t) - est.hhat) ** 2)
+    h, rot_ts, psi = draw_world(scen, hw, book, 0, np.array([float(t)]), 0, M, seed=66)
+    est = cache.apply_reduced_gain(cache.reduced_gain(0, l, k, t), psi)
+    err_sq = np.sum(np.abs(rot_ts[:, 0, :] * h[:, l, k, :] - est) ** 2)
     _, mse = error_covariance(cache, 0, l, k, t)
     assert err_sq / M == pytest.approx(mse, rel=0.08)

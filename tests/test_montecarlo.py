@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hwmimo import montecarlo
+from hwmimo.channel import draw_world
 from hwmimo.estimator import build_cache
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile
 from hwmimo.montecarlo import (
@@ -9,6 +11,7 @@ from hwmimo.montecarlo import (
     McConfig,
     _batch_se,
     _rate_from_means,
+    empirical_mse,
     estimate_moments,
     mc_rate,
     mmse_filter,
@@ -210,3 +213,25 @@ def test_mmse_rate_at_least_mrc(rng):
     r_mrc = mc_rate(scen, hw, book, FilterKind.MRC, mcc, 0, 0)
     r_mmse = mc_rate(scen, hw, book, FilterKind.MMSE, mcc, 0, 0)
     assert r_mmse.rate >= r_mrc.rate * 0.98  # filter exploits interference structure
+
+
+@pytest.mark.parametrize("lo", [LoMode.CLO, LoMode.SLO])
+def test_chunk_budget_covers_world_arrays(rng, monkeypatch, lo):
+    # every Monte Carlo entry point budgets at least the arrays one trial's
+    # world holds, phase rotations at every evaluated channel use included
+    scen = random_scenario(rng, L=2, K=2, N=8, T=60)
+    hw = impaired_profile(lo=lo)
+    book = make_book(scen)
+    cache = build_cache(scen, hw, book)
+    ts = np.arange(3.0, 61.0)
+    budgets = []
+    chunk_sizes = montecarlo._chunk_sizes
+    monkeypatch.setattr(montecarlo, "_chunk_sizes",
+                        lambda trials, per_trial: budgets.append(per_trial)
+                        or chunk_sizes(trials, per_trial))
+    mc = McConfig(trials=2)
+    empirical_mse(cache, 0, 0, 0, ts, mc)
+    estimate_moments(scen, hw, book, FilterKind.MRC, 0, 0, ts, mc, cache=cache)
+    world = sum(a.nbytes for a in draw_world(scen, hw, book, 0, ts, 0, 1, seed=0))
+    assert len(budgets) == 2
+    assert min(budgets) >= world

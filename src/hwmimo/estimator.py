@@ -124,11 +124,16 @@ class EstimatorCache:
         return gain
 
     def apply_reduced_gain(self, gain: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Apply a reduced gain to stacked observations psi (..., B*N)."""
+        """Apply a reduced gain to stacked observations psi (..., B*N).
+
+        ``gain`` is (R, B*Ae): one reduced gain (R = Ae), or several stacked
+        along the rows, one matrix product for all of them.  The result has
+        length R*mult; row a of the stack fills antennas a*mult..(a+1)*mult,
+        so n stacked gains give n consecutive length-N estimates."""
         lead = psi.shape[:-1]
         psi_r = psi.reshape(lead + (self.B * self.Ae, self.mult))
-        out = np.einsum("aq,...qr->...ar", gain, psi_r)
-        return out.reshape(lead + (self.Ae * self.mult,))
+        out = np.matmul(gain, psi_r)
+        return out.reshape(lead + (gain.shape[0] * self.mult,))
 
 
 def build_cache(scenario: Scenario, hw: HardwareProfile, book: PilotBook) -> EstimatorCache:

@@ -98,18 +98,27 @@ def mmse_filter(
     interest; error_covs: (L, K, N) diagonals of the estimation error
     covariances.  A leading trial axis is allowed on ``estimates``.  The
     regularizing xi*I keeps the system solvable for any estimate quality.
+
+    Per trial the system matrix is
+
+        sum_lk p_lk hhat hhat^H + diag(e + kappa2 (g + e)) + xi I,
+
+    with e = sum_lk p_lk C_lk and g = sum_lk p_lk |hhat|^2.  The Gram sum
+    is one batched GEMM, M = flat^T @ (p * conj(flat)) with flat the
+    (L*K, N) estimates of a trial, and g = Re diag(M), so the energy term
+    is read off the Gram matrix rather than summed again.
     """
     single = estimates.ndim == 3
     est = estimates[None] if single else estimates
-    p = scenario.powers
-    outer = np.einsum("lk,clkn,clkm->cnm", p, est, est.conj())
-    diag = np.einsum("lk,lkn->n", p, error_covs)
-    diag = diag + hw.kappa2 * (
-        np.einsum("lk,clkn->cn", p, np.abs(est) ** 2) + diag[None, :]
-    )
-    M = outer
-    idx = np.arange(scenario.N)
-    M[:, idx, idx] += diag + hw.xi
+    c, N = est.shape[0], est.shape[-1]
+    flat = est.reshape(c, -1, N)
+    w = np.conj(flat)  # the one (c, L*K, N) temporary, scaled in place
+    w *= scenario.powers.reshape(-1, 1)
+    M = np.matmul(flat.transpose(0, 2, 1), w)
+    idx = np.arange(N)
+    energy = M[:, idx, idx].real
+    err = np.einsum("lk,lkn->n", scenario.powers, error_covs)
+    M[:, idx, idx] += err + hw.kappa2 * (energy + err) + hw.xi
     v = np.linalg.solve(M, est[:, j, k, :][..., None])[..., 0]
     return v[0] if single else v
 
@@ -152,20 +161,17 @@ def _simulate_chunk(
     first = np.empty((size, nt), dtype=complex)
     second = np.empty((size, nt, L, K))
     distortion = np.empty((size, nt))
-    if filter_kind is FilterKind.MMSE:
-        est = np.empty((size, L, K, N), dtype=complex)
-        ecov = np.empty((L, K, N))
+    links = [(l, m) for l in range(L) for m in range(K)]
     for it, t in enumerate(ts):
         if filter_kind is FilterKind.MRC:
             v = cache.apply_reduced_gain(cache.reduced_gain(j, j, k, t), psi)
         else:
-            for l in range(L):
-                for m in range(K):
-                    est[:, l, m, :] = cache.apply_reduced_gain(
-                        cache.reduced_gain(j, l, m, t), psi
-                    )
-                    ecov[l, m] = error_covariance(cache, j, l, m, t)[0]
-            v = mmse_filter(est, ecov, scen, hw, j, k)
+            # all L*K estimates from one product: stacked gain row (lk, a)
+            # lands on antenna lk*N + a*mult + r, so the reshape is a view
+            gains = np.concatenate([cache.reduced_gain(j, l, m, t) for l, m in links])
+            est = cache.apply_reduced_gain(gains, psi).reshape(size, L, K, N)
+            ecov = np.stack([error_covariance(cache, j, l, m, t)[0] for l, m in links])
+            v = mmse_filter(est, ecov.reshape(L, K, N), scen, hw, j, k)
         # v^H h(t) with h(t) = rot(t) * h, without forming h(t)
         inner = np.einsum("sn,slkn->slk", v.conj() * rot_ts[:, it, :], h)
         norm2[:, it] = np.einsum("sn,sn->s", v.conj(), v).real

@@ -155,6 +155,28 @@ def test_estimator_matches_dense_oracle(rng, factorized, book_kind):
         np.testing.assert_allclose(got.error_diag, want_c, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("subarrays", [1, 3])
+def test_stacked_gains_apply_as_per_link_estimates(rng, subarrays):
+    # the MMSE path applies all L*K reduced gains in one product: stacked row
+    # (lk, a) lands on antenna lk*N + a*mult + r, so the flat result reshapes
+    # to (size, L, K, N); Ae = 1 is the co-located case, Ae = 3 has mult 2
+    scen = random_scenario(rng, L=2, K=3, N=6, T=10, subarrays=subarrays, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=4e-3, kappa2=0.05, xi=1.4)
+    book = make_book(scen)
+    cache = build_cache(scen, hw, book)
+    assert cache.Ae == subarrays
+    size, t = 5, 7
+    _, _, psi = draw_world(scen, hw, book, 1, np.array([float(t)]), 0, size, seed=21)
+    links = [(l, k) for l in range(scen.L) for k in range(scen.K)]
+    gains = [cache.reduced_gain(1, l, k, t) for l, k in links]
+    stacked = cache.apply_reduced_gain(np.concatenate(gains), psi)
+    stacked = stacked.reshape(size, scen.L, scen.K, scen.N)
+    for (l, k), gain in zip(links, gains):
+        np.testing.assert_allclose(stacked[:, l, k], cache.apply_reduced_gain(gain, psi), rtol=1e-12)
+        want_h, _ = brute_force_estimate(scen, hw, book, psi[0], 1, l, k, t)
+        np.testing.assert_allclose(stacked[0, l, k], want_h, rtol=1e-10, atol=1e-12)
+
+
 def test_degenerates_to_conventional_mmse(rng):
     scen = random_scenario(rng, L=2, K=2, N=3, T=10)
     hw = conventional_profile(scen.sigma2)

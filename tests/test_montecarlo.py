@@ -136,17 +136,31 @@ def test_stderr_scaling_with_trials(rng):
     assert ses[0] / ses[1] == pytest.approx(2.0, rel=0.35)
 
 
-def test_deterministic_across_thread_counts(rng):
-    scen = random_scenario(rng, L=2, K=2, N=3, T=9)
+def test_deterministic_across_thread_counts(rng, monkeypatch):
+    # chunks run on the pool and reduce in order, so every moment is bitwise
+    # equal at any thread count; on the MMSE path BLAS products also run
+    # inside the pool threads.  A small chunk budget forces several chunks.
+    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     book = make_book(scen)
-    kw = dict(trials=6_000, seed=42)
-    a = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 0, [5], McConfig(**kw, threads=1))
-    b = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 0, [5], McConfig(**kw, threads=4))
-    assert a.norm2[0] == b.norm2[0]
-    assert a.first[0] == b.first[0]
-    np.testing.assert_array_equal(a.second[0], b.second[0])
-    assert a.distortion[0] == b.distortion[0]
+    cache = build_cache(scen, hw, book)
+    sizes = []
+    chunk_sizes = montecarlo._chunk_sizes
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)
+    monkeypatch.setattr(montecarlo, "_chunk_sizes",
+                        lambda trials, per_trial: sizes.append(chunk_sizes(trials, per_trial))
+                        or sizes[-1])
+    for kind in FilterKind:
+        runs = [
+            estimate_moments(scen, hw, book, kind, 0, 1, [5, 8],
+                             McConfig(trials=600, seed=42, threads=n), cache=cache)
+            for n in (1, 2, 3, 4)
+        ]
+        for other in runs[1:]:
+            for name in ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
+                         "distortion", "distortion_se"):
+                np.testing.assert_array_equal(getattr(other, name), getattr(runs[0], name))
+    assert len(sizes) == 8 and all(len(s) > 2 for s in sizes)
 
 
 def test_mc_rate_matches_closed_form(rng):

@@ -147,10 +147,13 @@ def _simulate_chunk(
     size: int,
     seed: int,
     filter_kind: FilterKind,
+    error_covs: np.ndarray | None,
 ) -> tuple:
     """Per-trial samples of the four SINR ingredients at each channel use of
     ``ts``, all drawn from one world: ``(norm2, first, second, distortion)``
-    of shapes (size, nt), (size, nt), (size, nt, L, K) and (size, nt)."""
+    of shapes (size, nt), (size, nt), (size, nt, L, K) and (size, nt).  The
+    MMSE filter reads ``error_covs``, the (nt, L, K, N) error covariance
+    diagonals at ``ts``; the MRC filter takes None."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
     h, rot_ts, psi = draw_world(scen, hw, cache.book, j, ts, chunk_index, size, seed)
@@ -170,8 +173,7 @@ def _simulate_chunk(
             # lands on antenna lk*N + a*mult + r, so the reshape is a view
             gains = np.concatenate([cache.reduced_gain(j, l, m, t) for l, m in links])
             est = cache.apply_reduced_gain(gains, psi).reshape(size, L, K, N)
-            ecov = np.stack([error_covariance(cache, j, l, m, t)[0] for l, m in links])
-            v = mmse_filter(est, ecov.reshape(L, K, N), scen, hw, j, k)
+            v = mmse_filter(est, error_covs[it], scen, hw, j, k)
         # v^H h(t) with h(t) = rot(t) * h, without forming h(t)
         inner = np.einsum("sn,slkn->slk", v.conj() * rot_ts[:, it, :], h)
         norm2[:, it] = np.einsum("sn,sn->s", v.conj(), v).real
@@ -199,13 +201,19 @@ def estimate_moments(
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
     per_trial = world_bytes(cache.scenario, cache.hw, cache.book, ts) + 16 * ts.size * (L * K + 4)
+    ecovs = None
     if filter_kind is FilterKind.MMSE:
         per_trial += 16 * (L * K * N + N * N)
+        # the error covariances depend on the channel use only; one set serves every chunk
+        ecovs = np.array([
+            [[error_covariance(cache, j, l, m, t)[0] for m in range(K)] for l in range(L)]
+            for t in ts
+        ]).reshape(ts.size, L, K, N)
     sizes = _chunk_sizes(mc.trials, per_trial)
 
     def run(args):
         idx, size = args
-        return _simulate_chunk(cache, j, k, ts, idx, size, mc.seed, filter_kind)
+        return _simulate_chunk(cache, j, k, ts, idx, size, mc.seed, filter_kind, ecovs)
 
     parts = _fan_out(run, list(enumerate(sizes)), mc.threads)
     norm2, first, second, distortion = (np.concatenate(v) for v in zip(*parts))
@@ -234,8 +242,9 @@ def _rate_from_means(
     """Rate and per-time SINR of UE k in cell j from the sample means ``m``
     of the four expectations at the channel uses ``m.ts``; the SINR takes
     the sampled-moment denominator floor of :func:`rates._sinr_from_moments`."""
+    inter = np.einsum("lk,tlk->t", scenario.powers, m.second)
     traj = _sinr_from_moments(
-        scenario, hw.xi, j, k, m.ts, m.norm2, m.first, m.second, m.distortion, trials=m.trials
+        scenario, hw.xi, j, k, m.ts, m.norm2, m.first, inter, m.distortion, trials=m.trials
     )
     return ergodic_rate(traj.sinr, scenario.T, pilots.B), traj
 

@@ -25,46 +25,37 @@ from .model import ConfigError, HardwareProfile, LoMode, NumericalInvariantError
 @dataclass(frozen=True, eq=False)
 class MomentCoefficients:
     """Multiplicity-free pieces of the MRC moments for one (cell, UE) over a
-    grid of channel uses.
+    grid of channel uses, (nt,) each.  With m = N/A antennas per subarray
+    the moments that the SINR reads are
 
-    With m = N/A antennas per subarray the moments are assembled as
+        norm2(t)        = m * c_norm
+        interference(t) = sum_lk p_lk E|v^H h_lk|^2 = m * lin_<lo> + m^2 * quad_<lo>
+        distortion(t)   = m * c_dist
 
-        norm2(t)      = m * c_norm
-        second(t,l,k) = m * (tr_term + third_<lo>) + m^2 * quad_<lo>
-        distortion(t) = m * c_dist
-
-    quad_* are exactly the pilot-contamination terms that persist as m grows.
-    scale(t) is the larger of the two gap factors of the damping d(t) (see
-    :func:`_gaps`); the ``*_unit`` fields repeat c_norm and quad_* at
-    d(t) / scale(t), where they cannot underflow, and the large-array limit
-    is taken from them.
+    Per link E|v^H h_lk|^2 = m (tr_term + third_<lo>) + m^2 quad_<lo> (see
+    :func:`mrc_moments`); lin_<lo> and quad_<lo> here are the sums of those
+    parts over the links, weighted by the powers p_lk, which is linear and
+    so taken before any multiplicity.  quad_* are exactly the
+    pilot-contamination terms that persist as m grows.  scale(t) is the
+    larger of the two gap factors of the damping d(t) (see :func:`_gaps`);
+    the ``*_unit`` fields repeat c_norm and quad_* at d(t) / scale(t),
+    where they cannot underflow, and the large-array limit is taken from
+    them.
     """
 
     j: int
     k: int
     ts: np.ndarray
-    c_norm: np.ndarray  # (nt,)
-    tr_term: np.ndarray  # (nt, L, K)
+    c_norm: np.ndarray
+    c_dist: np.ndarray
+    scale: np.ndarray
+    c_norm_unit: np.ndarray
+    lin_clo: np.ndarray
+    lin_slo: np.ndarray
     quad_clo: np.ndarray
     quad_slo: np.ndarray
-    third_clo: np.ndarray
-    third_slo: np.ndarray
-    c_dist: np.ndarray  # (nt,)
-    scale: np.ndarray  # (nt,)
-    c_norm_unit: np.ndarray  # (nt,)
-    quad_clo_unit: np.ndarray  # (nt, L, K)
+    quad_clo_unit: np.ndarray
     quad_slo_unit: np.ndarray
-
-    def quad(self, lo_mode: LoMode) -> np.ndarray:
-        return self.quad_clo if lo_mode is LoMode.CLO else self.quad_slo
-
-    def third(self, lo_mode: LoMode) -> np.ndarray:
-        return self.third_clo if lo_mode is LoMode.CLO else self.third_slo
-
-    def second(self, mult: int, lo_mode: LoMode) -> np.ndarray:
-        """Per-link second moments E|v^H h_lm|^2 at multiplicity ``mult``,
-        shape (nt, L, K)."""
-        return mult * (self.tr_term + self.third(lo_mode)) + mult**2 * self.quad(lo_mode)
 
 
 def _coefficient_parts(cache: EstimatorCache, j: int, k: int, dm: np.ndarray, dn: np.ndarray):
@@ -73,52 +64,54 @@ def _coefficient_parts(cache: EstimatorCache, j: int, k: int, dm: np.ndarray, dn
     Every coefficient is a bilinear form in the per-pilot damping, or the
     squared modulus of one: the filter side is damped by the rows ``dm``,
     the channel side by ``dn``, both (n, B).  Returns ``(quadratic,
-    amplitudes)``: the real parts of the degree-2 forms c_norm, tr_term,
-    sXs, c_dist and, with phase drift, quad_clo and third_clo; and the
-    complex amplitudes (Q^H dxlm, cw * sdx) whose products
-    :func:`_quartic` turns into the degree-4 parts.  At dm = dn = d(t) these
-    are the coefficients at channel use t.
+    amplitudes)``: the real parts of the degree-2 forms c_norm and c_dist,
+    (n,), and tr_term, sXs and, with phase drift, quad_clo and third_clo,
+    (n, L, K) per link; and the complex amplitudes (Q^H dxlm, cw * sdx)
+    whose products :func:`_quartic` turns into the degree-4 parts.  At dm =
+    dn = d(t) these are the coefficients at channel use t.
+
+    Every contraction runs in a fixed order, as a matmul or a two-operand
+    einsum: the operands hold a few damping rows, so an einsum path search
+    would cost more than the products.
     """
-    book, hw = cache.book, cache.hw
+    book, hw, scen = cache.book, cache.hw, cache.scenario
+    n, LK, B = dm.shape[0], scen.L * scen.K, cache.B
     P = cache.pblocks(j)  # (Ae, B, B)
     x = book.sequences[j, :, k]
     dx = dm * x  # (n, B)
-    sm = np.einsum("abc,tc->tab", P, dx, optimize=True)  # (n, Ae, B)
-    sn = np.einsum("abc,tc->tab", P, dn * x, optimize=True)
-    g = np.einsum("tb,tab->ta", dx.conj(), sn, optimize=True).real
+    sm = np.matmul(P, dx.T).transpose(2, 0, 1)  # (n, Ae, B)
+    sn = np.matmul(P, (dn * x).T).transpose(2, 0, 1)
+    g = np.einsum("tb,tab->ta", dx.conj(), sn).real
 
-    lam_j = cache.lam[j]  # (L, K, Ae)
+    lam_j = cache.lam[j].reshape(LK, -1)  # (LK, Ae)
     own = cache.lam[j, j, k]  # (Ae,)
-    tr_term = np.einsum("lka,a,ta->tlk", lam_j, own**2, g, optimize=True)
+    tr_term = (g * own**2) @ lam_j.T  # (n, LK)
 
-    cw = own[None, None, :] * lam_j  # (L, K, Ae)
+    cw = own * lam_j  # (LK, Ae)
     w2 = cw**2
-    Q = np.einsum("lka,tab->tlkb", cw, sm, optimize=True)
-    dxlm = dn[:, None, None, :] * book.sequences.transpose(0, 2, 1)[None]  # (n, L, K, B)
-    z = np.einsum("tlkb,tlkb->tlk", Q.conj(), dxlm, optimize=True)
-    sdx = np.einsum("tab,tlkb->tlka", sm.conj(), dxlm, optimize=True)
+    Q = np.matmul(cw, sm)  # (n, LK, B)
+    dxlm = dn[:, None, :] * book.sequences.transpose(0, 2, 1).reshape(LK, B)  # (n, LK, B)
+    z = np.einsum("tlb,tlb->tl", Q.conj(), dxlm)
+    sdx = np.matmul(dxlm, sm.conj().transpose(0, 2, 1))  # (n, LK, Ae)
 
     R = sm.conj()[:, :, :, None] * sn[:, :, None, :]  # (n, Ae, B, B)
-    sXs = np.einsum("tabc,lkbc,lka->tlk", R, cache.X, w2, optimize=True).real
+    RX = np.matmul(R.reshape(n, -1, B * B), cache.X.reshape(LK, B * B).T)  # (n, Ae, LK)
+    sXs = np.einsum("tal,la->tl", RX.real, w2)
+    per_link = {"tr_term": tr_term, "sXs": sXs}
+    if hw.delta != 0.0:
+        XQ = np.einsum("lbc,tlc->tlb", cache.Xbar.reshape(LK, B, B), np.matmul(cw, sn))
+        per_link["quad_clo"] = np.einsum("tlb,tlb->tl", Q.conj(), XQ).real
+        # X - Xbar = kappa2 diag(|pilot|^2)
+        energy = np.abs(book.sequences.transpose(0, 2, 1).reshape(LK, B)) ** 2
+        S = np.matmul((sm.conj() * sn).real, energy.T)  # (n, Ae, LK)
+        per_link["third_clo"] = hw.kappa2 * np.einsum("tal,la->tl", S, w2)
+    links = (n, scen.L, scen.K)
     quadratic = {
         "c_norm": g @ own**2,
-        "tr_term": tr_term,
-        "sXs": sXs,
-        "c_dist": hw.kappa2 * np.einsum(
-            "lk,tlk->t", cache.scenario.powers, tr_term + sXs, optimize=True
-        ),
+        "c_dist": hw.kappa2 * ((tr_term + sXs) @ scen.powers.ravel()),
+        **{name: part.reshape(links) for name, part in per_link.items()},
     }
-    if hw.delta != 0.0:
-        Qn = np.einsum("lka,tab->tlkb", cw, sn, optimize=True)
-        quadratic["quad_clo"] = np.einsum(
-            "tlkb,lkbc,tlkc->tlk", Q.conj(), cache.Xbar, Qn, optimize=True
-        ).real
-        # X - Xbar = kappa2 diag(|pilot|^2)
-        energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
-        quadratic["third_clo"] = hw.kappa2 * np.einsum(
-            "lka,lkb,tab->tlk", w2, energy, (sm.conj() * sn).real, optimize=True
-        )
-    return quadratic, (z, cw * sdx)
+    return quadratic, (z.reshape(links), (cw * sdx).reshape(links + (-1,)))
 
 
 def _quartic(a, b) -> dict:
@@ -159,10 +152,17 @@ def _gaps(delta: float, tau, ts: np.ndarray):
         yield sel, np.array(rows), np.stack(logf, axis=1)
 
 
+def _power_sum(part: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_lk p_lk part[..., l, k] of a per-link part, with the leading axes
+    flattened; a part of one axis is already a sum over links."""
+    return part if part.ndim == 1 else part.reshape(-1, p.size) @ p
+
+
 def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> dict:
     """The parts of :func:`_coefficient_parts` (degree-4 ones through
-    :func:`_quartic`) at the channel uses ts, (nt, ...) each, plus the
-    ``*_unit`` parts and ``scale`` of :class:`MomentCoefficients`.
+    :func:`_quartic`) at the channel uses ts, summed over the links with the
+    powers p_lk, plus the ``*_unit`` parts and ``scale`` of
+    :class:`MomentCoefficients`; (nt,) each.
 
     Within one gap the damping is d(t) = sum_i f_i(t) r_i over the gap's
     sides (see :func:`_gaps`), so a degree-2 part is sum_pq f_p f_q F(r_p,
@@ -170,7 +170,9 @@ def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> d
     conj(z(r_p', r_q')).  The forms are evaluated once per gap, on the
     ordered pairs of its sides, and every use is rebuilt from products of
     the side factors, formed in log space; no coefficient is fitted, so
-    one that vanishes stays exactly zero.
+    one that vanishes stays exactly zero.  The power sum over links and
+    the rebuild over pairs are both linear, so they commute: each part is
+    summed over links first, per pair, and only those sums are rebuilt.
     """
     gaps = list(_gaps(cache.hw.delta, cache.book.tau, ts))
     # the ordered pairs (p, q) of every gap's sides, evaluated in one call
@@ -180,6 +182,8 @@ def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> d
         np.concatenate([rows[pm] for (_, rows, _), (pm, _) in zip(gaps, pairs)]),
         np.concatenate([rows[pn] for (_, rows, _), (_, pn) in zip(gaps, pairs)]),
     )
+    p = cache.scenario.powers.ravel()
+    quadratic = {name: _power_sum(part, p) for name, part in quadratic.items()}
     # log weights of every use on every pair (degree 2) and pair of pairs
     # (degree 4); -inf, a zero weight, outside the use's gap
     lw2 = np.full((ts.size, sum(pm.size for pm, _ in pairs)), -np.inf)
@@ -190,16 +194,14 @@ def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> d
     for (sel, rows, logf), (pm, pn) in zip(gaps, pairs):
         m = pm.size
         ga = [a[c2:c2 + m] for a in amp]
-        quartic.append(_quartic([a[:, None] for a in ga], [a[None] for a in ga]))
+        q = _quartic([a[:, None] for a in ga], [a[None] for a in ga])
+        quartic.append({name: _power_sum(part, p) for name, part in q.items()})
         l2 = logf[:, pm] + logf[:, pn]
         lw2[sel, c2:c2 + m] = l2
         lw4[sel, c4:c4 + m * m] = (l2[:, :, None] + l2[:, None, :]).reshape(sel.size, m * m)
         top[sel] = logf.max(axis=1)
         c2, c4 = c2 + m, c4 + m * m
-    quartic = {
-        name: np.concatenate([q[name].reshape((-1,) + q[name].shape[2:]) for q in quartic])
-        for name in quartic[0]
-    }
+    quartic = {name: np.concatenate([q[name] for q in quartic]) for name in quartic[0]}
     unit2 = {"c_norm_unit": quadratic["c_norm"]}
     if "quad_clo" in quadratic:
         unit2["quad_clo_unit"] = quadratic["quad_clo"]
@@ -209,23 +211,16 @@ def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> d
         (lw2 - 2 * top[:, None], unit2),
         (lw4 - 4 * top[:, None], {"quad_slo_unit": quartic["quad_slo"]}),
     )
-    # every rebuilt part is a block of one buffer: a single large
-    # allocation costs far fewer page faults than a dozen fresh ones
-    buf = np.empty(ts.size * sum(p[0].size for _, parts in groups for p in parts.values()))
     f = {"scale": np.exp(top)}
-    at = 0
     for lw, parts in groups:
         w = np.exp(lw)
-        for name, part in parts.items():
-            out = buf[at:at + ts.size * part[0].size].reshape(ts.size, part[0].size)
-            np.dot(w, part.reshape(len(part), -1), out=out)
-            f[name] = out.reshape(ts.shape + part.shape[1:])
-            at += out.size
+        f.update((name, w @ part) for name, part in parts.items())
     return f
 
 
 def mrc_moment_coefficients(cache: EstimatorCache, j: int, k: int, ts) -> MomentCoefficients:
-    """Evaluate the coefficient tensors for UE k of cell j at channel uses ts.
+    """Evaluate the power-summed coefficients for UE k of cell j at channel
+    uses ts.
 
     The cost does not grow with len(ts): the coefficient forms are
     evaluated once per gap between pilots and every use is rebuilt from
@@ -234,26 +229,26 @@ def mrc_moment_coefficients(cache: EstimatorCache, j: int, k: int, ts) -> Moment
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     f = _separable_parts(cache, j, k, ts)
-    third_slo = np.subtract(f["sXs"], f["sdx2"], out=f["sXs"])  # sXs is not read again
+    lin_slo = f["tr_term"] + (f["sXs"] - f["sdx2"])
     if cache.hw.delta == 0.0:
         # both oscillator topologies coincide; reuse one arithmetic path so
         # downstream comparisons are bitwise equal
-        quad_clo, third_clo, quad_clo_unit = f["quad_slo"], third_slo, f["quad_slo_unit"]
+        lin_clo, quad_clo, quad_clo_unit = lin_slo, f["quad_slo"], f["quad_slo_unit"]
     else:
-        quad_clo, third_clo, quad_clo_unit = f["quad_clo"], f["third_clo"], f["quad_clo_unit"]
+        lin_clo = f["tr_term"] + f["third_clo"]
+        quad_clo, quad_clo_unit = f["quad_clo"], f["quad_clo_unit"]
     return MomentCoefficients(
         j=j,
         k=k,
         ts=ts,
         c_norm=f["c_norm"],
-        tr_term=f["tr_term"],
-        quad_clo=quad_clo,
-        quad_slo=f["quad_slo"],
-        third_clo=third_clo,
-        third_slo=third_slo,
         c_dist=f["c_dist"],
         scale=f["scale"],
         c_norm_unit=f["c_norm_unit"],
+        lin_clo=lin_clo,
+        lin_slo=lin_slo,
+        quad_clo=quad_clo,
+        quad_slo=f["quad_slo"],
         quad_clo_unit=quad_clo_unit,
         quad_slo_unit=f["quad_slo_unit"],
     )
@@ -271,23 +266,33 @@ class MrcMoments:
     distortion: float
 
 
-def moments_from_coefficients(
-    co: MomentCoefficients, mult: int, lo_mode: LoMode, idx: int = 0
-) -> MrcMoments:
-    norm2 = float(mult * co.c_norm[idx])
+def mrc_moments(cache: EstimatorCache, j: int, k: int, t, lo_mode: LoMode | None = None) -> MrcMoments:
+    """Closed-form MRC moments for UE k of cell j at channel use t, per link.
+
+    The coefficient forms of :func:`_coefficient_parts` are evaluated
+    directly at the damping d(t); with m = N/A,
+
+        E|v^H h_lk|^2 = m (tr_term + third_<lo>) + m^2 quad_<lo>,
+
+    with third_slo = sXs - sdx2.  Without phase drift the CLO terms are
+    the SLO ones, as in :func:`mrc_moment_coefficients`.
+    """
+    lo = lo_mode or cache.hw.lo_mode
+    d = cache.d_delta([t])
+    quadratic, amp = _coefficient_parts(cache, j, k, d, d)
+    f = {name: part[0] for name, part in {**quadratic, **_quartic(amp, amp)}.items()}
+    if lo is LoMode.CLO and cache.hw.delta != 0.0:
+        third, quad = f["third_clo"], f["quad_clo"]
+    else:
+        third, quad = f["sXs"] - f["sdx2"], f["quad_slo"]
+    m = cache.mult
+    norm2 = float(m * f["c_norm"])
     return MrcMoments(
         norm2=norm2,
         first=norm2,
-        second=co.second(mult, lo_mode)[idx],
-        distortion=float(mult * co.c_dist[idx]),
+        second=m * (f["tr_term"] + third) + m**2 * quad,
+        distortion=float(m * f["c_dist"]),
     )
-
-
-def mrc_moments(cache: EstimatorCache, j: int, k: int, t, lo_mode: LoMode | None = None) -> MrcMoments:
-    """Closed-form MRC moments for UE k of cell j at channel use t."""
-    lo = lo_mode or cache.hw.lo_mode
-    co = mrc_moment_coefficients(cache, j, k, [t])
-    return moments_from_coefficients(co, cache.mult, lo)
 
 
 def mrc_moments_colocated(
@@ -350,13 +355,14 @@ def _sinr_from_moments(
     ts: np.ndarray,
     norm2: np.ndarray,
     first: np.ndarray,
-    second: np.ndarray,
+    inter: np.ndarray,
     distortion: np.ndarray,
     trials: int | None = None,
 ) -> SinrTrajectory:
     """SINR of UE k in cell j at the channel uses ``ts`` from the four
     expectations: filter energy, desired inner product (complex allowed),
-    per-link second moments (nt, L, K) and the distortion cross moment.
+    the interference sum_lk p_lk E|v^H h_lk|^2 and the distortion cross
+    moment, (nt,) each.
 
     The denominator subtracts the desired signal from the total
     interference.  With exact moments (``trials=None``) it may undercut
@@ -368,7 +374,6 @@ def _sinr_from_moments(
     """
     p = scenario.powers
     signal = p[j, k] * np.abs(first) ** 2
-    inter = np.einsum("lk,tlk->t", p, second)
     noise = xi * norm2
     den = inter - signal + distortion + noise
     if trials is None:
@@ -398,11 +403,13 @@ def sinr_trajectory_from_coefficients(
     lo_mode: LoMode | None = None,
 ) -> SinrTrajectory:
     """Vectorized SINR over the coefficient grid for a given multiplicity."""
-    lo = lo_mode or hw.lo_mode
+    if (lo_mode or hw.lo_mode) is LoMode.CLO:
+        lin, quad = co.lin_clo, co.quad_clo
+    else:
+        lin, quad = co.lin_slo, co.quad_slo
     e21 = mult * co.c_norm
-    return _sinr_from_moments(
-        scenario, hw.xi, co.j, co.k, co.ts, e21, e21, co.second(mult, lo), mult * co.c_dist
-    )
+    inter = mult * lin + mult**2 * quad
+    return _sinr_from_moments(scenario, hw.xi, co.j, co.k, co.ts, e21, e21, inter, mult * co.c_dist)
 
 
 def sinr_trajectory(
@@ -465,14 +472,14 @@ def _asymptote(co: MomentCoefficients, scenario: Scenario, lo_mode: LoMode) -> S
     """
     if scenario.reduced_dim != scenario.subarrays:
         raise ConfigError("asymptotic analysis needs subarray-factorized covariances")
-    p = scenario.powers
-    signal = p[co.j, co.k] * co.c_norm**2
-    inter = np.einsum("lk,tlk->t", p, co.quad(lo_mode))
-    sig_u = p[co.j, co.k] * co.c_norm_unit**2
+    p_jk = scenario.powers[co.j, co.k]
+    signal = p_jk * co.c_norm**2
+    sig_u = p_jk * co.c_norm_unit**2
     if lo_mode is LoMode.CLO:
+        inter, inter_u = co.quad_clo, co.quad_clo_unit
         sig_u = sig_u * co.scale**2
-    unit = co.quad_clo_unit if lo_mode is LoMode.CLO else co.quad_slo_unit
-    inter_u = np.einsum("lk,tlk->t", p, unit)
+    else:
+        inter, inter_u = co.quad_slo, co.quad_slo_unit
     den = inter_u - sig_u
     with np.errstate(divide="ignore"):
         sinr = np.where(

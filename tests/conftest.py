@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hwmimo.channel import phase_correlation
 from hwmimo.model import HardwareProfile, LoMode, Scenario
 from hwmimo.pilots import PlacementKind, dft_book, place, temporal_book
 from hwmimo.rates import _coefficient_parts, _quartic, _separable_parts
@@ -45,15 +46,32 @@ def impaired_profile(lo=LoMode.SLO, delta=1e-3, kappa2=0.01, xi=1.3, sigma2=1.0)
 
 def assert_separable_matches_direct(cache, j, k, ts, rtol=1e-12):
     """The per-gap coefficient pass against its evaluator applied at the
-    damping d(t) of every channel use: each part within ``rtol`` of its
-    per-use scale (the largest entry over links), or within 1e-300.  sXs and
-    w2 |sdx|^2 are checked apart because third_slo, their difference,
-    cancels."""
+    damping d(t) of every channel use and summed over links with the powers
+    p_lk: each part within ``rtol`` of sum_lk p_lk |part| at that use, or
+    within 1e-300.  The ``*_unit`` parts are evaluated at d(t) / scale(t),
+    with scale(t) = exp(-delta/2 min_b |t - tau_b|), the damping of the
+    nearest pilot.  sXs and w2 |sdx|^2 are checked apart because
+    third_slo, their difference, cancels."""
     got = _separable_parts(cache, j, k, ts)
-    d = cache.d_delta(ts)
-    quadratic, amp = _coefficient_parts(cache, j, k, d, d)
-    for name, want in {**quadratic, **_quartic(amp, amp)}.items():
-        scale = np.abs(want).reshape(ts.size, -1).max(axis=1, initial=0.0)
-        err = np.abs(got[name] - want).reshape(ts.size, -1).max(axis=1, initial=0.0)
-        bad = err > np.maximum(rtol * scale, 1e-300)
-        assert not np.any(bad), (name, ts[bad], err[bad], scale[bad])
+    p = cache.scenario.powers.ravel()
+    dist = np.abs(ts[:, None] - np.asarray(cache.book.tau, dtype=float))  # (nt, B)
+    near = dist.min(axis=1, initial=np.inf)
+    scale = phase_correlation(cache.hw.delta, near)
+    want = {"scale": (scale, scale)}
+    unit = phase_correlation(cache.hw.delta, dist - near[:, None])
+    for suffix, d in (("", cache.d_delta(ts)), ("_unit", unit)):
+        quadratic, amp = _coefficient_parts(cache, j, k, d, d)
+        for name, part in {**quadratic, **_quartic(amp, amp)}.items():
+            if suffix and name not in ("c_norm", "quad_clo", "quad_slo"):
+                continue
+            if part.ndim == 1:
+                want[name + suffix] = (part, np.abs(part))
+            else:
+                flat = part.reshape(ts.size, -1)
+                want[name + suffix] = (flat @ p, np.abs(flat) @ p)
+    assert got.keys() == want.keys(), (sorted(got), sorted(want))
+    for name, (value, size) in want.items():
+        assert got[name].shape == ts.shape, name
+        err = np.abs(got[name] - value)
+        bad = err > np.maximum(rtol * size, 1e-300)
+        assert not np.any(bad), (name, ts[bad], err[bad], size[bad])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,9 @@ from hwmimo.pilots import PlacementKind, place, temporal_book
 from hwmimo.rates import (
     MomentCoefficients,
     NumericalInvariantError,
+    _coefficient_parts,
+    _separable_parts,
+    _sinr_from_moments,
     ScalingExponents,
     asymptotic_sinr,
     check_scaling_law,
@@ -135,8 +139,12 @@ def test_clo_slo_identical_without_drift(rng):
     cache = build_cache(scen, hw, make_book(scen, "dft"))
     co = mrc_moment_coefficients(cache, 0, 0, [4.0, 9.0])
     # bitwise equality of the two branches
+    assert np.array_equal(co.lin_clo, co.lin_slo)
     assert np.array_equal(co.quad_clo, co.quad_slo)
-    assert np.array_equal(co.third_clo, co.third_slo)
+    assert np.array_equal(co.quad_clo_unit, co.quad_slo_unit)
+    for t in co.ts:
+        clo, slo = (mrc_moments(cache, 0, 0, t, lo) for lo in (LoMode.CLO, LoMode.SLO))
+        assert np.array_equal(clo.second, slo.second)
     s_a = sinr_trajectory_from_coefficients(co, scen, hw, cache.mult, LoMode.CLO)
     s_b = sinr_trajectory_from_coefficients(co, scen, hw, cache.mult, LoMode.SLO)
     np.testing.assert_array_equal(s_a.sinr, s_b.sinr)
@@ -260,23 +268,52 @@ def test_block_without_data_uses(rng, delta):
     scen = random_scenario(rng, T=4)
     cache = build_cache(scen, impaired_profile(delta=delta), make_book(scen, "dft", B=4))
     co = mrc_moment_coefficients(cache, 0, 0, [])
-    assert co.c_norm.shape == (0,) and co.quad_slo_unit.shape == (0, scen.L, scen.K)
+    assert co.c_norm.shape == (0,) and co.quad_slo_unit.shape == (0,)
     assert ue_rate(cache, 0, 0).rate == 0.0
+
+
+@pytest.mark.parametrize("placement", ["beginning", "middle"])
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_coefficients_are_per_use_power_sums(rng, placement, delta):
+    # every coefficient field is one value per channel use, however many
+    # links; the rate from them equals the rate from the per-link moments
+    # of the direct evaluation at each data use
+    scen = random_scenario(rng, L=2, K=4, N=4, T=24, factorized=True, subarrays=2)
+    hw = impaired_profile(lo=LoMode.SLO, delta=delta, kappa2=0.03)
+    book = make_book(scen, "dft", placement, B=5)
+    cache = build_cache(scen, hw, book)
+    ts = np.asarray(book.data_times(), dtype=float)
+    co = mrc_moment_coefficients(cache, 1, 2, ts)
+    for field in dataclasses.fields(co):
+        value = getattr(co, field.name)
+        if isinstance(value, np.ndarray):
+            assert value.shape == ts.shape, field.name
+    for lo in LoMode:
+        m = [mrc_moments(cache, 1, 2, t, lo) for t in ts]
+        norm2 = np.array([x.norm2 for x in m])
+        inter = np.einsum("lk,tlk->t", scen.powers, np.array([x.second for x in m]))
+        traj = _sinr_from_moments(
+            scen, hw.xi, 1, 2, ts, norm2, norm2, inter, np.array([x.distortion for x in m])
+        )
+        want = ergodic_rate(traj.sinr, scen.T, book.B)
+        assert ue_rate(cache, 1, 2, lo).rate == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_third_clo_is_linear_in_kappa2(rng):
     # X - Xbar = kappa2 diag(|pilot|^2): third_clo is kappa2 times a form
-    # that depends on kappa2 only through the pilot covariance inverse
+    # that depends on kappa2 only through the pilot covariance inverse; per
+    # link at d(t), and summed over links by the per-gap pass
     scen = random_scenario(rng, L=2, K=2, N=4, T=12)
     book = make_book(scen, "dft", "uniform", B=3)
     ts = np.asarray(book.data_times(), dtype=float)
-    third = [
-        mrc_moment_coefficients(
-            build_cache(scen, impaired_profile(lo=LoMode.CLO, delta=1e-2, kappa2=kap), book),
-            0, 0, ts,
-        ).third_clo
-        for kap in (1e-12, 2e-12)
-    ]
+    third = []
+    for kap in (1e-12, 2e-12):
+        cache = build_cache(scen, impaired_profile(lo=LoMode.CLO, delta=1e-2, kappa2=kap), book)
+        d = cache.d_delta(ts)
+        per_link = _coefficient_parts(cache, 0, 0, d, d)[0]["third_clo"]
+        third.append(np.concatenate([
+            per_link.ravel(), _separable_parts(cache, 0, 0, ts)["third_clo"]
+        ]))
     np.testing.assert_allclose(third[1] / third[0], 2.0, rtol=1e-9, atol=0)
 
 
@@ -294,11 +331,11 @@ def test_exact_moment_denominator_floor(ratio):
     scen, hw = _one_link()
     c, eps = 3.0, ratio * 1e-9
     second = c**2 / (1 + eps) - c
-    zero = np.zeros((1, 1, 1))
+    zero = np.zeros(1)
     co = MomentCoefficients(
-        j=0, k=0, ts=np.array([2.0]), c_norm=np.array([c]), tr_term=np.full((1, 1, 1), second),
-        quad_clo=zero, quad_slo=zero, third_clo=zero, third_slo=zero, c_dist=np.zeros(1),
-        scale=np.ones(1), c_norm_unit=np.array([c]), quad_clo_unit=zero, quad_slo_unit=zero,
+        j=0, k=0, ts=np.array([2.0]), c_norm=np.array([c]), c_dist=zero, scale=np.ones(1),
+        c_norm_unit=np.array([c]), lin_clo=np.array([second]), lin_slo=np.array([second]),
+        quad_clo=zero, quad_slo=zero, quad_clo_unit=zero, quad_slo_unit=zero,
     )
     if ratio < 1:
         assert sinr_trajectory_from_coefficients(co, scen, hw, 1).sinr[0] == math.inf
@@ -369,11 +406,10 @@ def test_slo_interference_not_above_clo_and_rate_dominance(rng):
         hw_s = impaired_profile(lo=LoMode.SLO, delta=5e-3, kappa2=0.02)
         book = make_book(scen, "dft")
         cache = build_cache(scen, hw_c, book)
-        co = mrc_moment_coefficients(cache, 0, 0, np.asarray(book.data_times(), float))
-        m = cache.mult
-        e23_clo = m * (co.tr_term + co.third_clo) + m**2 * co.quad_clo
-        e23_slo = m * (co.tr_term + co.third_slo) + m**2 * co.quad_slo
-        assert np.all(e23_slo <= e23_clo + 1e-12)
+        for t in book.data_times():
+            e23_clo = mrc_moments(cache, 0, 0, t, LoMode.CLO).second
+            e23_slo = mrc_moments(cache, 0, 0, t, LoMode.SLO).second
+            assert np.all(e23_slo <= e23_clo + 1e-12)
         r_clo = ue_rate(cache, 0, 0, LoMode.CLO).rate
         r_slo = ue_rate(cache, 0, 0, LoMode.SLO).rate
         assert r_slo >= r_clo - 1e-12

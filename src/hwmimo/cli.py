@@ -30,8 +30,11 @@ from .estimator import build_cache, error_covariance
 from .experiments import (
     ConfigError,
     HardwareVariant,
+    ScenarioSpec,
+    _drop_scenario,
     _multiplicities,
     _pilot_book,
+    _profile,
     _serving_cell,
     _trajectories,
     config_from_dict,
@@ -39,18 +42,11 @@ from .experiments import (
     run,
     write_rows,
 )
-from .model import (
-    HardwareProfile,
-    LoMode,
-    NoiseFigure,
-    conventional_profile,
-    require_valid,
-    user_input,
-)
+from .model import LoMode, NoiseFigure, user_input
 from .montecarlo import FilterKind, McConfig, _rate_from_means, empirical_mse, estimate_moments
 from .pilots import PlacementKind, place
 from .rates import NumericalInvariantError, ScalingExponents, check_scaling_law
-from .scenario_gen import SHADOW_STD_DB, generate, load_scenario, save_scenario
+from .scenario_gen import SHADOW_STD_DB, save_scenario
 
 
 def _env_default(name: str, cast, fallback):
@@ -107,7 +103,7 @@ def _check_args(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    for name in ("trials", "t_stride"):
+    for name in ("trials", "t_stride", "threads"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
@@ -120,20 +116,27 @@ def _check_index(args, name: str, bound: int) -> None:
 
 
 def _scenario_from(args):
-    if args.scenario:
-        return load_scenario(args.scenario)
-    return generate(
-        args.deployment,
-        N=args.n_antennas,
-        snr_db=args.snr_db,
-        T=args.block_length,
-        seed=args.seed,
-        drop_index=args.drop_index,
-        shadow_std_db=args.shadow_std_db,
+    spec = ScenarioSpec(
+        file=args.scenario, n_antennas=args.n_antennas, snr_db=args.snr_db,
+        T=args.block_length, shadow_std_db=args.shadow_std_db,
     )
+    return _drop_scenario(spec, args.deployment, args.seed, args.drop_index)
 
 
-def _hardware_from(args, sigma2: float) -> HardwareProfile:
+def _circuit_variant(args) -> HardwareVariant:
+    """Impairment triple of the circuit flags, with xi in units of sigma2."""
+    with user_input():
+        hw = profile_from_circuits(
+            AdcSpec(args.adc_bits),
+            LnaSpec(F=NoiseFigure.from_db(args.lna_nf_db).F),
+            LoSpec(args.carrier_hz, args.symbol_time_s, args.lo_quality),
+            sigma2=1.0,
+        )
+    return HardwareVariant("circuit", delta=hw.delta, kappa2=hw.kappa2,
+                           xi_over_sigma2=hw.xi, lo=LoMode(args.lo))
+
+
+def _hardware_from(args) -> HardwareVariant:
     triple = [args.delta, args.kappa2, args.xi_over_sigma2]
     circuit = [args.adc_bits, args.lna_nf_db, args.carrier_hz, args.symbol_time_s, args.lo_quality]
     sources = [args.ideal, any(v is not None for v in triple), any(v is not None for v in circuit)]
@@ -142,37 +145,26 @@ def _hardware_from(args, sigma2: float) -> HardwareProfile:
             "exactly one hardware source is required: --ideal, a (--delta, --kappa2, "
             "--xi-over-sigma2) triple, or a circuit spec"
         )
-    lo = LoMode(args.lo)
     if args.ideal:
-        hw = conventional_profile(sigma2)
-        return HardwareProfile(hw.delta, hw.kappa2, hw.xi, lo)
+        return HardwareVariant("ideal", ideal=True, lo=LoMode(args.lo))
     if sources[1]:
         if any(v is None for v in triple):
             raise ConfigError("--delta, --kappa2 and --xi-over-sigma2 must be given together")
-        return HardwareProfile(
-            delta=args.delta, kappa2=args.kappa2, xi=args.xi_over_sigma2 * sigma2, lo_mode=lo
-        )
+        return HardwareVariant("triple", delta=args.delta, kappa2=args.kappa2,
+                               xi_over_sigma2=args.xi_over_sigma2, lo=LoMode(args.lo))
     if any(v is None for v in circuit):
         raise ConfigError(
             "--adc-bits, --lna-nf-db, --carrier-hz, --symbol-time-s and --lo-quality "
             "must be given together"
         )
-    return profile_from_circuits(
-        AdcSpec(args.adc_bits),
-        LnaSpec(F=NoiseFigure.from_db(args.lna_nf_db).F),
-        LoSpec(args.carrier_hz, args.symbol_time_s, args.lo_quality),
-        sigma2,
-        lo_mode=lo,
-    )
+    return _circuit_variant(args)
 
 
 def _scenario_and_book(args):
     """Validated scenario and pilot book of a subcommand, and the cell it
     reports."""
-    with user_input():
-        scen = _scenario_from(args)
-        require_valid(scen)
-        book = _pilot_book(scen, args.pilot_book, args.pilot_place, args.pilot_length)
+    scen = _scenario_from(args)
+    book = _pilot_book(scen, args.pilot_book, args.pilot_place, args.pilot_length)
     _check_index(args, "cell", scen.L)
     _check_index(args, "source_cell", scen.L)
     _check_index(args, "ue", scen.K)
@@ -183,9 +175,7 @@ def _inputs(args):
     """Scenario, hardware profile, pilot book, estimator cache and reported
     cell of a subcommand with a hardware source."""
     scen, book, cell = _scenario_and_book(args)
-    with user_input():
-        hw = _hardware_from(args, scen.sigma2)
-    require_valid(scen, hw)
+    hw = _profile(_hardware_from(args), scen)
     return scen, hw, book, build_cache(scen, hw, book), cell
 
 
@@ -213,9 +203,7 @@ def _write_csv(args, columns, rows, suffix: str = "") -> Path:
 
 
 def _cmd_scenario_gen(args) -> int:
-    with user_input():
-        scen = _scenario_from(args)
-    require_valid(scen)
+    scen = _scenario_from(args)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.name}.json"
     save_scenario(
@@ -326,9 +314,7 @@ def _cmd_scaling_law(args) -> int:
                               xi_over_sigma2=args.xi0, lo=lo, exponents=(args.z1, args.z2, args.z3))
         rows = []
         for n, mult in zip(args.n_grid, _multiplicities(scen, args.n_grid)):
-            with user_input():
-                hw_n = law.profile(scen.sigma2, N=n)
-            require_valid(scen, hw_n)
+            hw_n = _profile(law, scen, N=n)
             rows.extend(_sinr_rows(build_cache(scen, hw_n, book), j, [n], [mult], args.t_stride))
         path = _write_csv(args, _SINR_COLUMNS, rows)
     return _finish(
@@ -337,17 +323,11 @@ def _cmd_scaling_law(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
+    hv = _circuit_variant(args)
     with user_input():
-        hw = profile_from_circuits(
-            AdcSpec(args.adc_bits),
-            LnaSpec(F=NoiseFigure.from_db(args.lna_nf_db).F),
-            LoSpec(args.carrier_hz, args.symbol_time_s, args.lo_quality),
-            sigma2=1.0,
-            lo_mode=LoMode(args.lo),
-        )
         table = power_scaling_report(args.n_grid, args.z1, args.z2, args.z3)
-    print(f"delta={hw.delta:.6g} kappa2={hw.kappa2:.6g} xi_over_sigma2={hw.xi:.6g}")
-    rows = [("delta", hw.delta), ("kappa2", hw.kappa2), ("xi_over_sigma2", hw.xi)]
+    print(f"delta={hv.delta:.6g} kappa2={hv.kappa2:.6g} xi_over_sigma2={hv.xi_over_sigma2:.6g}")
+    rows = [("delta", hv.delta), ("kappa2", hv.kappa2), ("xi_over_sigma2", hv.xi_over_sigma2)]
     _write_csv(args, ("parameter", "value"), rows, "_triple")
     cols = tuple(table[0].keys())
     path = _write_csv(args, cols, [tuple(r[c] for c in cols) for r in table], "_power")
@@ -513,9 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _check_args(args)
         return args.fn(args)
     except ConfigError as exc:

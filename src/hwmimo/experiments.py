@@ -50,8 +50,9 @@ REFERENCE_DELTA = 1.58e-4
 
 @dataclass(frozen=True)
 class HardwareVariant:
-    """One named hardware configuration of a run; ``lo`` is irrelevant for
-    the ideal variant (drift-free branches coincide)."""
+    """One named hardware configuration of a run: ideal hardware (no drift,
+    no distortion, xi at the thermal floor) or the triple with xi in units of
+    sigma2, on the ``lo`` oscillator topology."""
 
     label: str
     ideal: bool = False
@@ -59,11 +60,11 @@ class HardwareVariant:
     kappa2: float = 0.0
     xi_over_sigma2: float = 1.0
     lo: LoMode = LoMode.CLO
-    exponents: tuple | None = None  # (z1, z2, z3) scaling of the triple with N
+    exponents: tuple[float, ...] | None = None  # (z1, z2, z3) scaling of the triple with N
 
     def profile(self, sigma2: float, N: int | None = None) -> HardwareProfile:
         if self.ideal:
-            return conventional_profile(sigma2)
+            return dataclasses.replace(conventional_profile(sigma2), lo_mode=self.lo)
         hw = HardwareProfile(
             delta=self.delta, kappa2=self.kappa2, xi=self.xi_over_sigma2 * sigma2, lo_mode=self.lo
         )
@@ -78,7 +79,7 @@ class ScenarioSpec:
     """Where scenarios come from: a saved file or the layout generator."""
 
     file: str | None = None
-    deployments: tuple = ("distributed",)
+    deployments: tuple[str, ...] = ("distributed",)
     n_antennas: int = 128
     snr_db: float = 5.0
     T: int = 500
@@ -89,16 +90,16 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class PilotSpec:
-    books: tuple = ("dft",)
-    placements: tuple = ("beginning",)
+    books: tuple[str, ...] = ("dft",)
+    placements: tuple[str, ...] = ("beginning",)
     length: int | None = None  # default: K
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     kind: str = "sweep-n"  # sweep-n | asymptotics | scaling | sweep-t | rates-mc
-    n_grid: tuple = ()
-    t_grid: tuple = ()
+    n_grid: tuple[int, ...] = ()
+    t_grid: tuple[int, ...] = ()
     trials: int = 10_000
     filter_kind: FilterKind = FilterKind.MRC
     include_asymptote: bool = False
@@ -106,12 +107,12 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    name: str
-    seed: int
-    scenario: ScenarioSpec
-    hardware: tuple
-    pilots: PilotSpec
-    experiment: ExperimentSpec
+    name: str = "run"
+    seed: int = 0
+    scenario: ScenarioSpec = ScenarioSpec()
+    hardware: tuple[HardwareVariant, ...] = ()
+    pilots: PilotSpec = PilotSpec()
+    experiment: ExperimentSpec = ExperimentSpec()
     threads: int = 1
     out: str = "."
 
@@ -266,12 +267,12 @@ def _multiplicities(scenario: Scenario, n_grid) -> list:
     return [n // scenario.subarrays for n in n_grid]
 
 
-def _drop_scenario(cfg: RunConfig, deployment: str, drop_index: int) -> Scenario:
-    """Validated scenario of one (deployment, drop) job."""
-    spec = cfg.scenario
+def _drop_scenario(spec: ScenarioSpec, deployment: str, seed: int, drop_index: int) -> Scenario:
+    """Validated scenario of one (deployment, drop): ``spec``'s file, or the
+    generator's drop ``drop_index`` of ``seed``."""
     with user_input():
         scen = load_scenario(spec.file) if spec.file else generate(
-            deployment, N=spec.n_antennas, snr_db=spec.snr_db, T=spec.T, seed=cfg.seed,
+            deployment, N=spec.n_antennas, snr_db=spec.snr_db, T=spec.T, seed=seed,
             drop_index=drop_index, sigma2=spec.sigma2, shadow_std_db=spec.shadow_std_db,
         )
     require_valid(scen)
@@ -367,10 +368,11 @@ def _rate_rows(label: str, ns, T: int, drop: int, metric: str, rates: np.ndarray
     ]
 
 
-def _sweep_rows(cfg: RunConfig, deployment: str, drop: int, asymptote: bool) -> list:
+def _job_sweep_n(cfg: RunConfig, deployment: str, drop: int) -> list:
     """Rate rows over the N grid, followed by the large-array limit rows
-    (N = 0) with ``asymptote``."""
-    scen = _drop_scenario(cfg, deployment, drop)
+    (N = 0) with ``include_asymptote``."""
+    asymptote = cfg.experiment.include_asymptote
+    scen = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
     n_grid = cfg.experiment.n_grid
     mults = _multiplicities(scen, n_grid)
     rows, limits = [], []
@@ -383,16 +385,8 @@ def _sweep_rows(cfg: RunConfig, deployment: str, drop: int, asymptote: bool) -> 
     return rows + limits
 
 
-def _job_sweep_n(cfg: RunConfig, deployment: str, drop: int) -> list:
-    return _sweep_rows(cfg, deployment, drop, asymptote=False)
-
-
-def _job_asymptotics(cfg: RunConfig, deployment: str, drop: int) -> list:
-    return _sweep_rows(cfg, deployment, drop, asymptote=cfg.experiment.include_asymptote)
-
-
 def _job_scaling(cfg: RunConfig, deployment: str, drop: int) -> list:
-    scen = _drop_scenario(cfg, deployment, drop)
+    scen = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
     n_grid = cfg.experiment.n_grid
     rows = []
     for labels, book in _books(cfg, deployment, scen):
@@ -407,7 +401,7 @@ def _job_scaling(cfg: RunConfig, deployment: str, drop: int) -> list:
 
 
 def _job_sweep_t(cfg: RunConfig, deployment: str, drop: int) -> list:
-    base = _drop_scenario(cfg, deployment, drop)
+    base = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
     rows = []
     for T in cfg.experiment.t_grid:
         scen = dataclasses.replace(base, T=int(T))
@@ -419,7 +413,7 @@ def _job_sweep_t(cfg: RunConfig, deployment: str, drop: int) -> list:
 
 
 def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
-    scen = _drop_scenario(cfg, deployment, drop)
+    scen = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
     cell = _serving_cell(scen)
     mc = McConfig(trials=cfg.experiment.trials, seed=cfg.seed + drop)
     rows = []
@@ -435,7 +429,7 @@ def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
 
 _JOBS = {
     "sweep-n": _job_sweep_n,
-    "asymptotics": _job_asymptotics,
+    "asymptotics": _job_sweep_n,
     "scaling": _job_scaling,
     "sweep-t": _job_sweep_t,
     "rates-mc": _job_rates_mc,
@@ -501,68 +495,40 @@ def write_rows(path: Path, columns, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    for hv in d["hardware"]:
-        hv["lo"] = str(hv["lo"].value if isinstance(hv["lo"], LoMode) else hv["lo"])
-    d["experiment"]["filter_kind"] = str(
-        d["experiment"]["filter_kind"].value
-        if isinstance(d["experiment"]["filter_kind"], FilterKind)
-        else d["experiment"]["filter_kind"]
-    )
-    return d
+# LoMode and FilterKind are str enums, so JSON writes their values
+config_to_dict = dataclasses.asdict
+
+
+def _field_value(tp, value, name: str):
+    """``value`` as an instance of the type ``tp`` of the field ``name``."""
+    args = getattr(tp, "__args__", ())
+    if type(None) in args:  # an optional field: X | None
+        if value is None:
+            return None
+        tp = args[0]
+    if dataclasses.is_dataclass(tp):
+        return _from_fields(tp, value, name)
+    if getattr(tp, "__origin__", None) is tuple:  # tuple[X, ...]
+        return tuple(_field_value(tp.__args__[0], v, name) for v in value)
+    return tp(value)
+
+
+def _from_fields(cls, data, where: str):
+    """``cls`` from a mapping of its field names; absent fields keep their
+    defaults, unknown names are an error."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key in data:
+        _require(key in fields, f"unknown {where} key {key!r}")
+    return cls(**{k: _field_value(fields[k], v, k) for k, v in data.items()})
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Inverse of :func:`config_to_dict`, with light schema checking."""
+    """Inverse of :func:`config_to_dict`; every key must name a field."""
     try:
-        scen = data.get("scenario", {})
-        hw = data.get("hardware", [])
-        pil = data.get("pilots", {})
-        expd = data.get("experiment", {})
-        variants = tuple(
-            HardwareVariant(
-                label=h["label"],
-                ideal=bool(h.get("ideal", False)),
-                delta=float(h.get("delta", 0.0)),
-                kappa2=float(h.get("kappa2", 0.0)),
-                xi_over_sigma2=float(h.get("xi_over_sigma2", 1.0)),
-                lo=LoMode(h.get("lo", "clo")),
-                exponents=tuple(h["exponents"]) if h.get("exponents") else None,
-            )
-            for h in hw
-        )
-        cfg = RunConfig(
-            name=str(data.get("name", "run")),
-            seed=int(data.get("seed", 0)),
-            threads=int(data.get("threads", 1)),
-            out=str(data.get("out", ".")),
-            scenario=ScenarioSpec(
-                file=scen.get("file"),
-                deployments=tuple(scen.get("deployments", ("distributed",))),
-                n_antennas=int(scen.get("n_antennas", 128)),
-                snr_db=float(scen.get("snr_db", 5.0)),
-                T=int(scen.get("T", 500)),
-                drops=int(scen.get("drops", 1)),
-                shadow_std_db=float(scen.get("shadow_std_db", SHADOW_STD_DB)),
-                sigma2=float(scen.get("sigma2", 1.0)),
-            ),
-            hardware=variants,
-            pilots=PilotSpec(
-                books=tuple(pil.get("books", ("dft",))),
-                placements=tuple(pil.get("placements", ("beginning",))),
-                length=pil.get("length"),
-            ),
-            experiment=ExperimentSpec(
-                kind=str(expd.get("kind", "sweep-n")),
-                n_grid=tuple(int(n) for n in expd.get("n_grid", ())),
-                t_grid=tuple(int(t) for t in expd.get("t_grid", ())),
-                trials=int(expd.get("trials", 10_000)),
-                filter_kind=FilterKind(expd.get("filter_kind", "mrc")),
-                include_asymptote=bool(expd.get("include_asymptote", False)),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = _from_fields(RunConfig, data, "top-level")
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
     validate_config(cfg)
     return cfg

@@ -72,8 +72,9 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["rates-cf", *_SMALL, "--ideal", "--t-stride", "0"],
     ["sweep-n", *_SMALL, "--ideal", "--n-grid", "0"],
     ["rates-cf", *_SMALL, "--delta", "0", "--kappa2", "0", "--xi-over-sigma2", "0.5"],
+    ["rates-cf", *_SMALL, "--ideal", "--threads", "0"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
-        "t-stride-0", "n-grid-0", "xi-below-sigma2"])
+        "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "not_a_scenario.json").write_text(json.dumps({"hello": "world"}))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -104,6 +105,8 @@ _YAML_BASE = {
     ("scenario", "shadow_std_db", math.inf),
     ("hardware", "xi_over_sigma2", 0.5),
     ("hardware", "exponents", [0.5, 0.5]),
+    ("scenario", "n_antenna", 64),
+    ("hardware", "kapa2", 1e-4),
 ])
 def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(_YAML_BASE))
@@ -118,6 +121,15 @@ def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, v
     assert "np.int64" not in err
     if key == "snr_db":
         assert "first violation at (0, 0)" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("name", ["SEED", "THREADS"])
+def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setenv(f"HWMIMO_{name}", "abc")
+    assert main(["circuit", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -60,6 +60,18 @@ def test_asymptotics_rows_and_limit_dominance(tmp_path):
     assert finite[2] == pytest.approx(inf_rate, rel=0.05)
 
 
+def test_sweep_n_with_asymptote_writes_the_asymptotics_rows(tmp_path):
+    grid = dict(n_grid=(8, 64), include_asymptote=True)
+    sweep = run(tiny_cfg(tmp_path / "sweep", kind="sweep-n", **grid))
+    asym = run(tiny_cfg(tmp_path / "asym", kind="asymptotics", **grid))
+    assert any(r[5] == "rate_asymptotic" for r in sweep.rows)
+    assert sweep.csv_path.read_bytes() == asym.csv_path.read_bytes()
+
+
+def test_ideal_variant_keeps_its_oscillator_topology():
+    assert HardwareVariant("x", ideal=True, lo=LoMode.SLO).profile(1.0).lo_mode is LoMode.SLO
+
+
 def test_scaling_kind_rebuilds_hardware_per_n(tmp_path):
     cfg = tiny_cfg(tmp_path, kind="scaling", n_grid=(16, 256, 4096))
     grow = HardwareVariant(
@@ -98,6 +110,18 @@ def test_rates_mc_kind(tmp_path):
     metrics = {r[5] for r in res.rows}
     assert metrics == {"rate_mc"}
     assert all(r[6] >= 0 for r in res.rows)
+
+
+def test_rates_mc_kind_is_bitwise_equal_at_any_thread_count(tmp_path):
+    cfg = tiny_cfg(tmp_path, kind="rates-mc", trials=16)
+    cfg = dataclasses.replace(
+        cfg, scenario=dataclasses.replace(cfg.scenario, n_antennas=8, T=16, drops=3)
+    )
+    csvs = [
+        run(dataclasses.replace(cfg, threads=t, out=str(tmp_path / str(t)))).csv_path.read_bytes()
+        for t in (1, 2, 3)
+    ]
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_rates_mc_kind_builds_one_cache_per_variant_and_book(tmp_path, monkeypatch):

@@ -246,7 +246,8 @@ def test_sinr_denominator_dominated_by_noise_floor(rng):
 def test_separable_pass_matches_direct_evaluation(deployment):
     # the fig7 drop-0 networks with every placement and book, from the
     # reference drift to damping that underflows a few uses from a pilot
-    scen = _drop_scenario(preset("fig7"), deployment, 0)
+    fig7 = preset("fig7")
+    scen = _drop_scenario(fig7.scenario, deployment, fig7.seed, 0)
     j = _serving_cell(scen)
     case = 0
     for placement in PlacementKind:

@@ -32,7 +32,7 @@ from .experiments import (
     HardwareVariant,
     ScenarioSpec,
     _drop_scenario,
-    _multiplicities,
+    _grid_caches,
     _pilot_book,
     _profile,
     _serving_cell,
@@ -239,37 +239,42 @@ def _cmd_estimate(args) -> int:
 _SINR_COLUMNS = ("N", "ue", "t", "sinr", "rate", "signal", "interference", "distortion", "noise")
 
 
-def _sinr_rows(cache, cell, n_values, mults, t_stride, asymptote=False) -> list:
+def _sinr_rows(cache, cell, ns, t_stride, asymptote=False) -> list:
     """CSV rows of the closed-form trajectories: every ``t_stride``-th data
-    channel use per UE and array size; ``n_values`` labels the entries of
-    ``mults`` and, with ``asymptote``, the limit after them."""
+    channel use per UE and array size of ``ns``, then, with ``asymptote``,
+    the large-array limit as N = inf."""
+    labels = [*ns, "inf"]
     rows = []
-    for k, _lo, i, traj, rate in _trajectories(cache, cell, [cache.hw.lo_mode], mults, asymptote):
+    for k, _lo, i, traj, rate in _trajectories(cache, cell, [cache.hw.lo_mode], ns, asymptote):
         for it in range(0, traj.ts.size, t_stride):
             rows.append((
-                n_values[i], k, int(traj.ts[it]), traj.sinr[it], rate, traj.signal[it],
+                labels[i], k, int(traj.ts[it]), traj.sinr[it], rate, traj.signal[it],
                 traj.interference[it], traj.distortion[it], traj.noise[it],
             ))
     return rows
 
 
+def _sinr_csv(args, n_grid=None, asymptote=False, hv=None) -> Path:
+    """CSV of the trajectory rows of ``hv`` (default: the hardware flags)
+    over ``n_grid`` (default: the scenario's N)."""
+    scen, book, j = _scenario_and_book(args)
+    hv = hv or _hardware_from(args)
+    rows = []
+    for cache, ns in _grid_caches(hv, scen, book, (scen.N,) if n_grid is None else n_grid):
+        rows += _sinr_rows(cache, j, ns, args.t_stride, asymptote)
+    return _write_csv(args, _SINR_COLUMNS, rows)
+
+
 def _cmd_rates_cf(args) -> int:
-    scen, _hw, _book, cache, j = _inputs(args)
-    rows = _sinr_rows(cache, j, [scen.N], [cache.mult], args.t_stride)
-    return _finish(args, _write_csv(args, _SINR_COLUMNS, rows))
+    return _finish(args, _sinr_csv(args))
 
 
 def _cmd_sweep_n(args) -> int:
-    scen, _hw, _book, cache, j = _inputs(args)
-    mults = _multiplicities(scen, args.n_grid)
-    rows = _sinr_rows(cache, j, args.n_grid, mults, args.t_stride)
-    return _finish(args, _write_csv(args, _SINR_COLUMNS, rows))
+    return _finish(args, _sinr_csv(args, args.n_grid))
 
 
 def _cmd_asymptotic(args) -> int:
-    _scen, _hw, _book, cache, j = _inputs(args)
-    rows = _sinr_rows(cache, j, ["inf"], [], args.t_stride, asymptote=True)
-    return _finish(args, _write_csv(args, _SINR_COLUMNS, rows))
+    return _finish(args, _sinr_csv(args, (), asymptote=True))
 
 
 def _cmd_rates_mc(args) -> int:
@@ -309,14 +314,9 @@ def _cmd_scaling_law(args) -> int:
     print(f"satisfied={rep.satisfied} margin={rep.margin:.6g} lhs={rep.lhs:.6g}")
     path = None
     if args.n_grid:
-        scen, book, j = _scenario_and_book(args)
         law = HardwareVariant("law", delta=args.delta0, kappa2=args.kappa20,
                               xi_over_sigma2=args.xi0, lo=lo, exponents=(args.z1, args.z2, args.z3))
-        rows = []
-        for n, mult in zip(args.n_grid, _multiplicities(scen, args.n_grid)):
-            hw_n = _profile(law, scen, N=n)
-            rows.extend(_sinr_rows(build_cache(scen, hw_n, book), j, [n], [mult], args.t_stride))
-        path = _write_csv(args, _SINR_COLUMNS, rows)
+        path = _sinr_csv(args, args.n_grid, hv=law)
     return _finish(
         args, path, satisfied=rep.satisfied, margin=rep.margin, lhs=rep.lhs, worst_t=worst_t
     )

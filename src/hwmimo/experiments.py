@@ -129,16 +129,17 @@ def validate_config(cfg: RunConfig) -> None:
     for h in cfg.hardware:
         _require(h.exponents is None or len(h.exponents) == 3,
                  f"exponents of {h.label!r} must be a (z1, z2, z3) triple")
-    _require(cfg.experiment.kind in {"sweep-n", "asymptotics", "scaling", "sweep-t", "rates-mc"},
-             f"unknown experiment kind {cfg.experiment.kind!r}")
-    if cfg.experiment.kind in {"sweep-n", "asymptotics", "scaling"}:
-        _require(bool(cfg.experiment.n_grid), "n_grid must be non-empty")
-        _require(list(cfg.experiment.n_grid) == sorted(set(cfg.experiment.n_grid)),
-                 "n_grid must be sorted and duplicate-free")
-    if cfg.experiment.kind == "sweep-t":
-        _require(bool(cfg.experiment.t_grid), "t_grid must be non-empty")
-        _require(list(cfg.experiment.t_grid) == sorted(set(cfg.experiment.t_grid)),
-                 "t_grid must be sorted and duplicate-free")
+    exp = cfg.experiment
+    _require(exp.kind in _JOBS, f"unknown experiment kind {exp.kind!r}")
+    if exp.kind != "rates-mc":  # each closed-form kind sweeps one grid
+        swept, other = ("t_grid", "n_grid") if exp.kind == "sweep-t" else ("n_grid", "t_grid")
+        grid = getattr(exp, swept)
+        _require(bool(grid), f"{swept} must be non-empty")
+        _require(list(grid) == sorted(set(grid)), f"{swept} must be sorted and duplicate-free")
+        _require(not getattr(exp, other), f"the {exp.kind} kind takes no {other}")
+        for h in cfg.hardware:
+            _require(not (exp.include_asymptote and h.exponents is not None),
+                     f"include_asymptote needs fixed triples, but {h.label!r} has exponents")
     for b in cfg.pilots.books:
         _require(b in {"temporal", "dft"}, f"unknown pilot book {b!r}")
     for p in cfg.pilots.placements:
@@ -258,13 +259,14 @@ def _serving_cell(scenario: Scenario) -> int:
 
 
 def _multiplicities(scenario: Scenario, n_grid) -> list:
-    """Antennas per subarray for each array size of an N grid."""
+    """Antennas per stored covariance entry for each array size of an N grid."""
+    A = scenario.reduced_dim
     for n in n_grid:
-        if n % scenario.subarrays or n < scenario.subarrays:
+        if n % A or n < A:
             raise ConfigError(
-                f"N={n} is not a positive multiple of the subarray count {scenario.subarrays}"
+                f"N={n} is not a positive multiple of the per-link covariance length {A}"
             )
-    return [n // scenario.subarrays for n in n_grid]
+    return [n // A for n in n_grid]
 
 
 def _drop_scenario(spec: ScenarioSpec, deployment: str, seed: int, drop_index: int) -> Scenario:
@@ -290,13 +292,23 @@ def _profile(hv: HardwareVariant, scenario: Scenario, N: int | None = None) -> H
 # -- closed-form rates -----------------------------------------------------------
 
 
-def _trajectories(cache: EstimatorCache, cell: int, los, mults, asymptote: bool = False):
+def _grid_caches(hv: HardwareVariant, scenario: Scenario, book: PilotBook, n_grid) -> list:
+    """Estimator caches serving ``hv`` over the array sizes of ``n_grid``, as
+    ``(cache, sizes)`` pairs in grid order: one cache for the whole grid when
+    the triple is fixed, one per N when scaling exponents grow it with N."""
+    if hv.exponents is None:
+        return [(build_cache(scenario, _profile(hv, scenario), book), tuple(n_grid))]
+    return [(build_cache(scenario, _profile(hv, scenario, N=n), book), (n,)) for n in n_grid]
+
+
+def _trajectories(cache: EstimatorCache, cell: int, los, ns, asymptote: bool = False):
     """Closed-form SINR trajectories over every data channel use, from one
     coefficient pass per UE of ``cell``.  Yields ``(k, lo, i, trajectory,
-    rate)`` for each oscillator topology in ``los`` and each entry i of
-    ``mults``; with ``asymptote``, entry ``len(mults)`` is the large-array
+    rate)`` for each oscillator topology in ``los`` and each array size
+    ``ns[i]``; with ``asymptote``, entry ``len(ns)`` is the large-array
     limit.  The rate is :func:`rates.ergodic_rate` over the data uses."""
     scen = cache.scenario
+    mults = _multiplicities(scen, ns)
     ts = np.asarray(cache.book.data_times(), dtype=float)
     for k in range(scen.K):
         co = mrc_moment_coefficients(cache, cell, k, ts)
@@ -311,15 +323,14 @@ def _trajectories(cache: EstimatorCache, cell: int, los, mults, asymptote: bool 
 
 
 def _variant_rates(
-    cfg: RunConfig, scenario: Scenario, book: PilotBook, cell: int, mults,
-    asymptote: bool = False, N: int | None = None,
+    cfg: RunConfig, scenario: Scenario, book: PilotBook, cell: int, n_grid,
+    asymptote: bool = False,
 ) -> dict:
     """Closed-form per-UE rates of every hardware variant, {label: array of
-    shape (len(mults) + asymptote, K)}: one row per multiplicity, plus the
-    large-array limit with ``asymptote``.  ``N`` grows the impairment
-    triples of variants with scaling exponents.  Variants sharing a triple
-    (and its exponents) share the estimator cache and the coefficient pass,
-    whose tensors carry both oscillator branches."""
+    shape (len(n_grid) + asymptote, K)}: one row per array size, plus the
+    large-array limit of a fixed triple with ``asymptote``.  Variants
+    sharing a triple (and its exponents) share the estimator caches and the
+    coefficient passes, whose tensors carry both oscillator branches."""
     groups: dict = {}
     for hv in cfg.hardware:
         key = (hv.ideal, hv.delta, hv.kappa2, hv.xi_over_sigma2, hv.exponents)
@@ -327,10 +338,12 @@ def _variant_rates(
     out = {}
     for variants in groups.values():
         los = {hv.lo for hv in variants}
-        cache = build_cache(scenario, _profile(variants[0], scenario, N), book)
-        rates = {lo: np.empty((len(mults) + asymptote, scenario.K)) for lo in los}
-        for k, lo, i, _traj, rate in _trajectories(cache, cell, los, mults, asymptote):
-            rates[lo][i, k] = rate
+        rates = {lo: np.empty((len(n_grid) + asymptote, scenario.K)) for lo in los}
+        row = 0
+        for cache, ns in _grid_caches(variants[0], scenario, book, n_grid):
+            for k, lo, i, _traj, rate in _trajectories(cache, cell, los, ns, asymptote):
+                rates[lo][row + i, k] = rate
+            row += len(ns)
         for hv in variants:
             out[hv.label] = rates[hv.lo]
     return out
@@ -369,47 +382,25 @@ def _rate_rows(label: str, ns, T: int, drop: int, metric: str, rates: np.ndarray
 
 
 def _job_sweep_n(cfg: RunConfig, deployment: str, drop: int) -> list:
-    """Rate rows over the N grid, followed by the large-array limit rows
+    """Rate rows of every closed-form kind: per block length of the T grid
+    (default: the scenario's T), pilot book and array size of the N grid
+    (default: the scenario's N), followed by the large-array limit rows
     (N = 0) with ``include_asymptote``."""
-    asymptote = cfg.experiment.include_asymptote
-    scen = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
-    n_grid = cfg.experiment.n_grid
-    mults = _multiplicities(scen, n_grid)
-    rows, limits = [], []
-    for labels, book in _books(cfg, deployment, scen):
-        rates = _variant_rates(cfg, scen, book, _serving_cell(scen), mults, asymptote)
-        for hv, label in labels.items():
-            rows += _rate_rows(label, n_grid, scen.T, drop, "rate", rates[hv])
-            if asymptote:
-                limits += _rate_rows(label, [0], scen.T, drop, "rate_asymptotic", rates[hv][-1:])
-    return rows + limits
-
-
-def _job_scaling(cfg: RunConfig, deployment: str, drop: int) -> list:
-    scen = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
-    n_grid = cfg.experiment.n_grid
-    rows = []
-    for labels, book in _books(cfg, deployment, scen):
-        per_n = [
-            _variant_rates(cfg, scen, book, _serving_cell(scen), [mult], N=n)
-            for n, mult in zip(n_grid, _multiplicities(scen, n_grid))
-        ]
-        for hv, label in labels.items():
-            rates = np.vstack([r[hv] for r in per_n])
-            rows += _rate_rows(label, n_grid, scen.T, drop, "rate", rates)
-    return rows
-
-
-def _job_sweep_t(cfg: RunConfig, deployment: str, drop: int) -> list:
+    exp = cfg.experiment
     base = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
-    rows = []
-    for T in cfg.experiment.t_grid:
+    rows, limits = [], []
+    for T in exp.t_grid or (base.T,):
         scen = dataclasses.replace(base, T=int(T))
+        n_grid = exp.n_grid or (scen.N,)
         for labels, book in _books(cfg, deployment, scen):
-            rates = _variant_rates(cfg, scen, book, _serving_cell(scen), [scen.multiplicity])
+            rates = _variant_rates(cfg, scen, book, _serving_cell(scen), n_grid,
+                                   exp.include_asymptote)
             for hv, label in labels.items():
-                rows += _rate_rows(label, [scen.N], T, drop, "rate", rates[hv])
-    return rows
+                rows += _rate_rows(label, n_grid, scen.T, drop, "rate", rates[hv])
+                if exp.include_asymptote:
+                    limits += _rate_rows(label, [0], scen.T, drop, "rate_asymptotic",
+                                         rates[hv][-1:])
+    return rows + limits
 
 
 def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
@@ -430,8 +421,8 @@ def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
 _JOBS = {
     "sweep-n": _job_sweep_n,
     "asymptotics": _job_sweep_n,
-    "scaling": _job_scaling,
-    "sweep-t": _job_sweep_t,
+    "scaling": _job_sweep_n,
+    "sweep-t": _job_sweep_n,
     "rates-mc": _job_rates_mc,
 }
 
@@ -468,7 +459,7 @@ def run(cfg: RunConfig) -> RunResult:
 
     chunks = _fan_out(lambda task: job(cfg, *task), tasks, cfg.threads)
     rows = [r for chunk in chunks for r in chunk]
-    if cfg.experiment.kind == "sweep-t":
+    if cfg.experiment.t_grid:
         rows.extend(_mark_t_maxima(rows))
 
     out_dir = Path(cfg.out)
@@ -509,6 +500,7 @@ def _field_value(tp, value, name: str):
     if dataclasses.is_dataclass(tp):
         return _from_fields(tp, value, name)
     if getattr(tp, "__origin__", None) is tuple:  # tuple[X, ...]
+        _require(not isinstance(value, str), f"{name} must be a list, got the string {value!r}")
         return tuple(_field_value(tp.__args__[0], v, name) for v in value)
     return tp(value)
 

@@ -230,18 +230,23 @@ def save_scenario(scenario: Scenario, path, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+# JSON types of the fields of a scenario file
+_SCENARIO_FIELDS = {
+    "L": (int,), "K": (int,), "N": (int,), "T": (int,), "subarrays": (int,),
+    "sigma2": (int, float), "cov": (list,), "powers": (list,),
+}
+
+
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != "hwmimo-scenario":
         raise ConfigError(f"{path} is not a scenario file")
-    return Scenario(
-        L=payload["L"],
-        K=payload["K"],
-        N=payload["N"],
-        T=payload["T"],
-        cov=np.asarray(payload["cov"], dtype=float),
-        powers=np.asarray(payload["powers"], dtype=float),
-        sigma2=payload["sigma2"],
-        subarrays=payload["subarrays"],
-    )
+    for name, types in _SCENARIO_FIELDS.items():
+        if name not in payload:
+            raise ConfigError(f"scenario file {path} lacks the field {name!r}")
+        if type(payload[name]) not in types:
+            expected = " or ".join(t.__name__ for t in types)
+            raise ConfigError(f"scenario file {path}: field {name!r} must be {expected}, "
+                              f"got {type(payload[name]).__name__}")
+    return Scenario(**{name: payload[name] for name in _SCENARIO_FIELDS})

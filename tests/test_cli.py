@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -73,14 +74,25 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["sweep-n", *_SMALL, "--ideal", "--n-grid", "0"],
     ["rates-cf", *_SMALL, "--delta", "0", "--kappa2", "0", "--xi-over-sigma2", "0.5"],
     ["rates-cf", *_SMALL, "--ideal", "--threads", "0"],
+    ["rates-cf", "--scenario", "{tmp}/no_L.json", "--ideal"],
+    ["rates-cf", "--scenario", "{tmp}/str_L.json", "--ideal"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
-        "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0"])
+        "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0", "scenario-without-L",
+        "scenario-with-string-L"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
-    (tmp_path / "not_a_scenario.json").write_text(json.dumps({"hello": "world"}))
+    files = {
+        "not_a_scenario": {"hello": "world"},
+        "no_L": {"format": "hwmimo-scenario", "K": 2},
+        "str_L": {"format": "hwmimo-scenario", "L": "1", "K": 2},
+    }
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if any(a.endswith("_L.json") for a in argv):
+        assert "field 'L'" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -107,12 +119,20 @@ _YAML_BASE = {
     ("hardware", "exponents", [0.5, 0.5]),
     ("scenario", "n_antenna", 64),
     ("hardware", "kapa2", 1e-4),
+    ("experiment", "t_grid", [10, 20]),
+    ("experiment", "kind", "sweep-t"),
+    ("experiment", "include_asymptote", True),
+    ("scenario", "deployments", "colocated"),
 ])
 def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(_YAML_BASE))
     (cfg["hardware"][0] if section == "hardware" else cfg[section])[key] = value
     if key == "n_antennas":
         cfg["scenario"]["deployments"] = ["distributed"]
+    if key == "kind":  # a valid T sweep but for the N grid it cannot take
+        cfg["experiment"]["t_grid"] = [20, 40]
+    if key == "include_asymptote":  # the limit of a triple that grows with N
+        cfg["hardware"][0]["exponents"] = [0.5, 0.5, 0.0]
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert main(["preset", str(path), "--out", str(tmp_path)]) == 2
@@ -121,6 +141,8 @@ def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, v
     assert "np.int64" not in err
     if key == "snr_db":
         assert "first violation at (0, 0)" in err
+    if key == "deployments":
+        assert "deployments must be a list" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -145,6 +167,18 @@ def test_overflowing_pilot_covariance_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical invariant violated: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_n_on_a_per_antenna_file_matches_rates_cf(tmp_path):
+    from hwmimo.scenario_gen import generate, save_scenario
+
+    scen = generate("distributed", N=8, snr_db=5.0, T=20, seed=3)
+    save_scenario(dataclasses.replace(scen, cov=scen.full_cov()), tmp_path / "full.json")
+    common = ["--scenario", str(tmp_path / "full.json"), "--ideal", "--t-stride", "4"]
+    assert main(["rates-cf", *common, "--out", str(tmp_path / "cf")]) == 0
+    assert main(["sweep-n", *common, "--n-grid", "8", "--out", str(tmp_path / "sweep")]) == 0
+    cf = (tmp_path / "cf" / "rates_cf.csv").read_bytes()
+    assert (tmp_path / "sweep" / "sweep_n.csv").read_bytes() == cf
 
 
 def test_cli_circuit_hardware_source(tmp_path):

@@ -90,6 +90,49 @@ def test_scaling_kind_rebuilds_hardware_per_n(tmp_path):
     assert (f[2] - g[2]) / f[2] > (f[0] - g[0]) / max(f[0], 1e-12)
 
 
+_GROW = HardwareVariant(
+    "grow", delta=7e-5, kappa2=0.05**2, xi_over_sigma2=3.0,
+    lo=LoMode.SLO, exponents=(1.0, 0.0, 0.0),
+)
+
+
+def test_every_closed_form_kind_grows_exponent_variants_with_n(tmp_path):
+    def rates(kind, **grid):
+        cfg = tiny_cfg(tmp_path / kind, kind=kind, **grid)
+        cfg = dataclasses.replace(cfg, hardware=(*cfg.hardware, _GROW))
+        return {r[:6]: r[6] for r in run(cfg).rows if r[5] == "rate"}
+
+    scaling = rates("scaling", n_grid=(16, 256))
+    assert rates("sweep-n", n_grid=(16, 256)) == scaling
+    at_16 = {key: v for key, v in scaling.items() if key[1] == 16}
+    assert rates("sweep-t", t_grid=(40,)) == at_16
+
+
+def test_scaling_kind_builds_a_fixed_triple_once_per_book(tmp_path, monkeypatch):
+    from hwmimo import experiments
+
+    builds = []
+    build = experiments.build_cache
+    monkeypatch.setattr(experiments, "build_cache", lambda *a: builds.append(1) or build(*a))
+    cfg = tiny_cfg(tmp_path / "fixed", kind="scaling", n_grid=(16, 64, 256))
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, drops=1))
+    run(cfg)
+    assert len(builds) == 2  # ideal and slo, one book, one drop; not one per N
+    builds.clear()
+    run(dataclasses.replace(cfg, hardware=(*cfg.hardware, _GROW), out=str(tmp_path / "grow")))
+    assert len(builds) == 2 + 3  # the grown triple needs one cache per N
+
+
+def test_scaling_kind_is_bitwise_equal_at_any_thread_count(tmp_path):
+    cfg = tiny_cfg(tmp_path, kind="scaling", n_grid=(16, 256))
+    cfg = dataclasses.replace(cfg, hardware=(*cfg.hardware, _GROW))
+    csvs = [
+        run(dataclasses.replace(cfg, threads=t, out=str(tmp_path / str(t)))).csv_path.read_bytes()
+        for t in (1, 2)
+    ]
+    assert csvs[0] == csvs[1]
+
+
 def test_sweep_t_uses_t_column(tmp_path):
     cfg = tiny_cfg(tmp_path, kind="sweep-t", t_grid=(20, 40))
     means = by_key(run(cfg).rows)

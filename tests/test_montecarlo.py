@@ -163,6 +163,25 @@ def test_deterministic_across_thread_counts(rng, monkeypatch):
     assert len(sizes) == 8 and all(len(s) > 2 for s in sizes)
 
 
+def test_mc_rate_is_bitwise_equal_at_any_thread_count(rng, monkeypatch):
+    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    book = make_book(scen)
+    chunks = []
+    chunk_sizes = montecarlo._chunk_sizes
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)
+    monkeypatch.setattr(montecarlo, "_chunk_sizes",
+                        lambda trials, per_trial: chunks.append(chunk_sizes(trials, per_trial))
+                        or chunks[-1])
+    for kind in FilterKind:
+        reps = [mc_rate(scen, hw, book, kind, McConfig(trials=600, seed=42, threads=n), 0, 1)
+                for n in (1, 2, 3)]
+        for rep in reps[1:]:
+            assert rep.rate == reps[0].rate
+            np.testing.assert_array_equal(rep.sinr, reps[0].sinr)
+    assert all(len(c) > 2 for c in chunks)
+
+
 def test_mc_rate_matches_closed_form(rng):
     scen = random_scenario(rng, L=2, K=2, N=4, T=8)
     hw = impaired_profile(lo=LoMode.CLO, delta=2e-3, kappa2=0.02)

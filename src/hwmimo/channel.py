@@ -29,6 +29,16 @@ def phase_correlation(delta: float, dt) -> np.ndarray | float:
     return np.exp(-0.5 * delta * np.abs(dt))
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in ascending order, as np.unique
+    gives them.  np.unique imports numpy.ma on first use, about 13 ms on a
+    2-core VM, which a short Monte Carlo run would pay in its wall time."""
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def draw_phases(
     delta: float,
     times,
@@ -89,7 +99,7 @@ def draw_world(
         _rng.substream(seed, chunk_index, j, _rng.CHANNEL), lam, (size, L, K, N)
     )
 
-    times = np.unique(np.concatenate([tau.astype(float), ts]))
+    times = sorted_unique(np.concatenate([tau.astype(float), ts]))
     n_osc = N if hw.lo_mode is LoMode.SLO else 1
     phases = _rng.substream(seed, chunk_index, j, _rng.PHASE)
     phi = draw_phases(hw.delta, times, n_osc, phases, trials=size)

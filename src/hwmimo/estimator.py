@@ -19,7 +19,6 @@ The estimator formula is identical for common and separate oscillators.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .channel import phase_correlation
 from .model import HardwareProfile, NumericalInvariantError, Scenario
@@ -41,10 +40,12 @@ def damped_pilot_grams(book: PilotBook, delta: float) -> np.ndarray:
 @dataclass(eq=False)
 class EstimatorCache:
     """Everything that is reusable across estimation calls for a fixed
-    (scenario, hardware, pilot book): damped pilot Grams, the reduced pilot
-    covariance per receiving cell together with its inverse, and the
-    per-subarray diagonal blocks of that inverse which drive all moment and
-    error-covariance formulas."""
+    (scenario, hardware, pilot book): damped pilot Grams and, per receiving
+    cell, the inverse of the reduced pilot covariance.  That covariance is
+    block-diagonal across subarrays, so the cache factors and inverts its Ae
+    independent B x B blocks (:meth:`pblocks`), which drive all moment and
+    error-covariance formulas; the dense (B*Ae)^2 inverse
+    (:meth:`psi_inverse`) is built from them."""
 
     scenario: Scenario
     hw: HardwareProfile
@@ -77,23 +78,26 @@ class EstimatorCache:
 
     def _build_cell(self, j: int) -> None:
         B, Ae = self.B, self.Ae
-        lam_j = self.lam[j]  # (L, K, Ae)
-        tmp = np.einsum("lkbc,lka->bca", self.X, lam_j)
-        psi = np.einsum("bca,ae->bace", tmp, np.eye(Ae)).reshape(B * Ae, B * Ae)
-        psi[np.diag_indices_from(psi)] += self.hw.xi
-        try:  # raises ValueError when psi is not finite
-            cho = scipy.linalg.cho_factor(psi)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            msg = f"reduced pilot covariance of cell {j} cannot be factorized: {exc}"
-            raise NumericalInvariantError(msg) from exc
-        inv = scipy.linalg.cho_solve(cho, np.eye(B * Ae, dtype=complex))
-        self._psi_inv[j] = inv
-        inv4 = inv.reshape(B, Ae, B, Ae)
+        psi = np.einsum("lkbc,lka->abc", self.X, self.lam[j])  # (Ae, B, B) diagonal blocks
+        psi[:, np.arange(B), np.arange(B)] += self.hw.xi
+        what = f"reduced pilot covariance of cell {j} cannot be factorized"
+        if not np.isfinite(psi).all():  # LAPACK does not reject inf or NaN
+            raise NumericalInvariantError(f"{what}: it is not finite")
+        try:
+            chol = np.linalg.cholesky(psi)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalInvariantError(f"{what}: {exc}") from exc
+        chol_inv = np.linalg.inv(chol)  # the inverse is chol_inv^H chol_inv
+        inv = self._pblocks[j] = np.swapaxes(chol_inv, -1, -2).conj() @ chol_inv
+        inv4 = np.zeros((B, Ae, B, Ae), dtype=complex)
         ar = np.arange(Ae)
-        self._pblocks[j] = np.transpose(inv4, (1, 3, 0, 2))[ar, ar]  # (Ae, B, B)
+        inv4[:, ar, :, ar] = inv
+        self._psi_inv[j] = inv4.reshape(B * Ae, B * Ae)
 
     def psi_inverse(self, j: int) -> np.ndarray:
-        """Inverse of the reduced pilot covariance of cell j, (B*Ae, B*Ae)."""
+        """Inverse of the reduced pilot covariance of cell j, (B*Ae, B*Ae),
+        pilot-major: the blocks of :meth:`pblocks` on the diagonal of each
+        subarray, zero between subarrays."""
         if j not in self._psi_inv:
             self._build_cell(j)
         return self._psi_inv[j]
@@ -146,9 +150,11 @@ def build_cache(scenario: Scenario, hw: HardwareProfile, book: PilotBook) -> Est
         raise ValueError("pilot book dimensions do not match the scenario")
     if book.T != scenario.T:
         raise ValueError(f"pilot book block length {book.T} != scenario T {scenario.T}")
-    Xbar = damped_pilot_grams(book, hw.delta)
+    # C order, so the coefficient pass reshapes them without a copy
+    Xbar = np.ascontiguousarray(damped_pilot_grams(book, hw.delta))
     energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
-    X = Xbar + hw.kappa2 * np.einsum("lkb,bc->lkbc", energy, np.eye(book.B))
+    kappa_term = hw.kappa2 * np.einsum("lkb,bc->lkbc", energy, np.eye(book.B))
+    X = np.ascontiguousarray(Xbar + kappa_term)
     return EstimatorCache(
         scenario=scenario,
         hw=hw,
@@ -219,7 +225,7 @@ def lmmse_estimate_colocated(
     omega = np.einsum("lk,lkbc->bc", lam_j, cache.X) + cache.hw.xi * np.eye(B)
     dm = cache.d_delta(t)[0]
     dx = dm * cache.book.sequences[l, :, k]
-    sol = scipy.linalg.solve(omega, dx, assume_a="pos")  # Omega^{-1} D x
+    sol = np.linalg.solve(omega, dx)  # Omega^{-1} D x
     lam = lam_j[l, k]
     hhat = lam * (sol.conj() @ psi.reshape(B, N))
     c = lam * (1.0 - lam * float(np.real(dx.conj() @ sol)))

@@ -131,7 +131,13 @@ def validate_config(cfg: RunConfig) -> None:
                  f"exponents of {h.label!r} must be a (z1, z2, z3) triple")
     exp = cfg.experiment
     _require(exp.kind in _JOBS, f"unknown experiment kind {exp.kind!r}")
-    if exp.kind != "rates-mc":  # each closed-form kind sweeps one grid
+    if exp.kind == "rates-mc":  # one Monte Carlo run at the scenario's own N and T
+        for key in ("n_grid", "t_grid", "include_asymptote"):
+            _require(not getattr(exp, key), f"the rates-mc kind takes no {key}")
+        for h in cfg.hardware:
+            _require(h.exponents is None,
+                     f"the rates-mc kind takes no exponents, but {h.label!r} has them")
+    else:  # each closed-form kind sweeps one grid
         swept, other = ("t_grid", "n_grid") if exp.kind == "sweep-t" else ("n_grid", "t_grid")
         grid = getattr(exp, swept)
         _require(bool(grid), f"{swept} must be non-empty")

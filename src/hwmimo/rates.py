@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .channel import phase_correlation
+from .channel import phase_correlation, sorted_unique
 from .estimator import EstimatorCache
 from .model import ConfigError, HardwareProfile, LoMode, NumericalInvariantError, Scenario
 
@@ -138,7 +137,7 @@ def _gaps(delta: float, tau, ts: np.ndarray):
         yield np.arange(ts.size), np.ones((1, tau.size)), np.zeros((ts.size, 1))
         return
     gap = np.searchsorted(tau, ts)
-    for g in np.unique(gap):
+    for g in sorted_unique(gap):
         sel = np.flatnonzero(gap == g)
         rows, logf = [], []
         if g > 0:
@@ -312,7 +311,7 @@ def mrc_moments_colocated(
     omega = np.einsum("lk,lkbc->bc", lam_j, cache.X) + cache.hw.xi * np.eye(B)
     dm = cache.d_delta(t)[0]
     dx = dm * cache.book.sequences[j, :, k]
-    o = scipy.linalg.solve(omega, dx, assume_a="pos")
+    o = np.linalg.solve(omega, dx)
     lam = lam_j[j, k]
     norm2 = N * lam**2 * float(np.real(dx.conj() @ o))
 

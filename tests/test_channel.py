@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hwmimo.channel import draw_phases, draw_world, phase_correlation
+from hwmimo.channel import draw_phases, draw_world, phase_correlation, sorted_unique
 from hwmimo.model import HardwareProfile, LoMode, conventional_profile
 from hwmimo.rng import RECEIVER_NOISE, complex_normal, substream
 
@@ -14,6 +14,18 @@ def test_phase_correlation_trivia():
     assert phase_correlation(1.58e-4, 500) == pytest.approx(np.exp(-0.5 * 1.58e-4 * 500))
     with pytest.raises(ValueError):
         phase_correlation(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([]),
+    np.array([3]),
+    np.array([5, 1, 5, 3, 1, 1]),
+    np.array([12.0, 1.0, 4.5, 1.0, 12.0, 0.5]),
+])
+def test_sorted_unique_matches_np_unique(values):
+    got = sorted_unique(values)
+    assert got.dtype == values.dtype
+    np.testing.assert_array_equal(got, np.unique(values))
 
 
 def test_phase_correlation_monte_carlo_oracle():

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +147,53 @@ def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, v
     if key == "deployments":
         assert "deployments must be a list" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+_MC_YAML = {
+    "name": "mc",
+    "scenario": {"deployments": ["colocated"], "n_antennas": 8, "T": 20},
+    "hardware": [{"label": "hw", "delta": 1e-3, "kappa2": 1e-4, "xi_over_sigma2": 1.3}],
+    "experiment": {"kind": "rates-mc", "trials": 4},
+}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("hardware", "exponents", [1.0, 0.0, 0.0]),
+    ("experiment", "n_grid", [8, 64]),
+    ("experiment", "t_grid", [10, 20]),
+    ("experiment", "include_asymptote", True),
+])
+def test_rates_mc_kind_rejects_grid_keys(tmp_path, capsys, section, key, value):
+    # the rates-mc kind evaluates one world at the scenario's own N and T
+    cfg = json.loads(json.dumps(_MC_YAML))
+    (cfg["hardware"][0] if section == "hardware" else cfg[section])[key] = value
+    path = tmp_path / "mc.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["preset", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the rates-mc kind takes no ") and err.count("\n") == 1
+    assert key in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # one BLAS runtime: the package imports and runs on numpy alone
+    import hwmimo
+
+    src = os.path.dirname(os.path.dirname(hwmimo.__file__))
+    small = ["--deployment", "colocated", "-N", "8", "-T", "20", "--delta", "1e-3",
+             "--kappa2", "1e-4", "--xi-over-sigma2", "1.3", "--out", str(tmp_path)]
+    code = "\n".join([
+        "import sys",
+        "from hwmimo import cli",
+        f"assert cli.main(['rates-mc', '--trials', '4', *{small!r}]) == 0",
+        f"assert cli.main(['rates-cf', *{small!r}]) == 0",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "rates_mc.csv").exists() and (tmp_path / "rates_cf.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["SEED", "THREADS"])

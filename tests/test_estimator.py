@@ -9,7 +9,14 @@ from hwmimo.estimator import (
     lmmse_estimate,
     lmmse_estimate_colocated,
 )
-from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile, expand_covariance
+from hwmimo.model import (
+    HardwareProfile,
+    LoMode,
+    NumericalInvariantError,
+    Scenario,
+    conventional_profile,
+    expand_covariance,
+)
 from hwmimo.pilots import place, temporal_book
 
 from conftest import impaired_profile, make_book, random_scenario
@@ -135,6 +142,42 @@ def test_cache_delta_zero_damping_is_identity(rng):
     scen = random_scenario(rng)
     cache = build_cache(scen, conventional_profile(1.0), make_book(scen))
     np.testing.assert_array_equal(cache.d_delta([5.0])[0], np.ones(cache.B))
+
+
+def _block_scenario(rng):
+    """Four subarrays of two antennas each: Ae = 4 blocks of B = 3 pilots."""
+    scen = random_scenario(rng, L=2, K=2, N=8, T=12, factorized=True, subarrays=4)
+    return build_cache(scen, impaired_profile(delta=4e-3, kappa2=0.05), make_book(scen, B=3))
+
+
+def test_pilot_covariance_inverse_is_block_diagonal(rng):
+    cache = _block_scenario(rng)
+    B, Ae = cache.B, cache.Ae
+    for j in range(cache.scenario.L):
+        dense = cache.hw.xi * np.eye(B * Ae, dtype=complex)
+        for l in range(cache.scenario.L):
+            for k in range(cache.scenario.K):
+                dense += np.kron(cache.X[l, k], np.diag(cache.lam[j, l, k]))
+        inv = cache.psi_inverse(j)
+        inv4 = inv.reshape(B, Ae, B, Ae)
+        for a in range(Ae):
+            for e in range(Ae):
+                if a == e:
+                    np.testing.assert_array_equal(inv4[:, a, :, a], cache.pblocks(j)[a])
+                else:
+                    assert not inv4[:, a, :, e].any()
+        np.testing.assert_allclose(inv @ dense, np.eye(B * Ae), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale,reason", [(-10.0, "positive definite"), (np.inf, "not finite")])
+def test_bad_pilot_covariance_block_raises(rng, scale, reason):
+    # one subarray's block is negative definite (finite) or holds inf/nan
+    cache = _block_scenario(rng)
+    cache.lam = cache.lam.copy()
+    cache.lam[1, :, :, 2] *= scale
+    with pytest.raises(NumericalInvariantError, match=f"cell 1 .*{reason}"):
+        cache.pblocks(1)
+    cache.pblocks(0)  # the other cell is unaffected
 
 
 # -- estimator correctness ----------------------------------------------------

@@ -49,21 +49,24 @@ from .rates import NumericalInvariantError, ScalingExponents, check_scaling_law
 from .scenario_gen import SHADOW_STD_DB, save_scenario
 
 
-def _env_default(name: str, cast, fallback):
+def _env_default(name: str, cast, fallback, minimum=None):
     raw = os.environ.get(f"HWMIMO_{name}")
     if raw is None:
         return fallback
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"bad HWMIMO_{name} environment value {raw!r}") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"HWMIMO_{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     if seed:
-        p.add_argument("--seed", type=int, default=_env_default("SEED", int, 0))
+        p.add_argument("--seed", type=int, default=_env_default("SEED", int, 0, minimum=0))
     p.add_argument("--out", type=Path, default=_env_default("OUT", Path, Path(".")))
-    p.add_argument("--threads", type=int, default=_env_default("THREADS", int, 1))
+    p.add_argument("--threads", type=int, default=_env_default("THREADS", int, 1, minimum=1))
 
 
 def _add_scenario_source(p: argparse.ArgumentParser) -> None:
@@ -103,10 +106,11 @@ def _check_args(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    for name in ("trials", "t_stride", "threads"):
+    for name, minimum in (("trials", 1), ("t_stride", 1), ("threads", 1),
+                          ("seed", 0), ("drop_index", 0)):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+        if value is not None and value < minimum:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {minimum}, got {value}")
 
 
 def _check_index(args, name: str, bound: int) -> None:

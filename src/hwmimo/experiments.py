@@ -152,6 +152,7 @@ def validate_config(cfg: RunConfig) -> None:
         _require(p in {k.value for k in PlacementKind}, f"unknown placement {p!r}")
     for d in cfg.scenario.deployments:
         _require(d in {"colocated", "distributed"}, f"unknown deployment {d!r}")
+    _require(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     _require(cfg.scenario.drops >= 1, "drops must be >= 1")
     _require(cfg.threads >= 1, "threads must be >= 1")
 

@@ -114,14 +114,38 @@ def _sample_sector_ue(
 
 def drop_users(layout: NetworkLayout, seed: int, index: int = 0) -> UeDrop:
     """Rejection-sample one UE per sector per cell; deterministic per
-    (seed, index) regardless of any surrounding parallelism."""
-    pos = np.empty((NUM_CELLS, SECTORS, 2))
+    (seed, index) regardless of any surrounding parallelism.
+
+    Stream contract: cell c draws from its own substream (seed, index, c,
+    DROP), and the per-sector sampler takes one (64, 2) batch per attempt,
+    sector by sector.  Here each cell's first 8 x 64 batch is one draw, and
+    all (cell, sector) pairs are tested at once; a cell in which some sector
+    rejects its whole batch is replayed with ``_sample_sector_ue`` on a
+    re-created substream of the same key.  The positions are therefore those
+    of the per-sector sampler, bit for bit, at any thread count.
+    """
+    centers, arrays = layout.cell_centers, layout.array_positions
+    half = CELL_SIDE_M / 2
+    cand = np.empty((NUM_CELLS, SECTORS, 64, 2))
     for c in range(NUM_CELLS):
         gen = _rng.substream(seed, index, c, _rng.DROP)
+        cand[c] = gen.uniform(-half, half, size=(SECTORS, 64, 2))
+    cand += centers[:, None, None, :]
+    ang = np.arctan2(
+        cand[..., 1] - centers[:, None, None, 1], cand[..., 0] - centers[:, None, None, 0]
+    )
+    edges = np.arange(SECTORS + 1) * np.pi / 4 - np.pi
+    ok = (ang >= edges[None, :-1, None]) & (ang < edges[None, 1:, None])
+    for a in range(arrays.shape[1]):
+        dx = cand[..., 0] - arrays[:, None, None, a, 0]
+        dy = cand[..., 1] - arrays[:, None, None, a, 1]
+        ok &= np.sqrt(dx * dx + dy * dy) >= MIN_UE_DISTANCE_M
+    first = ok.argmax(axis=-1)  # (NUM_CELLS, SECTORS)
+    pos = np.take_along_axis(cand, first[..., None, None], axis=2)[:, :, 0]
+    for c in np.flatnonzero(~ok.any(axis=-1).all(axis=-1)):
+        gen = _rng.substream(seed, index, c, _rng.DROP)
         for s in range(SECTORS):
-            pos[c, s] = _sample_sector_ue(
-                layout.cell_centers[c], layout.array_positions[c], s, gen
-            )
+            pos[c, s] = _sample_sector_ue(centers[c], arrays[c], s, gen)
     return UeDrop(ue_positions=pos, seed=seed, index=index)
 
 

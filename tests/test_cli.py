@@ -205,6 +205,32 @@ def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeyp
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv,env,message", [
+    (["scenario-gen", *_SMALL, "--seed", "-1"], {}, "--seed must be >= 0, got -1"),
+    (["rates-cf", *_SMALL, "--ideal", "--seed", "-1"], {}, "--seed must be >= 0, got -1"),
+    (["rates-mc", *_SMALL, "--ideal", "--trials", "4", "--seed", "-1"], {},
+     "--seed must be >= 0, got -1"),
+    (["estimate", *_SMALL, "--ideal", "--trials", "4", "--seed", "-1"], {},
+     "--seed must be >= 0, got -1"),
+    (["preset", "fig7", "--drops", "1", "--seed", "-3"], {}, "--seed must be >= 0, got -3"),
+    (["rates-cf", *_SMALL, "--ideal", "--drop-index", "-1"], {},
+     "--drop-index must be >= 0, got -1"),
+    (["scenario-gen", *_SMALL], {"HWMIMO_SEED": "-4"}, "HWMIMO_SEED must be >= 0, got -4"),
+    (["preset", "{tmp}/negative_seed.yaml"], {}, "seed must be >= 0, got -2"),
+], ids=["scenario-gen-seed", "rates-cf-seed", "rates-mc-seed", "estimate-seed", "preset-seed",
+        "drop-index", "environment-seed", "yaml-seed"])
+def test_negative_seed_or_drop_index_exits_2_naming_the_input(
+    tmp_path, capsys, monkeypatch, argv, env, message
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    (tmp_path / "negative_seed.yaml").write_text(yaml.safe_dump({**_YAML_BASE, "seed": -2}))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+
 def test_overflowing_pilot_covariance_exits_3(tmp_path, capsys):
     from hwmimo.model import Scenario
     from hwmimo.scenario_gen import save_scenario

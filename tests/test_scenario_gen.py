@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from hwmimo import rng as _rng
+from hwmimo import scenario_gen
 from hwmimo.model import validate
 from hwmimo.scenario_gen import (
     CENTER_CELL,
+    NUM_CELLS,
+    SECTORS,
     Deployment,
     build_layout,
     drop_users,
@@ -55,6 +59,58 @@ def test_drop_respects_sectors_and_min_distance():
         sectors = np.floor((ang + np.pi) / (np.pi / 4)).astype(int)
         assert sorted(sectors.tolist()) == list(range(8))
     np.testing.assert_array_equal(drop.pilot_assignment, np.tile(np.arange(8), (25, 1)))
+
+
+def _sequential_drop(layout, seed, index):
+    """The per-sector sampler: one substream per cell, sectors in order."""
+    pos = np.empty((NUM_CELLS, SECTORS, 2))
+    for c in range(NUM_CELLS):
+        gen = _rng.substream(seed, index, c, _rng.DROP)
+        for s in range(SECTORS):
+            pos[c, s] = scenario_gen._sample_sector_ue(
+                layout.cell_centers[c], layout.array_positions[c], s, gen
+            )
+    return pos
+
+
+def _spy_sampler(monkeypatch):
+    """Record the cell center of every ``_sample_sector_ue`` call."""
+    centers = []
+    sample = scenario_gen._sample_sector_ue
+
+    def spy(center, arrays, sector, gen):
+        centers.append(tuple(center))
+        return sample(center, arrays, sector, gen)
+
+    monkeypatch.setattr(scenario_gen, "_sample_sector_ue", spy)
+    return centers
+
+
+@pytest.mark.parametrize("deployment", ["colocated", "distributed"])
+def test_batched_drop_is_bitwise_the_sequential_sampler(monkeypatch, deployment):
+    layout = build_layout(deployment, N=16)
+    centers = _spy_sampler(monkeypatch)
+    replayed = 0
+    for seed in range(40):
+        for index in range(5):
+            before = len(centers)
+            batched = drop_users(layout, seed, index).ue_positions
+            replayed += len(centers) > before
+            np.testing.assert_array_equal(
+                batched.view(np.uint64), _sequential_drop(layout, seed, index).view(np.uint64)
+            )
+    assert replayed > 0  # the replay of cells with an empty sector batch ran
+
+
+def test_cell_with_an_empty_sector_batch_is_replayed(monkeypatch):
+    # cell 22 of colocated drop (8, 1) rejects a whole sector batch
+    layout = build_layout("colocated", N=16)
+    centers = _spy_sampler(monkeypatch)
+    batched = drop_users(layout, seed=8, index=1).ue_positions
+    assert centers == [tuple(layout.cell_centers[22])] * SECTORS
+    np.testing.assert_array_equal(
+        batched.view(np.uint64), _sequential_drop(layout, 8, 1).view(np.uint64)
+    )
 
 
 def test_drops_deterministic_and_seed_sensitive():

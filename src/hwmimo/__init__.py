@@ -15,9 +15,7 @@ __version__ = "0.1.0"
 from .model import (
     HardwareProfile,
     LoMode,
-    NoiseFigure,
     Scenario,
-    ValidationReport,
     conventional_profile,
     expand_covariance,
     factorize_covariance,
@@ -28,9 +26,7 @@ from .pilots import Placement, PlacementKind, PilotBook, dft_book, place, tempor
 __all__ = [
     "HardwareProfile",
     "LoMode",
-    "NoiseFigure",
     "Scenario",
-    "ValidationReport",
     "conventional_profile",
     "expand_covariance",
     "factorize_covariance",

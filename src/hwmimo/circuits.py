@@ -46,6 +46,12 @@ class LnaSpec:
         if self.G <= 0 or self.fom <= 0:
             raise ValueError("gain and figure of merit must be positive")
 
+    @classmethod
+    def from_db(cls, nf_db: float) -> "LnaSpec":
+        """LNA of noise figure ``nf_db`` (dB), with unit gain and figure of
+        merit."""
+        return cls(10.0 ** (nf_db / 10.0))
+
     @property
     def power(self) -> float:
         """Power dissipation implied by the figure of merit; infinite noise
@@ -64,10 +70,9 @@ class LoSpec:
     f_c: float
     T_s: float
     zeta: float
-    fom_lo: float = 1.0
 
     def __post_init__(self):
-        if self.f_c <= 0 or self.T_s <= 0 or self.zeta < 0 or self.fom_lo <= 0:
+        if self.f_c <= 0 or self.T_s <= 0 or self.zeta < 0:
             raise ValueError("oscillator spec fields must be positive (zeta >= 0)")
 
 
@@ -122,18 +127,11 @@ def profile_from_circuits(
     lo: LoSpec,
     sigma2: float,
     lo_mode: LoMode = LoMode.SLO,
-    extra_kappa2: float = 0.0,
 ) -> HardwareProfile:
-    """Assemble the impairment triple implied by a circuit specification.
-
-    ``extra_kappa2`` is a user-supplied additive distortion term for other
-    nonlinearities not modeled individually.
-    """
+    """Assemble the impairment triple implied by a circuit specification."""
     kappa2, _ = adc_to_impairments(adc)
     xi = lna_to_impairments(lna, sigma2, adc)
-    return HardwareProfile(
-        delta=lo_to_delta(lo), kappa2=kappa2 + extra_kappa2, xi=xi, lo_mode=lo_mode
-    )
+    return HardwareProfile(delta=lo_to_delta(lo), kappa2=kappa2, xi=xi, lo_mode=lo_mode)
 
 
 def bussgang_rescale(hw: HardwareProfile, c: complex) -> HardwareProfile:
@@ -148,40 +146,25 @@ def bussgang_rescale(hw: HardwareProfile, c: complex) -> HardwareProfile:
     )
 
 
-@dataclass(frozen=True)
-class CircuitConstants:
-    """Reference single-antenna operating point used by the scaling report."""
-
-    adc_bits: float = 6.0
-    adc_power: float = 1.0  # power of the reference b-bit ADC
-    lna_power: float = 1.0
-    lo_power: float = 1.0
-
-
-def power_scaling_report(
-    n_grid,
-    z1: float,
-    z2: float,
-    z3: float,
-    constants: CircuitConstants = CircuitConstants(),
-) -> list:
+def power_scaling_report(n_grid, z1: float, z2: float, z3: float, adc_bits: float) -> list:
     """Per-antenna and array-total circuit power when hardware quality is
-    relaxed with the array size.
+    relaxed with the array size, in units of each circuit's power at the
+    single-antenna reference point (an ``adc_bits``-bit ADC).
 
-    ADC power falls as 2^(2 b(N)) with b(N) = b0 - (z1/2) log2 N, so the
-    N-antenna total grows as N^(1-z1); the LNA total grows as N^(1-z2); each
-    separate oscillator can back off as 1/(1 + z3 ln N) while one common
-    oscillator stays at its reference power.
+    ADC power falls as 2^(2 b(N)) with b(N) = b0 - (z1/2) log2 N from
+    b0 = ``adc_bits``, so the N-antenna total grows as N^(1-z1); the LNA
+    total grows as N^(1-z2); each separate oscillator can back off as
+    1/(1 + z3 ln N) while one common oscillator stays at its reference power.
     """
     rows = []
     for N in n_grid:
         N = int(N)
         # bits stay real-valued so the totals follow the exact power laws;
         # round with deployable_bits() when picking actual parts
-        bits = constants.adc_bits - adc_relaxation(N, z1)
-        p_adc = constants.adc_power * 2.0 ** (2.0 * (bits - constants.adc_bits))
-        p_lna = constants.lna_power / N**z2
-        p_lo = constants.lo_power / (1.0 + z3 * math.log(N))
+        bits = adc_bits - adc_relaxation(N, z1)
+        p_adc = 2.0 ** (2.0 * (bits - adc_bits))
+        p_lna = 1.0 / N**z2
+        p_lo = 1.0 / (1.0 + z3 * math.log(N))
         rows.append(
             {
                 "N": N,
@@ -192,7 +175,7 @@ def power_scaling_report(
                 "p_lna_total": N * p_lna,
                 "p_lo": p_lo,
                 "p_lo_total_slo": N * p_lo,
-                "p_lo_total_clo": constants.lo_power,
+                "p_lo_total_clo": 1.0,
             }
         )
     return rows

@@ -42,7 +42,7 @@ from .experiments import (
     run,
     write_rows,
 )
-from .model import LoMode, NoiseFigure, user_input
+from .model import LoMode, user_input
 from .montecarlo import FilterKind, McConfig, _rate_from_means, empirical_mse, estimate_moments
 from .pilots import PlacementKind, place
 from .rates import NumericalInvariantError, ScalingExponents, check_scaling_law
@@ -62,11 +62,31 @@ def _env_default(name: str, cast, fallback, minimum=None):
     return value
 
 
+# flag -> (HWMIMO_* variable, type, fallback, minimum) of the flags that
+# every subcommand takes through _add_common
+_ENV_DEFAULTS = {
+    "seed": ("SEED", int, 0, 0),
+    "out": ("OUT", Path, Path("."), None),
+    "threads": ("THREADS", int, 1, 1),
+}
+
+
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    # absent from the namespace unless given; _fill_env_defaults reads the
+    # environment for the parsed subcommand only
     if seed:
-        p.add_argument("--seed", type=int, default=_env_default("SEED", int, 0, minimum=0))
-    p.add_argument("--out", type=Path, default=_env_default("OUT", Path, Path(".")))
-    p.add_argument("--threads", type=int, default=_env_default("THREADS", int, 1, minimum=1))
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--out", type=Path, default=argparse.SUPPRESS)
+    p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+
+
+def _fill_env_defaults(args) -> None:
+    """Give each common flag that the command line left out its HWMIMO_*
+    value, or its fallback.  ``preset`` has its own ``--seed`` (default: the
+    config's seed), so it never reads HWMIMO_SEED."""
+    for dest, (name, cast, fallback, minimum) in _ENV_DEFAULTS.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, _env_default(name, cast, fallback, minimum))
 
 
 def _add_scenario_source(p: argparse.ArgumentParser) -> None:
@@ -132,7 +152,7 @@ def _circuit_variant(args) -> HardwareVariant:
     with user_input():
         hw = profile_from_circuits(
             AdcSpec(args.adc_bits),
-            LnaSpec(F=NoiseFigure.from_db(args.lna_nf_db).F),
+            LnaSpec.from_db(args.lna_nf_db),
             LoSpec(args.carrier_hz, args.symbol_time_s, args.lo_quality),
             sigma2=1.0,
         )
@@ -306,7 +326,7 @@ def _cmd_rates_mc(args) -> int:
 
 def _cmd_scaling_law(args) -> int:
     with user_input():
-        exp = ScalingExponents(args.z1, args.z2, args.z3, delta_0=args.delta0)
+        exp = ScalingExponents(args.z1, args.z2, args.z3)
         tau = place(PlacementKind(args.pilot_place), args.block_length,
                     args.pilot_length or 8).tau
     lo = LoMode(args.lo)
@@ -314,7 +334,8 @@ def _cmd_scaling_law(args) -> int:
         (t for t in range(1, args.block_length + 1) if t not in set(tau)),
         key=lambda t: min(abs(t - x) for x in tau),
     )
-    rep = check_scaling_law(exp, lo, t=worst_t, tau=tau)
+    with user_input():
+        rep = check_scaling_law(exp, lo, t=worst_t, tau=tau, delta_0=args.delta0)
     print(f"satisfied={rep.satisfied} margin={rep.margin:.6g} lhs={rep.lhs:.6g}")
     path = None
     if args.n_grid:
@@ -329,7 +350,7 @@ def _cmd_scaling_law(args) -> int:
 def _cmd_circuit(args) -> int:
     hv = _circuit_variant(args)
     with user_input():
-        table = power_scaling_report(args.n_grid, args.z1, args.z2, args.z3)
+        table = power_scaling_report(args.n_grid, args.z1, args.z2, args.z3, args.adc_bits)
     print(f"delta={hv.delta:.6g} kappa2={hv.kappa2:.6g} xi_over_sigma2={hv.xi_over_sigma2:.6g}")
     rows = [("delta", hv.delta), ("kappa2", hv.kappa2), ("xi_over_sigma2", hv.xi_over_sigma2)]
     _write_csv(args, ("parameter", "value"), rows, "_triple")
@@ -499,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _fill_env_defaults(args)
         _check_args(args)
         return args.fn(args)
     except ConfigError as exc:

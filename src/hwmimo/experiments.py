@@ -453,7 +453,6 @@ def _mark_t_maxima(rows) -> list:
 @dataclass(frozen=True, eq=False)
 class RunResult:
     csv_path: Path
-    manifest_path: Path
     rows: list
 
 
@@ -482,7 +481,7 @@ def run(cfg: RunConfig) -> RunResult:
         "outputs": [csv_path.name],
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return RunResult(csv_path=csv_path, manifest_path=manifest_path, rows=rows)
+    return RunResult(csv_path=csv_path, rows=rows)
 
 
 def write_rows(path: Path, columns, rows) -> None:

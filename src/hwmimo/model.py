@@ -59,25 +59,6 @@ class HardwareProfile:
             raise ValueError("hardware profile requires delta, kappa2 >= 0 and xi > 0")
 
 
-@dataclass(frozen=True)
-class NoiseFigure:
-    """Noise amplification factor F >= 1 (linear scale), so xi = F * sigma2
-    when there is no out-of-band interference leakage."""
-
-    F: float
-
-    def __post_init__(self):
-        if self.F < 1.0:
-            raise ValueError("noise amplification factor must satisfy F >= 1")
-
-    def xi(self, sigma2: float) -> float:
-        return self.F * sigma2
-
-    @classmethod
-    def from_db(cls, nf_db: float) -> "NoiseFigure":
-        return cls(10.0 ** (nf_db / 10.0))
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Immutable description of the network: dimensions, channel covariance
@@ -123,20 +104,11 @@ class Scenario:
         return np.repeat(self.cov, self.multiplicity, axis=-1)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
+def validate(scenario: Scenario, hw: HardwareProfile | None = None) -> tuple:
+    """Check every model invariant; returns the violations instead of raising.
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate(scenario: Scenario, hw: HardwareProfile | None = None) -> ValidationReport:
-    """Check every model invariant; returns a report instead of raising.
-
-    The report lists human-readable violations with offending indices, so a
-    CLI can print them verbatim.
+    Each violation is a human-readable message with the offending indices,
+    so a CLI can print it verbatim; an empty tuple means the inputs are valid.
     """
     v: list[str] = []
     s = scenario
@@ -172,14 +144,14 @@ def validate(scenario: Scenario, hw: HardwareProfile | None = None) -> Validatio
             v.append("xi must be finite")
         elif hw.xi < s.sigma2:
             v.append(f"xi below sigma2 (xi={hw.xi}, sigma2={s.sigma2})")
-    return ValidationReport(ok=not v, violations=tuple(v))
+    return tuple(v)
 
 
 def require_valid(scenario: Scenario, hw: HardwareProfile | None = None) -> None:
     """Raise a ConfigError listing every violation :func:`validate` finds."""
-    report = validate(scenario, hw)
-    if not report.ok:
-        raise ConfigError("; ".join(report.violations))
+    violations = validate(scenario, hw)
+    if violations:
+        raise ConfigError("; ".join(violations))
 
 
 @contextlib.contextmanager

@@ -258,15 +258,11 @@ def mc_rate(
     j: int,
     k: int,
     cache: EstimatorCache | None = None,
-    ts=None,
 ) -> RateReport:
     """Simulated ergodic rate of UE k in cell j: SINR assembled from the MC
     expectations at every data channel use, then averaged with the pilot
-    overhead pre-log.  ``ts`` restricts evaluation to a subset of data times
-    (the rate then averages over that subset, scaled by the data share)."""
-    if ts is None:
-        ts = pilots.data_times()
-    m = estimate_moments(scenario, hw, pilots, filter_kind, j, k, ts, mc, cache)
+    overhead pre-log."""
+    m = estimate_moments(scenario, hw, pilots, filter_kind, j, k, pilots.data_times(), mc, cache)
     rate, traj = _rate_from_means(scenario, hw, pilots, j, k, m)
     return RateReport(rate=rate, ts=m.ts, sinr=traj.sinr)
 

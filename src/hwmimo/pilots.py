@@ -25,7 +25,6 @@ class PlacementKind(str, Enum):
 class Placement:
     """Pilot time indices (1-based) inside a block of T channel uses."""
 
-    kind: PlacementKind
     T: int
     tau: tuple
 
@@ -77,7 +76,7 @@ def place(kind: PlacementKind | str, T: int, B: int) -> Placement:
         tau = list(range(1, head + 1))
         if tail:
             tau += _equispaced(head + 1, T - head, tail)
-    return Placement(kind=kind, T=T, tau=tuple(tau))
+    return Placement(T=T, tau=tuple(tau))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,17 +84,16 @@ class PilotBook:
     """Pilot sequences of all L cells plus their common placement.
 
     sequences has shape (L, B, K); entry (l, b, k) is the symbol UE k of
-    cell l transmits at pilot time tau_b.  ``reuse`` maps each (l, k) to a
-    sequence-group id; cells reuse the same base sequence for equal ids.
+    cell l transmits at pilot time tau_b.  Both books give UE k of every
+    cell the same base sequence (pilot reuse across cells) and the UEs of
+    one cell distinct sequences.
     """
 
     placement: Placement
     sequences: np.ndarray
-    reuse: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "sequences", np.asarray(self.sequences, dtype=complex))
-        object.__setattr__(self, "reuse", np.asarray(self.reuse, dtype=int))
 
     @property
     def tau(self) -> tuple:
@@ -121,11 +119,6 @@ class PilotBook:
         return self.placement.data_times
 
 
-def _default_reuse(L: int, K: int) -> np.ndarray:
-    # sequence k is reused by UE k of every cell, never within a cell
-    return np.tile(np.arange(K), (L, 1))
-
-
 def temporal_book(powers: np.ndarray, placement: Placement) -> PilotBook:
     """Temporally orthogonal pilots: UE k of each cell transmits sqrt(p_lk)
     at pilot time tau_k and is silent at the other pilot times.  Requires
@@ -137,7 +130,7 @@ def temporal_book(powers: np.ndarray, placement: Placement) -> PilotBook:
     seq = np.zeros((L, K, K), dtype=complex)
     idx = np.arange(K)
     seq[:, idx, idx] = np.sqrt(powers)
-    return PilotBook(placement=placement, sequences=seq, reuse=_default_reuse(L, K))
+    return PilotBook(placement=placement, sequences=seq)
 
 
 def dft_book(powers: np.ndarray, placement: Placement) -> PilotBook:
@@ -154,4 +147,4 @@ def dft_book(powers: np.ndarray, placement: Placement) -> PilotBook:
     k = np.arange(K)[None, :]
     dft = np.exp(-2j * np.pi * b * k / K)
     seq = dft[None, :, :] * np.sqrt(powers)[:, None, :]
-    return PilotBook(placement=placement, sequences=seq, reuse=_default_reuse(L, K))
+    return PilotBook(placement=placement, sequences=seq)

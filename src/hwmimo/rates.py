@@ -505,20 +505,17 @@ def asymptotic_sinr(
 @dataclass(frozen=True)
 class ScalingExponents:
     """Growth exponents for the impairment triple: kappa2 ~ N^z1, xi ~ N^z2,
-    delta ~ (1 + z3 ln N), with the baseline values they scale from."""
+    delta ~ (1 + z3 ln N).  The baselines they scale from belong to the
+    caller: a :class:`HardwareProfile` for :func:`scaled_profile`, the drift
+    variance ``delta_0`` for :func:`check_scaling_law`."""
 
     z1: float
     z2: float
     z3: float
-    kappa2_0: float = 0.0
-    xi_0: float = 0.0
-    delta_0: float = 0.0
 
     def __post_init__(self):
         if min(self.z1, self.z2, self.z3) < 0:
             raise ValueError("scaling exponents must be >= 0")
-        if min(self.kappa2_0, self.xi_0, self.delta_0) < 0:
-            raise ValueError("baseline impairments must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -535,17 +532,19 @@ def check_scaling_law(
 
     A common oscillator admits max(z1, z2) <= 1/2 with no drift growth at
     all; separate oscillators trade drift growth against the additive terms
-    through the distance from t to the nearest pilot.
+    through the distance from t to the nearest pilot and the baseline drift
+    variance ``delta_0``.
     """
+    if delta_0 is not None and delta_0 < 0:
+        raise ValueError(f"baseline drift variance delta_0 must be >= 0, got {delta_0}")
     base = max(exp.z1, exp.z2)
     if lo_mode is LoMode.CLO:
         margin = 0.5 - base
         return ScalingLawReport(satisfied=(margin >= 0.0) and exp.z3 == 0.0, margin=margin, lhs=base)
-    d0 = exp.delta_0 if delta_0 is None else delta_0
-    if t is None or tau is None:
-        raise ValueError("separate-oscillator check needs t and the pilot times")
+    if t is None or tau is None or delta_0 is None:
+        raise ValueError("separate-oscillator check needs t, the pilot times and delta_0")
     gap = min(abs(float(t) - float(x)) for x in tau)
-    lhs = base + exp.z3 * d0 * gap / 2.0
+    lhs = base + exp.z3 * delta_0 * gap / 2.0
     margin = 0.5 - lhs
     return ScalingLawReport(satisfied=margin >= 0.0, margin=margin, lhs=lhs)
 

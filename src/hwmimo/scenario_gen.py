@@ -79,20 +79,6 @@ def build_layout(deployment: Deployment | str, N: int) -> NetworkLayout:
     return NetworkLayout(deployment=deployment, N=N, cell_centers=centers, array_positions=arrays)
 
 
-@dataclass(frozen=True, eq=False)
-class UeDrop:
-    """One UE per 45-degree sector of every cell; ue_positions is
-    (NUM_CELLS, SECTORS, 2) and sector k everywhere reuses pilot k."""
-
-    ue_positions: np.ndarray
-    seed: int
-    index: int
-
-    @property
-    def pilot_assignment(self) -> np.ndarray:
-        return np.tile(np.arange(SECTORS), (NUM_CELLS, 1))
-
-
 def _sample_sector_ue(
     center: np.ndarray, arrays: np.ndarray, sector: int, gen: np.random.Generator
 ) -> np.ndarray:
@@ -112,9 +98,11 @@ def _sample_sector_ue(
             return cand[ok[0]]
 
 
-def drop_users(layout: NetworkLayout, seed: int, index: int = 0) -> UeDrop:
-    """Rejection-sample one UE per sector per cell; deterministic per
-    (seed, index) regardless of any surrounding parallelism.
+def drop_users(layout: NetworkLayout, seed: int, index: int = 0) -> np.ndarray:
+    """UE positions, (NUM_CELLS, SECTORS, 2): rejection-sample one UE per
+    45-degree sector of every cell, so sector k of every cell reuses pilot
+    k.  Deterministic per (seed, index) regardless of any surrounding
+    parallelism.
 
     Stream contract: cell c draws from its own substream (seed, index, c,
     DROP), and the per-sector sampler takes one (64, 2) batch per attempt,
@@ -146,7 +134,7 @@ def drop_users(layout: NetworkLayout, seed: int, index: int = 0) -> UeDrop:
         gen = _rng.substream(seed, index, c, _rng.DROP)
         for s in range(SECTORS):
             pos[c, s] = _sample_sector_ue(centers[c], arrays[c], s, gen)
-    return UeDrop(ue_positions=pos, seed=seed, index=index)
+    return pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,17 +149,18 @@ class LinkGains:
 
 def link_gains(
     layout: NetworkLayout,
-    drop: UeDrop,
+    ue_positions: np.ndarray,
     seed: int,
     index: int = 0,
     shadow_std_db: float = SHADOW_STD_DB,
 ) -> LinkGains:
-    """Log-distance path loss 10^(s/10 - 1.53) / d^3.76 with shadow fading
-    s ~ N(0, shadow_std_db^2) in dB, drawn once per (cell, link, array):
-    identical for all co-located antennas, independent across distributed
-    subarrays."""
+    """Log-distance path loss 10^(s/10 - 1.53) / d^3.76 from the arrays of
+    ``layout`` to the UEs at ``ue_positions`` (from :func:`drop_users`),
+    with shadow fading s ~ N(0, shadow_std_db^2) in dB, drawn once per
+    (cell, link, array): identical for all co-located antennas, independent
+    across distributed subarrays."""
     d = np.linalg.norm(
-        layout.array_positions[:, None, None, :, :] - drop.ue_positions[None, :, :, None, :],
+        layout.array_positions[:, None, None, :, :] - ue_positions[None, :, :, None, :],
         axis=-1,
     )  # (j, l, k, a)
     if np.any(d <= 0):
@@ -224,8 +213,8 @@ def generate(
 ) -> Scenario:
     """One-call scenario generation for a single UE drop."""
     layout = build_layout(deployment, N)
-    drop = drop_users(layout, seed, drop_index)
-    gains = link_gains(layout, drop, seed, drop_index, shadow_std_db)
+    ue_positions = drop_users(layout, seed, drop_index)
+    gains = link_gains(layout, ue_positions, seed, drop_index, shadow_std_db)
     rho = 10.0 ** (snr_db / 10.0) * sigma2
     powers = power_control(gains, rho)
     return make_scenario(layout, gains, powers, T, sigma2)

@@ -23,7 +23,7 @@ from hwmimo.circuits import (
 )
 from hwmimo.estimator import build_cache, error_covariance, lmmse_estimate, lmmse_estimate_colocated
 from hwmimo.experiments import preset, run
-from hwmimo.model import HardwareProfile, LoMode, NoiseFigure, Scenario, conventional_profile, expand_covariance
+from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile, expand_covariance
 from hwmimo.montecarlo import FilterKind, McConfig, estimate_moments
 from hwmimo.pilots import dft_book, place, temporal_book
 from hwmimo.rates import (
@@ -397,13 +397,13 @@ def test_criterion_8_scaling_law_limits():
 
 def test_criterion_9_circuit_round_trip():
     hw = profile_from_circuits(
-        AdcSpec(6), LnaSpec(F=NoiseFigure.from_db(2.0).F), LoSpec(2e9, 1e-7, 1e-17), sigma2=1.0
+        AdcSpec(6), LnaSpec.from_db(2.0), LoSpec(2e9, 1e-7, 1e-17), sigma2=1.0
     )
     kappa_err = abs(math.sqrt(hw.kappa2) - 0.0156) / 0.0156
     xi_err = abs(hw.xi - 1.58) / 1.58
     delta_err = abs(hw.delta - 1.58e-4) / 1.58e-4
     ns = [2**e for e in range(2, 16)]
-    rows = power_scaling_report(ns, z1=0.5, z2=0.25, z3=1.0)
+    rows = power_scaling_report(ns, z1=0.5, z2=0.25, z3=1.0, adc_bits=6)
     s1 = loglog_slope(ns, [r["p_adc_total"] for r in rows])
     s2 = loglog_slope(ns, [r["p_lna_total"] for r in rows])
     ok = max(kappa_err, xi_err, delta_err) <= 0.01

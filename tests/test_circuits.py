@@ -18,7 +18,7 @@ from hwmimo.circuits import (
     power_scaling_report,
     profile_from_circuits,
 )
-from hwmimo.model import HardwareProfile, LoMode, NoiseFigure
+from hwmimo.model import HardwareProfile, LoMode
 
 
 def test_adc_six_bits():
@@ -45,8 +45,18 @@ def test_adc_relaxation_values():
     assert deployable_bits(0.3) == 1
 
 
+def test_lna_from_db():
+    lna = LnaSpec.from_db(2.0)
+    assert lna.F == pytest.approx(10 ** 0.2)
+    assert lna_to_impairments(lna, sigma2=2.0) == pytest.approx(2 * 10 ** 0.2)
+    with pytest.raises(ValueError):
+        LnaSpec(0.5)
+    with pytest.raises(ValueError):
+        LnaSpec.from_db(-0.5)
+
+
 def test_lna_noise_variance():
-    lna = LnaSpec(F=NoiseFigure.from_db(2.0).F)
+    lna = LnaSpec.from_db(2.0)
     xi = lna_to_impairments(lna, sigma2=1.0, adc=AdcSpec(6))
     assert xi == pytest.approx(1.58, abs=0.01)
     ideal = lna_to_impairments(LnaSpec(F=1.0), sigma2=1.0)
@@ -72,7 +82,7 @@ def test_lo_phase_noise_variance():
 
 def test_profile_round_trip_reference_point():
     hw = profile_from_circuits(
-        AdcSpec(6), LnaSpec(F=NoiseFigure.from_db(2.0).F), LoSpec(2e9, 1e-7, 1e-17), sigma2=1.0
+        AdcSpec(6), LnaSpec.from_db(2.0), LoSpec(2e9, 1e-7, 1e-17), sigma2=1.0
     )
     assert math.sqrt(hw.kappa2) == pytest.approx(0.0156, rel=0.01)
     assert hw.xi == pytest.approx(1.58, rel=0.01)
@@ -81,7 +91,7 @@ def test_profile_round_trip_reference_point():
 
 def test_power_scaling_slopes():
     ns = [2**e for e in range(2, 16)]
-    rows = power_scaling_report(ns, z1=0.5, z2=0.5, z3=1.0)
+    rows = power_scaling_report(ns, z1=0.5, z2=0.5, z3=1.0, adc_bits=6)
     adc_total = [r["p_adc_total"] for r in rows]
     lna_total = [r["p_lna_total"] for r in rows]
     assert loglog_slope(ns, adc_total) == pytest.approx(0.5, abs=1e-6)
@@ -100,13 +110,13 @@ def test_power_scaling_slopes():
 
 def test_power_scaling_no_relaxation_is_linear():
     ns = [4, 16, 64, 256]
-    rows = power_scaling_report(ns, z1=0.0, z2=0.0, z3=0.0)
+    rows = power_scaling_report(ns, z1=0.0, z2=0.0, z3=0.0, adc_bits=6)
     for key in ("p_adc_total", "p_lna_total", "p_lo_total_slo"):
         assert loglog_slope(ns, [r[key] for r in rows]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_power_scaling_quadrupling_example():
-    rows = power_scaling_report([4, 16], z1=0.5, z2=0.0, z3=0.0)
+    rows = power_scaling_report([4, 16], z1=0.5, z2=0.0, z3=0.0, adc_bits=6)
     assert rows[1]["p_adc_total"] / rows[0]["p_adc_total"] == pytest.approx(2.0)
 
 

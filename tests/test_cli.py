@@ -79,9 +79,10 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["rates-cf", *_SMALL, "--ideal", "--threads", "0"],
     ["rates-cf", "--scenario", "{tmp}/no_L.json", "--ideal"],
     ["rates-cf", "--scenario", "{tmp}/str_L.json", "--ideal"],
+    ["scaling-law", "--z1", "0", "--z2", "0", "--z3", "1", "--delta0", "-1"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
         "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0", "scenario-without-L",
-        "scenario-with-string-L"])
+        "scenario-with-string-L", "delta0-negative"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
         "not_a_scenario": {"hello": "world"},
@@ -205,6 +206,20 @@ def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeyp
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["scenario-gen", *_SMALL, "--seed", "3"], {"HWMIMO_SEED": "abc"}),
+    (["preset", "{tmp}/ok.yaml", "--seed", "3"], {"HWMIMO_SEED": "abc"}),
+    (["preset", "{tmp}/ok.yaml"], {"HWMIMO_SEED": "abc"}),
+    (["scenario-gen", *_SMALL, "--threads", "1"], {"HWMIMO_THREADS": "abc"}),
+], ids=["seed-flag", "preset-seed-flag", "preset-config-seed", "threads-flag"])
+def test_environment_is_read_only_for_flags_not_given(tmp_path, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    (tmp_path / "ok.yaml").write_text(yaml.safe_dump(_YAML_BASE))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("argv,env,message", [
     (["scenario-gen", *_SMALL, "--seed", "-1"], {}, "--seed must be >= 0, got -1"),
     (["rates-cf", *_SMALL, "--ideal", "--seed", "-1"], {}, "--seed must be >= 0, got -1"),
@@ -265,6 +280,17 @@ def test_cli_circuit_hardware_source(tmp_path):
         "--out", str(tmp_path), "--t-stride", "4",
     ])
     assert rc == 0
+
+
+def test_circuit_power_table_relaxes_from_the_given_adc_bits(tmp_path):
+    assert main(["circuit", "--out", str(tmp_path / "6")]) == 0
+    assert main(["circuit", "--adc-bits", "8", "--out", str(tmp_path / "8")]) == 0
+    six = read_csv(tmp_path / "6" / "circuit_power.csv")[1]
+    eight = read_csv(tmp_path / "8" / "circuit_power.csv")[1]
+    assert (six[0]["N"], six[0]["adc_bits"], eight[0]["adc_bits"]) == ("1", "6", "8")
+    for a, b in zip(six, eight):
+        assert float(b.pop("adc_bits")) == float(a.pop("adc_bits")) + 2
+        assert a == b  # powers are relative to the reference ADC, whatever its bits
 
 
 def test_estimate_csv_matches_mse_columns(tmp_path):
@@ -350,26 +376,24 @@ def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch
     draw_world = montecarlo.draw_world
     monkeypatch.setattr(montecarlo, "draw_world",
                         lambda *a, **kw: draws.append(a[5]) or draw_world(*a, **kw))
-    trials, stride = 6, 5
+    trials = 6
     rc = main([
         "rates-mc", "--deployment", "colocated", "-N", "8", "-T", "20", "--seed", "3",
         "--delta", "1e-3", "--kappa2", "1e-3", "--xi-over-sigma2", "1.2", "--lo", "slo",
-        "--filter", "mmse", "--ue", "1", "--trials", str(trials), "--t-stride", str(stride),
+        "--filter", "mmse", "--ue", "1", "--trials", str(trials), "--t-stride", "1",
         "--out", str(tmp_path),
     ])
     assert rc == 0
     rows = read_csv(tmp_path / "rates_mc.csv")[1]
-    assert len(rows) == 3
-    assert sorted(draws) == list(range(trials))  # one world per chunk for all 3 uses
+    assert len(rows) == 12
+    assert sorted(draws) == list(range(trials))  # one world per chunk for all 12 uses
 
     scen = generate("colocated", N=8, snr_db=5.0, T=20, seed=3)
     hw = HardwareProfile(delta=1e-3, kappa2=1e-3, xi=1.2 * scen.sigma2, lo_mode=LoMode.SLO)
     book = _pilot_book(scen, "dft", "beginning", None)
-    ts = np.asarray(book.data_times(), dtype=float)[::stride]
     rep = montecarlo.mc_rate(scen, hw, book, montecarlo.FilterKind.MMSE,
-                             montecarlo.McConfig(trials=trials, seed=3), _serving_cell(scen), 1,
-                             ts=ts)
-    assert [r["t"] for r in rows] == [str(int(t)) for t in ts]
+                             montecarlo.McConfig(trials=trials, seed=3), _serving_cell(scen), 1)
+    assert [r["t"] for r in rows] == [str(t) for t in book.data_times()]
     assert [r["sinr"] for r in rows] == [_fmt(float(x)) for x in rep.sinr]
     assert {r["rate"] for r in rows} == {_fmt(rep.rate)}
 

@@ -102,11 +102,16 @@ def test_power_constraint_every_entry(rng):
         assert np.all(np.abs(book.sequences) ** 2 <= cap + 1e-12)
 
 
-def test_reuse_map_only_across_cells(rng):
+def test_pilots_reused_across_cells_only(rng):
     powers = rng.uniform(0.5, 2.0, size=(3, 4))
-    book = dft_book(powers, place("beginning", T=10, B=4))
-    # same id appears once per cell, and in every cell
-    for l in range(3):
-        assert len(set(book.reuse[l])) == 4
-    for k in range(4):
-        assert len(set(book.reuse[:, k])) == 1
+    for book in (
+        temporal_book(powers, place("beginning", T=10, B=4)),
+        dft_book(powers, place("uniform", T=10, B=8)),
+    ):
+        base = book.sequences / np.sqrt(powers)[:, None, :]
+        # UE k sends the same sequence, of unit peak power, in every cell ...
+        np.testing.assert_allclose(base, np.broadcast_to(base[0], base.shape), atol=1e-15)
+        np.testing.assert_allclose(np.abs(base).max(axis=1), 1.0, rtol=1e-15)
+        # ... and the UEs of one cell send distinct (orthogonal) sequences
+        gram = base[0].conj().T @ base[0]
+        np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-12)

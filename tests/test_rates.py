@@ -485,14 +485,19 @@ def test_scaling_law_clo_cases():
 
 
 def test_scaling_law_slo_arithmetic():
-    exp = ScalingExponents(0.0, 0.0, 10.0, delta_0=7e-5)
-    rep = check_scaling_law(exp, LoMode.SLO, t=108, tau=(1, 2, 8))
+    exp = ScalingExponents(0.0, 0.0, 10.0)
+    rep = check_scaling_law(exp, LoMode.SLO, t=108, tau=(1, 2, 8), delta_0=7e-5)
     assert rep.lhs == pytest.approx(10.0 * 7e-5 * 100 / 2)
     assert rep.satisfied and rep.margin == pytest.approx(0.5 - 0.035)
-    tight = ScalingExponents(0.48, 0.3, 2.0, delta_0=1e-2)
-    rep2 = check_scaling_law(tight, LoMode.SLO, t=30, tau=(1,))
+    tight = ScalingExponents(0.48, 0.3, 2.0)
+    rep2 = check_scaling_law(tight, LoMode.SLO, t=30, tau=(1,), delta_0=1e-2)
     assert rep2.lhs == pytest.approx(0.48 + 2.0 * 1e-2 * 29 / 2)
     assert not rep2.satisfied
+    for lo in LoMode:
+        with pytest.raises(ValueError, match="delta_0"):
+            check_scaling_law(exp, lo, t=108, tau=(1,), delta_0=-1e-5)
+    with pytest.raises(ValueError, match="delta_0"):
+        check_scaling_law(exp, LoMode.SLO, t=108, tau=(1,))
 
 
 def test_scaled_profile_values():

@@ -44,7 +44,7 @@ from .experiments import (
 )
 from .model import LoMode, user_input
 from .montecarlo import FilterKind, McConfig, _rate_from_means, empirical_mse, estimate_moments
-from .pilots import PlacementKind, place
+from .pilots import PlacementKind
 from .rates import NumericalInvariantError, ScalingExponents, check_scaling_law
 from .scenario_gen import SHADOW_STD_DB, save_scenario
 
@@ -196,11 +196,10 @@ def _scenario_and_book(args):
 
 
 def _inputs(args):
-    """Scenario, hardware profile, pilot book, estimator cache and reported
-    cell of a subcommand with a hardware source."""
+    """Estimator cache (scenario, hardware profile and pilot book) and
+    reported cell of a subcommand with a hardware source."""
     scen, book, cell = _scenario_and_book(args)
-    hw = _profile(_hardware_from(args), scen)
-    return scen, hw, book, build_cache(scen, hw, book), cell
+    return build_cache(scen, _profile(_hardware_from(args), scen), book), cell
 
 
 def _finish(args, path=None, **extra) -> int:
@@ -249,9 +248,9 @@ def _data_times(book, t_stride: int) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
-    scen, hw, book, cache, j = _inputs(args)
+    cache, j = _inputs(args)
     l = args.source_cell if args.source_cell is not None else j
-    ts = _data_times(book, args.t_stride)
+    ts = _data_times(cache.book, args.t_stride)
     closed = np.array([error_covariance(cache, j, l, args.ue, t)[1] for t in ts])
     mc_mean, _ = empirical_mse(
         cache, j, l, args.ue, ts, McConfig(trials=args.trials, seed=args.seed, threads=args.threads)
@@ -302,14 +301,14 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_rates_mc(args) -> int:
-    scen, hw, book, cache, j = _inputs(args)
+    cache, j = _inputs(args)
     mc = McConfig(trials=args.trials, seed=args.seed, threads=args.threads)
-    ts = _data_times(book, args.t_stride)
-    ues = range(scen.K) if args.ue is None else [args.ue]
+    ts = _data_times(cache.book, args.t_stride)
+    ues = range(cache.scenario.K) if args.ue is None else [args.ue]
     rows = []
     for k in ues:
-        m = estimate_moments(scen, hw, book, FilterKind(args.filter), j, k, ts, mc, cache=cache)
-        rate, traj = _rate_from_means(scen, hw, book, j, k, m)
+        m = estimate_moments(cache, FilterKind(args.filter), j, k, ts, mc)
+        rate, traj = _rate_from_means(cache, j, k, m)
         for i, t in enumerate(ts):
             rows.append((
                 k, int(t), m.norm2[i], m.norm2_se[i], m.first[i].real, m.first[i].imag,
@@ -327,15 +326,15 @@ def _cmd_rates_mc(args) -> int:
 def _cmd_scaling_law(args) -> int:
     with user_input():
         exp = ScalingExponents(args.z1, args.z2, args.z3)
-        tau = place(PlacementKind(args.pilot_place), args.block_length,
-                    args.pilot_length or 8).tau
+    book = _scenario_and_book(args)[1]  # the book of the --n-grid CSV
+    data = book.data_times()
+    if not data:
+        raise ConfigError(f"the {book.B} pilots fill the block of {book.T} channel uses: "
+                          "no data channel use to check")
     lo = LoMode(args.lo)
-    worst_t = max(
-        (t for t in range(1, args.block_length + 1) if t not in set(tau)),
-        key=lambda t: min(abs(t - x) for x in tau),
-    )
+    worst_t = max(data, key=lambda t: min(abs(t - x) for x in book.tau))
     with user_input():
-        rep = check_scaling_law(exp, lo, t=worst_t, tau=tau, delta_0=args.delta0)
+        rep = check_scaling_law(exp, lo, t=worst_t, tau=book.tau, delta_0=args.delta0)
     print(f"satisfied={rep.satisfied} margin={rep.margin:.6g} lhs={rep.lhs:.6g}")
     path = None
     if args.n_grid:
@@ -401,6 +400,24 @@ def _int_list(text: str) -> list:
     return [int(x) for x in text.split(",") if x]
 
 
+def _drop_parser(sub, name: str, help_text: str, fn, t_stride: int, hardware: bool = True):
+    """Subparser of a command that evaluates one drop: the common flags, the
+    scenario source, the hardware flags (unless ``hardware`` is False), the
+    pilots, ``--cell``, ``--t-stride`` and ``--name`` (default: the command
+    name with ``_`` for ``-``).  The caller adds the command's own flags."""
+    p = sub.add_parser(name, help=help_text)
+    _add_common(p)
+    _add_scenario_source(p)
+    if hardware:
+        _add_hardware(p)
+    _add_pilots(p)
+    p.add_argument("--cell", type=int, default=None)
+    p.add_argument("--t-stride", type=int, default=t_stride)
+    p.add_argument("--name", default=name.replace("-", "_"))
+    p.set_defaults(fn=fn)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hwmimo",
@@ -415,67 +432,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="scenario")
     p.set_defaults(fn=_cmd_scenario_gen)
 
-    p = sub.add_parser("estimate", help="channel-estimation MSE, closed form vs Monte Carlo")
-    _add_common(p)
-    _add_scenario_source(p)
-    _add_hardware(p)
-    _add_pilots(p)
-    p.add_argument("--cell", type=int, default=None)
+    p = _drop_parser(sub, "estimate", "channel-estimation MSE, closed form vs Monte Carlo",
+                     _cmd_estimate, t_stride=1)
     p.add_argument("--source-cell", type=int, default=None)
     p.add_argument("--ue", type=int, default=0)
     p.add_argument("--trials", type=int, default=20_000)
-    p.add_argument("--t-stride", type=int, default=1)
-    p.add_argument("--name", default="estimate")
-    p.set_defaults(fn=_cmd_estimate)
 
-    p = sub.add_parser("rates-cf", help="closed-form SINR and rates (MRC)")
-    _add_common(p)
-    _add_scenario_source(p)
-    _add_hardware(p)
-    _add_pilots(p)
-    p.add_argument("--cell", type=int, default=None)
-    p.add_argument("--t-stride", type=int, default=1)
-    p.add_argument("--name", default="rates_cf")
-    p.set_defaults(fn=_cmd_rates_cf)
+    _drop_parser(sub, "rates-cf", "closed-form SINR and rates (MRC)", _cmd_rates_cf, t_stride=1)
 
-    p = sub.add_parser("sweep-n", help="closed-form rates over an antenna-count grid")
-    _add_common(p)
-    _add_scenario_source(p)
-    _add_hardware(p)
-    _add_pilots(p)
-    p.add_argument("--cell", type=int, default=None)
+    p = _drop_parser(sub, "sweep-n", "closed-form rates over an antenna-count grid",
+                     _cmd_sweep_n, t_stride=16)
     p.add_argument("--n-grid", type=_int_list, required=True)
-    p.add_argument("--t-stride", type=int, default=16)
-    p.add_argument("--name", default="sweep_n")
-    p.set_defaults(fn=_cmd_sweep_n)
 
-    p = sub.add_parser("rates-mc", help="simulated SINR expectations and rates")
-    _add_common(p)
-    _add_scenario_source(p)
-    _add_hardware(p)
-    _add_pilots(p)
-    p.add_argument("--cell", type=int, default=None)
+    p = _drop_parser(sub, "rates-mc", "simulated SINR expectations and rates",
+                     _cmd_rates_mc, t_stride=16)
     p.add_argument("--ue", type=int, default=None, help="default: all UEs of the cell")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--filter", choices=["mrc", "mmse"], default="mrc")
-    p.add_argument("--t-stride", type=int, default=16)
-    p.add_argument("--name", default="rates_mc")
-    p.set_defaults(fn=_cmd_rates_mc)
 
-    p = sub.add_parser("asymptotic", help="large-array SINR limits")
-    _add_common(p)
-    _add_scenario_source(p)
-    _add_hardware(p)
-    _add_pilots(p)
-    p.add_argument("--cell", type=int, default=None)
-    p.add_argument("--t-stride", type=int, default=16)
-    p.add_argument("--name", default="asymptotic")
-    p.set_defaults(fn=_cmd_asymptotic)
+    _drop_parser(sub, "asymptotic", "large-array SINR limits", _cmd_asymptotic, t_stride=16)
 
-    p = sub.add_parser("scaling-law", help="check hardware scaling exponents")
-    _add_common(p)
-    _add_scenario_source(p)
-    _add_pilots(p)
+    p = _drop_parser(sub, "scaling-law", "check hardware scaling exponents", _cmd_scaling_law,
+                     t_stride=64, hardware=False)
     p.add_argument("--z1", type=float, required=True)
     p.add_argument("--z2", type=float, required=True)
     p.add_argument("--z3", type=float, required=True)
@@ -483,11 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa20", type=float, default=0.05**2)
     p.add_argument("--xi0", type=float, default=3.0, help="baseline xi in units of sigma2")
     p.add_argument("--lo", choices=["clo", "slo"], default="slo")
-    p.add_argument("--cell", type=int, default=None)
     p.add_argument("--n-grid", type=_int_list, default=None)
-    p.add_argument("--t-stride", type=int, default=64)
-    p.add_argument("--name", default="scaling_law")
-    p.set_defaults(fn=_cmd_scaling_law)
 
     p = sub.add_parser("circuit", help="impairment triple and power tables from circuit specs")
     _add_common(p)

@@ -50,8 +50,6 @@ class EstimatorCache:
     scenario: Scenario
     hw: HardwareProfile
     book: PilotBook
-    lam: np.ndarray  # (L, L, K, Ae) reduced covariance diagonals
-    mult: int  # antennas per stored covariance entry
     Xbar: np.ndarray  # (L, K, B, B) damped pilot Grams
     X: np.ndarray  # Xbar + kappa2 * diag(|pilot|^2)
     _psi_inv: dict = field(default_factory=dict)
@@ -59,6 +57,16 @@ class EstimatorCache:
     _gains: dict = field(default_factory=dict)
 
     _GAIN_MEMO_LIMIT = 16384  # estimation is linear in psi; keep hot gains
+
+    @property
+    def lam(self) -> np.ndarray:
+        """Reduced covariance diagonals of the scenario, (L, L, K, Ae)."""
+        return self.scenario.cov
+
+    @property
+    def mult(self) -> int:
+        """Antennas per stored covariance entry."""
+        return self.scenario.multiplicity
 
     @property
     def B(self) -> int:
@@ -155,15 +163,7 @@ def build_cache(scenario: Scenario, hw: HardwareProfile, book: PilotBook) -> Est
     energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
     kappa_term = hw.kappa2 * np.einsum("lkb,bc->lkbc", energy, np.eye(book.B))
     X = np.ascontiguousarray(Xbar + kappa_term)
-    return EstimatorCache(
-        scenario=scenario,
-        hw=hw,
-        book=book,
-        lam=scenario.cov,
-        mult=scenario.multiplicity,
-        Xbar=Xbar,
-        X=X,
-    )
+    return EstimatorCache(scenario=scenario, hw=hw, book=book, Xbar=Xbar, X=X)
 
 
 @dataclass(frozen=True, eq=False)

@@ -417,10 +417,9 @@ def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
     rows = []
     for labels, book in _books(cfg, deployment, scen):
         for hv in cfg.hardware:
-            hw = _profile(hv, scen)
-            cache = build_cache(scen, hw, book)
+            cache = build_cache(scen, _profile(hv, scen), book)
             for k in range(scen.K):
-                rep = mc_rate(scen, hw, book, cfg.experiment.filter_kind, mc, cell, k, cache)
+                rep = mc_rate(cache, cfg.experiment.filter_kind, mc, cell, k)
                 rows.append((labels[hv.label], scen.N, scen.T, drop, k, "rate_mc", rep.rate, ""))
     return rows
 

@@ -22,9 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .channel import draw_world, world_bytes
-from .estimator import EstimatorCache, build_cache, error_covariance
+from .estimator import EstimatorCache, error_covariance
 from .model import HardwareProfile, Scenario
-from .pilots import PilotBook
 from .rates import RateReport, SinrTrajectory, _sinr_from_moments, ergodic_rate
 
 _CHUNK_TARGET_BYTES = 64 * 2**20
@@ -138,25 +137,41 @@ def _fan_out(fn, jobs: list, threads: int) -> list:
     return [fn(job) for job in jobs]
 
 
+def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
+                 extra_bytes: int, sample) -> tuple:
+    """Run ``sample(world)`` on every chunk of ``mc.trials`` trials and join
+    the per-trial arrays it returns in chunk order.  Each chunk draws one
+    world ``(h, rot_ts, psi)`` of cell j at the channel uses ``ts`` from its
+    own substream; a trial is budgeted its world plus ``extra_bytes``."""
+    scen, hw, book = cache.scenario, cache.hw, cache.book
+    sizes = _chunk_sizes(mc.trials, world_bytes(scen, hw, book, ts) + extra_bytes)
+
+    def run(job):
+        idx, size = job
+        return sample(draw_world(scen, hw, book, j, ts, idx, size, mc.seed))
+
+    parts = _fan_out(run, list(enumerate(sizes)), mc.threads)
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
 def _simulate_chunk(
     cache: EstimatorCache,
     j: int,
     k: int,
     ts: np.ndarray,
-    chunk_index: int,
-    size: int,
-    seed: int,
+    world: tuple,
     filter_kind: FilterKind,
     error_covs: np.ndarray | None,
 ) -> tuple:
     """Per-trial samples of the four SINR ingredients at each channel use of
-    ``ts``, all drawn from one world: ``(norm2, first, second, distortion)``
-    of shapes (size, nt), (size, nt), (size, nt, L, K) and (size, nt).  The
-    MMSE filter reads ``error_covs``, the (nt, L, K, N) error covariance
-    diagonals at ``ts``; the MRC filter takes None."""
+    ``ts``, all from one drawn ``world``: ``(norm2, first, second,
+    distortion)`` of shapes (size, nt), (size, nt), (size, nt, L, K) and
+    (size, nt).  The MMSE filter reads ``error_covs``, the (nt, L, K, N)
+    error covariance diagonals at ``ts``; the MRC filter takes None."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
-    h, rot_ts, psi = draw_world(scen, hw, cache.book, j, ts, chunk_index, size, seed)
+    h, rot_ts, psi = world
+    size = h.shape[0]
     dist_weight = hw.kappa2 * np.einsum("lk,slkn->sn", scen.powers, np.abs(h) ** 2)
 
     nt = ts.size
@@ -184,39 +199,32 @@ def _simulate_chunk(
 
 
 def estimate_moments(
-    scenario: Scenario,
-    hw: HardwareProfile,
-    pilots: PilotBook,
+    cache: EstimatorCache,
     filter_kind: FilterKind,
     j: int,
     k: int,
     ts,
     mc: McConfig,
-    cache: EstimatorCache | None = None,
 ) -> McMoments:
     """Sample means of the four SINR expectations for UE k of cell j at the
-    channel uses ``ts``.  Every chunk of trials draws one world (channels,
-    phase trajectories, pilot observations) shared by all of ``ts``."""
-    cache = cache or build_cache(scenario, hw, pilots)
+    channel uses ``ts``, for the scenario, hardware and pilot book of
+    ``cache``.  Every chunk of trials draws one world (channels, phase
+    trajectories, pilot observations) shared by all of ``ts``."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
-    per_trial = world_bytes(cache.scenario, cache.hw, cache.book, ts) + 16 * ts.size * (L * K + 4)
+    extra = 16 * ts.size * (L * K + 4)
     ecovs = None
     if filter_kind is FilterKind.MMSE:
-        per_trial += 16 * (L * K * N + N * N)
+        extra += 16 * (L * K * N + N * N)
         # the error covariances depend on the channel use only; one set serves every chunk
         ecovs = np.array([
             [[error_covariance(cache, j, l, m, t)[0] for m in range(K)] for l in range(L)]
             for t in ts
         ]).reshape(ts.size, L, K, N)
-    sizes = _chunk_sizes(mc.trials, per_trial)
-
-    def run(args):
-        idx, size = args
-        return _simulate_chunk(cache, j, k, ts, idx, size, mc.seed, filter_kind, ecovs)
-
-    parts = _fan_out(run, list(enumerate(sizes)), mc.threads)
-    norm2, first, second, distortion = (np.concatenate(v) for v in zip(*parts))
+    norm2, first, second, distortion = _over_chunks(
+        cache, j, ts, mc, extra,
+        lambda world: _simulate_chunk(cache, j, k, ts, world, filter_kind, ecovs),
+    )
     return McMoments(
         trials=mc.trials,
         ts=ts,
@@ -232,38 +240,28 @@ def estimate_moments(
 
 
 def _rate_from_means(
-    scenario: Scenario,
-    hw: HardwareProfile,
-    pilots: PilotBook,
-    j: int,
-    k: int,
-    m: McMoments,
+    cache: EstimatorCache, j: int, k: int, m: McMoments
 ) -> tuple[float, SinrTrajectory]:
     """Rate and per-time SINR of UE k in cell j from the sample means ``m``
-    of the four expectations at the channel uses ``m.ts``; the SINR takes
-    the sampled-moment denominator floor of :func:`rates._sinr_from_moments`."""
-    inter = np.einsum("lk,tlk->t", scenario.powers, m.second)
+    of the four expectations at the channel uses ``m.ts``, estimated on
+    ``cache``; the SINR takes the sampled-moment denominator floor of
+    :func:`rates._sinr_from_moments`."""
+    scen = cache.scenario
+    inter = np.einsum("lk,tlk->t", scen.powers, m.second)
     traj = _sinr_from_moments(
-        scenario, hw.xi, j, k, m.ts, m.norm2, m.first, inter, m.distortion, trials=m.trials
+        scen, cache.hw.xi, j, k, m.ts, m.norm2, m.first, inter, m.distortion, trials=m.trials
     )
-    return ergodic_rate(traj.sinr, scenario.T, pilots.B), traj
+    return ergodic_rate(traj.sinr, scen.T, cache.book.B), traj
 
 
 def mc_rate(
-    scenario: Scenario,
-    hw: HardwareProfile,
-    pilots: PilotBook,
-    filter_kind: FilterKind,
-    mc: McConfig,
-    j: int,
-    k: int,
-    cache: EstimatorCache | None = None,
+    cache: EstimatorCache, filter_kind: FilterKind, mc: McConfig, j: int, k: int
 ) -> RateReport:
     """Simulated ergodic rate of UE k in cell j: SINR assembled from the MC
     expectations at every data channel use, then averaged with the pilot
     overhead pre-log."""
-    m = estimate_moments(scenario, hw, pilots, filter_kind, j, k, pilots.data_times(), mc, cache)
-    rate, traj = _rate_from_means(scenario, hw, pilots, j, k, m)
+    m = estimate_moments(cache, filter_kind, j, k, cache.book.data_times(), mc)
+    rate, traj = _rate_from_means(cache, j, k, m)
     return RateReport(rate=rate, ts=m.ts, sinr=traj.sinr)
 
 
@@ -274,18 +272,15 @@ def empirical_mse(
     requested channel use, with batch-means standard errors; the Monte Carlo
     counterpart of the closed-form error covariance trace."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    scen, hw, book = cache.scenario, cache.hw, cache.book
-    sizes = _chunk_sizes(mc.trials, world_bytes(scen, hw, book, ts) + 16 * ts.size * 2)
 
-    def run(args):
-        idx, size = args
-        h, rot_ts, psi = draw_world(scen, hw, book, j, ts, idx, size, mc.seed)
-        out = np.empty((size, ts.size))
+    def sample(world):
+        h, rot_ts, psi = world
+        out = np.empty((h.shape[0], ts.size))
         for it, t in enumerate(ts):
             est = cache.apply_reduced_gain(cache.reduced_gain(j, l, k, t), psi)
             h_t = rot_ts[:, it, :] * h[:, l, k, :]
             out[:, it] = np.sum(np.abs(h_t - est) ** 2, axis=-1)
-        return out
+        return (out,)
 
-    errs = np.concatenate(_fan_out(run, list(enumerate(sizes)), mc.threads))
+    (errs,) = _over_chunks(cache, j, ts, mc, 16 * ts.size * 2, sample)
     return errs.mean(axis=0), _batch_se(errs)

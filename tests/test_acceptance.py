@@ -87,8 +87,8 @@ def test_criterion_1_closed_form_vs_monte_carlo():
         cache = build_cache(scen, hw, book)
         cf = mrc_moments(cache, j, k, t)
         mc = estimate_moments(
-            scen, hw, book, FilterKind.MRC, j, k, [t],
-            McConfig(trials=100_000, seed=9000 + i, threads=THREADS), cache=cache,
+            cache, FilterKind.MRC, j, k, [t],
+            McConfig(trials=100_000, seed=9000 + i, threads=THREADS),
         )
 
         def close(a, b, se):

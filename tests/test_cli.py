@@ -80,9 +80,10 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["rates-cf", "--scenario", "{tmp}/no_L.json", "--ideal"],
     ["rates-cf", "--scenario", "{tmp}/str_L.json", "--ideal"],
     ["scaling-law", "--z1", "0", "--z2", "0", "--z3", "1", "--delta0", "-1"],
+    ["scaling-law", "--z1", "0", "--z2", "0", "--z3", "0", "-T", "8"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
         "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0", "scenario-without-L",
-        "scenario-with-string-L", "delta0-negative"])
+        "scenario-with-string-L", "delta0-negative", "pilots-fill-block"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
         "not_a_scenario": {"hello": "world"},
@@ -340,6 +341,20 @@ def test_scaling_law_command(tmp_path, capsys):
     assert manifest["satisfied"] is False
 
 
+def test_scaling_law_reads_the_block_of_its_scenario_file(tmp_path):
+    # the check takes its pilot times and worst channel use from the book
+    # the CSV uses, so a T = 40 scenario file gives what -T 40 gives
+    gen = ["--deployment", "colocated", "-N", "8", "-T", "40", "--seed", "2"]
+    assert main(["scenario-gen", *gen, "--out", str(tmp_path), "--name", "s40"]) == 0
+    law = ["scaling-law", "--z1", "0.3", "--z2", "0.3", "--z3", "1", "--delta0", "1e-3"]
+    manifests = []
+    for name, source in (("file", ["--scenario", str(tmp_path / "s40.json")]), ("flags", gen)):
+        assert main([*law, *source, "--out", str(tmp_path), "--name", name]) == 0
+        manifests.append(json.loads((tmp_path / f"{name}_manifest.json").read_text()))
+    assert manifests[0]["worst_t"] == manifests[1]["worst_t"] == 40
+    assert manifests[0]["lhs"] == manifests[1]["lhs"]
+
+
 def test_scaling_law_n_grid_evaluates_at_each_n(tmp_path):
     law = ["scaling-law", "--z1", "0.5", "--z2", "0.5", "--z3", "0", "--deployment",
            "colocated", "-T", "100", "--n-grid", "16,64", "--t-stride", "16"]
@@ -367,6 +382,7 @@ def test_scaling_law_n_grid_evaluates_at_each_n(tmp_path):
 
 def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch):
     from hwmimo import montecarlo
+    from hwmimo.estimator import build_cache
     from hwmimo.experiments import _fmt, _pilot_book, _serving_cell
     from hwmimo.model import HardwareProfile, LoMode
     from hwmimo.scenario_gen import generate
@@ -391,7 +407,7 @@ def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch
     scen = generate("colocated", N=8, snr_db=5.0, T=20, seed=3)
     hw = HardwareProfile(delta=1e-3, kappa2=1e-3, xi=1.2 * scen.sigma2, lo_mode=LoMode.SLO)
     book = _pilot_book(scen, "dft", "beginning", None)
-    rep = montecarlo.mc_rate(scen, hw, book, montecarlo.FilterKind.MMSE,
+    rep = montecarlo.mc_rate(build_cache(scen, hw, book), montecarlo.FilterKind.MMSE,
                              montecarlo.McConfig(trials=trials, seed=3), _serving_cell(scen), 1)
     assert [r["t"] for r in rows] == [str(t) for t in book.data_times()]
     assert [r["sinr"] for r in rows] == [_fmt(float(x)) for x in rep.sinr]

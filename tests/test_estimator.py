@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,9 +174,10 @@ def test_pilot_covariance_inverse_is_block_diagonal(rng):
 @pytest.mark.parametrize("scale,reason", [(-10.0, "positive definite"), (np.inf, "not finite")])
 def test_bad_pilot_covariance_block_raises(rng, scale, reason):
     # one subarray's block is negative definite (finite) or holds inf/nan
-    cache = _block_scenario(rng)
-    cache.lam = cache.lam.copy()
-    cache.lam[1, :, :, 2] *= scale
+    base = _block_scenario(rng)
+    cov = base.lam.copy()
+    cov[1, :, :, 2] *= scale
+    cache = build_cache(dataclasses.replace(base.scenario, cov=cov), base.hw, base.book)
     with pytest.raises(NumericalInvariantError, match=f"cell 1 .*{reason}"):
         cache.pblocks(1)
     cache.pblocks(0)  # the other cell is unaffected

@@ -168,22 +168,21 @@ def test_rates_mc_kind_is_bitwise_equal_at_any_thread_count(tmp_path):
 
 
 def test_rates_mc_kind_builds_one_cache_per_variant_and_book(tmp_path, monkeypatch):
-    from hwmimo import experiments, montecarlo
+    from hwmimo import experiments
 
     cfg = tiny_cfg(tmp_path / "shared", kind="rates-mc", trials=20)
     cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, drops=1))
     builds = []
-    for module in (experiments, montecarlo):
-        build = module.build_cache
-        monkeypatch.setattr(module, "build_cache",
-                            lambda *a, build=build: builds.append(1) or build(*a))
+    build = experiments.build_cache
+    monkeypatch.setattr(experiments, "build_cache", lambda *a: builds.append(1) or build(*a))
     shared = run(cfg)
     assert len(builds) == len(cfg.hardware)  # one book, one drop; not one per UE
     assert len({r[4] for r in shared.rows}) > 1
 
     # the shared cache writes the same bytes as a fresh cache per UE
     mc_rate = experiments.mc_rate
-    monkeypatch.setattr(experiments, "mc_rate", lambda *a: mc_rate(*a[:7]))
+    monkeypatch.setattr(experiments, "mc_rate", lambda cache, *a: mc_rate(
+        build(cache.scenario, cache.hw, cache.book), *a))
     fresh = run(dataclasses.replace(cfg, out=str(tmp_path / "fresh")))
     assert fresh.csv_path.read_bytes() == shared.csv_path.read_bytes()
 

@@ -40,9 +40,7 @@ def test_mc_moments_match_closed_form(rng, lo, book_kind, delta, kappa):
     cache = build_cache(scen, hw, book)
     t = 7
     cf = mrc_moments(cache, 0, 0, t)
-    mc = estimate_moments(
-        scen, hw, book, FilterKind.MRC, 0, 0, [t], McConfig(trials=30_000, seed=5), cache=cache
-    )
+    mc = estimate_moments(cache, FilterKind.MRC, 0, 0, [t], McConfig(trials=30_000, seed=5))
     assert within(mc.norm2[0], cf.norm2, mc.norm2_se[0], rel=0.04)
     assert within(mc.first[0].real, cf.first, mc.first_se[0], rel=0.04)
     assert abs(mc.first[0].imag) <= 5 * mc.first_se[0] + 1e-9
@@ -64,7 +62,7 @@ def test_mc_scalar_conventional_case():
     hw = conventional_profile(1.0)
     book = make_book(scen, "temporal", B=1)
     mc = estimate_moments(
-        scen, hw, book, FilterKind.MRC, 0, 0, [4], McConfig(trials=60_000, seed=9)
+        build_cache(scen, hw, book), FilterKind.MRC, 0, 0, [4], McConfig(trials=60_000, seed=9)
     )
     # gain 1/2 applied to psi with E|psi|^2 = 2: E||v||^2 = 1/2
     assert mc.norm2[0] == pytest.approx(0.5, rel=0.03)
@@ -97,10 +95,11 @@ def test_sinr_invariant_to_filter_scaling(rng):
     scen = random_scenario(rng, L=2, K=2, N=3, T=8)
     hw = impaired_profile(lo=LoMode.SLO, delta=2e-3, kappa2=0.04)
     book = make_book(scen)
-    mc = estimate_moments(scen, hw, book, FilterKind.MRC, 0, 1, [6], McConfig(trials=5_000, seed=3))
+    cache = build_cache(scen, hw, book)
+    mc = estimate_moments(cache, FilterKind.MRC, 0, 1, [6], McConfig(trials=5_000, seed=3))
 
     def assemble(m):
-        return _rate_from_means(scen, hw, book, 0, 1, m)[1].sinr[0]
+        return _rate_from_means(cache, 0, 1, m)[1].sinr[0]
 
     base = assemble(mc)
     c = 3.7
@@ -129,7 +128,7 @@ def test_stderr_scaling_with_trials(rng):
     ses = []
     for m in (4_000, 16_000):
         est = estimate_moments(
-            scen, hw, book, FilterKind.MRC, 0, 0, [5], McConfig(trials=m, seed=8)
+            build_cache(scen, hw, book), FilterKind.MRC, 0, 0, [5], McConfig(trials=m, seed=8)
         )
         ses.append(est.norm2_se[0])
     # quadrupling the trials halves the standard error, within 20%
@@ -152,8 +151,7 @@ def test_deterministic_across_thread_counts(rng, monkeypatch):
                         or sizes[-1])
     for kind in FilterKind:
         runs = [
-            estimate_moments(scen, hw, book, kind, 0, 1, [5, 8],
-                             McConfig(trials=600, seed=42, threads=n), cache=cache)
+            estimate_moments(cache, kind, 0, 1, [5, 8], McConfig(trials=600, seed=42, threads=n))
             for n in (1, 2, 3, 4)
         ]
         for other in runs[1:]:
@@ -174,12 +172,33 @@ def test_mc_rate_is_bitwise_equal_at_any_thread_count(rng, monkeypatch):
                         lambda trials, per_trial: chunks.append(chunk_sizes(trials, per_trial))
                         or chunks[-1])
     for kind in FilterKind:
-        reps = [mc_rate(scen, hw, book, kind, McConfig(trials=600, seed=42, threads=n), 0, 1)
+        reps = [mc_rate(build_cache(scen, hw, book), kind,
+                        McConfig(trials=600, seed=42, threads=n), 0, 1)
                 for n in (1, 2, 3)]
         for rep in reps[1:]:
             assert rep.rate == reps[0].rate
             np.testing.assert_array_equal(rep.sinr, reps[0].sinr)
     assert all(len(c) > 2 for c in chunks)
+
+
+def test_empirical_mse_is_bitwise_equal_at_any_thread_count(rng, monkeypatch):
+    # the chunk runner joins chunks in order, so the MSE and its standard
+    # error do not depend on the thread count; a small budget forces chunks
+    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    chunks = []
+    chunk_sizes = montecarlo._chunk_sizes
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)
+    monkeypatch.setattr(montecarlo, "_chunk_sizes",
+                        lambda trials, per_trial: chunks.append(chunk_sizes(trials, per_trial))
+                        or chunks[-1])
+    runs = [empirical_mse(cache, 0, 1, 0, [5, 8], McConfig(trials=600, seed=42, threads=n))
+            for n in (1, 2, 3)]
+    for mean, se in runs[1:]:
+        np.testing.assert_array_equal(mean, runs[0][0])
+        np.testing.assert_array_equal(se, runs[0][1])
+    assert len(chunks) == 3 and all(len(c) >= 3 for c in chunks)
 
 
 def test_mc_rate_matches_closed_form(rng):
@@ -188,7 +207,7 @@ def test_mc_rate_matches_closed_form(rng):
     book = make_book(scen, "dft")
     cache = build_cache(scen, hw, book)
     cf = ue_rate(cache, 0, 1)
-    mc = mc_rate(scen, hw, book, FilterKind.MRC, McConfig(trials=40_000, seed=17), 0, 1, cache=cache)
+    mc = mc_rate(cache, FilterKind.MRC, McConfig(trials=40_000, seed=17), 0, 1)
     assert mc.rate == pytest.approx(cf.rate, rel=0.03)
 
 
@@ -243,8 +262,9 @@ def test_mmse_rate_at_least_mrc(rng):
     hw = impaired_profile(lo=LoMode.SLO, delta=2e-3, kappa2=0.05**2, xi=1.5)
     book = make_book(scen, "dft")
     mcc = McConfig(trials=8_000, seed=23)
-    r_mrc = mc_rate(scen, hw, book, FilterKind.MRC, mcc, 0, 0)
-    r_mmse = mc_rate(scen, hw, book, FilterKind.MMSE, mcc, 0, 0)
+    cache = build_cache(scen, hw, book)
+    r_mrc = mc_rate(cache, FilterKind.MRC, mcc, 0, 0)
+    r_mmse = mc_rate(cache, FilterKind.MMSE, mcc, 0, 0)
     assert r_mmse.rate >= r_mrc.rate * 0.98  # filter exploits interference structure
 
 
@@ -264,7 +284,7 @@ def test_chunk_budget_covers_world_arrays(rng, monkeypatch, lo):
                         or chunk_sizes(trials, per_trial))
     mc = McConfig(trials=2)
     empirical_mse(cache, 0, 0, 0, ts, mc)
-    estimate_moments(scen, hw, book, FilterKind.MRC, 0, 0, ts, mc, cache=cache)
+    estimate_moments(cache, FilterKind.MRC, 0, 0, ts, mc)
     world = sum(a.nbytes for a in draw_world(scen, hw, book, 0, ts, 0, 1, seed=0))
     assert len(budgets) == 2
     assert min(budgets) >= world

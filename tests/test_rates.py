@@ -360,11 +360,11 @@ def test_sampled_moment_denominator_floor(ratio):
         second_se=np.zeros((1, 1, 1)), distortion=np.zeros(1), distortion_se=np.zeros(1),
     )
     if ratio < 1:
-        rate, traj = _rate_from_means(scen, hw, book, 0, 0, m)
+        rate, traj = _rate_from_means(build_cache(scen, hw, book), 0, 0, m)
         assert traj.sinr[0] == math.inf and rate == math.inf
     else:
         with pytest.raises(NumericalInvariantError, match="t=3.0"):
-            _rate_from_means(scen, hw, book, 0, 0, m)
+            _rate_from_means(build_cache(scen, hw, book), 0, 0, m)
 
 
 def test_ergodic_rate_examples():

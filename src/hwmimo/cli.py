@@ -277,10 +277,10 @@ def _sinr_rows(cache, cell, ns, t_stride, asymptote=False) -> list:
     return rows
 
 
-def _sinr_csv(args, n_grid=None, asymptote=False, hv=None) -> Path:
-    """CSV of the trajectory rows of ``hv`` (default: the hardware flags)
-    over ``n_grid`` (default: the scenario's N)."""
-    scen, book, j = _scenario_and_book(args)
+def _sinr_csv(args, scen, book, j, n_grid=None, asymptote=False, hv=None) -> Path:
+    """CSV of the trajectory rows of cell j in the drop ``(scen, book)`` for
+    ``hv`` (default: the hardware flags) over ``n_grid`` (default: the
+    scenario's N)."""
     hv = hv or _hardware_from(args)
     rows = []
     for cache, ns in _grid_caches(hv, scen, book, (scen.N,) if n_grid is None else n_grid):
@@ -289,15 +289,15 @@ def _sinr_csv(args, n_grid=None, asymptote=False, hv=None) -> Path:
 
 
 def _cmd_rates_cf(args) -> int:
-    return _finish(args, _sinr_csv(args))
+    return _finish(args, _sinr_csv(args, *_scenario_and_book(args)))
 
 
 def _cmd_sweep_n(args) -> int:
-    return _finish(args, _sinr_csv(args, args.n_grid))
+    return _finish(args, _sinr_csv(args, *_scenario_and_book(args), args.n_grid))
 
 
 def _cmd_asymptotic(args) -> int:
-    return _finish(args, _sinr_csv(args, (), asymptote=True))
+    return _finish(args, _sinr_csv(args, *_scenario_and_book(args), (), asymptote=True))
 
 
 def _cmd_rates_mc(args) -> int:
@@ -326,7 +326,7 @@ def _cmd_rates_mc(args) -> int:
 def _cmd_scaling_law(args) -> int:
     with user_input():
         exp = ScalingExponents(args.z1, args.z2, args.z3)
-    book = _scenario_and_book(args)[1]  # the book of the --n-grid CSV
+    scen, book, j = _scenario_and_book(args)  # the drop of the --n-grid CSV
     data = book.data_times()
     if not data:
         raise ConfigError(f"the {book.B} pilots fill the block of {book.T} channel uses: "
@@ -340,7 +340,7 @@ def _cmd_scaling_law(args) -> int:
     if args.n_grid:
         law = HardwareVariant("law", delta=args.delta0, kappa2=args.kappa20,
                               xi_over_sigma2=args.xi0, lo=lo, exponents=(args.z1, args.z2, args.z3))
-        path = _sinr_csv(args, args.n_grid, hv=law)
+        path = _sinr_csv(args, scen, book, j, args.n_grid, hv=law)
     return _finish(
         args, path, satisfied=rep.satisfied, margin=rep.margin, lhs=rep.lhs, worst_t=worst_t
     )

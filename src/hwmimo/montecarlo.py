@@ -14,6 +14,9 @@ substream and reduced in chunk order, so results are bit-identical for any
 thread count.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -128,11 +131,60 @@ def _chunk_sizes(trials: int, per_trial_bytes: int) -> list:
     return [size] * n_full + ([rem] if rem else [])
 
 
+# (get, set) thread-count symbols: numpy >= 2 wheels, numpy 1.x wheels,
+# a system OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """``(get, set)`` of the thread count of numpy's BLAS, or None when it
+    exposes no OpenBLAS control.  Loading numpy's own linalg module returns
+    its existing handle, whose symbol lookup covers the BLAS it links."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_split(workers: int):
+    """Divide the BLAS thread count among ``workers`` pool workers (at
+    least one thread each) for the duration of the block, then restore it."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(max(1, before // workers))
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _fan_out(fn, jobs: list, threads: int) -> list:
     """``[fn(job) for job in jobs]``, on a thread pool when ``threads > 1``
-    and there is more than one job.  Results keep the order of ``jobs``."""
+    and there is more than one job.  Results keep the order of ``jobs``.
+    While the pool runs its workers split the BLAS threads (one each at
+    least), so pool and BLAS threads do not oversubscribe the cores."""
     if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, len(jobs))
+        with _blas_split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
 

@@ -380,6 +380,26 @@ def test_scaling_law_n_grid_evaluates_at_each_n(tmp_path):
         assert r["rate"] == preset_rates[(r["N"], r["ue"])]
 
 
+def test_scaling_law_n_grid_reads_its_drop_once(tmp_path, monkeypatch):
+    # the check and the --n-grid CSV share one drop: a scenario file is read
+    # and validated once, and gives the CSV the same flags give
+    from hwmimo import cli
+
+    gen = ["--deployment", "colocated", "-N", "8", "-T", "40", "--seed", "2"]
+    assert main(["scenario-gen", *gen, "--out", str(tmp_path), "--name", "s40"]) == 0
+    calls = []
+    scenario_from = cli._scenario_from
+    monkeypatch.setattr(cli, "_scenario_from",
+                        lambda args: calls.append(args.scenario) or scenario_from(args))
+    law = ["scaling-law", "--z1", "0.5", "--z2", "0.5", "--z3", "0", "--n-grid", "8,16",
+           "--t-stride", "8"]
+    for name, source in (("file", ["--scenario", str(tmp_path / "s40.json")]), ("flags", gen)):
+        calls.clear()
+        assert main([*law, *source, "--out", str(tmp_path), "--name", name]) == 0
+        assert len(calls) == 1
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
+
 def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch):
     from hwmimo import montecarlo
     from hwmimo.estimator import build_cache

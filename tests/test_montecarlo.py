@@ -288,3 +288,82 @@ def test_chunk_budget_covers_world_arrays(rng, monkeypatch, lo):
     world = sum(a.nbytes for a in draw_world(scen, hw, book, 0, ts, 0, 1, seed=0))
     assert len(budgets) == 2
     assert min(budgets) >= world
+
+
+class _FakeBlas:
+    """BLAS thread-count control that records what it is set to."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.sets.append(n)
+        self.threads = n
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    blas = _FakeBlas(8)
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: (blas.get, blas.set))
+    return blas
+
+
+@pytest.mark.parametrize("threads,jobs,share", [(2, 4, 4), (3, 5, 2), (4, 2, 4), (16, 20, 1)])
+def test_pool_jobs_split_the_blas_threads(fake_blas, threads, jobs, share):
+    # workers = min(threads, jobs) share the 8 BLAS threads, one each at least
+    seen = montecarlo._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads)
+    assert seen == [share] * jobs
+    assert fake_blas.sets == [share, 8] and fake_blas.threads == 8
+
+
+def test_blas_threads_restored_when_a_job_raises(fake_blas):
+    def job(i):
+        if i == 1:
+            raise ValueError("job failed")
+        return i
+
+    with pytest.raises(ValueError, match="job failed"):
+        montecarlo._fan_out(job, [0, 1, 2], 2)
+    assert fake_blas.sets == [4, 8] and fake_blas.threads == 8
+
+
+@pytest.mark.parametrize("threads,jobs", [(1, 3), (4, 1)])
+def test_serial_fan_out_leaves_the_blas_threads(fake_blas, threads, jobs):
+    seen = montecarlo._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads)
+    assert seen == [8] * jobs and fake_blas.sets == []
+
+
+def test_pool_jobs_split_the_live_blas_threads():
+    blas = montecarlo._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no thread-count control")
+    get = blas[0]
+    before = get()
+    assert montecarlo._fan_out(lambda _: get(), [0, 1, 2, 3], 2) == [max(1, before // 2)] * 4
+    assert get() == before
+    with pytest.raises(ZeroDivisionError):
+        montecarlo._fan_out(lambda i: 1 // i, [1, 0], 2)
+    assert get() == before
+    assert montecarlo._fan_out(lambda _: get(), [0, 1], 1) == [before] * 2
+
+
+def test_fan_out_without_blas_control_gives_the_same_moments(rng, monkeypatch):
+    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
+    mc = McConfig(trials=600, seed=42, threads=2)
+    split = estimate_moments(cache, FilterKind.MMSE, 0, 1, [5, 8], mc)
+    monkeypatch.setattr(montecarlo, "_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
+    montecarlo._blas_threads.cache_clear()
+    try:
+        assert montecarlo._blas_threads() is None
+        plain = estimate_moments(cache, FilterKind.MMSE, 0, 1, [5, 8], mc)
+    finally:
+        montecarlo._blas_threads.cache_clear()
+    for name in ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
+                 "distortion", "distortion_se"):
+        np.testing.assert_array_equal(getattr(plain, name), getattr(split, name))

@@ -108,14 +108,20 @@ def draw_world(
     rot_tau = rot[:, [where[float(t)] for t in tau], :]  # (size, B, n_osc)
     rot_ts = rot[:, [where[float(t)] for t in ts], :]  # (size, nt, n_osc)
 
-    clean = np.einsum("lbk,slkn->sbn", book.sequences, h)
-    energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
-    ups_var = hw.kappa2 * np.einsum("lkb,slkn->sbn", energy, np.abs(h) ** 2)
-    upsilon = _rng.complex_normal(
+    # the pilot sums over the L*K links are one GEMM per trial: (B, L*K) @ (L*K, N)
+    seq = book.sequences.transpose(1, 0, 2).reshape(B, L * K)
+    links = h.reshape(size, L * K, N)
+    psi = np.matmul(seq, links)  # the clean observation, (size, B, N)
+    power = np.abs(links)
+    power *= power
+    ups_var = np.matmul(np.abs(seq) ** 2, power)  # received pilot power, (size, B, N)
+    del power
+    ups_var *= hw.kappa2
+    psi *= rot_tau
+    psi += _rng.complex_normal(
         _rng.substream(seed, chunk_index, j, _rng.DISTORTION), ups_var, (size, B, N)
     )
-    eta = _rng.complex_normal(
+    psi += _rng.complex_normal(
         _rng.substream(seed, chunk_index, j, _rng.RECEIVER_NOISE), hw.xi, (size, B, N)
     )
-    psi = (rot_tau * clean + upsilon + eta).reshape(size, B * N)
-    return h, rot_ts, psi
+    return h, rot_ts, psi.reshape(size, B * N)

@@ -126,6 +126,9 @@ def _check_args(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        # a list flag left out is None or its default; given, it must name a value
+        if isinstance(value, list) and not value:
+            raise ConfigError(f"--{name.replace('_', '-')} must list at least one value")
     for name, minimum in (("trials", 1), ("t_stride", 1), ("threads", 1),
                           ("seed", 0), ("drop_index", 0)):
         value = getattr(args, name, None)
@@ -337,7 +340,7 @@ def _cmd_scaling_law(args) -> int:
         rep = check_scaling_law(exp, lo, t=worst_t, tau=book.tau, delta_0=args.delta0)
     print(f"satisfied={rep.satisfied} margin={rep.margin:.6g} lhs={rep.lhs:.6g}")
     path = None
-    if args.n_grid:
+    if args.n_grid is not None:
         law = HardwareVariant("law", delta=args.delta0, kappa2=args.kappa20,
                               xi_over_sigma2=args.xi0, lo=lo, exponents=(args.z1, args.z2, args.z3))
         path = _sinr_csv(args, scen, book, j, args.n_grid, hv=law)
@@ -347,9 +350,11 @@ def _cmd_scaling_law(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
+    with user_input():
+        exp = ScalingExponents(args.z1, args.z2, args.z3)
     hv = _circuit_variant(args)
     with user_input():
-        table = power_scaling_report(args.n_grid, args.z1, args.z2, args.z3, args.adc_bits)
+        table = power_scaling_report(args.n_grid, exp.z1, exp.z2, exp.z3, args.adc_bits)
     print(f"delta={hv.delta:.6g} kappa2={hv.kappa2:.6g} xi_over_sigma2={hv.xi_over_sigma2:.6g}")
     rows = [("delta", hv.delta), ("kappa2", hv.kappa2), ("xi_over_sigma2", hv.xi_over_sigma2)]
     _write_csv(args, ("parameter", "value"), rows, "_triple")
@@ -381,9 +386,9 @@ def _cmd_preset(args) -> int:
         overrides["scenario"] = dataclasses.replace(cfg.scenario, drops=args.drops)
     cfg = dataclasses.replace(cfg, **overrides)
     exp = cfg.experiment
-    if args.n_grid:
+    if args.n_grid is not None:
         exp = dataclasses.replace(exp, n_grid=tuple(args.n_grid))
-    if args.t_grid:
+    if args.t_grid is not None:
         exp = dataclasses.replace(exp, t_grid=tuple(args.t_grid))
     if args.trials is not None:
         exp = dataclasses.replace(exp, trials=args.trials)

@@ -193,19 +193,23 @@ def lmmse_estimate(cache: EstimatorCache, psi: np.ndarray, j: int, l: int, k: in
     return EstimateResult(hhat=hhat, error_diag=diag, mse=mse)
 
 
-def error_covariance(cache: EstimatorCache, j: int, l: int, k: int, t) -> tuple[np.ndarray, float]:
+def error_covariance(cache: EstimatorCache, j: int, l, k, t) -> tuple:
     """Diagonal of the estimation error covariance at time t and its trace.
 
-    Entries never exceed the prior covariance diagonal, and they return to
-    it when the damping to every pilot goes to zero.
+    ``l`` and ``k`` are indices, or index arrays that broadcast together:
+    the diagonals are then (..., N) and the traces (...,), one per indexed
+    link; scalar indices give an (N,) diagonal and a float trace.  Entries
+    never exceed the prior covariance diagonal, and they return to it when
+    the damping to every pilot goes to zero.
     """
     dm = cache.d_delta(t)[0]
-    dx = dm * cache.book.sequences[l, :, k]
-    quad = np.einsum("b,abc,c->a", dx.conj(), cache.pblocks(j), dx).real
+    dx = dm * cache.book.sequences[l, :, k]  # (..., B)
+    quad = np.einsum("...b,abc,...c->...a", dx.conj(), cache.pblocks(j), dx).real
     lam = cache.lam[j, l, k]
     reduced = lam - lam**2 * quad
-    diag = np.repeat(reduced, cache.mult)
-    return diag, float(cache.mult * reduced.sum())
+    diag = np.repeat(reduced, cache.mult, axis=-1)
+    trace = cache.mult * reduced.sum(axis=-1)
+    return diag, (float(trace) if trace.ndim == 0 else trace)
 
 
 def lmmse_estimate_colocated(

@@ -11,12 +11,14 @@ source from the estimate without changing its expectation.
 
 Trials are split into fixed-size chunks, each driven by its own counter-based
 substream and reduced in chunk order, so results are bit-identical for any
-thread count.
+thread count.  A chunk's products run on consecutive tiles of its trials;
+every product is per trial, so the tile size does not change a bit either.
 """
 
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +31,8 @@ from .estimator import EstimatorCache, error_covariance
 from .model import HardwareProfile, Scenario
 from .rates import RateReport, SinrTrajectory, _sinr_from_moments, ergodic_rate
 
-_CHUNK_TARGET_BYTES = 64 * 2**20
+_CHUNK_TARGET_BYTES = 64 * 2**20  # trials per chunk, and so the random stream
+_TILE_TARGET_BYTES = 8 * 2**20  # trials per tile of a chunk: the size of its temporaries
 _BATCHES = 100  # batch means behind every standard error
 
 
@@ -114,8 +117,10 @@ def mmse_filter(
     est = estimates[None] if single else estimates
     c, N = est.shape[0], est.shape[-1]
     flat = est.reshape(c, -1, N)
-    w = np.conj(flat)  # the one (c, L*K, N) temporary, scaled in place
-    w *= scenario.powers.reshape(-1, 1)
+    p = scenario.powers.reshape(-1, 1)
+    w = np.empty_like(flat)  # p * conj(flat), the one (c, L*K, N) temporary, in one pass
+    np.multiply(flat.real, p, out=w.real)
+    np.multiply(flat.imag, -p, out=w.imag)
     M = np.matmul(flat.transpose(0, 2, 1), w)
     idx = np.arange(N)
     energy = M[:, idx, idx].real
@@ -125,10 +130,16 @@ def mmse_filter(
     return v[0] if single else v
 
 
-def _chunk_sizes(trials: int, per_trial_bytes: int) -> list:
-    size = max(1, min(trials, _CHUNK_TARGET_BYTES // max(per_trial_bytes, 1)))
+def _group_sizes(trials: int, per_trial_bytes: int, target_bytes: int) -> list:
+    """Consecutive group sizes summing to ``trials``: as many trials as fit
+    ``target_bytes`` per group (one at least), the remainder last."""
+    size = max(1, min(trials, target_bytes // max(per_trial_bytes, 1)))
     n_full, rem = divmod(trials, size)
     return [size] * n_full + ([rem] if rem else [])
+
+
+def _chunk_sizes(trials: int, per_trial_bytes: int) -> list:
+    return _group_sizes(trials, per_trial_bytes, _CHUNK_TARGET_BYTES)
 
 
 # (get, set) thread-count symbols: numpy >= 2 wheels, numpy 1.x wheels,
@@ -191,59 +202,68 @@ def _fan_out(fn, jobs: list, threads: int) -> list:
 
 def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
                  extra_bytes: int, sample) -> tuple:
-    """Run ``sample(world)`` on every chunk of ``mc.trials`` trials and join
-    the per-trial arrays it returns in chunk order.  Each chunk draws one
-    world ``(h, rot_ts, psi)`` of cell j at the channel uses ``ts`` from its
-    own substream; a trial is budgeted its world plus ``extra_bytes``."""
+    """Run ``sample(tile)`` on consecutive trial tiles of every chunk of
+    ``mc.trials`` trials and join the per-trial arrays it returns in trial
+    order.  Each chunk draws one world ``(h, rot_ts, psi)`` of cell j at
+    the channel uses ``ts`` from its own substream; a tile is a slice of it
+    along the trial axis.  A trial is budgeted its world plus
+    ``extra_bytes``: chunks fill ``_CHUNK_TARGET_BYTES`` and tiles the
+    smaller ``_TILE_TARGET_BYTES``, so a tile's temporaries stay small."""
     scen, hw, book = cache.scenario, cache.hw, cache.book
-    sizes = _chunk_sizes(mc.trials, world_bytes(scen, hw, book, ts) + extra_bytes)
+    per_trial = world_bytes(scen, hw, book, ts) + extra_bytes
 
     def run(job):
         idx, size = job
-        return sample(draw_world(scen, hw, book, j, ts, idx, size, mc.seed))
+        world = draw_world(scen, hw, book, j, ts, idx, size, mc.seed)
+        edges = list(itertools.accumulate(_group_sizes(size, per_trial, _TILE_TARGET_BYTES),
+                                          initial=0))
+        return [sample(tuple(a[lo:hi] for a in world)) for lo, hi in zip(edges, edges[1:])]
 
-    parts = _fan_out(run, list(enumerate(sizes)), mc.threads)
-    return tuple(np.concatenate(v) for v in zip(*parts))
+    chunks = _fan_out(run, list(enumerate(_chunk_sizes(mc.trials, per_trial))), mc.threads)
+    return tuple(np.concatenate(v) for v in zip(*(tile for tiles in chunks for tile in tiles)))
 
 
-def _simulate_chunk(
+def _simulate_tile(
     cache: EstimatorCache,
     j: int,
     k: int,
-    ts: np.ndarray,
     world: tuple,
-    filter_kind: FilterKind,
+    gains: list,
     error_covs: np.ndarray | None,
 ) -> tuple:
-    """Per-trial samples of the four SINR ingredients at each channel use of
-    ``ts``, all from one drawn ``world``: ``(norm2, first, second,
-    distortion)`` of shapes (size, nt), (size, nt), (size, nt, L, K) and
-    (size, nt).  The MMSE filter reads ``error_covs``, the (nt, L, K, N)
-    error covariance diagonals at ``ts``; the MRC filter takes None."""
+    """Per-trial samples of the four SINR ingredients at each channel use,
+    all from one ``world`` tile: ``(norm2, first, second, distortion)`` of
+    shapes (size, nt), (size, nt), (size, nt, L, K) and (size, nt).
+    ``gains[it]`` is the reduced gain of the channel use ``it``: of link
+    (j, k) for the MRC filter, which takes ``error_covs`` None, or the L*K
+    gains stacked for the MMSE filter, which reads ``error_covs``, the
+    (nt, L, K, N) error covariance diagonals."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
     h, rot_ts, psi = world
     size = h.shape[0]
-    dist_weight = hw.kappa2 * np.einsum("lk,slkn->sn", scen.powers, np.abs(h) ** 2)
+    links = h.reshape(size, L * K, N)
+    power = np.abs(links)
+    power *= power
+    dist_weight = np.matmul(scen.powers.reshape(-1), power)  # (size, N)
+    del power
+    dist_weight *= hw.kappa2
 
-    nt = ts.size
+    nt = len(gains)
     norm2 = np.empty((size, nt))
     first = np.empty((size, nt), dtype=complex)
     second = np.empty((size, nt, L, K))
     distortion = np.empty((size, nt))
-    links = [(l, m) for l in range(L) for m in range(K)]
-    for it, t in enumerate(ts):
-        if filter_kind is FilterKind.MRC:
-            v = cache.apply_reduced_gain(cache.reduced_gain(j, j, k, t), psi)
-        else:
+    for it, gain in enumerate(gains):
+        v = cache.apply_reduced_gain(gain, psi)
+        if error_covs is not None:
             # all L*K estimates from one product: stacked gain row (lk, a)
             # lands on antenna lk*N + a*mult + r, so the reshape is a view
-            gains = np.concatenate([cache.reduced_gain(j, l, m, t) for l, m in links])
-            est = cache.apply_reduced_gain(gains, psi).reshape(size, L, K, N)
-            v = mmse_filter(est, error_covs[it], scen, hw, j, k)
-        # v^H h(t) with h(t) = rot(t) * h, without forming h(t)
-        inner = np.einsum("sn,slkn->slk", v.conj() * rot_ts[:, it, :], h)
-        norm2[:, it] = np.einsum("sn,sn->s", v.conj(), v).real
+            v = mmse_filter(v.reshape(size, L, K, N), error_covs[it], scen, hw, j, k)
+        # v^H h(t) with h(t) = rot(t) * h, without forming h(t): one GEMV per trial
+        vc = v.conj()
+        inner = np.matmul(links, (vc * rot_ts[:, it, :])[..., None]).reshape(size, L, K)
+        norm2[:, it] = np.einsum("sn,sn->s", vc, v).real
         first[:, it] = inner[:, j, k]
         second[:, it] = np.abs(inner) ** 2
         distortion[:, it] = np.einsum("sn,sn->s", np.abs(v) ** 2, dist_weight)
@@ -265,17 +285,19 @@ def estimate_moments(
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
     extra = 16 * ts.size * (L * K + 4)
-    ecovs = None
-    if filter_kind is FilterKind.MMSE:
+    # gains and error covariances depend on the channel use only; one set
+    # serves every chunk and tile
+    if filter_kind is FilterKind.MRC:
+        gains, ecovs = [cache.reduced_gain(j, j, k, t) for t in ts], None
+    else:
         extra += 16 * (L * K * N + N * N)
-        # the error covariances depend on the channel use only; one set serves every chunk
-        ecovs = np.array([
-            [[error_covariance(cache, j, l, m, t)[0] for m in range(K)] for l in range(L)]
-            for t in ts
-        ]).reshape(ts.size, L, K, N)
+        gains = [np.concatenate([cache.reduced_gain(j, l, m, t)
+                                 for l in range(L) for m in range(K)]) for t in ts]
+        ls, ks = np.indices((L, K))
+        ecovs = np.stack([error_covariance(cache, j, ls, ks, t)[0] for t in ts])
     norm2, first, second, distortion = _over_chunks(
         cache, j, ts, mc, extra,
-        lambda world: _simulate_chunk(cache, j, k, ts, world, filter_kind, ecovs),
+        lambda tile: _simulate_tile(cache, j, k, tile, gains, ecovs),
     )
     return McMoments(
         trials=mc.trials,
@@ -324,12 +346,13 @@ def empirical_mse(
     requested channel use, with batch-means standard errors; the Monte Carlo
     counterpart of the closed-form error covariance trace."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    gains = [cache.reduced_gain(j, l, k, t) for t in ts]
 
     def sample(world):
         h, rot_ts, psi = world
         out = np.empty((h.shape[0], ts.size))
-        for it, t in enumerate(ts):
-            est = cache.apply_reduced_gain(cache.reduced_gain(j, l, k, t), psi)
+        for it, gain in enumerate(gains):
+            est = cache.apply_reduced_gain(gain, psi)
             h_t = rot_ts[:, it, :] * h[:, l, k, :]
             out[:, it] = np.sum(np.abs(h_t - est) ** 2, axis=-1)
         return (out,)

@@ -26,9 +26,12 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 def complex_normal(rng: np.random.Generator, var, shape) -> np.ndarray:
     """Circularly symmetric complex Gaussian with the given per-entry variance.
 
-    ``var`` broadcasts against ``shape``.
+    ``var`` broadcasts against ``shape``.  Each part is scaled straight
+    into one preallocated complex array, which for finite values is bitwise
+    ``scale * (re + 1j * im)`` without its complex temporaries.
     """
     scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    out = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out

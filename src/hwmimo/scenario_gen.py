@@ -212,10 +212,13 @@ def generate(
     shadow_std_db: float = SHADOW_STD_DB,
 ) -> Scenario:
     """One-call scenario generation for a single UE drop."""
+    try:
+        rho = 10.0 ** (snr_db / 10.0) * sigma2
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db:g} dB overflows the transmit power") from None
     layout = build_layout(deployment, N)
     ue_positions = drop_users(layout, seed, drop_index)
     gains = link_gains(layout, ue_positions, seed, drop_index, shadow_std_db)
-    rho = 10.0 ** (snr_db / 10.0) * sigma2
     powers = power_control(gains, rho)
     return make_scenario(layout, gains, powers, T, sigma2)
 

@@ -81,9 +81,18 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["rates-cf", "--scenario", "{tmp}/str_L.json", "--ideal"],
     ["scaling-law", "--z1", "0", "--z2", "0", "--z3", "1", "--delta0", "-1"],
     ["scaling-law", "--z1", "0", "--z2", "0", "--z3", "0", "-T", "8"],
+    ["rates-cf", *_SMALL, "--ideal", "--snr-db", "1e308"],
+    ["circuit", "--n-grid", ","],
+    ["sweep-n", *_SMALL, "--ideal", "--n-grid", ","],
+    ["scaling-law", *_SMALL, "--z1", "0", "--z2", "0", "--z3", "1", "--n-grid", ","],
+    ["preset", "fig7", "--drops", "1", "--n-grid", ","],
+    ["preset", "fig10", "--drops", "1", "--t-grid", ","],
+    ["circuit", "--z1", "-1"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
         "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0", "scenario-without-L",
-        "scenario-with-string-L", "delta0-negative", "pilots-fill-block"])
+        "scenario-with-string-L", "delta0-negative", "pilots-fill-block", "snr-db-overflow",
+        "circuit-empty-n-grid", "sweep-n-empty-n-grid", "scaling-law-empty-n-grid",
+        "preset-empty-n-grid", "preset-empty-t-grid", "circuit-negative-z1"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
         "not_a_scenario": {"hello": "world"},
@@ -339,6 +348,8 @@ def test_scaling_law_command(tmp_path, capsys):
     assert "satisfied=False" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "scaling_law_manifest.json").read_text())
     assert manifest["satisfied"] is False
+    # without --n-grid the check writes no CSV; an empty --n-grid is a user error
+    assert manifest["args"]["n_grid"] is None and not list(tmp_path.glob("*.csv"))
 
 
 def test_scaling_law_reads_the_block_of_its_scenario_file(tmp_path):

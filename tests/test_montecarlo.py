@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hwmimo import montecarlo
-from hwmimo.channel import draw_world
+from hwmimo.channel import draw_world, world_bytes
 from hwmimo.estimator import build_cache
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile
 from hwmimo.montecarlo import (
@@ -17,8 +19,12 @@ from hwmimo.montecarlo import (
     mmse_filter,
 )
 from hwmimo.rates import mrc_moments, ue_rate
+from hwmimo.scenario_gen import generate
 
 from conftest import impaired_profile, make_book, random_scenario
+
+_MOMENTS = ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
+            "distortion", "distortion_se")
 
 
 def within(mc_val, cf_val, se, rel=0.02, nse=3.0):
@@ -155,8 +161,7 @@ def test_deterministic_across_thread_counts(rng, monkeypatch):
             for n in (1, 2, 3, 4)
         ]
         for other in runs[1:]:
-            for name in ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
-                         "distortion", "distortion_se"):
+            for name in _MOMENTS:
                 np.testing.assert_array_equal(getattr(other, name), getattr(runs[0], name))
     assert len(sizes) == 8 and all(len(s) > 2 for s in sizes)
 
@@ -364,6 +369,102 @@ def test_fan_out_without_blas_control_gives_the_same_moments(rng, monkeypatch):
         plain = estimate_moments(cache, FilterKind.MMSE, 0, 1, [5, 8], mc)
     finally:
         montecarlo._blas_threads.cache_clear()
-    for name in ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
-                 "distortion", "distortion_se"):
+    for name in _MOMENTS:
         np.testing.assert_array_equal(getattr(plain, name), getattr(split, name))
+
+
+def test_tile_size_changes_no_bit(rng, monkeypatch):
+    # every product of a chunk is per trial, so 1-trial tiles and one tile
+    # per chunk give the same bits; the chunks (and so the stream) stay put
+    scen = random_scenario(rng, L=2, K=2, N=8, T=9, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
+    apply_gain = cache.apply_reduced_gain
+    tiles = []
+    monkeypatch.setattr(cache, "apply_reduced_gain",
+                        lambda gain, psi: tiles.append(psi.shape[0]) or apply_gain(gain, psi))
+    mc = McConfig(trials=50, seed=7)
+
+    def run(tile_bytes):
+        monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", tile_bytes)
+        tiles.clear()
+        moments = [estimate_moments(cache, kind, 0, 1, [5, 8], mc) for kind in FilterKind]
+        return moments, empirical_mse(cache, 0, 1, 0, [5, 8], mc), sorted(set(tiles))
+
+    one, whole = run(1), run(2**40)
+    assert one[2] == [1] and max(whole[2]) > 1
+    for a, b in zip(one[0], whole[0]):
+        for name in _MOMENTS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for a, b in zip(one[1], whole[1]):
+        np.testing.assert_array_equal(a, b)
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while ``fn()`` runs; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tiles_bound_the_peak_memory_of_a_chunk(rng, monkeypatch):
+    # one MMSE chunk of 200 trials holds its world plus a few tiles of
+    # temporaries, not 200 trials' estimates, Gram matrices and filters
+    scen = random_scenario(rng, L=2, K=4, N=32, T=20, subarrays=4, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    ts = np.array([7.0, 15.0])
+    cache.pblocks(0)  # the cell build is not part of the chunk
+    L, K, N = scen.L, scen.K, scen.N
+    per_trial = (world_bytes(scen, hw, cache.book, ts) + 16 * ts.size * (L * K + 4)
+                 + 16 * (L * K * N + N * N))
+    trials = 200
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", trials * per_trial)
+    monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 4 * per_trial)
+    sizes = []
+    chunk_sizes = montecarlo._chunk_sizes
+    monkeypatch.setattr(montecarlo, "_chunk_sizes",
+                        lambda n, per: sizes.append(chunk_sizes(n, per)) or sizes[-1])
+    world = _traced_peak(lambda: draw_world(scen, hw, cache.book, 0, ts, 0, trials, 1))
+    chunk = _traced_peak(lambda: estimate_moments(cache, FilterKind.MMSE, 0, 0, ts,
+                                                  McConfig(trials=trials, seed=1)))
+    assert sizes == [[trials]]
+    assert chunk < world + 3 * montecarlo._TILE_TARGET_BYTES
+
+
+def test_mmse_moments_bitwise_equal_at_any_thread_and_blas_count(monkeypatch):
+    # the GEMMs of a realistic drop (distributed, N = 64 on Ae = 4
+    # subarrays, 25 cells of 8 UEs) give the same bits on any number of
+    # pool workers and BLAS threads; below N = 128, where the batched
+    # LAPACK solve itself depends on the BLAS thread count
+    blas = montecarlo._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no thread-count control")
+    get, put = blas
+    scen = generate("distributed", N=64, snr_db=5.0, T=60, seed=2)
+    hw = HardwareProfile(delta=1.58e-4, kappa2=2.4336e-4, xi=1.58 * scen.sigma2,
+                         lo_mode=LoMode.SLO)
+    cache = build_cache(scen, hw, make_book(scen))
+    assert (cache.Ae, cache.scenario.L * cache.scenario.K) == (4, 200)
+    ts = [9, 40]
+
+    def moments(threads):
+        return estimate_moments(cache, FilterKind.MMSE, 12, 0, ts,
+                                McConfig(trials=12, seed=4, threads=threads))
+
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 5 * 2**20)  # several chunks
+    runs = [moments(threads) for threads in (1, 2, 3)]
+    before = get()
+    try:
+        for n in (1, 2):
+            put(n)
+            runs.append(moments(1))
+    finally:
+        put(before)
+    for other in runs[1:]:
+        for name in _MOMENTS:
+            np.testing.assert_array_equal(getattr(other, name), getattr(runs[0], name))

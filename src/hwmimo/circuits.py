@@ -3,9 +3,8 @@ scaling under relaxed hardware quality.
 
 Covered receiver circuits: the ADC (quantization noise -> distortion factor
 and a noise renormalization), the LNA (noise amplification -> receiver noise
-variance, with a figure-of-merit tying noise factor to power dissipation),
-and the local oscillator (free-running phase noise variance from carrier
-frequency, symbol time and oscillator quality).  Growing the admissible
+variance), and the local oscillator (free-running phase noise variance from
+carrier frequency, symbol time and oscillator quality).  Growing the admissible
 impairments with the array size lets the per-circuit power shrink, and the
 report tabulates how the array totals then scale.
 
@@ -14,8 +13,6 @@ All internal math is linear-scale; dB conversion happens only at the edges.
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import HardwareProfile, LoMode
 
@@ -33,32 +30,18 @@ class AdcSpec:
 
 @dataclass(frozen=True)
 class LnaSpec:
-    """Low-noise amplifier: noise amplification factor F (linear), gain G and
-    the figure of merit FoM = G / ((F - 1) * P)."""
+    """Low-noise amplifier: noise amplification factor F (linear)."""
 
     F: float
-    G: float = 1.0
-    fom: float = 1.0
 
     def __post_init__(self):
         if self.F < 1:
             raise ValueError("noise amplification factor must satisfy F >= 1")
-        if self.G <= 0 or self.fom <= 0:
-            raise ValueError("gain and figure of merit must be positive")
 
     @classmethod
     def from_db(cls, nf_db: float) -> "LnaSpec":
-        """LNA of noise figure ``nf_db`` (dB), with unit gain and figure of
-        merit."""
+        """LNA of noise figure ``nf_db`` (dB)."""
         return cls(10.0 ** (nf_db / 10.0))
-
-    @property
-    def power(self) -> float:
-        """Power dissipation implied by the figure of merit; infinite noise
-        suppression (F = 1) is free only in the limit."""
-        if self.F == 1.0:
-            return math.inf
-        return self.G / ((self.F - 1.0) * self.fom)
 
 
 @dataclass(frozen=True)
@@ -96,23 +79,11 @@ def adc_relaxation(N: int, z1: float) -> float:
     return 0.5 * z1 * math.log2(N)
 
 
-def deployable_bits(bits: float) -> int:
-    """Round a fractional resolution to something a datasheet can offer."""
-    return max(1, math.ceil(bits))
-
-
 def lna_to_impairments(lna: LnaSpec, sigma2: float, adc: AdcSpec | None = None) -> float:
     """Receiver noise variance xi from the LNA noise factor, including the
     ADC renormalization when a quantizer follows the amplifier."""
     scale = adc_to_impairments(adc)[1] if adc is not None else 1.0
     return lna.F * sigma2 * scale
-
-
-def noise_figure_relaxation_db(N: int, z2: float) -> float:
-    """Admissible noise-figure increase (dB) at array size N for xi ~ N^z2."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return z2 * 10.0 * math.log10(N)
 
 
 def lo_to_delta(lo: LoSpec) -> float:
@@ -134,18 +105,6 @@ def profile_from_circuits(
     return HardwareProfile(delta=lo_to_delta(lo), kappa2=kappa2, xi=xi, lo_mode=lo_mode)
 
 
-def bussgang_rescale(hw: HardwareProfile, c: complex) -> HardwareProfile:
-    """Absorb a deterministic scaling of the useful signal (as produced by a
-    memoryless nonlinearity acting on Gaussian input) by dividing kappa^2 and
-    xi by |c|^2."""
-    mag2 = abs(c) ** 2
-    if mag2 == 0.0:
-        raise ValueError("scaling factor must be nonzero")
-    return HardwareProfile(
-        delta=hw.delta, kappa2=hw.kappa2 / mag2, xi=hw.xi / mag2, lo_mode=hw.lo_mode
-    )
-
-
 def power_scaling_report(n_grid, z1: float, z2: float, z3: float, adc_bits: float) -> list:
     """Per-antenna and array-total circuit power when hardware quality is
     relaxed with the array size, in units of each circuit's power at the
@@ -159,8 +118,7 @@ def power_scaling_report(n_grid, z1: float, z2: float, z3: float, adc_bits: floa
     rows = []
     for N in n_grid:
         N = int(N)
-        # bits stay real-valued so the totals follow the exact power laws;
-        # round with deployable_bits() when picking actual parts
+        # bits stay real-valued so the totals follow the exact power laws
         bits = adc_bits - adc_relaxation(N, z1)
         p_adc = 2.0 ** (2.0 * (bits - adc_bits))
         p_lna = 1.0 / N**z2
@@ -179,10 +137,3 @@ def power_scaling_report(n_grid, z1: float, z2: float, z3: float, adc_bits: floa
             }
         )
     return rows
-
-
-def loglog_slope(ns, totals) -> float:
-    """Least-squares slope of log(total) against log(N)."""
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(totals, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -493,6 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(fn=_cmd_preset)
 
+    # argparse reads only -1 and -1.5 as negative numbers, so a value such as
+    # -1e1 would be taken for an unknown flag
+    negative = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = negative
     return parser
 
 

@@ -161,36 +161,10 @@ def build_cache(scenario: Scenario, hw: HardwareProfile, book: PilotBook) -> Est
     # C order, so the coefficient pass reshapes them without a copy
     Xbar = np.ascontiguousarray(damped_pilot_grams(book, hw.delta))
     energy = np.abs(book.sequences.transpose(0, 2, 1)) ** 2  # (L, K, B)
-    kappa_term = hw.kappa2 * np.einsum("lkb,bc->lkbc", energy, np.eye(book.B))
+    with np.errstate(over="ignore"):  # _build_cell rejects a covariance that is not finite
+        kappa_term = hw.kappa2 * np.einsum("lkb,bc->lkbc", energy, np.eye(book.B))
     X = np.ascontiguousarray(Xbar + kappa_term)
     return EstimatorCache(scenario=scenario, hw=hw, book=book, Xbar=Xbar, X=X)
-
-
-@dataclass(frozen=True, eq=False)
-class EstimateResult:
-    """LMMSE estimate of one effective channel plus its error statistics.
-
-    ``error_diag`` is the diagonal of the estimation error covariance (the
-    full matrix is diagonal here because covariances are diagonal and the
-    pilot covariance has Kronecker structure); ``mse`` is its trace.
-    """
-
-    hhat: np.ndarray
-    error_diag: np.ndarray
-    mse: float
-
-
-def lmmse_estimate(cache: EstimatorCache, psi: np.ndarray, j: int, l: int, k: int, t) -> EstimateResult:
-    """Estimate the effective channel of UE k in cell l as seen by cell j at
-    channel use t, from cell j's stacked pilot observation psi."""
-    psi = np.asarray(psi)
-    expected = cache.B * cache.scenario.N
-    if psi.shape != (expected,):
-        raise ValueError(f"psi must have shape ({expected},), got {psi.shape}")
-    gain = cache.reduced_gain(j, l, k, t)
-    hhat = cache.apply_reduced_gain(gain, psi)
-    diag, mse = error_covariance(cache, j, l, k, t)
-    return EstimateResult(hhat=hhat, error_diag=diag, mse=mse)
 
 
 def error_covariance(cache: EstimatorCache, j: int, l, k, t) -> tuple:
@@ -210,27 +184,3 @@ def error_covariance(cache: EstimatorCache, j: int, l, k, t) -> tuple:
     diag = np.repeat(reduced, cache.mult, axis=-1)
     trace = cache.mult * reduced.sum(axis=-1)
     return diag, (float(trace) if trace.ndim == 0 else trace)
-
-
-def lmmse_estimate_colocated(
-    cache: EstimatorCache, psi: np.ndarray, j: int, l: int, k: int, t
-) -> EstimateResult:
-    """Co-located shortcut: when every link covariance is a scaled identity,
-    the estimate is a B-dimensional combination applied identically to all
-    antennas.  Computed through the B x B system only; numerically identical
-    to :func:`lmmse_estimate`."""
-    if cache.Ae != 1:
-        raise ValueError("co-located path requires scaled-identity covariances (A = 1)")
-    N, B = cache.scenario.N, cache.B
-    psi = np.asarray(psi)
-    if psi.shape != (B * N,):
-        raise ValueError(f"psi must have shape ({B * N},), got {psi.shape}")
-    lam_j = cache.lam[j, :, :, 0]  # (L, K)
-    omega = np.einsum("lk,lkbc->bc", lam_j, cache.X) + cache.hw.xi * np.eye(B)
-    dm = cache.d_delta(t)[0]
-    dx = dm * cache.book.sequences[l, :, k]
-    sol = np.linalg.solve(omega, dx)  # Omega^{-1} D x
-    lam = lam_j[l, k]
-    hhat = lam * (sol.conj() @ psi.reshape(B, N))
-    c = lam * (1.0 - lam * float(np.real(dx.conj() @ sol)))
-    return EstimateResult(hhat=hhat, error_diag=np.full(N, c), mse=float(N * c))

@@ -155,6 +155,7 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     _require(cfg.scenario.drops >= 1, "drops must be >= 1")
     _require(cfg.threads >= 1, "threads must be >= 1")
+    _require(exp.trials >= 1, f"trials must be >= 1, got {exp.trials}")
 
 
 # -- presets -------------------------------------------------------------------

@@ -89,10 +89,6 @@ class Scenario:
         return self.cov.shape[-1]
 
     @property
-    def is_factorized(self) -> bool:
-        return self.reduced_dim == self.subarrays and self.subarrays != self.N
-
-    @property
     def multiplicity(self) -> int:
         """Antennas represented by each stored covariance entry (N / reduced_dim)."""
         return self.N // self.reduced_dim

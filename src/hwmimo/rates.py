@@ -294,46 +294,6 @@ def mrc_moments(cache: EstimatorCache, j: int, k: int, t, lo_mode: LoMode | None
     )
 
 
-def mrc_moments_colocated(
-    cache: EstimatorCache, j: int, k: int, t, lo_mode: LoMode | None = None
-) -> MrcMoments:
-    """Independent co-located evaluation through the B x B pilot system only.
-
-    Valid when every link covariance is a scaled identity; agrees with
-    :func:`mrc_moments` to machine precision and makes the explicit N and
-    N(N-1) antenna factors visible.
-    """
-    if cache.Ae != 1:
-        raise ValueError("co-located path requires scaled-identity covariances (A = 1)")
-    lo = lo_mode or cache.hw.lo_mode
-    N, B = cache.scenario.N, cache.B
-    lam_j = cache.lam[j, :, :, 0]  # (L, K)
-    omega = np.einsum("lk,lkbc->bc", lam_j, cache.X) + cache.hw.xi * np.eye(B)
-    dm = cache.d_delta(t)[0]
-    dx = dm * cache.book.sequences[j, :, k]
-    o = np.linalg.solve(omega, dx)
-    lam = lam_j[j, k]
-    norm2 = N * lam**2 * float(np.real(dx.conj() @ o))
-
-    L, K = cache.scenario.L, cache.scenario.K
-    second = np.empty((L, K))
-    dist = 0.0
-    for l in range(L):
-        for m in range(K):
-            lm = lam_j[l, m]
-            dxlm = dm * cache.book.sequences[l, :, m]
-            oxo = float(np.real(o.conj() @ cache.X[l, m] @ o))
-            second[l, m] = lm * norm2 + N * lam**2 * lm**2 * oxo
-            if lo is LoMode.CLO:
-                pc = float(np.real(o.conj() @ cache.Xbar[l, m] @ o))
-            else:
-                pc = abs(o.conj() @ dxlm) ** 2
-            second[l, m] += N * (N - 1) * lam**2 * lm**2 * pc
-            p = cache.scenario.powers[l, m]
-            dist += p * lm * norm2 + p * N * lam**2 * lm**2 * oxo
-    return MrcMoments(norm2=norm2, first=norm2, second=second, distortion=cache.hw.kappa2 * dist)
-
-
 @dataclass(frozen=True, eq=False)
 class SinrTrajectory:
     """SINR and its denominator terms over a grid of channel uses."""
@@ -411,17 +371,6 @@ def sinr_trajectory_from_coefficients(
     return _sinr_from_moments(scenario, hw.xi, co.j, co.k, co.ts, e21, e21, inter, mult * co.c_dist)
 
 
-def sinr_trajectory(
-    cache: EstimatorCache, j: int, k: int, ts=None, lo_mode: LoMode | None = None
-) -> SinrTrajectory:
-    """Closed-form SINR of UE k in cell j over the given channel uses
-    (default: all data times of the pilot book)."""
-    if ts is None:
-        ts = np.asarray(cache.book.data_times(), dtype=float)
-    co = mrc_moment_coefficients(cache, j, k, ts)
-    return sinr_trajectory_from_coefficients(co, cache.scenario, cache.hw, cache.mult, lo_mode)
-
-
 @dataclass(frozen=True, eq=False)
 class RateReport:
     """Ergodic achievable rate of one UE and the SINR trajectory behind it."""
@@ -444,14 +393,6 @@ def ergodic_rate(sinr, T: int, B: int) -> float:
     if sinr.size == 0:
         return 0.0
     return float(np.log2(1.0 + sinr).sum() * ((T - B) / sinr.size) / T)
-
-
-def ue_rate(cache: EstimatorCache, j: int, k: int, lo_mode: LoMode | None = None) -> RateReport:
-    """Closed-form ergodic rate for UE k of cell j under MRC."""
-    traj = sinr_trajectory(cache, j, k, lo_mode=lo_mode)
-    return RateReport(
-        rate=ergodic_rate(traj.sinr, cache.scenario.T, cache.B), ts=traj.ts, sinr=traj.sinr
-    )
 
 
 # -- asymptotics and hardware scaling laws ----------------------------------
@@ -488,18 +429,6 @@ def _asymptote(co: MomentCoefficients, scenario: Scenario, lo_mode: LoMode) -> S
     return SinrTrajectory(
         ts=co.ts, sinr=sinr, signal=signal, interference=inter, distortion=zero, noise=zero
     )
-
-
-def asymptotic_sinr(
-    cache: EstimatorCache, j: int = 0, k: int = 0, t=None, lo_mode: LoMode | None = None
-) -> float:
-    """SINR limit of UE k in cell j at channel use t (default: the first
-    data channel use) as the per-subarray antenna count grows without
-    bound; +inf when no pilot contamination survives."""
-    if t is None:
-        t = cache.book.data_times()[0]
-    co = mrc_moment_coefficients(cache, j, k, [t])
-    return float(_asymptote(co, cache.scenario, lo_mode or cache.hw.lo_mode).sinr[0])
 
 
 @dataclass(frozen=True)

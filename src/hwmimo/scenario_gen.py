@@ -167,7 +167,8 @@ def link_gains(
         raise ValueError("zero-distance link; minimum UE distance violated")
     gen = _rng.substream(seed, index, 0, _rng.SHADOW)
     shadow_db = gen.normal(0.0, shadow_std_db, size=d.shape)
-    lam = 10.0 ** (shadow_db / 10.0 + PATHLOSS_OFFSET) / d**PATHLOSS_EXPONENT
+    with np.errstate(over="ignore"):  # power control and validation reject an infinite gain
+        lam = 10.0 ** (shadow_db / 10.0 + PATHLOSS_OFFSET) / d**PATHLOSS_EXPONENT
     return LinkGains(lam=lam, shadow=shadow_db)
 
 

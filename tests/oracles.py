@@ -1,0 +1,178 @@
+"""Reference computations that only the tests call.
+
+:func:`mrc_moments_colocated` and :func:`lmmse_estimate_colocated` are
+independent derivations: they work through the B x B pilot system of a
+co-located array (A = 1), not the package's per-subarray forms.
+:func:`conventional_mmse_estimate` is a third, the classical estimator of
+the impairment-free model.
+
+:func:`lmmse_estimate`, :func:`sinr_trajectory`, :func:`ue_rate` and
+:func:`asymptotic_sinr` are compositions of package pieces that give one
+estimate, trajectory, rate or limit at a time; :func:`loglog_slope` fits the
+growth exponent of a power table.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hwmimo.estimator import EstimatorCache, error_covariance
+from hwmimo.model import LoMode
+from hwmimo.rates import (
+    MrcMoments,
+    RateReport,
+    SinrTrajectory,
+    _asymptote,
+    ergodic_rate,
+    mrc_moment_coefficients,
+    sinr_trajectory_from_coefficients,
+)
+
+
+# -- independent derivations ---------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class EstimateResult:
+    """LMMSE estimate of one effective channel plus its error statistics.
+
+    ``error_diag`` is the diagonal of the estimation error covariance (the
+    full matrix is diagonal here because covariances are diagonal and the
+    pilot covariance has Kronecker structure); ``mse`` is its trace.
+    """
+
+    hhat: np.ndarray
+    error_diag: np.ndarray
+    mse: float
+
+
+def lmmse_estimate_colocated(
+    cache: EstimatorCache, psi: np.ndarray, j: int, l: int, k: int, t
+) -> EstimateResult:
+    """Co-located shortcut: when every link covariance is a scaled identity,
+    the estimate is a B-dimensional combination applied identically to all
+    antennas.  Computed through the B x B system only; numerically identical
+    to :func:`lmmse_estimate`."""
+    if cache.Ae != 1:
+        raise ValueError("co-located path requires scaled-identity covariances (A = 1)")
+    N, B = cache.scenario.N, cache.B
+    psi = np.asarray(psi)
+    if psi.shape != (B * N,):
+        raise ValueError(f"psi must have shape ({B * N},), got {psi.shape}")
+    lam_j = cache.lam[j, :, :, 0]  # (L, K)
+    omega = np.einsum("lk,lkbc->bc", lam_j, cache.X) + cache.hw.xi * np.eye(B)
+    dm = cache.d_delta(t)[0]
+    dx = dm * cache.book.sequences[l, :, k]
+    sol = np.linalg.solve(omega, dx)  # Omega^{-1} D x
+    lam = lam_j[l, k]
+    hhat = lam * (sol.conj() @ psi.reshape(B, N))
+    c = lam * (1.0 - lam * float(np.real(dx.conj() @ sol)))
+    return EstimateResult(hhat=hhat, error_diag=np.full(N, c), mse=float(N * c))
+
+
+def mrc_moments_colocated(
+    cache: EstimatorCache, j: int, k: int, t, lo_mode: LoMode | None = None
+) -> MrcMoments:
+    """Independent co-located evaluation through the B x B pilot system only.
+
+    Valid when every link covariance is a scaled identity; agrees with
+    :func:`mrc_moments` to machine precision and makes the explicit N and
+    N(N-1) antenna factors visible.
+    """
+    if cache.Ae != 1:
+        raise ValueError("co-located path requires scaled-identity covariances (A = 1)")
+    lo = lo_mode or cache.hw.lo_mode
+    N, B = cache.scenario.N, cache.B
+    lam_j = cache.lam[j, :, :, 0]  # (L, K)
+    omega = np.einsum("lk,lkbc->bc", lam_j, cache.X) + cache.hw.xi * np.eye(B)
+    dm = cache.d_delta(t)[0]
+    dx = dm * cache.book.sequences[j, :, k]
+    o = np.linalg.solve(omega, dx)
+    lam = lam_j[j, k]
+    norm2 = N * lam**2 * float(np.real(dx.conj() @ o))
+
+    L, K = cache.scenario.L, cache.scenario.K
+    second = np.empty((L, K))
+    dist = 0.0
+    for l in range(L):
+        for m in range(K):
+            lm = lam_j[l, m]
+            dxlm = dm * cache.book.sequences[l, :, m]
+            oxo = float(np.real(o.conj() @ cache.X[l, m] @ o))
+            second[l, m] = lm * norm2 + N * lam**2 * lm**2 * oxo
+            if lo is LoMode.CLO:
+                pc = float(np.real(o.conj() @ cache.Xbar[l, m] @ o))
+            else:
+                pc = abs(o.conj() @ dxlm) ** 2
+            second[l, m] += N * (N - 1) * lam**2 * lm**2 * pc
+            p = cache.scenario.powers[l, m]
+            dist += p * lm * norm2 + p * N * lam**2 * lm**2 * oxo
+    return MrcMoments(norm2=norm2, first=norm2, second=second, distortion=cache.hw.kappa2 * dist)
+
+
+def conventional_mmse_estimate(scen, book, psi_vec, j, l, k, sigma2):
+    """Classical multi-cell MMSE estimator for the impairment-free model,
+    coded independently of the production path."""
+    B, N = book.B, scen.N
+    lam = scen.full_cov()[j]
+    Psi = sigma2 * np.eye(B * N, dtype=complex)
+    for ll in range(scen.L):
+        for mm in range(scen.K):
+            x = book.sequences[ll, :, mm]
+            Psi += np.kron(np.outer(x, x.conj()), np.diag(lam[ll, mm]))
+    left = np.kron(book.sequences[l, :, k].conj()[None, :], np.diag(lam[l, k]))
+    return left @ np.linalg.solve(Psi, psi_vec)
+
+
+# -- compositions of package pieces ---------------------------------------------
+
+
+def lmmse_estimate(cache: EstimatorCache, psi: np.ndarray, j: int, l: int, k: int, t) -> EstimateResult:
+    """Estimate the effective channel of UE k in cell l as seen by cell j at
+    channel use t, from cell j's stacked pilot observation psi."""
+    psi = np.asarray(psi)
+    expected = cache.B * cache.scenario.N
+    if psi.shape != (expected,):
+        raise ValueError(f"psi must have shape ({expected},), got {psi.shape}")
+    gain = cache.reduced_gain(j, l, k, t)
+    hhat = cache.apply_reduced_gain(gain, psi)
+    diag, mse = error_covariance(cache, j, l, k, t)
+    return EstimateResult(hhat=hhat, error_diag=diag, mse=mse)
+
+
+def sinr_trajectory(
+    cache: EstimatorCache, j: int, k: int, ts=None, lo_mode: LoMode | None = None
+) -> SinrTrajectory:
+    """Closed-form SINR of UE k in cell j over the given channel uses
+    (default: all data times of the pilot book)."""
+    if ts is None:
+        ts = np.asarray(cache.book.data_times(), dtype=float)
+    co = mrc_moment_coefficients(cache, j, k, ts)
+    return sinr_trajectory_from_coefficients(co, cache.scenario, cache.hw, cache.mult, lo_mode)
+
+
+def ue_rate(cache: EstimatorCache, j: int, k: int, lo_mode: LoMode | None = None) -> RateReport:
+    """Closed-form ergodic rate for UE k of cell j under MRC."""
+    traj = sinr_trajectory(cache, j, k, lo_mode=lo_mode)
+    return RateReport(
+        rate=ergodic_rate(traj.sinr, cache.scenario.T, cache.B), ts=traj.ts, sinr=traj.sinr
+    )
+
+
+def asymptotic_sinr(
+    cache: EstimatorCache, j: int = 0, k: int = 0, t=None, lo_mode: LoMode | None = None
+) -> float:
+    """SINR limit of UE k in cell j at channel use t (default: the first
+    data channel use) as the per-subarray antenna count grows without
+    bound; +inf when no pilot contamination survives."""
+    if t is None:
+        t = cache.book.data_times()[0]
+    co = mrc_moment_coefficients(cache, j, k, [t])
+    return float(_asymptote(co, cache.scenario, lo_mode or cache.hw.lo_mode).sinr[0])
+
+
+def loglog_slope(ns, totals) -> float:
+    """Least-squares slope of log(total) against log(N)."""
+    x = np.log(np.asarray(ns, dtype=float))
+    y = np.log(np.asarray(totals, dtype=float))
+    return float(np.polyfit(x, y, 1)[0])

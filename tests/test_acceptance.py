@@ -13,27 +13,27 @@ import numpy as np
 import pytest
 
 from hwmimo.channel import draw_world
-from hwmimo.circuits import (
-    AdcSpec,
-    LnaSpec,
-    LoSpec,
-    loglog_slope,
-    power_scaling_report,
-    profile_from_circuits,
-)
-from hwmimo.estimator import build_cache, error_covariance, lmmse_estimate, lmmse_estimate_colocated
+from hwmimo.circuits import AdcSpec, LnaSpec, LoSpec, power_scaling_report, profile_from_circuits
+from hwmimo.estimator import build_cache, error_covariance
 from hwmimo.experiments import preset, run
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile, expand_covariance
 from hwmimo.montecarlo import FilterKind, McConfig, estimate_moments
 from hwmimo.pilots import dft_book, place, temporal_book
 from hwmimo.rates import (
     ScalingExponents,
-    asymptotic_sinr,
     mrc_moment_coefficients,
     mrc_moments,
-    mrc_moments_colocated,
     scaled_profile,
     sinr_trajectory_from_coefficients,
+)
+
+from oracles import (
+    asymptotic_sinr,
+    conventional_mmse_estimate,
+    lmmse_estimate,
+    lmmse_estimate_colocated,
+    loglog_slope,
+    mrc_moments_colocated,
 )
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -116,18 +116,6 @@ def test_criterion_1_closed_form_vs_monte_carlo():
 # -- criterion 2: degeneration to the conventional model ------------------------
 
 
-def _conventional_mmse(scen, book, psi_vec, j, l, k, sigma2):
-    B, N = book.B, scen.N
-    lam = scen.full_cov()[j]
-    Psi = sigma2 * np.eye(B * N, dtype=complex)
-    for ll in range(scen.L):
-        for mm in range(scen.K):
-            x = book.sequences[ll, :, mm]
-            Psi += np.kron(np.outer(x, x.conj()), np.diag(lam[ll, mm]))
-    left = np.kron(book.sequences[l, :, k].conj()[None, :], np.diag(lam[l, k]))
-    return left @ np.linalg.solve(Psi, psi_vec)
-
-
 def test_criterion_2_degeneration():
     rng = np.random.default_rng(202)
     worst = 0.0
@@ -139,7 +127,7 @@ def test_criterion_2_degeneration():
         psi = rng.normal(size=4 * 2) + 1j * rng.normal(size=4 * 2)
         for (l, k, t) in [(0, 0, 5), (1, 1, 9)]:
             got = lmmse_estimate(cache, psi, 0, l, k, t).hhat
-            want = _conventional_mmse(scen, book, psi, 0, l, k, scen.sigma2)
+            want = conventional_mmse_estimate(scen, book, psi, 0, l, k, scen.sigma2)
             worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-30))))
     # drift-free branches must coincide bitwise in the SINR assembly
     scen = _random_scenario(rng, N=4, L=2, K=2, T=10)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -88,11 +89,13 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["preset", "fig7", "--drops", "1", "--n-grid", ","],
     ["preset", "fig10", "--drops", "1", "--t-grid", ","],
     ["circuit", "--z1", "-1"],
+    ["circuit", "--z1", "-1e-3"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
         "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0", "scenario-without-L",
         "scenario-with-string-L", "delta0-negative", "pilots-fill-block", "snr-db-overflow",
         "circuit-empty-n-grid", "sweep-n-empty-n-grid", "scaling-law-empty-n-grid",
-        "preset-empty-n-grid", "preset-empty-t-grid", "circuit-negative-z1"])
+        "preset-empty-n-grid", "preset-empty-t-grid", "circuit-negative-z1",
+        "circuit-negative-z1-exponent-notation"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
         "not_a_scenario": {"hello": "world"},
@@ -137,6 +140,7 @@ _YAML_BASE = {
     ("experiment", "kind", "sweep-t"),
     ("experiment", "include_asymptote", True),
     ("scenario", "deployments", "colocated"),
+    ("experiment", "trials", 0),
 ])
 def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(_YAML_BASE))
@@ -147,6 +151,8 @@ def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, v
         cfg["experiment"]["t_grid"] = [20, 40]
     if key == "include_asymptote":  # the limit of a triple that grows with N
         cfg["hardware"][0]["exponents"] = [0.5, 0.5, 0.0]
+    if key == "trials":  # the kind that runs the trials
+        cfg["experiment"] = {"kind": "rates-mc", "trials": value}
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert main(["preset", str(path), "--out", str(tmp_path)]) == 2
@@ -268,6 +274,29 @@ def test_overflowing_pilot_covariance_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical invariant violated: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["rates-cf", "--ideal", "--shadow-std-db", "1e6", "-N", "8", "-T", "40"], 2),
+    (["rates-cf", "--delta", "0", "--kappa2", "1e300", "--xi-over-sigma2", "1",
+      "-N", "8", "-T", "40"], 3),
+], ids=["shadow-overflow", "distortion-overflow"])
+def test_overflow_exits_without_a_numpy_warning(tmp_path, capsys, argv, code):
+    # pytest captures warnings, so they are recorded here to be seen
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path)]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_negative_value_in_exponent_notation_reads_as_a_number(tmp_path):
+    base = ["rates-cf", *_SMALL, "--ideal", "--t-stride", "4"]
+    assert main([*base, "--snr-db", "-1e1", "--out", str(tmp_path / "e")]) == 0
+    assert main([*base, "--snr-db", "-10", "--out", str(tmp_path / "d")]) == 0
+    csv = (tmp_path / "d" / "rates_cf.csv").read_bytes()
+    assert (tmp_path / "e" / "rates_cf.csv").read_bytes() == csv
 
 
 def test_sweep_n_on_a_per_antenna_file_matches_rates_cf(tmp_path):

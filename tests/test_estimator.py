@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from hwmimo.channel import draw_world
-from hwmimo.estimator import (
-    build_cache,
-    damped_pilot_grams,
-    error_covariance,
-    lmmse_estimate,
-    lmmse_estimate_colocated,
-)
+from hwmimo.estimator import build_cache, damped_pilot_grams, error_covariance
 from hwmimo.model import (
     HardwareProfile,
     LoMode,
@@ -22,6 +16,7 @@ from hwmimo.model import (
 from hwmimo.pilots import place, temporal_book
 
 from conftest import impaired_profile, make_book, random_scenario
+from oracles import conventional_mmse_estimate, lmmse_estimate, lmmse_estimate_colocated
 
 
 # -- independent oracles ------------------------------------------------------
@@ -45,20 +40,6 @@ def brute_force_estimate(scen, hw, book, psi_vec, j, l, k, t):
     hhat = gain @ psi_vec
     C = np.diag(lam[l, k]) - gain @ left.conj().T
     return hhat, np.real(np.diag(C))
-
-
-def conventional_mmse_estimate(scen, book, psi_vec, j, l, k, sigma2):
-    """Classical multi-cell MMSE estimator for the impairment-free model,
-    coded independently of the production path."""
-    B, N = book.B, scen.N
-    lam = scen.full_cov()[j]
-    Psi = sigma2 * np.eye(B * N, dtype=complex)
-    for ll in range(scen.L):
-        for mm in range(scen.K):
-            x = book.sequences[ll, :, mm]
-            Psi += np.kron(np.outer(x, x.conj()), np.diag(lam[ll, mm]))
-    left = np.kron(book.sequences[l, :, k].conj()[None, :], np.diag(lam[l, k]))
-    return left @ np.linalg.solve(Psi, psi_vec)
 
 
 def pilot_observation(scen, hw, book, seed, j=0):

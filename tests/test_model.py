@@ -85,12 +85,14 @@ def test_factorize_rejects_non_constant_blocks():
 
 def test_scenario_cov_layout(rng):
     scen = random_scenario(rng, N=8, factorized=True, subarrays=2)
-    assert scen.is_factorized and scen.multiplicity == 4
+    assert scen.reduced_dim == scen.subarrays and scen.subarrays != scen.N
+    assert scen.multiplicity == 4
     full = scen.full_cov()
     assert full.shape == (2, 2, 2, 8)
     np.testing.assert_allclose(factorize_covariance(full, 2), scen.cov)
     dense = random_scenario(rng, N=8)
-    assert not dense.is_factorized and dense.multiplicity == 1
+    assert not (dense.reduced_dim == dense.subarrays and dense.subarrays != dense.N)
+    assert dense.multiplicity == 1
 
 
 def test_hardware_profile_rejects_negative():

@@ -18,10 +18,11 @@ from hwmimo.montecarlo import (
     mc_rate,
     mmse_filter,
 )
-from hwmimo.rates import mrc_moments, ue_rate
+from hwmimo.rates import mrc_moments
 from hwmimo.scenario_gen import generate
 
 from conftest import impaired_profile, make_book, random_scenario
+from oracles import ue_rate
 
 _MOMENTS = ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
             "distortion", "distortion_se")

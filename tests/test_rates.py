@@ -22,19 +22,16 @@ from hwmimo.rates import (
     _separable_parts,
     _sinr_from_moments,
     ScalingExponents,
-    asymptotic_sinr,
     check_scaling_law,
     ergodic_rate,
     mrc_moment_coefficients,
     mrc_moments,
-    mrc_moments_colocated,
     scaled_profile,
-    sinr_trajectory,
     sinr_trajectory_from_coefficients,
-    ue_rate,
 )
 
 from conftest import assert_separable_matches_direct, impaired_profile, make_book, random_scenario
+from oracles import asymptotic_sinr, mrc_moments_colocated, sinr_trajectory, ue_rate
 
 
 # -- dense closed-form oracle (explicit Kronecker products, no reductions) ----

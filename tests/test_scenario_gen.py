@@ -171,7 +171,8 @@ def test_power_control_examples():
 def test_generate_full_scenario(snr_db):
     scen = generate("distributed", N=16, snr_db=snr_db, T=100, seed=11)
     assert validate(scen) == ()
-    assert scen.is_factorized and scen.subarrays == 4
+    assert scen.reduced_dim == scen.subarrays and scen.subarrays != scen.N
+    assert scen.subarrays == 4
     # power control delivers the target average SNR at the serving array
     own = np.einsum("llka->lka", scen.cov).mean(axis=-1)
     np.testing.assert_allclose(scen.powers * own / scen.sigma2, 10 ** (snr_db / 10), rtol=1e-12)

@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .circuits import (
@@ -190,9 +189,13 @@ def _hardware_from(args) -> HardwareVariant:
 
 def _scenario_and_book(args):
     """Validated scenario and pilot book of a subcommand, and the cell it
-    reports."""
+    reports.  Every such command evaluates data channel uses, so pilots
+    that fill the block are a user error."""
     scen = _scenario_from(args)
     book = _pilot_book(scen, args.pilot_book, args.pilot_place, args.pilot_length)
+    if not book.data_times():
+        raise ConfigError(f"the {book.B} pilots fill the block of {book.T} channel uses: "
+                          "no data channel use to evaluate")
     _check_index(args, "cell", scen.L)
     _check_index(args, "source_cell", scen.L)
     _check_index(args, "ue", scen.K)
@@ -331,12 +334,8 @@ def _cmd_scaling_law(args) -> int:
     with user_input():
         exp = ScalingExponents(args.z1, args.z2, args.z3)
     scen, book, j = _scenario_and_book(args)  # the drop of the --n-grid CSV
-    data = book.data_times()
-    if not data:
-        raise ConfigError(f"the {book.B} pilots fill the block of {book.T} channel uses: "
-                          "no data channel use to check")
     lo = LoMode(args.lo)
-    worst_t = max(data, key=lambda t: min(abs(t - x) for x in book.tau))
+    worst_t = max(book.data_times(), key=lambda t: min(abs(t - x) for x in book.tau))
     with user_input():
         rep = check_scaling_law(exp, lo, t=worst_t, tau=book.tau, delta_0=args.delta0)
     print(f"satisfied={rep.satisfied} margin={rep.margin:.6g} lhs={rep.lhs:.6g}")
@@ -371,10 +370,13 @@ def _cmd_preset(args) -> int:
         path = Path(args.which)
         if not path.exists():
             raise ConfigError(f"unknown preset or missing config file: {args.which}")
+        import yaml  # only a config file needs the YAML parser
+
         try:
             data = yaml.safe_load(path.read_text())
         except yaml.YAMLError as exc:
-            raise ConfigError(f"unparseable config {path}: {exc}") from exc
+            reason = " ".join(str(exc).split())  # one line, as every user error
+            raise ConfigError(f"unparseable config {path}: {reason}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a mapping")
         cfg = config_from_dict(data)

@@ -311,23 +311,28 @@ def _grid_caches(hv: HardwareVariant, scenario: Scenario, book: PilotBook, n_gri
 
 def _trajectories(cache: EstimatorCache, cell: int, los, ns, asymptote: bool = False):
     """Closed-form SINR trajectories over every data channel use, from one
-    coefficient pass per UE of ``cell``.  Yields ``(k, lo, i, trajectory,
-    rate)`` for each oscillator topology in ``los`` and each array size
-    ``ns[i]``; with ``asymptote``, entry ``len(ns)`` is the large-array
-    limit.  The rate is :func:`rates.ergodic_rate` over the data uses."""
+    coefficient pass over the UEs of ``cell`` and one SINR assembly per
+    oscillator topology and array size.  Yields ``(k, lo, i, trajectory,
+    rate)`` per UE k, for each oscillator topology in ``los`` and each
+    array size ``ns[i]``; with ``asymptote``, entry ``len(ns)`` is the
+    large-array limit.  The rate is :func:`rates.ergodic_rate` over the
+    data uses."""
     scen = cache.scenario
     mults = _multiplicities(scen, ns)
     ts = np.asarray(cache.book.data_times(), dtype=float)
+    co = mrc_moment_coefficients(cache, cell, np.arange(scen.K), ts)
+    trajs = {}
+    for lo in los:
+        trajs[lo] = [
+            sinr_trajectory_from_coefficients(co, scen, cache.hw, int(m), lo) for m in mults
+        ]
+        if asymptote:
+            trajs[lo].append(_asymptote(co, scen, lo))
     for k in range(scen.K):
-        co = mrc_moment_coefficients(cache, cell, k, ts)
         for lo in los:
-            trajs = [
-                sinr_trajectory_from_coefficients(co, scen, cache.hw, int(m), lo) for m in mults
-            ]
-            if asymptote:
-                trajs.append(_asymptote(co, scen, lo))
-            for i, traj in enumerate(trajs):
-                yield k, lo, i, traj, ergodic_rate(traj.sinr, scen.T, cache.B)
+            for i, traj in enumerate(trajs[lo]):
+                one = traj.ue(k)
+                yield k, lo, i, one, ergodic_rate(one.sinr, scen.T, cache.B)
 
 
 def _variant_rates(

@@ -40,10 +40,15 @@ class MomentCoefficients:
     the ``*_unit`` fields repeat c_norm and quad_* at d(t) / scale(t),
     where they cannot underflow, and the large-array limit is taken from
     them.
+
+    With an index array ``k`` (one pass over several UEs of the cell, see
+    :func:`mrc_moment_coefficients`) every array field but ``ts`` has a
+    leading UE axis, (nk, nt): entry u belongs to UE k[u].  ``scale`` does
+    not depend on the UE and is a broadcast view over that axis.
     """
 
     j: int
-    k: int
+    k: int | np.ndarray
     ts: np.ndarray
     c_norm: np.ndarray
     c_dist: np.ndarray
@@ -57,7 +62,13 @@ class MomentCoefficients:
     quad_slo_unit: np.ndarray
 
 
-def _coefficient_parts(cache: EstimatorCache, j: int, k: int, dm: np.ndarray, dn: np.ndarray):
+def _ue_shaped(k, part: np.ndarray) -> np.ndarray:
+    """A part computed over the flattened UE indices of ``k``, (nk, ...),
+    with the shape of ``k`` in place of that axis: a scalar k drops it."""
+    return part.reshape(np.shape(k) + part.shape[1:])
+
+
+def _coefficient_parts(cache: EstimatorCache, j: int, k, dm: np.ndarray, dn: np.ndarray):
     """Coefficient tensors of UE k of cell j as forms in two damping rows.
 
     Every coefficient is a bilinear form in the per-pilot damping, or the
@@ -65,52 +76,65 @@ def _coefficient_parts(cache: EstimatorCache, j: int, k: int, dm: np.ndarray, dn
     the channel side by ``dn``, both (n, B).  Returns ``(quadratic,
     amplitudes)``: the real parts of the degree-2 forms c_norm and c_dist,
     (n,), and tr_term, sXs and, with phase drift, quad_clo and third_clo,
-    (n, L, K) per link; and the complex amplitudes (Q^H dxlm, cw * sdx)
-    whose products :func:`_quartic` turns into the degree-4 parts.  At dm =
-    dn = d(t) these are the coefficients at channel use t.
+    (n, L, K) per link; and the complex amplitudes (Q^H dxlm, cw * sdx),
+    (n, L, K) and (n, L, K, Ae), whose products :func:`_quartic` turns into
+    the degree-4 parts.  At dm = dn = d(t) these are the coefficients at
+    channel use t.
+
+    ``k`` is a UE index or an array of them: every part then has the shape
+    of ``k`` in front.  Only the UE's pilot x_jk and its covariance
+    lam[j, j, k] depend on it; the damping rows, the pilot blocks, the Grams
+    and the powers broadcast over the UE axis.
 
     Every contraction runs in a fixed order, as a matmul or a two-operand
     einsum: the operands hold a few damping rows, so an einsum path search
-    would cost more than the products.
+    would cost more than the products.  The matmuls of one UE are those of
+    a scalar k, so a UE's parts do not depend on the other indices.
     """
     book, hw, scen = cache.book, cache.hw, cache.scenario
     n, LK, B = dm.shape[0], scen.L * scen.K, cache.B
+    ks = np.reshape(k, -1)  # the U UE indices, flattened
     P = cache.pblocks(j)  # (Ae, B, B)
-    x = book.sequences[j, :, k]
-    dx = dm * x  # (n, B)
-    sm = np.matmul(P, dx.T).transpose(2, 0, 1)  # (n, Ae, B)
-    sn = np.matmul(P, (dn * x).T).transpose(2, 0, 1)
-    g = np.einsum("tb,tab->ta", dx.conj(), sn).real
+    x = book.sequences[j, :, ks]  # (U, B)
+    dx = dm * x[:, None, :]  # (U, n, B)
+    sm = np.matmul(P, dx[:, None].swapaxes(-1, -2)).transpose(0, 3, 1, 2)  # (U, n, Ae, B)
+    sn = np.matmul(P, (dn * x[:, None, :])[:, None].swapaxes(-1, -2)).transpose(0, 3, 1, 2)
+    g = np.einsum("utb,utab->uta", dx.conj(), sn).real
 
     lam_j = cache.lam[j].reshape(LK, -1)  # (LK, Ae)
-    own = cache.lam[j, j, k]  # (Ae,)
-    tr_term = (g * own**2) @ lam_j.T  # (n, LK)
+    own = cache.lam[j, j, ks][:, None, :]  # (U, 1, Ae)
+    tr_term = (g * own**2) @ lam_j.T  # (U, n, LK)
 
-    cw = own * lam_j  # (LK, Ae)
+    cw = own * lam_j  # (U, LK, Ae)
     w2 = cw**2
-    Q = np.matmul(cw, sm)  # (n, LK, B)
+    Q = np.matmul(cw[:, None], sm)  # (U, n, LK, B)
     dxlm = dn[:, None, :] * book.sequences.transpose(0, 2, 1).reshape(LK, B)  # (n, LK, B)
-    z = np.einsum("tlb,tlb->tl", Q.conj(), dxlm)
-    sdx = np.matmul(dxlm, sm.conj().transpose(0, 2, 1))  # (n, LK, Ae)
+    z = np.einsum("utlb,tlb->utl", Q.conj(), dxlm)
+    sdx = np.matmul(dxlm, sm.conj().swapaxes(-1, -2))  # (U, n, LK, Ae)
 
-    R = sm.conj()[:, :, :, None] * sn[:, :, None, :]  # (n, Ae, B, B)
-    RX = np.matmul(R.reshape(n, -1, B * B), cache.X.reshape(LK, B * B).T)  # (n, Ae, LK)
-    sXs = np.einsum("tal,la->tl", RX.real, w2)
+    # (U, n, Ae, B, B) pilot-pair products and their Gram sums, (U, n, Ae, LK)
+    R = sm.conj()[..., :, None] * sn[..., None, :]
+    RX = np.matmul(R.reshape(R.shape[:3] + (B * B,)), cache.X.reshape(LK, B * B).T)
+    sXs = np.einsum("utal,ula->utl", RX.real, w2)
     per_link = {"tr_term": tr_term, "sXs": sXs}
     if hw.delta != 0.0:
-        XQ = np.einsum("lbc,tlc->tlb", cache.Xbar.reshape(LK, B, B), np.matmul(cw, sn))
-        per_link["quad_clo"] = np.einsum("tlb,tlb->tl", Q.conj(), XQ).real
+        XQ = np.einsum("lbc,utlc->utlb", cache.Xbar.reshape(LK, B, B), np.matmul(cw[:, None], sn))
+        per_link["quad_clo"] = np.einsum("utlb,utlb->utl", Q.conj(), XQ).real
         # X - Xbar = kappa2 diag(|pilot|^2)
         energy = np.abs(book.sequences.transpose(0, 2, 1).reshape(LK, B)) ** 2
-        S = np.matmul((sm.conj() * sn).real, energy.T)  # (n, Ae, LK)
-        per_link["third_clo"] = hw.kappa2 * np.einsum("tal,la->tl", S, w2)
-    links = (n, scen.L, scen.K)
+        S = np.matmul((sm.conj() * sn).real, energy.T)  # (U, n, Ae, LK)
+        per_link["third_clo"] = hw.kappa2 * np.einsum("utal,ula->utl", S, w2)
+    links = (ks.size, n, scen.L, scen.K)
     quadratic = {
-        "c_norm": g @ own**2,
+        "c_norm": np.matmul(g, own.swapaxes(-1, -2) ** 2)[..., 0],
         "c_dist": hw.kappa2 * ((tr_term + sXs) @ scen.powers.ravel()),
         **{name: part.reshape(links) for name, part in per_link.items()},
     }
-    return quadratic, (z.reshape(links), (cw * sdx).reshape(links + (-1,)))
+    amplitudes = (z.reshape(links), (cw[:, None] * sdx).reshape(links + (-1,)))
+    return (
+        {name: _ue_shaped(k, part) for name, part in quadratic.items()},
+        tuple(_ue_shaped(k, a) for a in amplitudes),
+    )
 
 
 def _quartic(a, b) -> dict:
@@ -152,16 +176,18 @@ def _gaps(delta: float, tau, ts: np.ndarray):
 
 
 def _power_sum(part: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_lk p_lk part[..., l, k] of a per-link part, with the leading axes
-    flattened; a part of one axis is already a sum over links."""
-    return part if part.ndim == 1 else part.reshape(-1, p.size) @ p
+    """sum_lk p_lk part[u, ..., l, k] of a per-link part with a leading UE
+    axis u, (nk, rows) with the axes between flattened; a part of two axes
+    is already a sum over links."""
+    return part if part.ndim == 2 else part.reshape(part.shape[0], -1, p.size) @ p
 
 
-def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> dict:
+def _separable_parts(cache: EstimatorCache, j: int, k, ts: np.ndarray) -> dict:
     """The parts of :func:`_coefficient_parts` (degree-4 ones through
     :func:`_quartic`) at the channel uses ts, summed over the links with the
     powers p_lk, plus the ``*_unit`` parts and ``scale`` of
-    :class:`MomentCoefficients`; (nt,) each.
+    :class:`MomentCoefficients`; (nt,) each, behind the shape of the UE
+    index ``k``.
 
     Within one gap the damping is d(t) = sum_i f_i(t) r_i over the gap's
     sides (see :func:`_gaps`), so a degree-2 part is sum_pq f_p f_q F(r_p,
@@ -172,12 +198,15 @@ def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> d
     one that vanishes stays exactly zero.  The power sum over links and
     the rebuild over pairs are both linear, so they commute: each part is
     summed over links first, per pair, and only those sums are rebuilt.
+    The gaps, their weights and scale(t) do not depend on the UE, so every
+    UE of ``k`` shares them.
     """
+    ks = np.reshape(k, -1)
     gaps = list(_gaps(cache.hw.delta, cache.book.tau, ts))
     # the ordered pairs (p, q) of every gap's sides, evaluated in one call
     pairs = [np.divmod(np.arange(len(rows) ** 2), len(rows)) for _, rows, _ in gaps]
     quadratic, amp = _coefficient_parts(
-        cache, j, k,
+        cache, j, ks,
         np.concatenate([rows[pm] for (_, rows, _), (pm, _) in zip(gaps, pairs)]),
         np.concatenate([rows[pn] for (_, rows, _), (_, pn) in zip(gaps, pairs)]),
     )
@@ -192,15 +221,15 @@ def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> d
     c2 = c4 = 0
     for (sel, rows, logf), (pm, pn) in zip(gaps, pairs):
         m = pm.size
-        ga = [a[c2:c2 + m] for a in amp]
-        q = _quartic([a[:, None] for a in ga], [a[None] for a in ga])
+        ga = [a[:, c2:c2 + m] for a in amp]
+        q = _quartic([a[:, :, None] for a in ga], [a[:, None] for a in ga])
         quartic.append({name: _power_sum(part, p) for name, part in q.items()})
         l2 = logf[:, pm] + logf[:, pn]
         lw2[sel, c2:c2 + m] = l2
         lw4[sel, c4:c4 + m * m] = (l2[:, :, None] + l2[:, None, :]).reshape(sel.size, m * m)
         top[sel] = logf.max(axis=1)
         c2, c4 = c2 + m, c4 + m * m
-    quartic = {name: np.concatenate([q[name] for q in quartic]) for name in quartic[0]}
+    quartic = {name: np.concatenate([q[name] for q in quartic], axis=1) for name in quartic[0]}
     unit2 = {"c_norm_unit": quadratic["c_norm"]}
     if "quad_clo" in quadratic:
         unit2["quad_clo_unit"] = quadratic["quad_clo"]
@@ -210,21 +239,25 @@ def _separable_parts(cache: EstimatorCache, j: int, k: int, ts: np.ndarray) -> d
         (lw2 - 2 * top[:, None], unit2),
         (lw4 - 4 * top[:, None], {"quad_slo_unit": quartic["quad_slo"]}),
     )
-    f = {"scale": np.exp(top)}
+    f = {"scale": np.broadcast_to(np.exp(top), (ks.size, ts.size))}
     for lw, parts in groups:
         w = np.exp(lw)
-        f.update((name, w @ part) for name, part in parts.items())
-    return f
+        # one matrix-vector product per UE, as for a scalar k
+        f.update((name, (w @ part[:, :, None])[..., 0]) for name, part in parts.items())
+    return {name: _ue_shaped(k, part) for name, part in f.items()}
 
 
-def mrc_moment_coefficients(cache: EstimatorCache, j: int, k: int, ts) -> MomentCoefficients:
+def mrc_moment_coefficients(cache: EstimatorCache, j: int, k, ts) -> MomentCoefficients:
     """Evaluate the power-summed coefficients for UE k of cell j at channel
-    uses ts.
+    uses ts; ``k`` may be an array of UE indices, which puts its shape in
+    front of every coefficient (see :class:`MomentCoefficients`).
 
     The cost does not grow with len(ts): the coefficient forms are
     evaluated once per gap between pilots and every use is rebuilt from
     exact algebra (:func:`_separable_parts`).  Without phase drift every
-    use sees the undamped pilots, so one evaluation serves them all.
+    use sees the undamped pilots, so one evaluation serves them all.  One
+    pass over all UEs of a cell shares the gaps, the pilot blocks and the
+    powers among them.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     f = _separable_parts(cache, j, k, ts)
@@ -305,6 +338,13 @@ class SinrTrajectory:
     distortion: np.ndarray
     noise: np.ndarray
 
+    def ue(self, u: int) -> "SinrTrajectory":
+        """Entry u of the UE axis of a trajectory over several UEs."""
+        return SinrTrajectory(
+            ts=self.ts, sinr=self.sinr[u], signal=self.signal[u],
+            interference=self.interference[u], distortion=self.distortion[u], noise=self.noise[u],
+        )
+
 
 def _sinr_from_moments(
     scenario: Scenario,
@@ -321,7 +361,8 @@ def _sinr_from_moments(
     """SINR of UE k in cell j at the channel uses ``ts`` from the four
     expectations: filter energy, desired inner product (complex allowed),
     the interference sum_lk p_lk E|v^H h_lk|^2 and the distortion cross
-    moment, (nt,) each.
+    moment, (nt,) each; with an index array ``k``, (nk, nt), one row per
+    UE.
 
     The denominator subtracts the desired signal from the total
     interference.  With exact moments (``trials=None``) it may undercut
@@ -331,8 +372,7 @@ def _sinr_from_moments(
     raises; between the floor and zero the SINR is infinite, unless the
     signal is zero.
     """
-    p = scenario.powers
-    signal = p[j, k] * np.abs(first) ** 2
+    signal = scenario.powers[j, k, None] * np.abs(first) ** 2
     noise = xi * norm2
     den = inter - signal + distortion + noise
     if trials is None:
@@ -341,9 +381,9 @@ def _sinr_from_moments(
         floor = -3.0 * (np.abs(inter) + np.abs(signal)) / math.sqrt(trials)
     bad = den < floor
     if np.any(bad):
+        t = np.broadcast_to(ts, den.shape)[bad][0]
         raise NumericalInvariantError(
-            f"negative SINR denominator at t={ts[bad][0]}: {den[bad][0]} "
-            f"(floor {floor[bad][0]})"
+            f"negative SINR denominator at t={t}: {den[bad][0]} (floor {floor[bad][0]})"
         )
     # no signal (a filter whose damping underflowed to zero) is zero SINR
     live = (den > 0.0) | (signal == 0.0)
@@ -361,7 +401,8 @@ def sinr_trajectory_from_coefficients(
     mult: int,
     lo_mode: LoMode | None = None,
 ) -> SinrTrajectory:
-    """Vectorized SINR over the coefficient grid for a given multiplicity."""
+    """Vectorized SINR over the coefficient grid for a given multiplicity,
+    one row per UE of a pass over several."""
     if (lo_mode or hw.lo_mode) is LoMode.CLO:
         lin, quad = co.lin_clo, co.quad_clo
     else:
@@ -412,7 +453,7 @@ def _asymptote(co: MomentCoefficients, scenario: Scenario, lo_mode: LoMode) -> S
     """
     if scenario.reduced_dim != scenario.subarrays:
         raise ConfigError("asymptotic analysis needs subarray-factorized covariances")
-    p_jk = scenario.powers[co.j, co.k]
+    p_jk = scenario.powers[co.j, co.k, None]
     signal = p_jk * co.c_norm**2
     sig_u = p_jk * co.c_norm_unit**2
     if lo_mode is LoMode.CLO:

@@ -1,12 +1,21 @@
 """Shared scenario builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hwmimo.channel import phase_correlation
 from hwmimo.model import HardwareProfile, LoMode, Scenario
 from hwmimo.pilots import PlacementKind, dft_book, place, temporal_book
-from hwmimo.rates import _coefficient_parts, _quartic, _separable_parts
+from hwmimo.rates import (
+    _asymptote,
+    _coefficient_parts,
+    _quartic,
+    _separable_parts,
+    mrc_moment_coefficients,
+    sinr_trajectory_from_coefficients,
+)
 
 
 def random_scenario(
@@ -75,3 +84,38 @@ def assert_separable_matches_direct(cache, j, k, ts, rtol=1e-12):
         err = np.abs(got[name] - value)
         bad = err > np.maximum(rtol * size, 1e-300)
         assert not np.any(bad), (name, ts[bad], err[bad], size[bad])
+
+
+def assert_ue_axis_matches_per_ue(cache, j, ts, mults=(1,)):
+    """One coefficient pass over every UE of cell j against one pass per UE:
+    each coefficient field, and the SINR trajectories assembled from them
+    at every multiplicity in ``mults`` and both oscillator topologies (and
+    the large-array limits of a subarray-factorized scenario), bit for bit.
+    The matmuls of one UE in the batched pass are those of its own pass,
+    so nothing may differ."""
+    scen = cache.scenario
+
+    def assemble(co):
+        trajs = [
+            sinr_trajectory_from_coefficients(co, scen, cache.hw, m, lo)
+            for lo in LoMode for m in mults
+        ]
+        if scen.reduced_dim == scen.subarrays:  # the limit needs factorized covariances
+            trajs += [_asymptote(co, scen, lo) for lo in LoMode]
+        return trajs
+
+    ks = np.arange(scen.K)
+    batch = mrc_moment_coefficients(cache, j, ks, ts)
+    batched = assemble(batch)
+    for k in ks:
+        co = mrc_moment_coefficients(cache, j, int(k), ts)
+        for field in dataclasses.fields(co):
+            want, got = getattr(co, field.name), getattr(batch, field.name)
+            if field.name in ("j", "k", "ts"):
+                continue
+            assert want.shape == ts.shape and got.shape == (ks.size, ts.size), field.name
+            assert np.array_equal(got[k], want), (field.name, k)
+        for traj, want in zip(batched, assemble(co)):
+            got = traj.ue(k)
+            for field in ("sinr", "signal", "interference", "distortion", "noise"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (field, k)

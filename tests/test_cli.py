@@ -90,12 +90,19 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["preset", "fig10", "--drops", "1", "--t-grid", ","],
     ["circuit", "--z1", "-1"],
     ["circuit", "--z1", "-1e-3"],
+    ["rates-cf", "--ideal", "-T", "8"],
+    ["sweep-n", "--ideal", "-T", "8", "--n-grid", "64"],
+    ["asymptotic", "--ideal", "-T", "8"],
+    ["rates-mc", "--ideal", "-N", "8", "-T", "8", "--trials", "2"],
+    ["estimate", "--ideal", "-N", "8", "-T", "8", "--trials", "2"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
         "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0", "scenario-without-L",
         "scenario-with-string-L", "delta0-negative", "pilots-fill-block", "snr-db-overflow",
         "circuit-empty-n-grid", "sweep-n-empty-n-grid", "scaling-law-empty-n-grid",
         "preset-empty-n-grid", "preset-empty-t-grid", "circuit-negative-z1",
-        "circuit-negative-z1-exponent-notation"])
+        "circuit-negative-z1-exponent-notation", "rates-cf-pilots-fill-block",
+        "sweep-n-pilots-fill-block", "asymptotic-pilots-fill-block",
+        "rates-mc-pilots-fill-block", "estimate-pilots-fill-block"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
         "not_a_scenario": {"hello": "world"},
@@ -110,6 +117,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     if any(a.endswith("_L.json") for a in argv):
         assert "field 'L'" in err
+    if "-T" in argv and argv[argv.index("-T") + 1] == "8":
+        assert "pilots fill the block" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -211,6 +220,17 @@ def test_cli_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "rates_mc.csv").exists() and (tmp_path / "rates_cf.csv").exists()
+
+
+def test_cli_import_leaves_yaml_unloaded():
+    # only `preset <file>` parses YAML, so the other commands do not pay its import
+    import hwmimo
+
+    src = os.path.dirname(os.path.dirname(hwmimo.__file__))
+    code = "import sys, hwmimo.cli; assert 'yaml' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", ["SEED", "THREADS"])
@@ -535,10 +555,22 @@ def test_preset_from_yaml_config(tmp_path):
             assert r["rate"] == preset_rows[(label, "rate_asymptotic", "0", r["ue"])]
 
 
-def test_malformed_yaml_config_exits_2(tmp_path):
+def test_preset_writes_rate_0_when_pilots_fill_the_block(tmp_path):
+    # unlike the one-drop commands, a preset reports such a block as rate 0
+    cfg = {**_YAML_BASE, "name": "full", "scenario": {**_YAML_BASE["scenario"], "T": 8}}
+    path = tmp_path / "full.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["preset", str(path), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "full.csv")
+    assert len(rows) == 2 * 8 and all(float(r["value"]) == 0.0 for r in rows)
+
+
+def test_malformed_yaml_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: [unclosed")
     assert main(["preset", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err  # the parser's multi-line report, on one line
+    assert err.startswith("error: unparseable config ") and err.count("\n") == 1
     bad.write_text("- just\n- a list\n")
     assert main(["preset", str(bad), "--out", str(tmp_path)]) == 2
     bad.write_text(yaml.safe_dump({"name": "x", "experiment": {"kind": "nope"}}))

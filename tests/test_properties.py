@@ -15,7 +15,12 @@ from hwmimo.model import HardwareProfile, LoMode
 from hwmimo.pilots import PlacementKind
 from hwmimo.rates import mrc_moment_coefficients, sinr_trajectory_from_coefficients
 
-from conftest import assert_separable_matches_direct, make_book, random_scenario
+from conftest import (
+    assert_separable_matches_direct,
+    assert_ue_axis_matches_per_ue,
+    make_book,
+    random_scenario,
+)
 
 
 @st.composite
@@ -64,6 +69,14 @@ def test_separable_pass_matches_direct_evaluation(cache):
     for j in range(cache.scenario.L):
         for k in range(cache.scenario.K):
             assert_separable_matches_direct(cache, j, k, ts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(caches(), st.integers(1, 10**4))
+def test_ue_axis_matches_per_ue_passes(cache, mult):
+    ts = _data_times(cache)
+    for j in range(cache.scenario.L):
+        assert_ue_axis_matches_per_ue(cache, j, ts, mults=(cache.mult, mult))
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,10 +6,12 @@ import pytest
 
 from hwmimo.estimator import build_cache, damped_pilot_grams
 from hwmimo.experiments import (
+    REFERENCE_DELTA,
     REFERENCE_KAPPA,
     REFERENCE_XI_OVER_SIGMA2,
     _drop_scenario,
     _serving_cell,
+    _trajectories,
     preset,
 )
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile, expand_covariance
@@ -30,7 +32,13 @@ from hwmimo.rates import (
     sinr_trajectory_from_coefficients,
 )
 
-from conftest import assert_separable_matches_direct, impaired_profile, make_book, random_scenario
+from conftest import (
+    assert_separable_matches_direct,
+    assert_ue_axis_matches_per_ue,
+    impaired_profile,
+    make_book,
+    random_scenario,
+)
 from oracles import asymptotic_sinr, mrc_moments_colocated, sinr_trajectory, ue_rate
 
 
@@ -259,6 +267,47 @@ def test_separable_pass_matches_direct_evaluation(deployment):
                 cache = build_cache(scen, hw, book)
                 assert_separable_matches_direct(cache, j, case % scen.K, ts)
                 case += 1
+
+
+@pytest.mark.parametrize("deployment", ["colocated", "distributed"])
+@pytest.mark.parametrize("placement", ["beginning", "middle"])
+@pytest.mark.parametrize("delta", [0.0, REFERENCE_DELTA, 0.3])
+def test_ue_axis_matches_per_ue_passes(deployment, placement, delta):
+    # one pass over the UEs of the serving cell of a fig7 network, with
+    # one-sided and (middle placement) two-sided gaps, against a pass per
+    # UE; then the rates that experiments assembles from it
+    fig7 = preset("fig7")
+    scen = _drop_scenario(fig7.scenario, deployment, fig7.seed, 0)
+    j = _serving_cell(scen)
+    hw = impaired_profile(
+        delta=delta, kappa2=REFERENCE_KAPPA**2, xi=REFERENCE_XI_OVER_SIGMA2, sigma2=scen.sigma2
+    )
+    cache = build_cache(scen, hw, make_book(scen, "dft", placement, B=8))
+    ts = np.asarray(cache.book.data_times(), dtype=float)
+    for uses in (ts, ts[:0]):
+        assert_ue_axis_matches_per_ue(cache, j, uses, mults=(cache.mult, 10**6))
+    seen = 0
+    for k, lo, i, traj, rate in _trajectories(cache, j, list(LoMode), (scen.N,)):
+        want = ue_rate(cache, j, k, lo)
+        assert i == 0 and rate == want.rate and np.array_equal(traj.sinr, want.sinr), (k, lo)
+        seen += 1
+    assert seen == scen.K * len(LoMode)
+
+
+def test_ue_axis_keeps_scalar_shapes(rng):
+    # a scalar UE index gives (nt,) fields; an index array puts its own
+    # shape in front, in its order
+    scen = random_scenario(rng, L=2, K=3, N=4, T=14)
+    cache = build_cache(scen, impaired_profile(delta=0.05), make_book(scen, "dft", "middle", B=4))
+    ts = np.asarray(cache.book.data_times(), dtype=float)
+    scalar = mrc_moment_coefficients(cache, 1, 2, ts)
+    batch = mrc_moment_coefficients(cache, 1, np.array([2, 0]), ts)
+    for field in ("c_norm", "scale", "lin_clo", "quad_slo_unit"):
+        assert getattr(scalar, field).shape == ts.shape
+        assert getattr(batch, field).shape == (2, ts.size)
+        assert np.array_equal(getattr(batch, field)[0], getattr(scalar, field)), field
+    traj = sinr_trajectory_from_coefficients(batch, scen, cache.hw, 1)
+    assert traj.sinr.shape == (2, ts.size) and traj.ue(0).sinr.shape == ts.shape
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1])

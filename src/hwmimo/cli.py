@@ -311,17 +311,16 @@ def _cmd_rates_mc(args) -> int:
     cache, j = _inputs(args)
     mc = McConfig(trials=args.trials, seed=args.seed, threads=args.threads)
     ts = _data_times(cache.book, args.t_stride)
-    ues = range(cache.scenario.K) if args.ue is None else [args.ue]
-    rows = []
-    for k in ues:
-        m = estimate_moments(cache, FilterKind(args.filter), j, k, ts, mc)
-        rate, traj = _rate_from_means(cache, j, k, m)
-        for i, t in enumerate(ts):
-            rows.append((
-                k, int(t), m.norm2[i], m.norm2_se[i], m.first[i].real, m.first[i].imag,
-                m.first_se[i], traj.interference[i], float(np.sum(m.second_se[i])),
-                m.distortion[i], m.distortion_se[i], traj.noise[i], traj.sinr[i], rate,
-            ))
+    ues = np.arange(cache.scenario.K) if args.ue is None else np.array([args.ue])
+    m = estimate_moments(cache, FilterKind(args.filter), j, ues, ts, mc)
+    rates, traj = _rate_from_means(cache, j, ues, m)
+    rows = [
+        (k, int(t), m.norm2[u, i], m.norm2_se[u, i], m.first[u, i].real, m.first[u, i].imag,
+         m.first_se[u, i], traj.interference[u, i], float(np.sum(m.second_se[u, i])),
+         m.distortion[u, i], m.distortion_se[u, i], traj.noise[u, i], traj.sinr[u, i],
+         float(rates[u]))
+        for u, k in enumerate(ues.tolist()) for i, t in enumerate(ts)
+    ]
     columns = (
         "ue", "t", "norm2", "norm2_se", "first_re", "first_im", "first_se",
         "interference", "interference_se", "distortion", "distortion_se",

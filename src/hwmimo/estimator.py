@@ -16,6 +16,10 @@ receiver phase-drift at time t).  Two structural facts keep this cheap:
 The estimator formula is identical for common and separate oscillators.
 """
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +41,60 @@ def damped_pilot_grams(book: PilotBook, delta: float) -> np.ndarray:
     return outer * kern
 
 
+# (get, set) thread-count symbols: numpy >= 2 wheels, numpy 1.x wheels,
+# a system OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """``(get, set)`` of the thread count of numpy's BLAS, or None when it
+    exposes no OpenBLAS control.  Loading numpy's own linalg module returns
+    its existing handle, whose symbol lookup covers the BLAS it links."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+# the BLAS thread count is one per process, and so is its pin: per open
+# pinned block, the count that the first of them replaced
+_PIN_LOCK = threading.Lock()
+_PINNED = []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one BLAS thread: LAPACK's blocked routines return
+    other last bits at other thread counts (``cholesky`` and ``inv`` from
+    n = 64, ``solve`` from N = 128).  Blocks in concurrent threads may
+    overlap: the last one out restores the count."""
+    get, put = _blas_threads() or (lambda: 1, lambda n: None)
+    with _PIN_LOCK:
+        _PINNED.append(_PINNED[0] if _PINNED else get())
+        put(1)
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            before = _PINNED.pop()
+            if not _PINNED:
+                put(before)
+
+
 @dataclass(eq=False)
 class EstimatorCache:
     """Everything that is reusable across estimation calls for a fixed
@@ -54,9 +112,6 @@ class EstimatorCache:
     X: np.ndarray  # Xbar + kappa2 * diag(|pilot|^2)
     _psi_inv: dict = field(default_factory=dict)
     _pblocks: dict = field(default_factory=dict)
-    _gains: dict = field(default_factory=dict)
-
-    _GAIN_MEMO_LIMIT = 16384  # estimation is linear in psi; keep hot gains
 
     @property
     def lam(self) -> np.ndarray:
@@ -92,10 +147,11 @@ class EstimatorCache:
         if not np.isfinite(psi).all():  # LAPACK does not reject inf or NaN
             raise NumericalInvariantError(f"{what}: it is not finite")
         try:
-            chol = np.linalg.cholesky(psi)
+            with _one_blas_thread():  # the same bits on any core count
+                chol = np.linalg.cholesky(psi)
+                chol_inv = np.linalg.inv(chol)  # the inverse is chol_inv^H chol_inv
         except np.linalg.LinAlgError as exc:
             raise NumericalInvariantError(f"{what}: {exc}") from exc
-        chol_inv = np.linalg.inv(chol)  # the inverse is chol_inv^H chol_inv
         inv = self._pblocks[j] = np.swapaxes(chol_inv, -1, -2).conj() @ chol_inv
         inv4 = np.zeros((B, Ae, B, Ae), dtype=complex)
         ar = np.arange(Ae)
@@ -120,20 +176,11 @@ class EstimatorCache:
 
     def reduced_gain(self, j: int, l: int, k: int, t) -> np.ndarray:
         """Reduced estimation gain, (Ae, B*Ae): the full N x BN gain is this
-        matrix expanded blockwise over the N/Ae antennas of each subarray.
-        Memoized per (j, l, k, t) so Monte Carlo loops pay one product per
-        application."""
-        key = (j, l, k, float(t))
-        hit = self._gains.get(key)
-        if hit is not None:
-            return hit
+        matrix expanded blockwise over the N/Ae antennas of each subarray."""
         dm = self.d_delta(t)[0]
         dxc = self.book.sequences[l, :, k].conj() * dm  # (B,)
         inv3 = self.psi_inverse(j).reshape(self.B, self.Ae, self.B * self.Ae)
-        gain = self.lam[j, l, k][:, None] * np.einsum("b,baq->aq", dxc, inv3)
-        if len(self._gains) < self._GAIN_MEMO_LIMIT:
-            self._gains[key] = gain
-        return gain
+        return self.lam[j, l, k][:, None] * np.einsum("b,baq->aq", dxc, inv3)
 
     def apply_reduced_gain(self, gain: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """Apply a reduced gain to stacked observations psi (..., B*N).

@@ -26,7 +26,7 @@ from .model import (
     require_valid,
     user_input,
 )
-from .montecarlo import FilterKind, McConfig, _fan_out, mc_rate
+from .montecarlo import FilterKind, McConfig, _fan_out, _rate_from_means, estimate_moments
 from .pilots import PilotBook, PlacementKind, dft_book, place, temporal_book
 from .rates import (
     ScalingExponents,
@@ -420,13 +420,15 @@ def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
     scen = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
     cell = _serving_cell(scen)
     mc = McConfig(trials=cfg.experiment.trials, seed=cfg.seed + drop)
+    ues = np.arange(scen.K)
     rows = []
     for labels, book in _books(cfg, deployment, scen):
         for hv in cfg.hardware:
             cache = build_cache(scen, _profile(hv, scen), book)
-            for k in range(scen.K):
-                rep = mc_rate(cache, cfg.experiment.filter_kind, mc, cell, k)
-                rows.append((labels[hv.label], scen.N, scen.T, drop, k, "rate_mc", rep.rate, ""))
+            m = estimate_moments(cache, cfg.experiment.filter_kind, cell, ues, book.data_times(), mc)
+            rates, _ = _rate_from_means(cache, cell, ues, m)
+            rows += [(labels[hv.label], scen.N, scen.T, drop, k, "rate_mc", float(rates[k]), "")
+                     for k in ues.tolist()]
     return rows
 
 

@@ -13,11 +13,10 @@ Trials are split into fixed-size chunks, each driven by its own counter-based
 substream and reduced in chunk order, so results are bit-identical for any
 thread count.  A chunk's products run on consecutive tiles of its trials;
 every product is per trial, so the tile size does not change a bit either.
+The UEs of a cell share each world, and the trials fold into running sums
+as they run, so memory does not grow with the trial count.
 """
 
-import contextlib
-import ctypes
-import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -27,9 +26,9 @@ from enum import Enum
 import numpy as np
 
 from .channel import draw_world, world_bytes
-from .estimator import EstimatorCache, error_covariance
+from .estimator import EstimatorCache, _blas_threads, _one_blas_thread, error_covariance
 from .model import HardwareProfile, Scenario
-from .rates import RateReport, SinrTrajectory, _sinr_from_moments, ergodic_rate
+from .rates import _sinr_from_moments, ergodic_rate
 
 _CHUNK_TARGET_BYTES = 64 * 2**20  # trials per chunk, and so the random stream
 _TILE_TARGET_BYTES = 8 * 2**20  # trials per tile of a chunk: the size of its temporaries
@@ -63,8 +62,8 @@ class McConfig:
 class McMoments:
     """Sample means of the four SINR expectations at channel uses ``ts``,
     with batch-means standard errors; every array leads with the
-    channel-use axis.  ``first`` keeps its imaginary part so tests can
-    verify it is statistically zero."""
+    channel-use axis, after the shape of an index array of UEs.  ``first``
+    keeps its imaginary part so tests can verify it is statistically zero."""
 
     trials: int
     ts: np.ndarray  # (nt,)
@@ -78,24 +77,13 @@ class McMoments:
     distortion_se: np.ndarray
 
 
-def _batch_se(values: np.ndarray) -> np.ndarray:
-    """Standard error along the first axis via batch means; for complex
-    values, sqrt(var re + var im) of the batch means."""
-    n = values.shape[0]
-    nb = min(_BATCHES, n)
-    means = np.stack([chunk.mean(axis=0) for chunk in np.array_split(values, nb)])
-    if nb < 2:
-        return np.zeros(means.shape[1:])
-    return means.std(axis=0, ddof=1) / math.sqrt(nb)
-
-
 def mmse_filter(
     estimates: np.ndarray,
     error_covs: np.ndarray,
     scenario: Scenario,
     hw: HardwareProfile,
     j: int,
-    k: int,
+    k,
 ) -> np.ndarray:
     """Approximate MMSE receive filter for UE k of cell j.
 
@@ -103,6 +91,7 @@ def mmse_filter(
     interest; error_covs: (L, K, N) diagonals of the estimation error
     covariances.  A leading trial axis is allowed on ``estimates``.  The
     regularizing xi*I keeps the system solvable for any estimate quality.
+    ``k`` may be an index array, whose shape then leads the result.
 
     Per trial the system matrix is
 
@@ -111,7 +100,9 @@ def mmse_filter(
     with e = sum_lk p_lk C_lk and g = sum_lk p_lk |hhat|^2.  The Gram sum
     is one batched GEMM, M = flat^T @ (p * conj(flat)) with flat the
     (L*K, N) estimates of a trial, and g = Re diag(M), so the energy term
-    is read off the Gram matrix rather than summed again.
+    is read off the Gram matrix rather than summed again.  From N = 128 on
+    a solve at several BLAS threads, or of several right-hand sides,
+    returns other last bits, so each UE takes one solve at one thread.
     """
     single = estimates.ndim == 3
     est = estimates[None] if single else estimates
@@ -126,8 +117,10 @@ def mmse_filter(
     energy = M[:, idx, idx].real
     err = np.einsum("lk,lkn->n", scenario.powers, error_covs)
     M[:, idx, idx] += err + hw.kappa2 * (energy + err) + hw.xi
-    v = np.linalg.solve(M, est[:, j, k, :][..., None])[..., 0]
-    return v[0] if single else v
+    with _one_blas_thread():  # the same bits at any BLAS thread count
+        v = np.stack([np.linalg.solve(M, est[:, j, u, :, None])[..., 0] for u in np.ravel(k)])
+    v = v.reshape(np.shape(k) + (c, N))
+    return v[..., 0, :] if single else v
 
 
 def _group_sizes(trials: int, per_trial_bytes: int, target_bytes: int) -> list:
@@ -142,102 +135,111 @@ def _chunk_sizes(trials: int, per_trial_bytes: int) -> list:
     return _group_sizes(trials, per_trial_bytes, _CHUNK_TARGET_BYTES)
 
 
-# (get, set) thread-count symbols: numpy >= 2 wheels, numpy 1.x wheels,
-# a system OpenBLAS
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _blas_threads():
-    """``(get, set)`` of the thread count of numpy's BLAS, or None when it
-    exposes no OpenBLAS control.  Loading numpy's own linalg module returns
-    its existing handle, whose symbol lookup covers the BLAS it links."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-        try:
-            get, put = getattr(lib, get_name), getattr(lib, set_name)
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _blas_split(workers: int):
-    """Divide the BLAS thread count among ``workers`` pool workers (at
-    least one thread each) for the duration of the block, then restore it."""
-    blas = _blas_threads()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(max(1, before // workers))
-    try:
-        yield
-    finally:
-        put(before)
-
-
-def _fan_out(fn, jobs: list, threads: int) -> list:
-    """``[fn(job) for job in jobs]``, on a thread pool when ``threads > 1``
-    and there is more than one job.  Results keep the order of ``jobs``.
-    While the pool runs its workers split the BLAS threads (one each at
-    least), so pool and BLAS threads do not oversubscribe the cores."""
+def _fan_out(fn, jobs: list, threads: int):
+    """``fn(job)`` for each of ``jobs``, yielded in job order as they
+    finish, on a thread pool when ``threads > 1`` and there is more than
+    one job.  While the pool runs, its workers split the BLAS threads (one
+    each at least, the count restored afterwards), so pool and BLAS threads
+    do not oversubscribe the cores."""
     if threads > 1 and len(jobs) > 1:
         workers = min(threads, len(jobs))
-        with _blas_split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+        get, put = _blas_threads() or (lambda: 1, lambda n: None)
+        before = get()
+        put(max(1, before // workers))
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(fn, jobs)
+        finally:
+            put(before)
+    else:
+        yield from map(fn, jobs)
+
+
+def _fold(tiles, trials: int) -> list:
+    """``[(mean, se), ...]`` of each per-trial array of the ``tiles``
+    (tuples of arrays that lead with their trials, ``trials`` in all),
+    folded in trial order as the tiles come.  Only the running sums and
+    the sums of the at most ``_BATCHES`` batches of ``np.array_split`` are
+    kept.  Cumulative sums add one trial at a time, so with more than one
+    value per trial a mean is numpy's ``mean(axis=0)`` of the joined trials
+    bit for bit (numpy sums a single column pairwise).  The SE is the
+    spread of the batch means over sqrt(batches), for complex values
+    sqrt(var re + var im)."""
+
+    def summed(prefix, x):  # prefix + x[0] + x[1] + ..., in that order
+        x = x if prefix is None else np.concatenate([prefix[None], x])
+        return np.cumsum(x, axis=0)[-1].copy()
+
+    nb = min(_BATCHES, trials)
+    sizes = np.full(nb, trials // nb)
+    sizes[: trials % nb] += 1
+    ends = np.cumsum(sizes)
+    sums, done = None, 0
+    for tile in tiles:
+        if sums is None:
+            sums = [None] * len(tile)
+            batch_sums = [np.empty((nb, *x.shape[1:]), x.dtype) for x in tile]
+        n, lo = len(tile[0]), 0
+        while lo < n:  # trials lo..hi of the tile fall in batch b
+            b = int(np.searchsorted(ends, done + lo, side="right"))
+            hi = min(n, int(ends[b]) - done)
+            fresh = done + lo == ends[b] - sizes[b]
+            for bs, x in zip(batch_sums, tile):
+                bs[b] = summed(None if fresh else bs[b], x[lo:hi])
+            lo = hi
+        sums = [summed(s, x) for s, x in zip(sums, tile)]
+        done += n
+    out = []
+    for s, bs in zip(sums, batch_sums):
+        means = bs / sizes.reshape((nb,) + (1,) * (bs.ndim - 1))
+        se = means.std(axis=0, ddof=1) / math.sqrt(nb) if nb > 1 else np.zeros(bs.shape[1:])
+        out.append((s / trials, se))
+    return out
 
 
 def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
-                 extra_bytes: int, sample) -> tuple:
+                 extra_bytes: int, sample, ues: int = 1) -> list:
     """Run ``sample(tile)`` on consecutive trial tiles of every chunk of
-    ``mc.trials`` trials and join the per-trial arrays it returns in trial
-    order.  Each chunk draws one world ``(h, rot_ts, psi)`` of cell j at
-    the channel uses ``ts`` from its own substream; a tile is a slice of it
-    along the trial axis.  A trial is budgeted its world plus
-    ``extra_bytes``: chunks fill ``_CHUNK_TARGET_BYTES`` and tiles the
-    smaller ``_TILE_TARGET_BYTES``, so a tile's temporaries stay small."""
+    ``mc.trials`` trials and :func:`_fold` what it returns in trial order.
+    Each chunk draws one world ``(h, rot_ts, psi)`` of cell j at the
+    channel uses ``ts`` from its own substream; a tile is a slice of it
+    along the trial axis.  Chunks fill ``_CHUNK_TARGET_BYTES`` at a world
+    plus ``extra_bytes`` per trial (the random stream follows them), tiles
+    the smaller ``_TILE_TARGET_BYTES`` at a world plus ``ues`` times
+    ``extra_bytes``.  On one thread each tile is folded as it is made; a
+    pool worker runs a whole chunk, folded when the earlier ones are."""
     scen, hw, book = cache.scenario, cache.hw, cache.book
-    per_trial = world_bytes(scen, hw, book, ts) + extra_bytes
+    world_size = world_bytes(scen, hw, book, ts)
 
-    def run(job):
+    def tiles(job):
         idx, size = job
         world = draw_world(scen, hw, book, j, ts, idx, size, mc.seed)
-        edges = list(itertools.accumulate(_group_sizes(size, per_trial, _TILE_TARGET_BYTES),
-                                          initial=0))
-        return [sample(tuple(a[lo:hi] for a in world)) for lo, hi in zip(edges, edges[1:])]
+        tile_sizes = _group_sizes(size, world_size + ues * extra_bytes, _TILE_TARGET_BYTES)
+        edges = list(itertools.accumulate(tile_sizes, initial=0))
+        for lo, hi in zip(edges, edges[1:]):
+            yield sample(tuple(a[lo:hi] for a in world))
 
-    chunks = _fan_out(run, list(enumerate(_chunk_sizes(mc.trials, per_trial))), mc.threads)
-    return tuple(np.concatenate(v) for v in zip(*(tile for tiles in chunks for tile in tiles)))
+    jobs = list(enumerate(_chunk_sizes(mc.trials, world_size + extra_bytes)))
+    run = tiles if mc.threads == 1 else lambda job: list(tiles(job))
+    return _fold((tile for chunk in _fan_out(run, jobs, mc.threads) for tile in chunk), mc.trials)
 
 
 def _simulate_tile(
     cache: EstimatorCache,
     j: int,
-    k: int,
+    ues: np.ndarray,
     world: tuple,
     gains: list,
     error_covs: np.ndarray | None,
 ) -> tuple:
-    """Per-trial samples of the four SINR ingredients at each channel use,
-    all from one ``world`` tile: ``(norm2, first, second, distortion)`` of
-    shapes (size, nt), (size, nt), (size, nt, L, K) and (size, nt).
-    ``gains[it]`` is the reduced gain of the channel use ``it``: of link
-    (j, k) for the MRC filter, which takes ``error_covs`` None, or the L*K
-    gains stacked for the MMSE filter, which reads ``error_covs``, the
-    (nt, L, K, N) error covariance diagonals."""
+    """Per-trial samples of the four SINR ingredients of the UEs ``ues``
+    (a 1-D index array) of cell j at each channel use, all from one
+    ``world`` tile: ``(norm2, first, second, distortion)`` of shapes
+    (size, nk, nt), (size, nk, nt), (size, nk, nt, L, K) and (size, nk, nt).
+    ``gains[it]`` holds the reduced gains of the channel use ``it``: one
+    per UE, of its own link, for the MRC filter, which takes ``error_covs``
+    None, or the L*K gains stacked for the MMSE filter, which reads
+    ``error_covs``, the (nt, L, K, N) error covariance diagonals."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
     h, rot_ts, psi = world
@@ -249,24 +251,27 @@ def _simulate_tile(
     del power
     dist_weight *= hw.kappa2
 
-    nt = len(gains)
-    norm2 = np.empty((size, nt))
-    first = np.empty((size, nt), dtype=complex)
-    second = np.empty((size, nt, L, K))
-    distortion = np.empty((size, nt))
+    shape = (size, ues.size, len(gains))
+    norm2 = np.empty(shape)
+    first = np.empty(shape, dtype=complex)
+    second = np.empty(shape + (L, K))
+    distortion = np.empty(shape)
     for it, gain in enumerate(gains):
-        v = cache.apply_reduced_gain(gain, psi)
-        if error_covs is not None:
+        if error_covs is None:
+            filters = [cache.apply_reduced_gain(g, psi) for g in gain]
+        else:
             # all L*K estimates from one product: stacked gain row (lk, a)
             # lands on antenna lk*N + a*mult + r, so the reshape is a view
-            v = mmse_filter(v.reshape(size, L, K, N), error_covs[it], scen, hw, j, k)
-        # v^H h(t) with h(t) = rot(t) * h, without forming h(t): one GEMV per trial
-        vc = v.conj()
-        inner = np.matmul(links, (vc * rot_ts[:, it, :])[..., None]).reshape(size, L, K)
-        norm2[:, it] = np.einsum("sn,sn->s", vc, v).real
-        first[:, it] = inner[:, j, k]
-        second[:, it] = np.abs(inner) ** 2
-        distortion[:, it] = np.einsum("sn,sn->s", np.abs(v) ** 2, dist_weight)
+            est = cache.apply_reduced_gain(gain, psi).reshape(size, L, K, N)
+            filters = mmse_filter(est, error_covs[it], scen, hw, j, ues)
+        for u, v in enumerate(filters):
+            # v^H h(t) with h(t) = rot(t) * h, without forming h(t): one GEMV per trial
+            vc = v.conj()
+            inner = np.matmul(links, (vc * rot_ts[:, it, :])[..., None]).reshape(size, L, K)
+            norm2[:, u, it] = np.einsum("sn,sn->s", vc, v).real
+            first[:, u, it] = inner[:, j, ues[u]]
+            second[:, u, it] = np.abs(inner) ** 2
+            distortion[:, u, it] = np.einsum("sn,sn->s", np.abs(v) ** 2, dist_weight)
     return norm2, first, second, distortion
 
 
@@ -274,69 +279,52 @@ def estimate_moments(
     cache: EstimatorCache,
     filter_kind: FilterKind,
     j: int,
-    k: int,
+    k,
     ts,
     mc: McConfig,
 ) -> McMoments:
     """Sample means of the four SINR expectations for UE k of cell j at the
     channel uses ``ts``, for the scenario, hardware and pilot book of
     ``cache``.  Every chunk of trials draws one world (channels, phase
-    trajectories, pilot observations) shared by all of ``ts``."""
+    trajectories, pilot observations) shared by all of ``ts`` and all UEs
+    of ``k``, a UE index or an index array whose shape then leads every
+    moment; each UE gets the bits of a pass for it alone."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
-    extra = 16 * ts.size * (L * K + 4)
+    ues = np.ravel(k)
+    extra = 16 * ts.size * (L * K + 4)  # per UE: the chunk sizes key the random stream
     # gains and error covariances depend on the channel use only; one set
     # serves every chunk and tile
     if filter_kind is FilterKind.MRC:
-        gains, ecovs = [cache.reduced_gain(j, j, k, t) for t in ts], None
+        gains = [[cache.reduced_gain(j, j, u, t) for u in ues.tolist()] for t in ts]
+        ecovs = None
     else:
         extra += 16 * (L * K * N + N * N)
         gains = [np.concatenate([cache.reduced_gain(j, l, m, t)
                                  for l in range(L) for m in range(K)]) for t in ts]
         ls, ks = np.indices((L, K))
         ecovs = np.stack([error_covariance(cache, j, ls, ks, t)[0] for t in ts])
-    norm2, first, second, distortion = _over_chunks(
-        cache, j, ts, mc, extra,
-        lambda tile: _simulate_tile(cache, j, k, tile, gains, ecovs),
-    )
-    return McMoments(
-        trials=mc.trials,
-        ts=ts,
-        norm2=norm2.mean(axis=0),
-        norm2_se=_batch_se(norm2),
-        first=first.mean(axis=0),
-        first_se=_batch_se(first),
-        second=second.mean(axis=0),
-        second_se=_batch_se(second),
-        distortion=distortion.mean(axis=0),
-        distortion_se=_batch_se(distortion),
-    )
+    folded = _over_chunks(cache, j, ts, mc, extra,
+                          lambda tile: _simulate_tile(cache, j, ues, tile, gains, ecovs),
+                          ues.size)
+    # the (mean, se) pairs of norm2, first, second and distortion, in field order
+    return McMoments(mc.trials, ts, *(x.reshape(np.shape(k) + x.shape[1:])
+                                      for pair in folded for x in pair))
 
 
-def _rate_from_means(
-    cache: EstimatorCache, j: int, k: int, m: McMoments
-) -> tuple[float, SinrTrajectory]:
+def _rate_from_means(cache: EstimatorCache, j: int, k, m: McMoments) -> tuple:
     """Rate and per-time SINR of UE k in cell j from the sample means ``m``
     of the four expectations at the channel uses ``m.ts``, estimated on
     ``cache``; the SINR takes the sampled-moment denominator floor of
-    :func:`rates._sinr_from_moments`."""
+    :func:`rates._sinr_from_moments`.  The rates take the shape of ``k``
+    (0-d for a UE index), which also leads the trajectory."""
     scen = cache.scenario
-    inter = np.einsum("lk,tlk->t", scen.powers, m.second)
+    inter = np.einsum("lk,...tlk->...t", scen.powers, m.second)
     traj = _sinr_from_moments(
         scen, cache.hw.xi, j, k, m.ts, m.norm2, m.first, inter, m.distortion, trials=m.trials
     )
-    return ergodic_rate(traj.sinr, scen.T, cache.book.B), traj
-
-
-def mc_rate(
-    cache: EstimatorCache, filter_kind: FilterKind, mc: McConfig, j: int, k: int
-) -> RateReport:
-    """Simulated ergodic rate of UE k in cell j: SINR assembled from the MC
-    expectations at every data channel use, then averaged with the pilot
-    overhead pre-log."""
-    m = estimate_moments(cache, filter_kind, j, k, cache.book.data_times(), mc)
-    rate, traj = _rate_from_means(cache, j, k, m)
-    return RateReport(rate=rate, ts=m.ts, sinr=traj.sinr)
+    rates = [ergodic_rate(s, scen.T, cache.book.B) for s in traj.sinr.reshape(-1, m.ts.size)]
+    return np.reshape(rates, np.shape(k)), traj
 
 
 def empirical_mse(
@@ -357,5 +345,4 @@ def empirical_mse(
             out[:, it] = np.sum(np.abs(h_t - est) ** 2, axis=-1)
         return (out,)
 
-    (errs,) = _over_chunks(cache, j, ts, mc, 16 * ts.size * 2, sample)
-    return errs.mean(axis=0), _batch_se(errs)
+    return _over_chunks(cache, j, ts, mc, 16 * ts.size * 2, sample)[0]

@@ -412,15 +412,6 @@ def sinr_trajectory_from_coefficients(
     return _sinr_from_moments(scenario, hw.xi, co.j, co.k, co.ts, e21, e21, inter, mult * co.c_dist)
 
 
-@dataclass(frozen=True, eq=False)
-class RateReport:
-    """Ergodic achievable rate of one UE and the SINR trajectory behind it."""
-
-    rate: float
-    ts: np.ndarray
-    sinr: np.ndarray
-
-
 def ergodic_rate(sinr, T: int, B: int) -> float:
     """Ergodic rate from the SINR at the data channel uses, or at a subset
     of them: the mean of log2(1 + SINR) over the given values times the

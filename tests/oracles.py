@@ -9,9 +9,11 @@ the impairment-free model.
 :func:`lmmse_estimate`, :func:`sinr_trajectory`, :func:`ue_rate` and
 :func:`asymptotic_sinr` are compositions of package pieces that give one
 estimate, trajectory, rate or limit at a time; :func:`loglog_slope` fits the
-growth exponent of a power table.
+growth exponent of a power table.  :func:`mean_and_batch_se` reduces a Monte
+Carlo sample that holds every trial at once.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,6 @@ from hwmimo.estimator import EstimatorCache, error_covariance
 from hwmimo.model import LoMode
 from hwmimo.rates import (
     MrcMoments,
-    RateReport,
     SinrTrajectory,
     _asymptote,
     ergodic_rate,
@@ -151,6 +152,15 @@ def sinr_trajectory(
     return sinr_trajectory_from_coefficients(co, cache.scenario, cache.hw, cache.mult, lo_mode)
 
 
+@dataclass(frozen=True, eq=False)
+class RateReport:
+    """Ergodic achievable rate of one UE and the SINR trajectory behind it."""
+
+    rate: float
+    ts: np.ndarray
+    sinr: np.ndarray
+
+
 def ue_rate(cache: EstimatorCache, j: int, k: int, lo_mode: LoMode | None = None) -> RateReport:
     """Closed-form ergodic rate for UE k of cell j under MRC."""
     traj = sinr_trajectory(cache, j, k, lo_mode=lo_mode)
@@ -169,6 +179,17 @@ def asymptotic_sinr(
         t = cache.book.data_times()[0]
     co = mrc_moment_coefficients(cache, j, k, [t])
     return float(_asymptote(co, cache.scenario, lo_mode or cache.hw.lo_mode).sinr[0])
+
+
+def mean_and_batch_se(values: np.ndarray, batches: int = 100) -> tuple:
+    """Mean of ``values`` along its first (trial) axis and the batch-means
+    standard error over at most ``batches`` batches of ``np.array_split``;
+    for complex values sqrt(var re + var im) of the batch means."""
+    nb = min(batches, values.shape[0])
+    means = np.stack([chunk.mean(axis=0) for chunk in np.array_split(values, nb)])
+    if nb < 2:
+        return values.mean(axis=0), np.zeros(means.shape[1:])
+    return values.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(nb)
 
 
 def loglog_slope(ns, totals) -> float:

@@ -487,11 +487,34 @@ def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch
     scen = generate("colocated", N=8, snr_db=5.0, T=20, seed=3)
     hw = HardwareProfile(delta=1e-3, kappa2=1e-3, xi=1.2 * scen.sigma2, lo_mode=LoMode.SLO)
     book = _pilot_book(scen, "dft", "beginning", None)
-    rep = montecarlo.mc_rate(build_cache(scen, hw, book), montecarlo.FilterKind.MMSE,
-                             montecarlo.McConfig(trials=trials, seed=3), _serving_cell(scen), 1)
+    cache, cell = build_cache(scen, hw, book), _serving_cell(scen)
+    m = montecarlo.estimate_moments(cache, montecarlo.FilterKind.MMSE, cell, 1, book.data_times(),
+                                    montecarlo.McConfig(trials=trials, seed=3))
+    rate, traj = montecarlo._rate_from_means(cache, cell, 1, m)
     assert [r["t"] for r in rows] == [str(t) for t in book.data_times()]
-    assert [r["sinr"] for r in rows] == [_fmt(float(x)) for x in rep.sinr]
-    assert {r["rate"] for r in rows} == {_fmt(rep.rate)}
+    assert [r["sinr"] for r in rows] == [_fmt(float(x)) for x in traj.sinr]
+    assert {r["rate"] for r in rows} == {_fmt(float(rate))}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("filt", ["mrc", "mmse"])
+def test_rates_mc_without_ue_writes_the_rows_of_each_ue(tmp_path, monkeypatch, filt, threads):
+    # one pass over the UEs of the cell writes, per UE, the bytes of a run
+    # for that UE alone; a small budget gives several chunks on the pool
+    from hwmimo import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**20)
+    args = ["rates-mc", "--deployment", "colocated", "-N", "8", "-T", "20", "--seed", "3",
+            "--delta", "1e-3", "--kappa2", "1e-3", "--xi-over-sigma2", "1.2", "--lo", "slo",
+            "--trials", "40", "--t-stride", "3", "--filter", filt, "--threads", threads]
+    assert main([*args, "--out", str(tmp_path / "all")]) == 0
+    header, *rows = (tmp_path / "all" / "rates_mc.csv").read_text().splitlines()
+    ues = sorted({int(r.split(",")[0]) for r in rows})
+    assert ues == list(range(8))
+    for k in ues:
+        assert main([*args, "--ue", str(k), "--out", str(tmp_path / str(k))]) == 0
+        one = (tmp_path / str(k) / "rates_mc.csv").read_text().splitlines()
+        assert one == [header, *(r for r in rows if r.startswith(f"{k},"))]
 
 
 def test_preset_reproducible_across_threads_and_seeds(tmp_path):

@@ -1,10 +1,14 @@
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from hwmimo import estimator
 from hwmimo.channel import draw_world
-from hwmimo.estimator import build_cache, damped_pilot_grams, error_covariance
+from hwmimo.estimator import _blas_threads, build_cache, damped_pilot_grams, error_covariance
 from hwmimo.model import (
     HardwareProfile,
     LoMode,
@@ -14,6 +18,7 @@ from hwmimo.model import (
     expand_covariance,
 )
 from hwmimo.pilots import place, temporal_book
+from hwmimo.scenario_gen import generate
 
 from conftest import impaired_profile, make_book, random_scenario
 from oracles import conventional_mmse_estimate, lmmse_estimate, lmmse_estimate_colocated
@@ -324,3 +329,57 @@ def test_estimation_mse_matches_for_common_oscillator(rng):
     err_sq = np.sum(np.abs(rot_ts[:, 0, :] * h[:, l, k, :] - est) ** 2)
     _, mse = error_covariance(cache, 0, l, k, t)
     assert err_sq / M == pytest.approx(mse, rel=0.08)
+
+
+def test_cell_build_bitwise_equal_at_any_blas_thread_count():
+    # LAPACK's cholesky and inv return other last bits at other BLAS thread
+    # counts from n = 64 on, so the cell build runs them at one thread: a
+    # cell of B = 64 pilots factors to the same bits at any count
+    blas = _blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no thread-count control")
+    get, put = blas
+    scen = generate("colocated", N=64, snr_db=5.0, T=500, seed=0)
+    hw = HardwareProfile(delta=1.58e-4, kappa2=2.4336e-4, xi=1.58 * scen.sigma2,
+                         lo_mode=LoMode.SLO)
+    book = make_book(scen, B=64)
+    before = get()
+    blocks = []
+    try:
+        for n in (1, 2):
+            put(n)
+            blocks.append(build_cache(scen, hw, book).pblocks(12))
+            assert get() == n
+    finally:
+        put(before)
+    assert blocks[0].shape == (1, 64, 64)
+    np.testing.assert_array_equal(blocks[0], blocks[1])
+
+
+def test_overlapping_one_thread_blocks_hold_one_thread_and_restore(monkeypatch):
+    # pool workers pin concurrently: inside every block the count is 1, and
+    # the last block out restores the count the first one replaced
+    count = [6]
+    monkeypatch.setattr(estimator, "_blas_threads",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    seen = []
+
+    def worker():
+        for _ in range(300):
+            with estimator._one_blas_thread():
+                time.sleep(0)  # let the other workers in
+                seen.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(seen) == 8 * 300 and set(seen) == {1}
+    assert count[0] == 6

@@ -179,9 +179,9 @@ def test_rates_mc_kind_builds_one_cache_per_variant_and_book(tmp_path, monkeypat
     assert len(builds) == len(cfg.hardware)  # one book, one drop; not one per UE
     assert len({r[4] for r in shared.rows}) > 1
 
-    # the shared cache writes the same bytes as a fresh cache per UE
-    mc_rate = experiments.mc_rate
-    monkeypatch.setattr(experiments, "mc_rate", lambda cache, *a: mc_rate(
+    # the shared cache writes the same bytes as a fresh cache per Monte Carlo pass
+    estimate = experiments.estimate_moments
+    monkeypatch.setattr(experiments, "estimate_moments", lambda cache, *a: estimate(
         build(cache.scenario, cache.hw, cache.book), *a))
     fresh = run(dataclasses.replace(cfg, out=str(tmp_path / "fresh")))
     assert fresh.csv_path.read_bytes() == shared.csv_path.read_bytes()

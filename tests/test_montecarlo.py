@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hwmimo import montecarlo
+from hwmimo import estimator, montecarlo
 from hwmimo.channel import draw_world, world_bytes
 from hwmimo.estimator import build_cache
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile
@@ -11,18 +11,17 @@ from hwmimo.montecarlo import (
     _BATCHES,
     FilterKind,
     McConfig,
-    _batch_se,
+    _fold,
     _rate_from_means,
     empirical_mse,
     estimate_moments,
-    mc_rate,
     mmse_filter,
 )
 from hwmimo.rates import mrc_moments
 from hwmimo.scenario_gen import generate
 
 from conftest import impaired_profile, make_book, random_scenario
-from oracles import ue_rate
+from oracles import mean_and_batch_se, ue_rate
 
 _MOMENTS = ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
             "distortion", "distortion_se")
@@ -124,8 +123,25 @@ def test_batch_se_includes_imaginary_spread():
     # one value per batch: the SE is the spread of the batch means, here
     # carried entirely by the imaginary part
     noise = np.random.default_rng(4).normal(scale=1e-3, size=_BATCHES)
-    se = _batch_se(1.0 + 1j * noise)
+    ((_, se),) = _fold([(1.0 + 1j * noise,)], _BATCHES)
     assert se == pytest.approx(noise.std(ddof=1) / np.sqrt(_BATCHES), rel=1e-12)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100, 257, 1000])
+def test_fold_equals_the_joined_reduction(trials):
+    # tiles of random sizes, cut across the batch boundaries, fold to the
+    # mean and batch SE of all trials joined, bit for bit, complex included
+    g = np.random.default_rng(trials)
+    real = g.normal(size=(trials, 3, 2)) * 10.0 ** g.uniform(-4, 4, size=(trials, 3, 2))
+    cplx = g.normal(size=(trials, 2)) + 1j * g.normal(size=(trials, 2))
+    cuts = np.sort(g.choice(np.arange(1, trials), size=min(trials - 1, 9), replace=False))
+    edges = [0, *cuts.tolist(), trials]
+    tiles = [(real[lo:hi], cplx[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    for (mean, se), joined in zip(_fold(iter(tiles), trials), (real, cplx)):
+        want_mean, want_se = mean_and_batch_se(joined)
+        assert mean.dtype == joined.dtype and se.dtype == float
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(se, want_se)
 
 
 def test_stderr_scaling_with_trials(rng):
@@ -178,12 +194,15 @@ def test_mc_rate_is_bitwise_equal_at_any_thread_count(rng, monkeypatch):
                         lambda trials, per_trial: chunks.append(chunk_sizes(trials, per_trial))
                         or chunks[-1])
     for kind in FilterKind:
-        reps = [mc_rate(build_cache(scen, hw, book), kind,
-                        McConfig(trials=600, seed=42, threads=n), 0, 1)
-                for n in (1, 2, 3)]
-        for rep in reps[1:]:
-            assert rep.rate == reps[0].rate
-            np.testing.assert_array_equal(rep.sinr, reps[0].sinr)
+        reps = []
+        for n in (1, 2, 3):
+            cache = build_cache(scen, hw, book)
+            m = estimate_moments(cache, kind, 0, 1, book.data_times(),
+                                 McConfig(trials=600, seed=42, threads=n))
+            reps.append(_rate_from_means(cache, 0, 1, m))
+        for rate, traj in reps[1:]:
+            assert rate == reps[0][0]
+            np.testing.assert_array_equal(traj.sinr, reps[0][1].sinr)
     assert all(len(c) > 2 for c in chunks)
 
 
@@ -207,14 +226,54 @@ def test_empirical_mse_is_bitwise_equal_at_any_thread_count(rng, monkeypatch):
     assert len(chunks) == 3 and all(len(c) >= 3 for c in chunks)
 
 
+@pytest.mark.parametrize("kind", list(FilterKind))
+def test_ue_axis_matches_per_ue_passes(rng, monkeypatch, kind):
+    # one pass over an index array of UEs gives each UE the moments, SINR
+    # and rate of a pass for it alone, bit for bit; the array's shape leads
+    scen = random_scenario(rng, L=2, K=3, N=8, T=12, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
+    monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 2**14)  # several tiles each
+    mc, ts = McConfig(trials=300, seed=11), [4.0, 7.0, 11.0]
+    ues = np.array([[2, 0], [1, 2]])
+    batch = estimate_moments(cache, kind, 1, ues, ts, mc)
+    rates, traj = _rate_from_means(cache, 1, ues, batch)
+    assert batch.second.shape == (2, 2, 3, 2, 3) and rates.shape == (2, 2)
+    for idx in np.ndindex(ues.shape):
+        k = int(ues[idx])
+        one = estimate_moments(cache, kind, 1, k, ts, mc)
+        for name in _MOMENTS:
+            np.testing.assert_array_equal(getattr(batch, name)[idx], getattr(one, name))
+        rate, one_traj = _rate_from_means(cache, 1, k, one)
+        assert rates[idx] == rate
+        np.testing.assert_array_equal(traj.sinr[idx], one_traj.sinr)
+
+
+def test_one_world_per_chunk_for_every_ue(rng, monkeypatch):
+    scen = random_scenario(rng, L=2, K=3, N=4, T=9)
+    cache = build_cache(scen, impaired_profile(), make_book(scen))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**15)
+    draws = []
+    draw_world = montecarlo.draw_world
+    monkeypatch.setattr(montecarlo, "draw_world",
+                        lambda *a, **kw: draws.append(a[5]) or draw_world(*a, **kw))
+    for kind in FilterKind:
+        draws.clear()
+        estimate_moments(cache, kind, 0, np.arange(3), [5, 8], McConfig(trials=200, seed=1))
+        assert len(draws) > 2 and draws == list(range(len(draws)))
+
+
 def test_mc_rate_matches_closed_form(rng):
     scen = random_scenario(rng, L=2, K=2, N=4, T=8)
     hw = impaired_profile(lo=LoMode.CLO, delta=2e-3, kappa2=0.02)
     book = make_book(scen, "dft")
     cache = build_cache(scen, hw, book)
     cf = ue_rate(cache, 0, 1)
-    mc = mc_rate(cache, FilterKind.MRC, McConfig(trials=40_000, seed=17), 0, 1)
-    assert mc.rate == pytest.approx(cf.rate, rel=0.03)
+    m = estimate_moments(cache, FilterKind.MRC, 0, 1, book.data_times(),
+                         McConfig(trials=40_000, seed=17))
+    rate, _ = _rate_from_means(cache, 0, 1, m)
+    assert rate == pytest.approx(cf.rate, rel=0.03)
 
 
 def test_mmse_filter_direction_single_user():
@@ -269,9 +328,11 @@ def test_mmse_rate_at_least_mrc(rng):
     book = make_book(scen, "dft")
     mcc = McConfig(trials=8_000, seed=23)
     cache = build_cache(scen, hw, book)
-    r_mrc = mc_rate(cache, FilterKind.MRC, mcc, 0, 0)
-    r_mmse = mc_rate(cache, FilterKind.MMSE, mcc, 0, 0)
-    assert r_mmse.rate >= r_mrc.rate * 0.98  # filter exploits interference structure
+    r_mrc, r_mmse = (
+        _rate_from_means(cache, 0, 0, estimate_moments(cache, kind, 0, 0, book.data_times(), mcc))[0]
+        for kind in (FilterKind.MRC, FilterKind.MMSE)
+    )
+    assert r_mmse >= r_mrc * 0.98  # filter exploits interference structure
 
 
 @pytest.mark.parametrize("lo", [LoMode.CLO, LoMode.SLO])
@@ -320,7 +381,7 @@ def fake_blas(monkeypatch):
 @pytest.mark.parametrize("threads,jobs,share", [(2, 4, 4), (3, 5, 2), (4, 2, 4), (16, 20, 1)])
 def test_pool_jobs_split_the_blas_threads(fake_blas, threads, jobs, share):
     # workers = min(threads, jobs) share the 8 BLAS threads, one each at least
-    seen = montecarlo._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads)
+    seen = list(montecarlo._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads))
     assert seen == [share] * jobs
     assert fake_blas.sets == [share, 8] and fake_blas.threads == 8
 
@@ -332,13 +393,13 @@ def test_blas_threads_restored_when_a_job_raises(fake_blas):
         return i
 
     with pytest.raises(ValueError, match="job failed"):
-        montecarlo._fan_out(job, [0, 1, 2], 2)
+        list(montecarlo._fan_out(job, [0, 1, 2], 2))
     assert fake_blas.sets == [4, 8] and fake_blas.threads == 8
 
 
 @pytest.mark.parametrize("threads,jobs", [(1, 3), (4, 1)])
 def test_serial_fan_out_leaves_the_blas_threads(fake_blas, threads, jobs):
-    seen = montecarlo._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads)
+    seen = list(montecarlo._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads))
     assert seen == [8] * jobs and fake_blas.sets == []
 
 
@@ -348,12 +409,12 @@ def test_pool_jobs_split_the_live_blas_threads():
         pytest.skip("numpy's BLAS exposes no thread-count control")
     get = blas[0]
     before = get()
-    assert montecarlo._fan_out(lambda _: get(), [0, 1, 2, 3], 2) == [max(1, before // 2)] * 4
+    assert list(montecarlo._fan_out(lambda _: get(), [0, 1, 2, 3], 2)) == [max(1, before // 2)] * 4
     assert get() == before
     with pytest.raises(ZeroDivisionError):
-        montecarlo._fan_out(lambda i: 1 // i, [1, 0], 2)
+        list(montecarlo._fan_out(lambda i: 1 // i, [1, 0], 2))
     assert get() == before
-    assert montecarlo._fan_out(lambda _: get(), [0, 1], 1) == [before] * 2
+    assert list(montecarlo._fan_out(lambda _: get(), [0, 1], 1)) == [before] * 2
 
 
 def test_fan_out_without_blas_control_gives_the_same_moments(rng, monkeypatch):
@@ -363,7 +424,7 @@ def test_fan_out_without_blas_control_gives_the_same_moments(rng, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
     mc = McConfig(trials=600, seed=42, threads=2)
     split = estimate_moments(cache, FilterKind.MMSE, 0, 1, [5, 8], mc)
-    monkeypatch.setattr(montecarlo, "_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
+    monkeypatch.setattr(estimator, "_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
     montecarlo._blas_threads.cache_clear()
     try:
         assert montecarlo._blas_threads() is None
@@ -437,11 +498,36 @@ def test_tiles_bound_the_peak_memory_of_a_chunk(rng, monkeypatch):
     assert chunk < world + 3 * montecarlo._TILE_TARGET_BYTES
 
 
+def test_peak_memory_does_not_grow_with_trials(rng, monkeypatch):
+    # trials fold into running and batch sums as the chunks finish, so four
+    # times the trials (four times the chunks) peak no higher
+    scen = random_scenario(rng, L=2, K=4, N=8, T=40, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    ts = np.arange(9.0, 41.0, 2.0)
+    L, K, N = scen.L, scen.K, scen.N
+    per_trial = (world_bytes(scen, hw, cache.book, ts) + 16 * ts.size * (L * K + 4)
+                 + 16 * (L * K * N + N * N))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 50 * per_trial)
+    sizes = []
+    chunk_sizes = montecarlo._chunk_sizes
+    monkeypatch.setattr(montecarlo, "_chunk_sizes",
+                        lambda n, per: sizes.append(chunk_sizes(n, per)) or sizes[-1])
+
+    def peak(trials):
+        return _traced_peak(lambda: estimate_moments(cache, FilterKind.MMSE, 0, 1, ts,
+                                                     McConfig(trials=trials, seed=2)))
+
+    peak(100)  # first-use allocations of numpy and the cache are not the run's
+    one, four = peak(400), peak(1600)
+    assert sizes[1:] == [[50] * 8, [50] * 32]
+    assert four < one + 64 * 2**10
+
+
 def test_mmse_moments_bitwise_equal_at_any_thread_and_blas_count(monkeypatch):
     # the GEMMs of a realistic drop (distributed, N = 64 on Ae = 4
     # subarrays, 25 cells of 8 UEs) give the same bits on any number of
-    # pool workers and BLAS threads; below N = 128, where the batched
-    # LAPACK solve itself depends on the BLAS thread count
+    # pool workers and BLAS threads; the solves run at one BLAS thread
     blas = montecarlo._blas_threads()
     if blas is None:
         pytest.skip("numpy's BLAS exposes no thread-count control")
@@ -469,3 +555,37 @@ def test_mmse_moments_bitwise_equal_at_any_thread_and_blas_count(monkeypatch):
     for other in runs[1:]:
         for name in _MOMENTS:
             np.testing.assert_array_equal(getattr(other, name), getattr(runs[0], name))
+
+
+def test_mmse_moments_at_n_128_bitwise_equal_at_any_thread_count(monkeypatch):
+    # from N = 128 on, LAPACK's solve returns other last bits at other BLAS
+    # thread counts, so it runs at one; each UE of a pass then gets the bits
+    # of its own pass on 1, 2 and 3 pool workers and at 1 and 2 BLAS
+    # threads (ROADMAP item 1's command at a small trial count)
+    blas = montecarlo._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no thread-count control")
+    get, put = blas
+    scen = generate("colocated", N=128, snr_db=5.0, T=200, seed=3)
+    hw = HardwareProfile(delta=0.0, kappa2=0.0, xi=scen.sigma2, lo_mode=LoMode.SLO)
+    cache = build_cache(scen, hw, make_book(scen, B=8))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 5 * 2**20)  # 4 chunks of 3 trials
+    ts, ues = [9.0, 109.0], np.arange(scen.K)
+
+    def moments(k, threads=1):
+        return estimate_moments(cache, FilterKind.MMSE, 12, k, ts,
+                                McConfig(trials=12, seed=3, threads=threads))
+
+    runs = [moments(ues, threads) for threads in (1, 2, 3)]
+    before = get()
+    try:
+        for n in (1, 2):
+            put(n)
+            runs.append(moments(ues))
+    finally:
+        put(before)
+    one = moments(5)
+    for name in _MOMENTS:
+        for other in runs[1:]:
+            np.testing.assert_array_equal(getattr(other, name), getattr(runs[0], name))
+        np.testing.assert_array_equal(getattr(runs[0], name)[5], getattr(one, name))

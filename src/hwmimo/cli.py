@@ -49,44 +49,39 @@ from .rates import NumericalInvariantError, ScalingExponents, check_scaling_law
 from .scenario_gen import SHADOW_STD_DB, save_scenario
 
 
-def _env_default(name: str, cast, fallback, minimum=None):
-    raw = os.environ.get(f"HWMIMO_{name}")
-    if raw is None:
-        return fallback
-    try:
-        value = cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad HWMIMO_{name} environment value {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"HWMIMO_{name} must be >= {minimum}, got {value}")
-    return value
-
-
-# flag -> (HWMIMO_* variable, type, fallback, minimum) of the flags that
-# every subcommand takes through _add_common
+# flag -> (HWMIMO_* variable, type, fallback, minimum) of the run settings
+# that a subcommand takes through _add_common
 _ENV_DEFAULTS = {
     "seed": ("SEED", int, 0, 0),
     "out": ("OUT", Path, Path("."), None),
     "threads": ("THREADS", int, 1, 1),
 }
 
+_FROM_ENV = object()  # the default of a run setting: see _fill_env_defaults
 
-def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
-    # absent from the namespace unless given; _fill_env_defaults reads the
-    # environment for the parsed subcommand only
-    if seed:
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--out", type=Path, default=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+
+def _add_common(p: argparse.ArgumentParser, *dests: str) -> None:
+    """The run settings ``dests`` of a subcommand: ``--out`` on every
+    command, ``--seed`` where it draws, ``--threads`` where a pool runs."""
+    for dest in dests:
+        p.add_argument(f"--{dest}", type=_ENV_DEFAULTS[dest][1], default=_FROM_ENV)
 
 
 def _fill_env_defaults(args) -> None:
-    """Give each common flag that the command line left out its HWMIMO_*
-    value, or its fallback.  ``preset`` has its own ``--seed`` (default: the
-    config's seed), so it never reads HWMIMO_SEED."""
+    """Give each run setting of the command that the command line left out
+    its HWMIMO_* value, or its fallback.  ``preset`` has its own ``--seed``
+    (default: the config's seed), so it never reads HWMIMO_SEED."""
     for dest, (name, cast, fallback, minimum) in _ENV_DEFAULTS.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, _env_default(name, cast, fallback, minimum))
+        if getattr(args, dest, None) is not _FROM_ENV:
+            continue
+        raw = os.environ.get(f"HWMIMO_{name}")
+        try:
+            value = fallback if raw is None else cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad HWMIMO_{name} environment value {raw!r}") from exc
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"HWMIMO_{name} must be >= {minimum}, got {value}")
+        setattr(args, dest, value)
 
 
 def _add_scenario_source(p: argparse.ArgumentParser) -> None:
@@ -379,14 +374,10 @@ def _cmd_preset(args) -> int:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a mapping")
         cfg = config_from_dict(data)
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    overrides["threads"] = args.threads
-    overrides["out"] = str(args.out)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.drops is not None:
-        overrides["scenario"] = dataclasses.replace(cfg.scenario, drops=args.drops)
-    cfg = dataclasses.replace(cfg, **overrides)
+        cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, drops=args.drops))
     exp = cfg.experiment
     if args.n_grid is not None:
         exp = dataclasses.replace(exp, n_grid=tuple(args.n_grid))
@@ -395,7 +386,7 @@ def _cmd_preset(args) -> int:
     if args.trials is not None:
         exp = dataclasses.replace(exp, trials=args.trials)
     cfg = dataclasses.replace(cfg, experiment=exp)
-    result = run(cfg)
+    result = run(cfg, args.out, args.threads)
     print(result.csv_path)
     return 0
 
@@ -408,12 +399,12 @@ def _int_list(text: str) -> list:
 
 
 def _drop_parser(sub, name: str, help_text: str, fn, t_stride: int, hardware: bool = True):
-    """Subparser of a command that evaluates one drop: the common flags, the
-    scenario source, the hardware flags (unless ``hardware`` is False), the
+    """Subparser of a command that evaluates one drop: ``--seed``, ``--out``,
+    the scenario source, the hardware flags (unless ``hardware`` is False), the
     pilots, ``--cell``, ``--t-stride`` and ``--name`` (default: the command
     name with ``_`` for ``-``).  The caller adds the command's own flags."""
     p = sub.add_parser(name, help=help_text)
-    _add_common(p)
+    _add_common(p, "seed", "out")
     _add_scenario_source(p)
     if hardware:
         _add_hardware(p)
@@ -425,8 +416,22 @@ def _drop_parser(sub, name: str, help_text: str, fn, t_stride: int, hardware: bo
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error (an unknown flag or choice, a value of the wrong
+    type, a missing required flag) as a ConfigError: one line, exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as negative numbers, so a value
+        # such as -1e1 would be taken for an unknown flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        raise ConfigError(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hwmimo",
         description="Hardware-impaired massive MIMO uplink simulator",
     )
@@ -434,13 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenario-gen", help="generate and save a network scenario")
-    _add_common(p)
+    _add_common(p, "seed", "out")
     _add_scenario_source(p)
     p.add_argument("--name", default="scenario")
     p.set_defaults(fn=_cmd_scenario_gen)
 
     p = _drop_parser(sub, "estimate", "channel-estimation MSE, closed form vs Monte Carlo",
                      _cmd_estimate, t_stride=1)
+    _add_common(p, "threads")
     p.add_argument("--source-cell", type=int, default=None)
     p.add_argument("--ue", type=int, default=0)
     p.add_argument("--trials", type=int, default=20_000)
@@ -453,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _drop_parser(sub, "rates-mc", "simulated SINR expectations and rates",
                      _cmd_rates_mc, t_stride=16)
+    _add_common(p, "threads")
     p.add_argument("--ue", type=int, default=None, help="default: all UEs of the cell")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--filter", choices=["mrc", "mmse"], default="mrc")
@@ -471,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_int_list, default=None)
 
     p = sub.add_parser("circuit", help="impairment triple and power tables from circuit specs")
-    _add_common(p)
+    _add_common(p, "out")
     p.add_argument("--adc-bits", type=float, default=6.0)
     p.add_argument("--lna-nf-db", type=float, default=2.0)
     p.add_argument("--carrier-hz", type=float, default=2e9)
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_circuit)
 
     p = sub.add_parser("preset", help="run a built-in experiment (fig7..fig10) or a YAML config")
-    _add_common(p, seed=False)
+    _add_common(p, "out", "threads")
     p.add_argument("which", help="fig7 | fig8 | fig9 | fig10 | path to YAML run config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--drops", type=int, default=None)
@@ -494,12 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", type=_int_list, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(fn=_cmd_preset)
-
-    # argparse reads only -1 and -1.5 as negative numbers, so a value such as
-    # -1e1 would be taken for an unknown flag
-    negative = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-    for p in (parser, *sub.choices.values()):
-        p._negative_number_matcher = negative
     return parser
 
 

@@ -113,8 +113,6 @@ class RunConfig:
     hardware: tuple[HardwareVariant, ...] = ()
     pilots: PilotSpec = PilotSpec()
     experiment: ExperimentSpec = ExperimentSpec()
-    threads: int = 1
-    out: str = "."
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -154,7 +152,6 @@ def validate_config(cfg: RunConfig) -> None:
         _require(d in {"colocated", "distributed"}, f"unknown deployment {d!r}")
     _require(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     _require(cfg.scenario.drops >= 1, "drops must be >= 1")
-    _require(cfg.threads >= 1, "threads must be >= 1")
     _require(exp.trials >= 1, f"trials must be >= 1, got {exp.trials}")
 
 
@@ -463,19 +460,20 @@ class RunResult:
     rows: list
 
 
-def run(cfg: RunConfig) -> RunResult:
+def run(cfg: RunConfig, out, threads: int = 1) -> RunResult:
     """Execute a run configuration: fan out independent (deployment, drop)
-    jobs, assemble rows in deterministic order and write CSV + manifest."""
+    jobs on ``threads`` workers, assemble rows in deterministic order and
+    write CSV + manifest into ``out``; the manifest records neither."""
     validate_config(cfg)
     job = _JOBS[cfg.experiment.kind]
     tasks = [(dep, drop) for dep in cfg.scenario.deployments for drop in range(cfg.scenario.drops)]
 
-    chunks = _fan_out(lambda task: job(cfg, *task), tasks, cfg.threads)
+    chunks = _fan_out(lambda task: job(cfg, *task), tasks, threads)
     rows = [r for chunk in chunks for r in chunk]
     if cfg.experiment.t_grid:
         rows.extend(_mark_t_maxima(rows))
 
-    out_dir = Path(cfg.out)
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.name}.csv"
     write_rows(csv_path, RESULT_COLUMNS, rows)
@@ -533,7 +531,7 @@ def config_from_dict(data: dict) -> RunConfig:
     """Inverse of :func:`config_to_dict`; every key must name a field."""
     try:
         cfg = _from_fields(RunConfig, data, "top-level")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
     validate_config(cfg)
     return cfg

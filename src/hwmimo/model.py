@@ -152,12 +152,14 @@ def require_valid(scenario: Scenario, hw: HardwareProfile | None = None) -> None
 
 @contextlib.contextmanager
 def user_input():
-    """Report a ValueError or unreadable file met while building inputs that
-    come from outside the program as a ConfigError (exit code 2)."""
+    """Report a ValueError, an unreadable file or a float overflow met while
+    building inputs from outside the program as a ConfigError (exit code 2)."""
     try:
         yield
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError as exc:
+        raise ConfigError("an input overflows the floating-point range") from exc
 
 
 def conventional_profile(sigma2: float) -> HardwareProfile:

@@ -265,13 +265,8 @@ def _mean_rates(rows, metric="rate"):
 @pytest.fixture(scope="module")
 def fig7_rows(tmp_path_factory):
     cfg = preset("fig7")
-    cfg = dataclasses.replace(
-        cfg,
-        threads=THREADS,
-        out=str(tmp_path_factory.mktemp("fig7")),
-        experiment=dataclasses.replace(cfg.experiment, n_grid=(400,)),
-    )
-    return run(cfg).rows
+    cfg = dataclasses.replace(cfg, experiment=dataclasses.replace(cfg.experiment, n_grid=(400,)))
+    return run(cfg, tmp_path_factory.mktemp("fig7"), THREADS).rows
 
 
 def test_criterion_6_reference_operating_point(fig7_rows):
@@ -324,13 +319,11 @@ def test_criterion_7_asymptotics(tmp_path):
     cfg = preset("fig8")
     cfg = dataclasses.replace(
         cfg,
-        threads=THREADS,
-        out=str(tmp_path),
         scenario=dataclasses.replace(cfg.scenario, drops=15),
         pilots=dataclasses.replace(cfg.pilots, books=("dft",)),
         experiment=dataclasses.replace(cfg.experiment, n_grid=(10**6,), include_asymptote=False),
     )
-    means = _mean_rates(run(cfg).rows)
+    means = _mean_rates(run(cfg, tmp_path, THREADS).rows)
     ideal = means[("fig8:distributed:ideal:dft:beginning", 10**6, 500)]
     clo = means[("fig8:distributed:impaired-clo:dft:beginning", 10**6, 500)]
     loss = 1.0 - clo / ideal
@@ -407,13 +400,8 @@ def test_criterion_9_circuit_round_trip():
 @pytest.fixture(scope="module")
 def fig10_rows(tmp_path_factory):
     cfg = preset("fig10")
-    cfg = dataclasses.replace(
-        cfg,
-        threads=THREADS,
-        out=str(tmp_path_factory.mktemp("fig10")),
-        scenario=dataclasses.replace(preset("fig10").scenario, drops=6),
-    )
-    return run(cfg).rows
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, drops=6))
+    return run(cfg, tmp_path_factory.mktemp("fig10"), THREADS).rows
 
 
 def test_criterion_10_coherence_block_maximum(fig10_rows):
@@ -450,7 +438,6 @@ def test_criterion_11_thread_count_determinism(tmp_path):
     )
     outs = []
     for threads in (1, 3):
-        cfg = dataclasses.replace(small, threads=threads, out=str(tmp_path / f"t{threads}"))
-        outs.append(run(cfg).csv_path.read_bytes())
+        outs.append(run(small, tmp_path / f"t{threads}", threads).csv_path.read_bytes())
     same = outs[0] == outs[1]
     _criterion(11, same, "preset rerun with 1 vs 3 threads produced byte-identical CSV")

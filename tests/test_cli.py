@@ -77,7 +77,7 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["rates-cf", *_SMALL, "--ideal", "--t-stride", "0"],
     ["sweep-n", *_SMALL, "--ideal", "--n-grid", "0"],
     ["rates-cf", *_SMALL, "--delta", "0", "--kappa2", "0", "--xi-over-sigma2", "0.5"],
-    ["rates-cf", *_SMALL, "--ideal", "--threads", "0"],
+    ["rates-mc", *_SMALL, "--ideal", "--trials", "2", "--threads", "0"],
     ["rates-cf", "--scenario", "{tmp}/no_L.json", "--ideal"],
     ["rates-cf", "--scenario", "{tmp}/str_L.json", "--ideal"],
     ["scaling-law", "--z1", "0", "--z2", "0", "--z3", "1", "--delta0", "-1"],
@@ -95,6 +95,17 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["asymptotic", "--ideal", "-T", "8"],
     ["rates-mc", "--ideal", "-N", "8", "-T", "8", "--trials", "2"],
     ["estimate", "--ideal", "-N", "8", "-T", "8", "--trials", "2"],
+    ["rates-cf", *_SMALL, "--ideal", "--threads", "2"],
+    ["rates-cf", "--lo", "xyz"],
+    ["rates-cf", "-N", "abc"],
+    ["sweep-n", *_SMALL, "--ideal"],
+    ["circuit", "--carrier-hz", "1e300"],
+    ["circuit", "--lna-nf-db", "1e300"],
+    ["circuit", "--z2", "1e300"],
+    ["rates-cf", "-N", "8", "-T", "20", "--adc-bits", "1", "--lna-nf-db", "0",
+     "--carrier-hz", "1e200", "--symbol-time-s", "1", "--lo-quality", "1"],
+    ["scaling-law", "--z1", "0.5", "--z2", "1e300", "--z3", "0", "-N", "64", "-T", "40",
+     "--deployment", "colocated", "--n-grid", "64"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
         "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0", "scenario-without-L",
         "scenario-with-string-L", "delta0-negative", "pilots-fill-block", "snr-db-overflow",
@@ -102,7 +113,10 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
         "preset-empty-n-grid", "preset-empty-t-grid", "circuit-negative-z1",
         "circuit-negative-z1-exponent-notation", "rates-cf-pilots-fill-block",
         "sweep-n-pilots-fill-block", "asymptotic-pilots-fill-block",
-        "rates-mc-pilots-fill-block", "estimate-pilots-fill-block"])
+        "rates-mc-pilots-fill-block", "estimate-pilots-fill-block", "rates-cf-threads-flag",
+        "bad-choice", "non-number", "missing-required-flag", "carrier-overflow",
+        "lna-noise-figure-overflow", "z2-overflow", "circuit-source-overflow",
+        "scaled-profile-overflow"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
         "not_a_scenario": {"hello": "world"},
@@ -150,10 +164,15 @@ _YAML_BASE = {
     ("experiment", "include_asymptote", True),
     ("scenario", "deployments", "colocated"),
     ("experiment", "trials", 0),
+    (None, "threads", 2),  # the run settings come from the command line
+    (None, "out", "elsewhere"),
 ])
 def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(_YAML_BASE))
-    (cfg["hardware"][0] if section == "hardware" else cfg[section])[key] = value
+    if section is None:
+        cfg[key] = value
+    else:
+        (cfg["hardware"][0] if section == "hardware" else cfg[section])[key] = value
     if key == "n_antennas":
         cfg["scenario"]["deployments"] = ["distributed"]
     if key == "kind":  # a valid T sweep but for the N grid it cannot take
@@ -233,12 +252,19 @@ def test_cli_import_leaves_yaml_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("name", ["SEED", "THREADS"])
-def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeypatch, name):
+@pytest.mark.parametrize("name,argv", [
+    ("SEED", ["scenario-gen", *_SMALL]),
+    ("THREADS", ["rates-mc", *_SMALL, "--ideal", "--trials", "2"]),
+    ("THREADS", ["estimate", *_SMALL, "--ideal", "--trials", "2"]),
+    ("THREADS", ["preset", "{tmp}/ok.yaml"]),
+], ids=["SEED", "THREADS", "THREADS-estimate", "THREADS-preset"])
+def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeypatch, name, argv):
+    # a variable is read by the commands that take its flag
     monkeypatch.setenv(f"HWMIMO_{name}", "abc")
-    assert main(["circuit", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    (tmp_path / "ok.yaml").write_text(yaml.safe_dump(_YAML_BASE))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: bad HWMIMO_{name} environment value 'abc'\n"
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -246,8 +272,18 @@ def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeyp
     (["scenario-gen", *_SMALL, "--seed", "3"], {"HWMIMO_SEED": "abc"}),
     (["preset", "{tmp}/ok.yaml", "--seed", "3"], {"HWMIMO_SEED": "abc"}),
     (["preset", "{tmp}/ok.yaml"], {"HWMIMO_SEED": "abc"}),
-    (["scenario-gen", *_SMALL, "--threads", "1"], {"HWMIMO_THREADS": "abc"}),
-], ids=["seed-flag", "preset-seed-flag", "preset-config-seed", "threads-flag"])
+    (["rates-mc", *_SMALL, "--ideal", "--trials", "2", "--threads", "1"],
+     {"HWMIMO_THREADS": "abc"}),
+    # a command without the flag never reads its variable
+    (["circuit"], {"HWMIMO_THREADS": "abc", "HWMIMO_SEED": "abc"}),
+    (["rates-cf", *_SMALL, "--ideal"], {"HWMIMO_THREADS": "abc"}),
+    (["sweep-n", *_SMALL, "--ideal", "--n-grid", "8"], {"HWMIMO_THREADS": "abc"}),
+    (["asymptotic", *_SMALL, "--ideal"], {"HWMIMO_THREADS": "abc"}),
+    (["scaling-law", *_SMALL, "--z1", "0.5", "--z2", "0.5", "--z3", "0"],
+     {"HWMIMO_THREADS": "abc"}),
+    (["scenario-gen", *_SMALL], {"HWMIMO_THREADS": "abc"}),
+], ids=["seed-flag", "preset-seed-flag", "preset-config-seed", "threads-flag", "circuit",
+        "rates-cf", "sweep-n", "asymptotic", "scaling-law", "scenario-gen"])
 def test_environment_is_read_only_for_flags_not_given(tmp_path, monkeypatch, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -524,6 +560,9 @@ def test_preset_reproducible_across_threads_and_seeds(tmp_path):
     a = (tmp_path / "a" / "fig10.csv").read_bytes()
     b = (tmp_path / "b" / "fig10.csv").read_bytes()
     assert a == b
+    # the manifest records what shapes the CSV, not where it went or the pool size
+    manifest = (tmp_path / "a" / "fig10_manifest.json").read_bytes()
+    assert (tmp_path / "b" / "fig10_manifest.json").read_bytes() == manifest
     assert main(["preset", "fig10", "--drops", "1", "--t-grid", "40,80", "--seed", "12",
                  "--out", str(tmp_path / "c")]) == 0
     assert a != (tmp_path / "c" / "fig10.csv").read_bytes()
@@ -533,8 +572,7 @@ def test_preset_manifest_recreates_run(tmp_path):
     assert main(["preset", "fig10", "--drops", "1", "--t-grid", "40,80", "--seed", "7",
                  "--out", str(tmp_path / "orig")]) == 0
     manifest = json.loads((tmp_path / "orig" / "fig10_manifest.json").read_text())
-    cfg = config_from_dict({**manifest["config"], "out": str(tmp_path / "redo")})
-    result = run(cfg)
+    result = run(config_from_dict(manifest["config"]), tmp_path / "redo")
     assert result.csv_path.read_bytes() == (tmp_path / "orig" / "fig10.csv").read_bytes()
 
 
@@ -607,7 +645,7 @@ def test_config_round_trip():
     assert back == cfg
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path):
     cfg = preset("fig7")
     import dataclasses
 
@@ -615,10 +653,10 @@ def test_config_validation_errors():
         HardwareVariant("a", ideal=True), HardwareVariant("a", ideal=True),
     ))
     with pytest.raises(ConfigError):
-        run(bad)
+        run(bad, tmp_path)
     bad2 = dataclasses.replace(cfg, experiment=dataclasses.replace(cfg.experiment, n_grid=(64, 16)))
     with pytest.raises(ConfigError):
-        run(bad2)
+        run(bad2, tmp_path)
 
 
 def test_preset_definitions_match_reference_parameters():
@@ -646,7 +684,7 @@ def test_numerical_invariant_maps_to_exit_3(tmp_path, monkeypatch):
     from hwmimo import cli as cli_mod
     from hwmimo.rates import NumericalInvariantError
 
-    def boom(cfg):
+    def boom(cfg, out, threads):
         raise NumericalInvariantError("synthetic violation")
 
     monkeypatch.setattr(cli_mod, "run", boom)

@@ -1,0 +1,317 @@
+"""Every command line and YAML run configuration ends in exit 0, 2 or 3
+(hypothesis).
+
+Each example draws the argv of one subcommand from a grammar of its flags,
+or a YAML run configuration for ``preset``, with values from edge pools: 0,
+negative, huge, inf/nan, non-numbers, empty lists, out-of-range indices,
+and flags a command does not take.  Sizes stay tiny (N <= 16, T <= 40,
+trials <= 4), so each in-process ``main`` call costs milliseconds.  Exit 0
+writes nothing to stderr, exit 2 or 3 exactly one line (each warning counts
+as a line), and exit 2 writes no CSV.
+"""
+
+import contextlib
+import io
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hwmimo.cli import main
+from hwmimo.experiments import ConfigError, config_from_dict
+
+HUGE = str(10**30)
+_NUMBER_EDGES = ("0", "-1", "1e300", "-1e300", "inf", "nan", "abc", "")
+_COUNT_EDGES = ("0", "-1", "1.5", "abc", "")
+
+
+def _values(valid, edges):
+    """A valid value seven times in eight, else an edge value."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(edges if i == 7 else valid))
+
+
+def _pool(*valid):  # the values of a choice flag, or a name that is none
+    return _values(valid, ("bogus",))
+
+
+def _float(*valid):
+    return _values(valid, _NUMBER_EDGES)
+
+
+def _count(*valid, edges=()):  # sizes stay tiny: no huge valid value
+    return _values(valid, (*edges, *_COUNT_EDGES))
+
+
+def _grid(*valid):
+    return _values(valid, (",", "", "0", "-4", "abc", "8,8", "16,8", "inf"))
+
+
+_INDEX = _values(("0", "1", "7"), ("8", "24", "25", "-1", HUGE))
+_SEED = _values(("0", "3"), ("-1", "abc", HUGE))
+_LO = {"--lo": _pool("clo", "slo")}
+_SOURCE = {  # -N and -T are always given, so no drawn size reaches the defaults
+    "-N": _count("8", "16", "4", edges=("15",)),
+    "-T": _count("20", "40", "9", edges=("8",)),
+}
+_SCENARIO = {
+    "--seed": _SEED,
+    "--scenario": _values(("{tmp}/ok.json",), ("{tmp}/not_a_scenario.json",
+                                               "{tmp}/garbage.json", "{tmp}/missing.json")),
+    "--deployment": _pool("colocated", "distributed"),
+    "--snr-db": _float("5", "-10", "1e308"),
+    "--drop-index": _values(("0", "1"), ("-1", HUGE)),
+    "--shadow-std-db": _float("3.16", "1e6"),
+}
+_DROP = {
+    **_SCENARIO,
+    "--pilot-book": _pool("dft", "temporal"),
+    "--pilot-place": _pool("beginning", "middle", "uniform", "preamble"),
+    "-B": _count("2", "8", "16", edges=("40", "41", str(10**9))),
+    "--cell": _INDEX,
+    "--t-stride": _count("4", "16", str(10**9)),
+}
+_TRIPLE = {
+    "--delta": _float("1e-3", "50"),
+    "--kappa2": _float("1e-4", "1"),
+    "--xi-over-sigma2": _float("1.3", "0.5"),
+}
+_CIRCUIT = {
+    "--adc-bits": _float("6", "1"),
+    "--lna-nf-db": _float("2"),
+    "--carrier-hz": _float("2e9"),
+    "--symbol-time-s": _float("1e-7"),
+    "--lo-quality": _float("1e-17"),
+}
+_EXPONENTS = {f"--z{i}": _float("0", "0.5", "1") for i in (1, 2, 3)}
+_TRIALS = {"--trials": _count("1", "4")}  # always given: the defaults run 10^4 trials
+_THREADS = {"--threads": _count("1", "2")}
+
+# command -> (flags always given, flags each drawn or left out, draws a hardware source)
+GRAMMAR = {
+    "scenario-gen": (_SOURCE, _SCENARIO, False),
+    "estimate": ({**_SOURCE, **_TRIALS},
+                 {**_DROP, **_LO, **_THREADS, "--source-cell": _INDEX, "--ue": _INDEX}, True),
+    "rates-cf": (_SOURCE, {**_DROP, **_LO}, True),
+    "sweep-n": ({**_SOURCE, "--n-grid": _grid("8", "8,16", "4,16")}, {**_DROP, **_LO}, True),
+    "rates-mc": ({**_SOURCE, **_TRIALS},
+                 {**_DROP, **_LO, **_THREADS, "--ue": _INDEX, "--filter": _pool("mrc", "mmse")},
+                 True),
+    "asymptotic": (_SOURCE, {**_DROP, **_LO}, True),
+    "scaling-law": ({**_SOURCE, **_EXPONENTS},
+                    {**_DROP, **_LO, "--delta0": _float("7e-5"), "--kappa20": _float("0.0025"),
+                     "--xi0": _float("3"), "--n-grid": _grid("8", "8,16")}, False),
+    "circuit": ({}, {**_CIRCUIT, **_LO, **_EXPONENTS,
+                     "--n-grid": _grid("1,4,16", str(10**400))}, False),
+}
+# flags the command may not take, appended after its own
+_FOREIGN = st.sampled_from([("--threads", "2"), ("--seed", "1"), ("--bogus", "1"),
+                            ("--trials", "2"), ("--ideal",), ("--n-grid", "8")])
+
+
+@st.composite
+def _flags(draw, flags: dict) -> list:
+    """Each of ``flags`` one time in four, with a drawn value."""
+    argv = []
+    for flag, values in flags.items():
+        if draw(st.integers(0, 3)) == 3:
+            argv += [flag, draw(values)]
+    return argv
+
+
+def _given(draw, flags: dict) -> list:
+    return [x for flag, values in flags.items() for x in (flag, draw(values))]
+
+
+@st.composite
+def command_lines(draw) -> list:
+    command = draw(st.sampled_from([*GRAMMAR, "preset"]))
+    if command == "preset":  # a built-in figure at one drop and a tiny grid, or a config file
+        which = draw(_values(("fig7", "fig8", "fig9", "fig10", "{tmp}/ok.yaml"),
+                             ("nope", "{tmp}/missing.yaml", "{tmp}/garbage.json")))
+        argv = [command, which, "--drops", draw(_count("1")),
+                draw(st.sampled_from(["--n-grid", "--t-grid"])), draw(_grid("16", "40,80"))]
+        argv += draw(_flags({**_THREADS, "--trials": _count("1", "4"), "--seed": _SEED}))
+    else:
+        always, optional, hardware = GRAMMAR[command]
+        argv = [command, *_given(draw, always), *draw(_flags(optional))]
+        if hardware:
+            source = draw(_values(("ideal", "triple", "circuit"), ("none", "mixed")))
+            if source in ("ideal", "mixed"):
+                argv.append("--ideal")
+            if source in ("triple", "circuit"):
+                argv += _given(draw, _TRIPLE if source == "triple" else _CIRCUIT)
+            if source == "mixed":
+                argv += draw(_flags({**_TRIPLE, **_CIRCUIT}))
+    if draw(st.integers(0, 7)) == 7:
+        argv += draw(_FOREIGN)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Directory of the files a drawn argv names: a scenario, a JSON file
+    that is not one, a file that is not JSON, and a YAML run config."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["scenario-gen", "-N", "8", "-T", "20", "--out", str(tmp), "--name", "ok"]) == 0
+    (tmp / "not_a_scenario.json").write_text('{"hello": "world"}')
+    (tmp / "garbage.json").write_text("{")
+    (tmp / "ok.yaml").write_text(yaml.safe_dump(_YAML_BASE))
+    return tmp
+
+
+def _check_exit(argv: list) -> None:
+    """Run ``argv`` into a fresh directory and check its exit code, its
+    stderr lines (each warning counting as one) and that exit 2 writes no
+    CSV."""
+    with tempfile.TemporaryDirectory() as d:
+        out, err = Path(d), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", d])
+        lines = err.getvalue().count("\n") + len(caught)
+        report = (argv, code, err.getvalue(), [str(w.message) for w in caught])
+        assert code in (0, 2, 3), report
+        assert lines == (0 if code == 0 else 1), report
+        if code == 2:
+            assert not list(out.rglob("*.csv")), report
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=command_lines())
+# powers that overflow after power control: no numpy warning ahead of the error
+@example(argv=["rates-cf", "--ideal", "-N", "8", "-T", "20", "--snr-db", "3000"])
+# the float overflows of the circuit and scaling-law inputs
+@example(argv=["circuit", "--carrier-hz", "1e300"])
+@example(argv=["circuit", "--lna-nf-db", "1e300"])
+@example(argv=["circuit", "--z2", "1e300"])
+@example(argv=["rates-cf", "-N", "8", "-T", "20", "--adc-bits", "1", "--lna-nf-db", "0",
+               "--carrier-hz", "1e200", "--symbol-time-s", "1", "--lo-quality", "1"])
+@example(argv=["scaling-law", "--z1", "0.5", "--z2", "1e300", "--z3", "0", "-N", "64", "-T", "40",
+               "--deployment", "colocated", "--n-grid", "64"])
+# argparse errors: a flag the command does not take, a bad choice, a
+# non-number, a missing required flag
+@example(argv=["rates-cf", "--ideal", "-N", "8", "-T", "20", "--threads", "2"])
+@example(argv=["rates-cf", "--lo", "xyz"])
+@example(argv=["rates-cf", "-N", "abc"])
+@example(argv=["sweep-n", "--ideal", "-N", "8", "-T", "20"])
+def test_every_command_line_exits_0_2_or_3(files, argv):
+    _check_exit([a.replace("{tmp}", str(files)) for a in argv])
+
+
+_YAML_BASE = {
+    "name": "fuzz",
+    "seed": 1,
+    "scenario": {"deployments": ["colocated"], "n_antennas": 8, "T": 20},
+    "hardware": [{"label": "hw", "delta": 1e-3, "kappa2": 1e-4, "xi_over_sigma2": 1.3}],
+    "pilots": {"length": 8},
+    "experiment": {"kind": "sweep-n", "n_grid": [8]},
+}
+_YAML_NUMBER_EDGES = (0, -1, 1e300, -1e300, math.inf, math.nan, "abc", None, [1.0], {"a": 1})
+_YAML_COUNT_EDGES = (0, -1, 1.5, math.inf, math.nan, "abc", None, [1])
+
+
+def _number(*valid):
+    return _values(valid, _YAML_NUMBER_EDGES)
+
+
+def _size(*valid, edges=()):
+    return _values(valid, (*edges, *_YAML_COUNT_EDGES))
+
+
+def _yaml_grid(*valid):
+    return _values(valid, ([], [0], [-8], [16, 8], [8, 8], ["abc"], [math.inf], "8", None))
+
+
+# (section, key) -> values; section None is the top level, "hardware" the
+# first variant
+YAML_GRAMMAR = {
+    (None, "name"): _values(("x",), ("", 7)),
+    (None, "seed"): _size(0, 3, edges=(-1, 10**30)),
+    (None, "threads"): _pool(2),  # run settings come from the command line
+    (None, "out"): _pool("elsewhere"),
+    (None, "hardware"): _values(([{"label": "a", "ideal": True}, {"label": "b", "lo": "slo"}],),
+                                ([], {"label": "hw"}, [{"label": "a"}, {"label": "a"}], "hw")),
+    (None, "scenario"): _values(({"n_antennas": 16, "T": 40},), ([], "x", None)),
+    ("scenario", "deployments"): _values((["colocated", "distributed"], ["distributed"]),
+                                         ([], ["bogus"], "colocated", None)),
+    ("scenario", "n_antennas"): _size(4, 16, edges=(15,)),
+    ("scenario", "T"): _size(9, 40, edges=(8,)),
+    ("scenario", "drops"): _size(2),
+    ("scenario", "snr_db"): _number(5.0, -10.0, 1e308),
+    ("scenario", "shadow_std_db"): _number(3.16, 1e6),
+    ("scenario", "sigma2"): _number(2.0),
+    ("scenario", "file"): _values(("{tmp}/ok.json",),
+                                  ("{tmp}/missing.json", "{tmp}/garbage.json")),
+    ("scenario", "bogus"): _pool(1),
+    ("hardware", "ideal"): _values((True,), ("abc",)),
+    ("hardware", "delta"): _number(0.0, 50.0),
+    ("hardware", "kappa2"): _number(0.0, 1.0),
+    ("hardware", "xi_over_sigma2"): _number(1.0, 0.5),
+    ("hardware", "lo"): _values(("slo",), ("bogus", None)),
+    ("hardware", "exponents"): _values(([0.5, 0.5, 0.0], [1.0, 0.0, 0.0]),
+                                       ([0.5, 0.5], [], [math.inf, 0, 0], [1e300, 0, 0], "abc")),
+    ("pilots", "books"): _values((["temporal", "dft"],), ([], ["bogus"], "dft")),
+    ("pilots", "placements"): _values((["middle", "preamble"],), ([], ["bogus"])),
+    ("pilots", "length"): _size(2, 16, None, edges=(20, 21, 10**9)),
+    ("experiment", "n_grid"): _yaml_grid([8, 16], [4]),
+    ("experiment", "t_grid"): _yaml_grid([20, 40], [9]),
+    ("experiment", "trials"): _size(1, 4),
+    ("experiment", "filter_kind"): _pool("mmse", "mrc"),
+    ("experiment", "include_asymptote"): _values((True,), ("abc",)),
+    ("experiment", "bogus"): _pool(1),
+}
+
+
+@st.composite
+def run_configs(draw) -> dict:
+    """The base configuration as one of the five kinds (no grid for
+    rates-mc, a T grid for sweep-t), then up to three drawn (section, key)
+    values."""
+    cfg = yaml.safe_load(yaml.safe_dump(_YAML_BASE))  # a deep copy
+    kind = draw(_pool("sweep-n", "asymptotics", "scaling", "sweep-t", "rates-mc"))
+    grid = {"rates-mc": {"trials": 4}, "sweep-t": {"t_grid": [20, 40]}}.get(kind, {"n_grid": [8]})
+    cfg["experiment"] = {"kind": kind, **grid}
+    keys = list(YAML_GRAMMAR)
+    for i in draw(st.lists(st.integers(0, len(keys) - 1), max_size=3, unique=True)):
+        section, key = keys[i]
+        value = draw(YAML_GRAMMAR[keys[i]])
+        if section is None:
+            cfg[key] = value
+        elif section == "hardware" and isinstance(cfg["hardware"], list) and cfg["hardware"]:
+            if isinstance(cfg["hardware"][0], dict):
+                cfg["hardware"][0][key] = value
+        elif isinstance(cfg.get(section), dict):
+            cfg[section][key] = value
+    return cfg
+
+
+def _with_files(value, tmp: Path):
+    if isinstance(value, str):
+        return value.replace("{tmp}", str(tmp))
+    if isinstance(value, dict):
+        return {k: _with_files(v, tmp) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_files(v, tmp) for v in value]
+    return value
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cfg=run_configs())
+# a count that int() cannot take
+@example(cfg={**_YAML_BASE, "scenario": {**_YAML_BASE["scenario"], "T": math.inf}})
+# powers that overflow after power control
+@example(cfg={**_YAML_BASE, "scenario": {**_YAML_BASE["scenario"], "sigma2": 1e300}})
+def test_every_yaml_run_config_exits_0_2_or_3(files, cfg):
+    cfg = _with_files(cfg, files)
+    with contextlib.suppress(ConfigError):  # any other exception fails the test
+        config_from_dict(cfg)
+    path = files / "drawn.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    _check_exit(["preset", str(path)])

@@ -15,11 +15,10 @@ from hwmimo.experiments import (
 from hwmimo.model import LoMode
 
 
-def tiny_cfg(tmp_path, **exp_kw):
+def tiny_cfg(**exp_kw):
     return RunConfig(
         name="tiny",
         seed=9,
-        out=str(tmp_path),
         scenario=ScenarioSpec(deployments=("distributed",), n_antennas=16,
                               snr_db=5.0, T=40, drops=2),
         hardware=(
@@ -39,7 +38,7 @@ def by_key(rows):
 
 
 def test_sweep_n_rates_increase_with_n(tmp_path):
-    res = run(tiny_cfg(tmp_path, kind="sweep-n", n_grid=(8, 32, 128)))
+    res = run(tiny_cfg(kind="sweep-n", n_grid=(8, 32, 128)), tmp_path)
     means = by_key(res.rows)
     curve = [means[("tiny:distributed:ideal:dft:beginning", "rate", n, 40)] for n in (8, 32, 128)]
     assert curve[0] < curve[1] < curve[2]
@@ -49,8 +48,8 @@ def test_sweep_n_rates_increase_with_n(tmp_path):
 
 
 def test_asymptotics_rows_and_limit_dominance(tmp_path):
-    cfg = tiny_cfg(tmp_path, kind="asymptotics", n_grid=(64, 4096, 2**18), include_asymptote=True)
-    res = run(cfg)
+    cfg = tiny_cfg(kind="asymptotics", n_grid=(64, 4096, 2**18), include_asymptote=True)
+    res = run(cfg, tmp_path)
     means = by_key(res.rows)
     label = "tiny:distributed:ideal:dft:beginning"
     finite = [means[(label, "rate", n, 40)] for n in (64, 4096, 2**18)]
@@ -62,8 +61,8 @@ def test_asymptotics_rows_and_limit_dominance(tmp_path):
 
 def test_sweep_n_with_asymptote_writes_the_asymptotics_rows(tmp_path):
     grid = dict(n_grid=(8, 64), include_asymptote=True)
-    sweep = run(tiny_cfg(tmp_path / "sweep", kind="sweep-n", **grid))
-    asym = run(tiny_cfg(tmp_path / "asym", kind="asymptotics", **grid))
+    sweep = run(tiny_cfg(kind="sweep-n", **grid), tmp_path / "sweep")
+    asym = run(tiny_cfg(kind="asymptotics", **grid), tmp_path / "asym")
     assert any(r[5] == "rate_asymptotic" for r in sweep.rows)
     assert sweep.csv_path.read_bytes() == asym.csv_path.read_bytes()
 
@@ -73,7 +72,7 @@ def test_ideal_variant_keeps_its_oscillator_topology():
 
 
 def test_scaling_kind_rebuilds_hardware_per_n(tmp_path):
-    cfg = tiny_cfg(tmp_path, kind="scaling", n_grid=(16, 256, 4096))
+    cfg = tiny_cfg(kind="scaling", n_grid=(16, 256, 4096))
     grow = HardwareVariant(
         "grow", delta=7e-5, kappa2=0.05**2, xi_over_sigma2=3.0,
         lo=LoMode.SLO, exponents=(1.0, 0.0, 0.0),
@@ -82,7 +81,7 @@ def test_scaling_kind_rebuilds_hardware_per_n(tmp_path):
         "fixed", delta=7e-5, kappa2=0.05**2, xi_over_sigma2=3.0, lo=LoMode.SLO,
     )
     cfg = dataclasses.replace(cfg, hardware=(fixed, grow))
-    means = by_key(run(cfg).rows)
+    means = by_key(run(cfg, tmp_path).rows)
     g = [means[("tiny:distributed:grow:dft:beginning", "rate", n, 40)] for n in (16, 256, 4096)]
     f = [means[("tiny:distributed:fixed:dft:beginning", "rate", n, 40)] for n in (16, 256, 4096)]
     # growing impairments fall behind fixed ones as N grows
@@ -98,9 +97,9 @@ _GROW = HardwareVariant(
 
 def test_every_closed_form_kind_grows_exponent_variants_with_n(tmp_path):
     def rates(kind, **grid):
-        cfg = tiny_cfg(tmp_path / kind, kind=kind, **grid)
+        cfg = tiny_cfg(kind=kind, **grid)
         cfg = dataclasses.replace(cfg, hardware=(*cfg.hardware, _GROW))
-        return {r[:6]: r[6] for r in run(cfg).rows if r[5] == "rate"}
+        return {r[:6]: r[6] for r in run(cfg, tmp_path / kind).rows if r[5] == "rate"}
 
     scaling = rates("scaling", n_grid=(16, 256))
     assert rates("sweep-n", n_grid=(16, 256)) == scaling
@@ -114,28 +113,28 @@ def test_scaling_kind_builds_a_fixed_triple_once_per_book(tmp_path, monkeypatch)
     builds = []
     build = experiments.build_cache
     monkeypatch.setattr(experiments, "build_cache", lambda *a: builds.append(1) or build(*a))
-    cfg = tiny_cfg(tmp_path / "fixed", kind="scaling", n_grid=(16, 64, 256))
+    cfg = tiny_cfg(kind="scaling", n_grid=(16, 64, 256))
     cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, drops=1))
-    run(cfg)
+    run(cfg, tmp_path / "fixed")
     assert len(builds) == 2  # ideal and slo, one book, one drop; not one per N
     builds.clear()
-    run(dataclasses.replace(cfg, hardware=(*cfg.hardware, _GROW), out=str(tmp_path / "grow")))
+    run(dataclasses.replace(cfg, hardware=(*cfg.hardware, _GROW)), tmp_path / "grow")
     assert len(builds) == 2 + 3  # the grown triple needs one cache per N
 
 
 def test_scaling_kind_is_bitwise_equal_at_any_thread_count(tmp_path):
-    cfg = tiny_cfg(tmp_path, kind="scaling", n_grid=(16, 256))
+    cfg = tiny_cfg(kind="scaling", n_grid=(16, 256))
     cfg = dataclasses.replace(cfg, hardware=(*cfg.hardware, _GROW))
     csvs = [
-        run(dataclasses.replace(cfg, threads=t, out=str(tmp_path / str(t)))).csv_path.read_bytes()
+        run(cfg, tmp_path / str(t), threads=t).csv_path.read_bytes()
         for t in (1, 2)
     ]
     assert csvs[0] == csvs[1]
 
 
 def test_sweep_t_uses_t_column(tmp_path):
-    cfg = tiny_cfg(tmp_path, kind="sweep-t", t_grid=(20, 40))
-    means = by_key(run(cfg).rows)
+    cfg = tiny_cfg(kind="sweep-t", t_grid=(20, 40))
+    means = by_key(run(cfg, tmp_path).rows)
     r20 = means[("tiny:distributed:ideal:dft:beginning", "rate", 16, 20)]
     r40 = means[("tiny:distributed:ideal:dft:beginning", "rate", 16, 40)]
     # ideal hardware: longer blocks amortize the pilot overhead
@@ -143,25 +142,25 @@ def test_sweep_t_uses_t_column(tmp_path):
 
 
 def test_rates_mc_kind(tmp_path):
-    cfg = tiny_cfg(tmp_path, kind="rates-mc", trials=400)
+    cfg = tiny_cfg(kind="rates-mc", trials=400)
     cfg = dataclasses.replace(
         cfg,
         scenario=dataclasses.replace(cfg.scenario, n_antennas=8, drops=1, T=16),
         pilots=PilotSpec(books=("dft",), placements=("beginning",), length=8),
     )
-    res = run(cfg)
+    res = run(cfg, tmp_path)
     metrics = {r[5] for r in res.rows}
     assert metrics == {"rate_mc"}
     assert all(r[6] >= 0 for r in res.rows)
 
 
 def test_rates_mc_kind_is_bitwise_equal_at_any_thread_count(tmp_path):
-    cfg = tiny_cfg(tmp_path, kind="rates-mc", trials=16)
+    cfg = tiny_cfg(kind="rates-mc", trials=16)
     cfg = dataclasses.replace(
         cfg, scenario=dataclasses.replace(cfg.scenario, n_antennas=8, T=16, drops=3)
     )
     csvs = [
-        run(dataclasses.replace(cfg, threads=t, out=str(tmp_path / str(t)))).csv_path.read_bytes()
+        run(cfg, tmp_path / str(t), threads=t).csv_path.read_bytes()
         for t in (1, 2, 3)
     ]
     assert csvs[0] == csvs[1] == csvs[2]
@@ -170,12 +169,12 @@ def test_rates_mc_kind_is_bitwise_equal_at_any_thread_count(tmp_path):
 def test_rates_mc_kind_builds_one_cache_per_variant_and_book(tmp_path, monkeypatch):
     from hwmimo import experiments
 
-    cfg = tiny_cfg(tmp_path / "shared", kind="rates-mc", trials=20)
+    cfg = tiny_cfg(kind="rates-mc", trials=20)
     cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, drops=1))
     builds = []
     build = experiments.build_cache
     monkeypatch.setattr(experiments, "build_cache", lambda *a: builds.append(1) or build(*a))
-    shared = run(cfg)
+    shared = run(cfg, tmp_path / "shared")
     assert len(builds) == len(cfg.hardware)  # one book, one drop; not one per UE
     assert len({r[4] for r in shared.rows}) > 1
 
@@ -183,7 +182,7 @@ def test_rates_mc_kind_builds_one_cache_per_variant_and_book(tmp_path, monkeypat
     estimate = experiments.estimate_moments
     monkeypatch.setattr(experiments, "estimate_moments", lambda cache, *a: estimate(
         build(cache.scenario, cache.hw, cache.book), *a))
-    fresh = run(dataclasses.replace(cfg, out=str(tmp_path / "fresh")))
+    fresh = run(cfg, tmp_path / "fresh")
     assert fresh.csv_path.read_bytes() == shared.csv_path.read_bytes()
 
 
@@ -199,8 +198,8 @@ def test_fig_presets_have_expected_shape():
 
 
 def test_sweep_t_marks_maximum_rows(tmp_path):
-    cfg = tiny_cfg(tmp_path, kind="sweep-t", t_grid=(20, 40, 80))
-    rows = run(cfg).rows
+    cfg = tiny_cfg(kind="sweep-t", t_grid=(20, 40, 80))
+    rows = run(cfg, tmp_path).rows
     marks = [r for r in rows if r[5] == "rate_max_at_T"]
     labels = {r[0] for r in rows if r[5] == "rate"}
     assert {m[0] for m in marks} == labels

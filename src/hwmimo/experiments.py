@@ -144,12 +144,14 @@ def validate_config(cfg: RunConfig) -> None:
         for h in cfg.hardware:
             _require(not (exp.include_asymptote and h.exponents is not None),
                      f"include_asymptote needs fixed triples, but {h.label!r} has exponents")
-    for b in cfg.pilots.books:
-        _require(b in {"temporal", "dft"}, f"unknown pilot book {b!r}")
-    for p in cfg.pilots.placements:
-        _require(p in {k.value for k in PlacementKind}, f"unknown placement {p!r}")
-    for d in cfg.scenario.deployments:
-        _require(d in {"colocated", "distributed"}, f"unknown deployment {d!r}")
+    for what, values, known in (
+        ("pilot book", cfg.pilots.books, {"temporal", "dft"}),
+        ("placement", cfg.pilots.placements, {k.value for k in PlacementKind}),
+        ("deployment", cfg.scenario.deployments, {"colocated", "distributed"}),
+    ):
+        _require(bool(values), f"at least one {what} is required")  # else a CSV without rows
+        for v in values:
+            _require(v in known, f"unknown {what} {v!r}")
     _require(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     _require(cfg.scenario.drops >= 1, "drops must be >= 1")
     _require(exp.trials >= 1, f"trials must be >= 1, got {exp.trials}")

@@ -15,6 +15,17 @@ thread count.  A chunk's products run on consecutive tiles of its trials;
 every product is per trial, so the tile size does not change a bit either.
 The UEs of a cell share each world, and the trials fold into running sums
 as they run, so memory does not grow with the trial count.
+
+The MMSE filter runs in the r = B*Ae dimensional pilot subspace that every
+estimate of the cell lies in (:func:`mmse_filter`).  Its pilot-subspace
+Gram, the power-weighted error diagonal and the UEs' own gains are formed
+once per channel use; per trial it takes O(B^2 N + B r^2 + r^3) block
+products and one r x r solve per UE, and forms no other link's estimate.
+From r = N on, as for every per-antenna covariance (Ae = N, r = B*N), it
+builds the N x N system from Gamma's blocks instead.  Chunk and tile
+sizes still count the L*K estimates and N x N system per trial of the
+filter built from all estimates, because the chunk sizes key the random
+stream.
 """
 
 import itertools
@@ -79,48 +90,76 @@ class McMoments:
 
 def mmse_filter(
     estimates: np.ndarray,
-    error_covs: np.ndarray,
+    error_diag: np.ndarray,
     scenario: Scenario,
     hw: HardwareProfile,
-    j: int,
-    k,
+    psi: np.ndarray,
+    gram: np.ndarray,
 ) -> np.ndarray:
-    """Approximate MMSE receive filter for UE k of cell j.
-
-    estimates: (L, K, N) estimated effective channels at the time of
-    interest; error_covs: (L, K, N) diagonals of the estimation error
-    covariances.  A leading trial axis is allowed on ``estimates``.  The
-    regularizing xi*I keeps the system solvable for any estimate quality.
-    ``k`` may be an index array, whose shape then leads the result.
+    """Approximate MMSE receive filters of the UEs whose own estimates are
+    ``estimates``, (nk, trials, N), one per UE and trial, from the trials'
+    stacked pilot observations ``psi``, (trials, B*N).  The regularizing
+    xi*I keeps the system solvable for any estimate quality.
 
     Per trial the system matrix is
 
-        sum_lk p_lk hhat hhat^H + diag(e + kappa2 (g + e)) + xi I,
+        sum_lk p_lk hhat hhat^H + D,   D = diag(e + kappa2 (g + e)) + xi I,
 
-    with e = sum_lk p_lk C_lk and g = sum_lk p_lk |hhat|^2.  The Gram sum
-    is one batched GEMM, M = flat^T @ (p * conj(flat)) with flat the
-    (L*K, N) estimates of a trial, and g = Re diag(M), so the energy term
-    is read off the Gram matrix rather than summed again.  From N = 128 on
-    a solve at several BLAS threads, or of several right-hand sides,
-    returns other last bits, so each UE takes one solve at one thread.
+    with e = sum_lk p_lk C_lk (``error_diag``, (N,)) and g = sum_lk p_lk
+    |hhat|^2.  Every estimate of the cell is hhat_lk = F g_lk: F (N x r,
+    r = B*Ae) holds the trial's pilot observations block-diagonally, those
+    of subarray a (B x N/Ae) in its antennas' rows and columns a*B..(a+1)*B,
+    and g_lk the link's own-subarray gain entries.  The Gram sum is then
+    F Gamma F^H with ``gram`` Gamma = sum_lk p_lk g_lk g_lk^H, the same
+    (r, r) matrix for every trial, and g = Re diag(F Gamma F^H) needs only
+    Gamma's diagonal B x B blocks.  Woodbury gives
+
+        v = D^-1 (hhat - F Gamma (I + S Gamma)^-1 F^H D^-1 hhat),
+
+    with S = F^H D^-1 F block-diagonal (Ae blocks of B x B).  Per trial
+    that costs O(B^2 N + B r^2 + r^3) instead of the O(L*K*N^2 + N^3) of
+    the system built from all estimates, and r does not grow with N.  From
+    r = N on (B >= N/Ae, as for every per-antenna covariance, Ae = N, where
+    r = B*N) the r x r system costs more than the N x N one, so the filter
+    builds D + F Gamma F^H from Gamma's blocks, O(B^2 Ae N + B N^2), and
+    solves that.  A solve at several BLAS threads, or of several
+    right-hand sides, may return other last bits, so each UE takes one
+    solve per trial at one thread.
     """
-    single = estimates.ndim == 3
-    est = estimates[None] if single else estimates
-    c, N = est.shape[0], est.shape[-1]
-    flat = est.reshape(c, -1, N)
-    p = scenario.powers.reshape(-1, 1)
-    w = np.empty_like(flat)  # p * conj(flat), the one (c, L*K, N) temporary, in one pass
-    np.multiply(flat.real, p, out=w.real)
-    np.multiply(flat.imag, -p, out=w.imag)
-    M = np.matmul(flat.transpose(0, 2, 1), w)
-    idx = np.arange(N)
-    energy = M[:, idx, idx].real
-    err = np.einsum("lk,lkn->n", scenario.powers, error_covs)
-    M[:, idx, idx] += err + hw.kappa2 * (energy + err) + hw.xi
+    nk, c, N = estimates.shape
+    Ae = scenario.reduced_dim
+    r = gram.shape[0]
+    B, mult = r // Ae, N // Ae
+    f = psi.reshape(c, B, Ae, mult).transpose(0, 2, 1, 3).copy()  # F's blocks, (c, Ae, B, mult)
+    fc = f.conj()
+    ft = f.swapaxes(-1, -2)
+    g4 = gram.reshape(Ae, B, Ae, B)
+    ar = np.arange(Ae)
+    energy = np.einsum("sabm,sabm->sam", f, np.matmul(g4[ar, :, ar, :], fc)).real
+    err = error_diag.reshape(Ae, mult)
+    d = err + hw.kappa2 * (energy + err) + hw.xi  # (c, Ae, mult)
+    if r >= N:
+        # the dense system D + F Gamma F^H: Gamma F^H by F's column blocks
+        # b, (c, b, r, mult), laid out by rows, then F's row blocks
+        gf = np.matmul(g4.transpose(2, 0, 1, 3).reshape(Ae, r, B), fc)
+        gf = gf.reshape(c, Ae, Ae, B, mult).transpose(0, 2, 3, 1, 4).reshape(c, Ae, B, N)
+        system = np.matmul(ft, gf).reshape(c, N, N)
+        idx = np.arange(N)
+        system[:, idx, idx] += d.reshape(c, N)
+        with _one_blas_thread():  # the same bits at any BLAS thread count
+            return np.stack([np.linalg.solve(system, h[..., None])[..., 0] for h in estimates])
+    s = np.matmul(fc / d[:, :, None, :], ft)  # S's blocks, (c, Ae, B, B)
+    system = np.matmul(s, gram.reshape(Ae, B, r)).reshape(c, r, r)
+    idx = np.arange(r)
+    system[:, idx, idx] += 1.0
+    hs = estimates.reshape(nk, c, Ae, mult)
+    rhs = [np.matmul(fc, (h / d)[..., None]).reshape(c, r, 1) for h in hs]
     with _one_blas_thread():  # the same bits at any BLAS thread count
-        v = np.stack([np.linalg.solve(M, est[:, j, u, :, None])[..., 0] for u in np.ravel(k)])
-    v = v.reshape(np.shape(k) + (c, N))
-    return v[..., 0, :] if single else v
+        sol = [np.linalg.solve(system, x) for x in rhs]
+    v = np.stack([h - np.matmul(ft, np.matmul(gram, z).reshape(c, Ae, B, 1))[..., 0]
+                  for h, z in zip(hs, sol)])
+    v /= d
+    return v.reshape(nk, c, N)
 
 
 def _group_sizes(trials: int, per_trial_bytes: int, target_bytes: int) -> list:
@@ -230,16 +269,17 @@ def _simulate_tile(
     ues: np.ndarray,
     world: tuple,
     gains: list,
-    error_covs: np.ndarray | None,
+    subspace: list | None,
 ) -> tuple:
     """Per-trial samples of the four SINR ingredients of the UEs ``ues``
     (a 1-D index array) of cell j at each channel use, all from one
     ``world`` tile: ``(norm2, first, second, distortion)`` of shapes
     (size, nk, nt), (size, nk, nt), (size, nk, nt, L, K) and (size, nk, nt).
-    ``gains[it]`` holds the reduced gains of the channel use ``it``: one
-    per UE, of its own link, for the MRC filter, which takes ``error_covs``
-    None, or the L*K gains stacked for the MMSE filter, which reads
-    ``error_covs``, the (nt, L, K, N) error covariance diagonals."""
+    ``gains[it]`` holds the reduced gains of the channel use ``it``, one
+    per UE, of its own link.  The MRC filter is the own estimate, and takes
+    ``subspace`` None; the MMSE filter reads ``subspace[it]``, the
+    power-weighted error diagonal and the pilot-subspace Gram of
+    :func:`mmse_filter` at that use."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
     h, rot_ts, psi = world
@@ -257,13 +297,10 @@ def _simulate_tile(
     second = np.empty(shape + (L, K))
     distortion = np.empty(shape)
     for it, gain in enumerate(gains):
-        if error_covs is None:
-            filters = [cache.apply_reduced_gain(g, psi) for g in gain]
-        else:
-            # all L*K estimates from one product: stacked gain row (lk, a)
-            # lands on antenna lk*N + a*mult + r, so the reshape is a view
-            est = cache.apply_reduced_gain(gain, psi).reshape(size, L, K, N)
-            filters = mmse_filter(est, error_covs[it], scen, hw, j, ues)
+        filters = [cache.apply_reduced_gain(g, psi) for g in gain]
+        if subspace is not None:
+            err, gram = subspace[it]
+            filters = mmse_filter(np.stack(filters), err, scen, hw, psi, gram)
         for u, v in enumerate(filters):
             # v^H h(t) with h(t) = rot(t) * h, without forming h(t): one GEMV per trial
             vc = v.conj()
@@ -273,6 +310,26 @@ def _simulate_tile(
             second[:, u, it] = np.abs(inner) ** 2
             distortion[:, u, it] = np.einsum("sn,sn->s", np.abs(v) ** 2, dist_weight)
     return norm2, first, second, distortion
+
+
+def _mmse_use(cache: EstimatorCache, j: int, ues: np.ndarray, t) -> tuple:
+    """``(gains, (error_diag, gram))`` of the MMSE filter of the UEs ``ues``
+    of cell j at channel use t: the reduced gains of their own links, the
+    power-weighted error diagonal sum_lk p_lk C_lk and the pilot-subspace
+    Gram of :func:`mmse_filter`.  The L*K stacked gains and error
+    covariances behind them are freed on return."""
+    scen, Ae, B = cache.scenario, cache.Ae, cache.B
+    L, K = scen.L, scen.K
+    stacked = np.concatenate([cache.reduced_gain(j, l, m, t) for l in range(L) for m in range(K)])
+    rows = stacked.reshape(L * K, Ae, B * Ae)
+    gains = [rows[j * K + u].copy() for u in ues.tolist()]
+    # gain row a reads only the B pilots of subarray a: g_lk[a*B + b]
+    own = np.diagonal(rows.reshape(L * K, Ae, B, Ae), axis1=1, axis2=3)
+    g = own.swapaxes(1, 2).reshape(L * K, B * Ae)
+    gram = g.T @ (scen.powers.reshape(-1, 1) * g.conj())
+    ls, ks = np.indices((L, K))
+    err = np.einsum("lk,lkn->n", scen.powers, error_covariance(cache, j, ls, ks, t)[0])
+    return gains, (err, gram)
 
 
 def estimate_moments(
@@ -293,19 +350,20 @@ def estimate_moments(
     L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
     ues = np.ravel(k)
     extra = 16 * ts.size * (L * K + 4)  # per UE: the chunk sizes key the random stream
-    # gains and error covariances depend on the channel use only; one set
-    # serves every chunk and tile
+    # gains, error covariances and Gram depend on the channel use only; one
+    # set serves every chunk and tile
     if filter_kind is FilterKind.MRC:
         gains = [[cache.reduced_gain(j, j, u, t) for u in ues.tolist()] for t in ts]
-        ecovs = None
+        subspace = None
     else:
+        # the dense filter's all-link estimates and N x N system: counted
+        # still, because the chunk sizes key the random stream
         extra += 16 * (L * K * N + N * N)
-        gains = [np.concatenate([cache.reduced_gain(j, l, m, t)
-                                 for l in range(L) for m in range(K)]) for t in ts]
-        ls, ks = np.indices((L, K))
-        ecovs = np.stack([error_covariance(cache, j, ls, ks, t)[0] for t in ts])
+        uses = [_mmse_use(cache, j, ues, t) for t in ts]
+        gains = [gain for gain, _ in uses]
+        subspace = [pair for _, pair in uses]
     folded = _over_chunks(cache, j, ts, mc, extra,
-                          lambda tile: _simulate_tile(cache, j, ues, tile, gains, ecovs),
+                          lambda tile: _simulate_tile(cache, j, ues, tile, gains, subspace),
                           ues.size)
     # the (mean, se) pairs of norm2, first, second and distortion, in field order
     return McMoments(mc.trials, ts, *(x.reshape(np.shape(k) + x.shape[1:])

@@ -4,7 +4,8 @@
 independent derivations: they work through the B x B pilot system of a
 co-located array (A = 1), not the package's per-subarray forms.
 :func:`conventional_mmse_estimate` is a third, the classical estimator of
-the impairment-free model.
+the impairment-free model, and :func:`dense_mmse_filter` builds the Monte
+Carlo MMSE filter from its N x N system.
 
 :func:`lmmse_estimate`, :func:`sinr_trajectory`, :func:`ue_rate` and
 :func:`asymptotic_sinr` are compositions of package pieces that give one
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hwmimo import montecarlo
+from hwmimo.channel import draw_world
 from hwmimo.estimator import EstimatorCache, error_covariance
 from hwmimo.model import LoMode
 from hwmimo.rates import (
@@ -123,6 +126,50 @@ def conventional_mmse_estimate(scen, book, psi_vec, j, l, k, sigma2):
             Psi += np.kron(np.outer(x, x.conj()), np.diag(lam[ll, mm]))
     left = np.kron(book.sequences[l, :, k].conj()[None, :], np.diag(lam[l, k]))
     return left @ np.linalg.solve(Psi, psi_vec)
+
+
+def dense_mmse_filter(estimates, error_covs, scenario, hw, j: int, k: int) -> np.ndarray:
+    """MMSE receive filter of UE k of cell j per trial from the dense N x N
+    system: ``estimates`` (trials, L, K, N) are all L*K estimated channels,
+    ``error_covs`` (L, K, N) their error covariance diagonals.  Per trial
+    the system matrix is
+
+        sum_lk p_lk hhat hhat^H + diag(e + kappa2 (g + e)) + xi I,
+
+    with e = sum_lk p_lk C_lk and g = sum_lk p_lk |hhat|^2, g read off the
+    Gram's diagonal.  Returns (trials, N)."""
+    c, N = estimates.shape[0], estimates.shape[-1]
+    flat = estimates.reshape(c, -1, N)
+    M = np.matmul(flat.transpose(0, 2, 1), scenario.powers.reshape(-1, 1) * flat.conj())
+    idx = np.arange(N)
+    energy = M[:, idx, idx].real
+    err = np.einsum("lk,lkn->n", scenario.powers, error_covs)
+    M[:, idx, idx] += err + hw.kappa2 * (energy + err) + hw.xi
+    return np.linalg.solve(M, estimates[:, j, k, :, None])[..., 0]
+
+
+def mmse_filter_inputs(cache: EstimatorCache, j: int, t, trials: int, seed: int = 0) -> tuple:
+    """``(psi, own, error_diag, gram)``: the stacked pilot observations of
+    ``trials`` trials of cell j drawn at ``seed``, every UE's own estimate
+    at channel use t, (K, trials, N), and the error diagonal and
+    pilot-subspace Gram that :func:`hwmimo.montecarlo.mmse_filter` takes
+    there."""
+    _, _, psi = draw_world(cache.scenario, cache.hw, cache.book, j, np.array([float(t)]),
+                           0, trials, seed)
+    gains, (err, gram) = montecarlo._mmse_use(cache, j, np.arange(cache.scenario.K), t)
+    return psi, np.stack([cache.apply_reduced_gain(g, psi) for g in gains]), err, gram
+
+
+def all_link_estimates(cache: EstimatorCache, j: int, t, psi: np.ndarray) -> tuple:
+    """The inputs of :func:`dense_mmse_filter` at channel use t: every
+    link's estimate from cell j's stacked observations ``psi`` (trials,
+    B*N), one reduced gain each, (trials, L, K, N), and the (L, K, N) error
+    covariance diagonals."""
+    L, K = cache.scenario.L, cache.scenario.K
+    est = np.stack([cache.apply_reduced_gain(cache.reduced_gain(j, l, k, t), psi)
+                    for l in range(L) for k in range(K)], axis=1)
+    ls, ks = np.indices((L, K))
+    return est.reshape(psi.shape[0], L, K, -1), error_covariance(cache, j, ls, ks, t)[0]
 
 
 # -- compositions of package pieces ---------------------------------------------

@@ -7,7 +7,7 @@ negative, huge, inf/nan, non-numbers, empty lists, out-of-range indices,
 and flags a command does not take.  Sizes stay tiny (N <= 16, T <= 40,
 trials <= 4), so each in-process ``main`` call costs milliseconds.  Exit 0
 writes nothing to stderr, exit 2 or 3 exactly one line (each warning counts
-as a line), and exit 2 writes no CSV.
+as a line), exit 2 writes no CSV, and every CSV of an exit 0 holds a row.
 """
 
 import contextlib
@@ -167,8 +167,8 @@ def files(tmp_path_factory):
 
 def _check_exit(argv: list) -> None:
     """Run ``argv`` into a fresh directory and check its exit code, its
-    stderr lines (each warning counting as one) and that exit 2 writes no
-    CSV."""
+    stderr lines (each warning counting as one), that exit 2 writes no CSV
+    and that every CSV of an exit 0 holds at least one data row."""
     with tempfile.TemporaryDirectory() as d:
         out, err = Path(d), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
@@ -179,8 +179,12 @@ def _check_exit(argv: list) -> None:
         report = (argv, code, err.getvalue(), [str(w.message) for w in caught])
         assert code in (0, 2, 3), report
         assert lines == (0 if code == 0 else 1), report
+        csvs = list(out.rglob("*.csv"))
         if code == 2:
-            assert not list(out.rglob("*.csv")), report
+            assert not csvs, report
+        if code == 0:
+            for path in csvs:
+                assert len(path.read_text().splitlines()) > 1, (report, path.name)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -308,6 +312,10 @@ def _with_files(value, tmp: Path):
 @example(cfg={**_YAML_BASE, "scenario": {**_YAML_BASE["scenario"], "T": math.inf}})
 # powers that overflow after power control
 @example(cfg={**_YAML_BASE, "scenario": {**_YAML_BASE["scenario"], "sigma2": 1e300}})
+# an empty list would loop over nothing and write a CSV without rows
+@example(cfg={**_YAML_BASE, "scenario": {**_YAML_BASE["scenario"], "deployments": []}})
+@example(cfg={**_YAML_BASE, "pilots": {**_YAML_BASE["pilots"], "books": []}})
+@example(cfg={**_YAML_BASE, "pilots": {**_YAML_BASE["pilots"], "placements": []}})
 def test_every_yaml_run_config_exits_0_2_or_3(files, cfg):
     cfg = _with_files(cfg, files)
     with contextlib.suppress(ConfigError):  # any other exception fails the test

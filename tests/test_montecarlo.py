@@ -21,7 +21,13 @@ from hwmimo.rates import mrc_moments
 from hwmimo.scenario_gen import generate
 
 from conftest import impaired_profile, make_book, random_scenario
-from oracles import mean_and_batch_se, ue_rate
+from oracles import (
+    all_link_estimates,
+    dense_mmse_filter,
+    mean_and_batch_se,
+    mmse_filter_inputs,
+    ue_rate,
+)
 
 _MOMENTS = ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
             "distortion", "distortion_se")
@@ -276,29 +282,50 @@ def test_mc_rate_matches_closed_form(rng):
     assert rate == pytest.approx(cf.rate, rel=0.03)
 
 
-def test_mmse_filter_direction_single_user():
+def test_mmse_filter_direction_single_user(rng):
     # kappa = 0, single UE, zero estimation error: the filter keeps the
     # matched-filter direction (identity-plus-rank-one geometry)
-    scen = Scenario(
-        L=1, K=1, N=4, T=8,
-        cov=np.ones((1, 1, 1, 4)), powers=np.full((1, 1), 2.0), sigma2=1.0,
-    )
+    scen = random_scenario(rng, L=1, K=1, N=4, T=8, subarrays=2, factorized=True)
     hw = HardwareProfile(delta=0.0, kappa2=0.0, xi=1.0)
-    hhat = np.array([[[np.array([1.0 + 1j, -0.5, 0.25j, 2.0])]]])[0]
-    v = mmse_filter(hhat, np.zeros((1, 1, 4)), scen, hw, 0, 0)
-    cross = np.abs(np.vdot(v, hhat[0, 0])) / (np.linalg.norm(v) * np.linalg.norm(hhat[0, 0]))
-    assert cross == pytest.approx(1.0, rel=1e-12)
+    cache = build_cache(scen, hw, make_book(scen))
+    psi, own, _, gram = mmse_filter_inputs(cache, 0, 5, trials=3)
+    v = mmse_filter(own, np.zeros(scen.N), scen, hw, psi, gram)[0]
+    for c in range(3):
+        hhat = own[0, c]
+        cross = np.abs(np.vdot(v[c], hhat)) / (np.linalg.norm(v[c]) * np.linalg.norm(hhat))
+        assert cross == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mmse_filter_matches_direct_construction(rng):
+    # per trial c: (sum p h h^H + diag(sum p C) + kappa2 diag(sum p |h|^2 + sum p C) + xi I) v = h_jk,
+    # built from all L*K estimates, against the filter: Woodbury on subarray
+    # covariances (r = 2 B = 6 < N = 12), the system from Gamma's blocks on
+    # per-antenna ones (r = B N >= N)
+    hw = HardwareProfile(delta=1e-2, kappa2=0.3, xi=1.4, lo_mode=LoMode.SLO)
+    j, t = 1, 6
+    for factorized, N in ((True, 12), (False, 6)):
+        scen = random_scenario(rng, L=2, K=3, N=N, T=8, subarrays=2, factorized=factorized)
+        cache = build_cache(scen, hw, make_book(scen))
+        psi, own, err, gram = mmse_filter_inputs(cache, j, t, trials=4)
+        v = mmse_filter(own, err, scen, hw, psi, gram)
+        assert v.shape == (3, 4, N)
+        est, ecov = all_link_estimates(cache, j, t, psi)
+        for k in range(3):
+            want = dense_mmse_filter(est, ecov, scen, hw, j, k)
+            for c in range(4):
+                np.testing.assert_allclose(v[k, c], want[c], rtol=1e-10)
+        one = mmse_filter(own[:, 2:3], err, scen, hw, psi[2:3], gram)
+        np.testing.assert_allclose(one[:, 0], v[:, 2], rtol=1e-12)
+
+
+def test_dense_mmse_oracle_matches_the_written_system(rng):
     # per trial c: (sum p h h^H + diag(sum p C) + kappa2 diag(sum p |h|^2 + sum p C) + xi I) v = h_jk
     scen = random_scenario(rng, L=2, K=3, N=5, T=8)
     hw = HardwareProfile(delta=0.0, kappa2=0.3, xi=1.4, lo_mode=LoMode.SLO)
     est = rng.normal(size=(4, 2, 3, 5)) + 1j * rng.normal(size=(4, 2, 3, 5))
     ecov = rng.uniform(0.1, 1.0, size=(2, 3, 5))
     p = scen.powers
-    v = mmse_filter(est, ecov, scen, hw, 1, 2)
-    assert v.shape == (4, 5)
+    v = dense_mmse_filter(est, ecov, scen, hw, 1, 2)
     for c in range(4):
         M = np.zeros((5, 5), dtype=complex)
         err = np.zeros(5)
@@ -311,15 +338,15 @@ def test_mmse_filter_matches_direct_construction(rng):
                 energy += p[l, m] * np.abs(h) ** 2
         M += np.diag(err + hw.kappa2 * (energy + err) + hw.xi)
         np.testing.assert_allclose(v[c], np.linalg.solve(M, est[c, 1, 2]), rtol=1e-10)
-    np.testing.assert_allclose(mmse_filter(est[2], ecov, scen, hw, 1, 2), v[2], rtol=1e-12)
 
 
 def test_mmse_filter_finite_for_extreme_distortion(rng):
-    scen = random_scenario(rng, L=2, K=2, N=3, T=8)
     hw = HardwareProfile(delta=0.0, kappa2=100.0, xi=1.0, lo_mode=LoMode.SLO)
-    est = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
-    v = mmse_filter(est, np.abs(rng.normal(size=(2, 2, 3))), scen, hw, 0, 0)
-    assert np.all(np.isfinite(v))
+    for N, factorized in ((6, True), (3, False)):  # Woodbury (r = 4 < N), then r = B N
+        scen = random_scenario(rng, L=2, K=2, N=N, T=8, factorized=factorized)
+        cache = build_cache(scen, hw, make_book(scen))
+        psi, own, err, gram = mmse_filter_inputs(cache, 0, 4, trials=2)
+        assert np.all(np.isfinite(mmse_filter(own, err, scen, hw, psi, gram)))
 
 
 def test_mmse_rate_at_least_mrc(rng):

@@ -3,7 +3,9 @@
 Each example draws a network (L, K in 1..3, one or two subarrays, per-antenna
 or per-subarray covariances), a pilot book and placement, and an impairment
 triple up to delta = 50 and kappa2 = 1, then checks the closed forms at every
-channel use of the block.
+channel use of the block.  The Monte Carlo MMSE filter is checked against its
+dense N x N system on drawn pilot observations, up to kappa2 = 100 and under
+both oscillator topologies.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from hwmimo.estimator import build_cache, error_covariance
 from hwmimo.model import HardwareProfile, LoMode
+from hwmimo.montecarlo import mmse_filter
 from hwmimo.pilots import PlacementKind
 from hwmimo.rates import mrc_moment_coefficients, sinr_trajectory_from_coefficients
 
@@ -21,13 +24,15 @@ from conftest import (
     make_book,
     random_scenario,
 )
+from oracles import all_link_estimates, dense_mmse_filter, mmse_filter_inputs
 
 
 @st.composite
-def caches(draw, delta=st.floats(0.0, 50.0)):
+def caches(draw, delta=st.floats(0.0, 50.0), kappa2=st.floats(0.0, 1.0), lo=st.just(LoMode.CLO),
+           mult=st.integers(1, 3)):
     L, K = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     A = draw(st.sampled_from([1, 2]))
-    N = A * draw(st.integers(1, 3))
+    N = A * draw(mult)
     kind = draw(st.sampled_from(["temporal", "dft"]))
     B = K if kind == "temporal" else K + draw(st.integers(0, 2))
     T = B + draw(st.integers(1, 40))
@@ -35,9 +40,9 @@ def caches(draw, delta=st.floats(0.0, 50.0)):
     scen = random_scenario(rng, L=L, K=K, N=N, T=T, subarrays=A, factorized=draw(st.booleans()))
     hw = HardwareProfile(
         delta=draw(delta),
-        kappa2=draw(st.floats(0.0, 1.0)),
+        kappa2=draw(kappa2),
         xi=draw(st.floats(1.0, 3.0)) * scen.sigma2,
-        lo_mode=LoMode.CLO,
+        lo_mode=draw(lo),
     )
     placement = draw(st.sampled_from(list(PlacementKind)))
     return build_cache(scen, hw, make_book(scen, kind, placement, B))
@@ -104,3 +109,21 @@ def test_error_covariance_at_most_prior(cache):
                 for k in range(scen.K):
                     diag, _ = error_covariance(cache, j, l, k, t)
                     assert np.all(diag <= prior[j, l, k] * (1 + 1e-12)), (j, l, k, t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(caches(kappa2=st.floats(0.0, 100.0), lo=st.sampled_from(list(LoMode)),
+              mult=st.integers(1, 6)), st.data())
+def test_mmse_filter_matches_the_dense_system(cache, data):
+    # the filter (Woodbury for r = B*Ae < N, else the system from Gamma's
+    # blocks) against the N x N system built from all L*K estimates, for
+    # every UE of a drawn cell at a drawn data use
+    scen = cache.scenario
+    j = data.draw(st.integers(0, scen.L - 1))
+    t = data.draw(st.sampled_from(cache.book.data_times()))
+    psi, own, err, gram = mmse_filter_inputs(cache, j, t, 3, data.draw(st.integers(0, 9)))
+    v = mmse_filter(own, err, scen, cache.hw, psi, gram)
+    est, ecov = all_link_estimates(cache, j, t, psi)
+    for k in range(scen.K):
+        want = dense_mmse_filter(est, ecov, scen, cache.hw, j, k)
+        assert np.max(np.abs(v[k] - want)) <= 1e-10 * np.max(np.abs(want)), (j, k, t)

@@ -17,10 +17,11 @@ The UEs of a cell share each world, and the trials fold into running sums
 as they run, so memory does not grow with the trial count.
 
 The MMSE filter runs in the r = B*Ae dimensional pilot subspace that every
-estimate of the cell lies in (:func:`mmse_filter`).  Its pilot-subspace
-Gram, the power-weighted error diagonal and the UEs' own gains are formed
-once per channel use; per trial it takes O(B^2 N + B r^2 + r^3) block
-products and one r x r solve per UE, and forms no other link's estimate.
+estimate of the cell lies in (:func:`mmse_filter`).  The UEs' own gains,
+and the filter's error diagonal and pilot-subspace Gram (:func:`_mmse_use`),
+are formed once per channel use; per trial it takes O(B^2 N + B r^2 + r^3)
+block products and one r x r solve per UE, and forms no other link's
+estimate or gain.
 From r = N on, as for every per-antenna covariance (Ae = N, r = B*N), it
 builds the N x N system from Gamma's blocks instead.  Chunk and tile
 sizes still count the L*K estimates and N x N system per trial of the
@@ -276,10 +277,10 @@ def _simulate_tile(
     ``world`` tile: ``(norm2, first, second, distortion)`` of shapes
     (size, nk, nt), (size, nk, nt), (size, nk, nt, L, K) and (size, nk, nt).
     ``gains[it]`` holds the reduced gains of the channel use ``it``, one
-    per UE, of its own link.  The MRC filter is the own estimate, and takes
-    ``subspace`` None; the MMSE filter reads ``subspace[it]``, the
-    power-weighted error diagonal and the pilot-subspace Gram of
-    :func:`mmse_filter` at that use."""
+    per UE, of its own link; each filter starts from those estimates.  The
+    MRC filter is the own estimate, and takes ``subspace`` None; the MMSE
+    filter reads ``subspace[it]``, the ``(error_diag, gram)`` of
+    :func:`_mmse_use` at that use."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
     h, rot_ts, psi = world
@@ -312,24 +313,22 @@ def _simulate_tile(
     return norm2, first, second, distortion
 
 
-def _mmse_use(cache: EstimatorCache, j: int, ues: np.ndarray, t) -> tuple:
-    """``(gains, (error_diag, gram))`` of the MMSE filter of the UEs ``ues``
-    of cell j at channel use t: the reduced gains of their own links, the
-    power-weighted error diagonal sum_lk p_lk C_lk and the pilot-subspace
-    Gram of :func:`mmse_filter`.  The L*K stacked gains and error
-    covariances behind them are freed on return."""
+def _mmse_use(cache: EstimatorCache, j: int, t) -> tuple:
+    """``(error_diag, gram)`` of the MMSE filter of cell j at channel use t:
+    the power-weighted error diagonal sum_lk p_lk C_lk and the
+    pilot-subspace Gram of :func:`mmse_filter`.  Each link's own-subarray
+    gain entries g_lk[a*B + c] = lam_lka sum_b x*_lkb d_b(t) P_a[b, c] come
+    from one contraction with the per-subarray blocks P_a of
+    :meth:`EstimatorCache.pblocks`, for all L*K links at once."""
     scen, Ae, B = cache.scenario, cache.Ae, cache.B
     L, K = scen.L, scen.K
-    stacked = np.concatenate([cache.reduced_gain(j, l, m, t) for l in range(L) for m in range(K)])
-    rows = stacked.reshape(L * K, Ae, B * Ae)
-    gains = [rows[j * K + u].copy() for u in ues.tolist()]
-    # gain row a reads only the B pilots of subarray a: g_lk[a*B + b]
-    own = np.diagonal(rows.reshape(L * K, Ae, B, Ae), axis1=1, axis2=3)
-    g = own.swapaxes(1, 2).reshape(L * K, B * Ae)
+    dxc = cache.book.sequences.transpose(0, 2, 1).reshape(L * K, B).conj() * cache.d_delta(t)
+    g = np.einsum("lb,abc->lac", dxc, cache.pblocks(j)) * cache.lam[j].reshape(L * K, Ae, 1)
+    g = g.reshape(L * K, B * Ae)
     gram = g.T @ (scen.powers.reshape(-1, 1) * g.conj())
     ls, ks = np.indices((L, K))
     err = np.einsum("lk,lkn->n", scen.powers, error_covariance(cache, j, ls, ks, t)[0])
-    return gains, (err, gram)
+    return err, gram
 
 
 def estimate_moments(
@@ -345,23 +344,20 @@ def estimate_moments(
     ``cache``.  Every chunk of trials draws one world (channels, phase
     trajectories, pilot observations) shared by all of ``ts`` and all UEs
     of ``k``, a UE index or an index array whose shape then leads every
-    moment; each UE gets the bits of a pass for it alone."""
+    moment; each UE gets the bits of a pass for it alone.  The UEs' own
+    reduced gains, and for MMSE the :func:`_mmse_use` pair, are formed once
+    per channel use and serve every chunk and tile."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
     ues = np.ravel(k)
     extra = 16 * ts.size * (L * K + 4)  # per UE: the chunk sizes key the random stream
-    # gains, error covariances and Gram depend on the channel use only; one
-    # set serves every chunk and tile
-    if filter_kind is FilterKind.MRC:
-        gains = [[cache.reduced_gain(j, j, u, t) for u in ues.tolist()] for t in ts]
-        subspace = None
-    else:
+    gains = [[cache.reduced_gain(j, j, u, t) for u in ues.tolist()] for t in ts]
+    subspace = None
+    if filter_kind is FilterKind.MMSE:
         # the dense filter's all-link estimates and N x N system: counted
         # still, because the chunk sizes key the random stream
         extra += 16 * (L * K * N + N * N)
-        uses = [_mmse_use(cache, j, ues, t) for t in ts]
-        gains = [gain for gain, _ in uses]
-        subspace = [pair for _, pair in uses]
+        subspace = [_mmse_use(cache, j, t) for t in ts]
     folded = _over_chunks(cache, j, ts, mc, extra,
                           lambda tile: _simulate_tile(cache, j, ues, tile, gains, subspace),
                           ues.size)

@@ -4,8 +4,9 @@
 independent derivations: they work through the B x B pilot system of a
 co-located array (A = 1), not the package's per-subarray forms.
 :func:`conventional_mmse_estimate` is a third, the classical estimator of
-the impairment-free model, and :func:`dense_mmse_filter` builds the Monte
-Carlo MMSE filter from its N x N system.
+the impairment-free model, :func:`dense_mmse_filter` builds the Monte
+Carlo MMSE filter from its N x N system, and :func:`stacked_mmse_use` its
+pilot-subspace Gram from the stacked zero-padded reduced gains.
 
 :func:`lmmse_estimate`, :func:`sinr_trajectory`, :func:`ue_rate` and
 :func:`asymptotic_sinr` are compositions of package pieces that give one
@@ -156,8 +157,25 @@ def mmse_filter_inputs(cache: EstimatorCache, j: int, t, trials: int, seed: int 
     there."""
     _, _, psi = draw_world(cache.scenario, cache.hw, cache.book, j, np.array([float(t)]),
                            0, trials, seed)
-    gains, (err, gram) = montecarlo._mmse_use(cache, j, np.arange(cache.scenario.K), t)
-    return psi, np.stack([cache.apply_reduced_gain(g, psi) for g in gains]), err, gram
+    own = [cache.apply_reduced_gain(cache.reduced_gain(j, j, k, t), psi)
+           for k in range(cache.scenario.K)]
+    return psi, np.stack(own), *montecarlo._mmse_use(cache, j, t)
+
+
+def stacked_mmse_use(cache: EstimatorCache, j: int, t) -> tuple:
+    """``(error_diag, gram)`` of :func:`hwmimo.montecarlo._mmse_use` from
+    the zero-padded pilot-major gains: the L*K reduced gains are stacked,
+    (L*K*Ae, B*Ae), and each link's own-subarray entries g_lk[a*B + b] are
+    read off the diagonal of its subarray rows and pilot columns."""
+    scen, Ae, B = cache.scenario, cache.Ae, cache.B
+    L, K = scen.L, scen.K
+    stacked = np.concatenate([cache.reduced_gain(j, l, m, t) for l in range(L) for m in range(K)])
+    own = np.diagonal(stacked.reshape(L * K, Ae, B, Ae), axis1=1, axis2=3)
+    g = own.swapaxes(1, 2).reshape(L * K, B * Ae)
+    gram = g.T @ (scen.powers.reshape(-1, 1) * g.conj())
+    ls, ks = np.indices((L, K))
+    err = np.einsum("lk,lkn->n", scen.powers, error_covariance(cache, j, ls, ks, t)[0])
+    return err, gram
 
 
 def all_link_estimates(cache: EstimatorCache, j: int, t, psi: np.ndarray) -> tuple:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     dense_mmse_filter,
     mean_and_batch_se,
     mmse_filter_inputs,
+    stacked_mmse_use,
     ue_rate,
 )
 
@@ -318,6 +320,19 @@ def test_mmse_filter_matches_direct_construction(rng):
         np.testing.assert_allclose(one[:, 0], v[:, 2], rtol=1e-12)
 
 
+@pytest.mark.parametrize("factorized,N", [(True, 12), (False, 6)])  # Ae = 2, then Ae = N
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+def test_mmse_gram_equals_the_stacked_gains_bitwise(rng, factorized, N, delta):
+    # the one contraction with the per-subarray blocks gives the bits of
+    # the L*K zero-padded reduced gains stacked and read off their diagonal
+    scen = random_scenario(rng, L=2, K=3, N=N, T=8, subarrays=2, factorized=factorized)
+    hw = HardwareProfile(delta=delta, kappa2=0.3, xi=1.4, lo_mode=LoMode.SLO)
+    cache = build_cache(scen, hw, make_book(scen))
+    for j, t in ((0, 4), (1, 7)):
+        for got, want in zip(montecarlo._mmse_use(cache, j, t), stacked_mmse_use(cache, j, t)):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_dense_mmse_oracle_matches_the_written_system(rng):
     # per trial c: (sum p h h^H + diag(sum p C) + kappa2 diag(sum p |h|^2 + sum p C) + xi I) v = h_jk
     scen = random_scenario(rng, L=2, K=3, N=5, T=8)
@@ -523,6 +538,20 @@ def test_tiles_bound_the_peak_memory_of_a_chunk(rng, monkeypatch):
                                                   McConfig(trials=trials, seed=1)))
     assert sizes == [[trials]]
     assert chunk < world + 3 * montecarlo._TILE_TARGET_BYTES
+
+
+def test_mmse_use_forms_no_per_link_gain_stack():
+    # a per-antenna covariance (Ae = N = 32) gives each of the 200 links a
+    # (32, 256) zero-padded reduced gain; Gamma needs only B*Ae = 256
+    # entries of each
+    scen = generate("distributed", N=32, snr_db=5.0, T=60, seed=2)
+    scen = dataclasses.replace(scen, cov=scen.full_cov())
+    hw = HardwareProfile(delta=1.58e-4, kappa2=2.4336e-4, xi=1.58 * scen.sigma2,
+                         lo_mode=LoMode.SLO)
+    cache = build_cache(scen, hw, make_book(scen))
+    assert cache.Ae == scen.N
+    cache.pblocks(0)  # the cell build is not part of the channel use
+    assert _traced_peak(lambda: montecarlo._mmse_use(cache, 0, 9.0)) < 8 * 2**20
 
 
 def test_peak_memory_does_not_grow_with_trials(rng, monkeypatch):

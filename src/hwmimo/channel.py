@@ -68,13 +68,13 @@ def draw_phases(
 
 
 def world_bytes(scenario: Scenario, hw: HardwareProfile, book: PilotBook, ts) -> int:
-    """Bytes per trial that Monte Carlo chunking budgets for one
-    :func:`draw_world` world at the channel uses ``ts``: channels, phase
-    rotations and pilot observations."""
+    """Bytes per trial of a :func:`draw_world` world at the channel uses ``ts``:
+    channels and their power, observation and distortion variance, per (time,
+    oscillator) phase, increment and rotation, and rotations at pilots and ``ts``."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     n_times = len(set(book.tau) | set(np.asarray(ts).tolist()))
     n_osc = N if hw.lo_mode is LoMode.SLO else 1
-    return 16 * (2 * L * K * N + n_times * n_osc + 3 * B * N)
+    return 24 * (L * K * N + B * N) + n_osc * (32 * n_times + 16 * (B + np.size(ts)))
 
 
 def draw_world(
@@ -90,7 +90,8 @@ def draw_world(
     """One chunk of ``size`` trials seen by cell j: channels h (size, L, K, N),
     phase rotations rot_ts (size, len(ts), n_osc) at the channel uses ``ts``
     and the stacked pilot observation psi (size, B*N), pilot-time major.
-    Each entity has its own substream keyed (seed, chunk_index, j, entity)."""
+    Each entity has its own substream keyed (seed, chunk_index, j, entity);
+    ``seed`` may be a (seed, drop) pair (see :func:`rng.substream`)."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     lam = scenario.full_cov()[j]  # (L, K, N)
     tau = np.asarray(book.tau, dtype=int)

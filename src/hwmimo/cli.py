@@ -254,9 +254,8 @@ def _cmd_estimate(args) -> int:
     l = args.source_cell if args.source_cell is not None else j
     ts = _data_times(cache.book, args.t_stride)
     closed = np.array([error_covariance(cache, j, l, args.ue, t)[1] for t in ts])
-    mc_mean, _ = empirical_mse(
-        cache, j, l, args.ue, ts, McConfig(trials=args.trials, seed=args.seed, threads=args.threads)
-    )
+    mc = McConfig(trials=args.trials, seed=(args.seed, args.drop_index), threads=args.threads)
+    mc_mean, _ = empirical_mse(cache, j, l, args.ue, ts, mc)
     rows = [(int(t), closed[i], mc_mean[i]) for i, t in enumerate(ts)]
     return _finish(args, _write_csv(args, ("t", "mse_closed_form", "mse_monte_carlo"), rows))
 
@@ -304,7 +303,7 @@ def _cmd_asymptotic(args) -> int:
 
 def _cmd_rates_mc(args) -> int:
     cache, j = _inputs(args)
-    mc = McConfig(trials=args.trials, seed=args.seed, threads=args.threads)
+    mc = McConfig(trials=args.trials, seed=(args.seed, args.drop_index), threads=args.threads)
     ts = _data_times(cache.book, args.t_stride)
     ues = np.arange(cache.scenario.K) if args.ue is None else np.array([args.ue])
     m = estimate_moments(cache, FilterKind(args.filter), j, ues, ts, mc)

@@ -418,7 +418,7 @@ def _job_sweep_n(cfg: RunConfig, deployment: str, drop: int) -> list:
 def _job_rates_mc(cfg: RunConfig, deployment: str, drop: int) -> list:
     scen = _drop_scenario(cfg.scenario, deployment, cfg.seed, drop)
     cell = _serving_cell(scen)
-    mc = McConfig(trials=cfg.experiment.trials, seed=cfg.seed + drop)
+    mc = McConfig(trials=cfg.experiment.trials, seed=(cfg.seed, drop))
     ues = np.arange(scen.K)
     rows = []
     for labels, book in _books(cfg, deployment, scen):

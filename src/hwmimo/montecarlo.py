@@ -9,9 +9,11 @@ The distortion moment is computed through its conditional variance given the
 channel draw (no distortion samples needed), which removes an entire noise
 source from the estimate without changing its expectation.
 
-Trials are split into fixed-size chunks, each driven by its own counter-based
-substream and reduced in chunk order, so results are bit-identical for any
-thread count.  A chunk's products run on consecutive tiles of its trials;
+Trials are split into chunks sized by one trial's world alone, each driven
+by its own counter-based substream keyed (seed, drop, chunk) and reduced in
+chunk order: results are bit-identical for any thread count, and every pass
+at the same channel uses draws the same worlds.  A chunk's products run on
+tiles of its trials, sized by the world plus the pass's own temporaries;
 every product is per trial, so the tile size does not change a bit either.
 The UEs of a cell share each world, and the trials fold into running sums
 as they run, so memory does not grow with the trial count.
@@ -23,10 +25,7 @@ are formed once per channel use; per trial it takes O(B^2 N + B r^2 + r^3)
 block products and one r x r solve per UE, and forms no other link's
 estimate or gain.
 From r = N on, as for every per-antenna covariance (Ae = N, r = B*N), it
-builds the N x N system from Gamma's blocks instead.  Chunk and tile
-sizes still count the L*K estimates and N x N system per trial of the
-filter built from all estimates, because the chunk sizes key the random
-stream.
+builds the N x N system from Gamma's blocks instead.
 """
 
 import itertools
@@ -42,7 +41,7 @@ from .estimator import EstimatorCache, _blas_threads, _one_blas_thread, error_co
 from .model import HardwareProfile, Scenario
 from .rates import _sinr_from_moments, ergodic_rate
 
-_CHUNK_TARGET_BYTES = 64 * 2**20  # trials per chunk, and so the random stream
+_CHUNK_TARGET_BYTES = 64 * 2**20  # world bytes per chunk: its trials, and so the random stream
 _TILE_TARGET_BYTES = 8 * 2**20  # trials per tile of a chunk: the size of its temporaries
 _BATCHES = 100  # batch means behind every standard error
 
@@ -56,13 +55,13 @@ class FilterKind(str, Enum):
 class McConfig:
     """Trial count, master seed and worker-thread count of one simulation.
 
-    The receive filter is an argument of each entry point, not a field
-    here.  Results do not depend on ``threads``: trials run in fixed-size
-    chunks, each on its own substream, reduced in chunk order.
+    ``seed`` is a seed or a drop's ``(seed, drop)`` ((s, 0) is s); results
+    do not depend on ``threads``: trials run in chunks sized by the world
+    alone, each on its substream keyed (seed, drop, chunk), reduced in order.
     """
 
     trials: int
-    seed: int = 0
+    seed: int | tuple[int, int] = 0
     threads: int = 1
 
     def __post_init__(self):
@@ -238,28 +237,28 @@ def _fold(tiles, trials: int) -> list:
 
 
 def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
-                 extra_bytes: int, sample, ues: int = 1) -> list:
+                 tile_bytes: int, sample) -> list:
     """Run ``sample(tile)`` on consecutive trial tiles of every chunk of
     ``mc.trials`` trials and :func:`_fold` what it returns in trial order.
     Each chunk draws one world ``(h, rot_ts, psi)`` of cell j at the
     channel uses ``ts`` from its own substream; a tile is a slice of it
-    along the trial axis.  Chunks fill ``_CHUNK_TARGET_BYTES`` at a world
-    plus ``extra_bytes`` per trial (the random stream follows them), tiles
-    the smaller ``_TILE_TARGET_BYTES`` at a world plus ``ues`` times
-    ``extra_bytes``.  On one thread each tile is folded as it is made; a
-    pool worker runs a whole chunk, folded when the earlier ones are."""
+    along the trial axis.  Chunks fill ``_CHUNK_TARGET_BYTES`` at the
+    world's bytes per trial alone, so every pass at ``ts`` draws the same
+    worlds; tiles the smaller ``_TILE_TARGET_BYTES`` at the world plus
+    ``tile_bytes``, the per-trial temporaries of ``sample``.  On one thread
+    each tile is folded as it is made; a pool worker runs a whole chunk."""
     scen, hw, book = cache.scenario, cache.hw, cache.book
     world_size = world_bytes(scen, hw, book, ts)
 
     def tiles(job):
         idx, size = job
         world = draw_world(scen, hw, book, j, ts, idx, size, mc.seed)
-        tile_sizes = _group_sizes(size, world_size + ues * extra_bytes, _TILE_TARGET_BYTES)
+        tile_sizes = _group_sizes(size, world_size + tile_bytes, _TILE_TARGET_BYTES)
         edges = list(itertools.accumulate(tile_sizes, initial=0))
         for lo, hi in zip(edges, edges[1:]):
             yield sample(tuple(a[lo:hi] for a in world))
 
-    jobs = list(enumerate(_chunk_sizes(mc.trials, world_size + extra_bytes)))
+    jobs = list(enumerate(_chunk_sizes(mc.trials, world_size)))
     run = tiles if mc.threads == 1 else lambda job: list(tiles(job))
     return _fold((tile for chunk in _fan_out(run, jobs, mc.threads) for tile in chunk), mc.trials)
 
@@ -350,17 +349,16 @@ def estimate_moments(
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
     ues = np.ravel(k)
-    extra = 16 * ts.size * (L * K + 4)  # per UE: the chunk sizes key the random stream
+    # per UE its samples and their fold copies, and its estimate and filter at one use
+    tile_bytes = ues.size * 16 * (ts.size * (L * K + 4) + 2 * N)
     gains = [[cache.reduced_gain(j, j, u, t) for u in ues.tolist()] for t in ts]
     subspace = None
     if filter_kind is FilterKind.MMSE:
-        # the dense filter's all-link estimates and N x N system: counted
-        # still, because the chunk sizes key the random stream
-        extra += 16 * (L * K * N + N * N)
+        # the filter's blocks of F and its r x r or N x N system, shared by the UEs
+        tile_bytes += 16 * (3 * cache.B * cache.Ae * N + N * N)
         subspace = [_mmse_use(cache, j, t) for t in ts]
-    folded = _over_chunks(cache, j, ts, mc, extra,
-                          lambda tile: _simulate_tile(cache, j, ues, tile, gains, subspace),
-                          ues.size)
+    folded = _over_chunks(cache, j, ts, mc, tile_bytes,
+                          lambda tile: _simulate_tile(cache, j, ues, tile, gains, subspace))
     # the (mean, se) pairs of norm2, first, second and distortion, in field order
     return McMoments(mc.trials, ts, *(x.reshape(np.shape(k) + x.shape[1:])
                                       for pair in folded for x in pair))
@@ -399,4 +397,5 @@ def empirical_mse(
             out[:, it] = np.sum(np.abs(h_t - est) ** 2, axis=-1)
         return (out,)
 
-    return _over_chunks(cache, j, ts, mc, 16 * ts.size * 2, sample)[0]
+    # the samples, and the estimate, rotated channel and error at one use
+    return _over_chunks(cache, j, ts, mc, 8 * ts.size + 48 * cache.scenario.N, sample)[0]

@@ -17,8 +17,9 @@ DROP = 10
 SHADOW = 11
 
 
-def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for the given (realization/chunk, cell, entity) key."""
+def substream(master_seed, *key: int) -> np.random.Generator:
+    """Independent generator for the given (realization/chunk, cell, entity)
+    key under ``master_seed``, an int or a (seed, drop) pair ((s, 0) is s)."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -553,6 +553,31 @@ def test_rates_mc_without_ue_writes_the_rows_of_each_ue(tmp_path, monkeypatch, f
         assert one == [header, *(r for r in rows if r.startswith(f"{k},"))]
 
 
+def test_rates_mc_drop_index_writes_the_rates_of_that_drop_of_a_run(tmp_path):
+    # the Monte Carlo stream is keyed (seed, drop), so a one-drop run over
+    # every data use at --drop-index 1 writes the rates of drop 1 of a run
+    # configuration at the same seed
+    cfg = {
+        "name": "drops", "seed": 3,
+        "scenario": {"deployments": ["colocated"], "n_antennas": 8, "T": 40, "drops": 2},
+        "hardware": [{"label": "slo", "delta": 1e-3, "kappa2": 1e-4, "xi_over_sigma2": 1.3,
+                      "lo": "slo"}],
+        "pilots": {"length": 8},
+        "experiment": {"kind": "rates-mc", "trials": 50},
+    }
+    path = tmp_path / "drops.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["preset", str(path), "--out", str(tmp_path)]) == 0
+    run_rates = {r["ue"]: r["value"] for r in read_csv(tmp_path / "drops.csv")[1]
+                 if r["drop"] == "1"}
+    assert main(["rates-mc", "--deployment", "colocated", "-N", "8", "-T", "40", "-B", "8",
+                 "--seed", "3", "--drop-index", "1", "--delta", "1e-3", "--kappa2", "1e-4",
+                 "--xi-over-sigma2", "1.3", "--lo", "slo", "--trials", "50", "--t-stride", "1",
+                 "--out", str(tmp_path / "cli")]) == 0
+    cli_rates = {r["ue"]: r["rate"] for r in read_csv(tmp_path / "cli" / "rates_mc.csv")[1]}
+    assert len(run_rates) == 8 and cli_rates == run_rates
+
+
 def test_preset_reproducible_across_threads_and_seeds(tmp_path):
     args = ["preset", "fig10", "--drops", "1", "--t-grid", "40,80", "--seed", "11"]
     assert main(args + ["--out", str(tmp_path / "a"), "--threads", "1"]) == 0

@@ -259,17 +259,27 @@ def test_ue_axis_matches_per_ue_passes(rng, monkeypatch, kind):
 
 
 def test_one_world_per_chunk_for_every_ue(rng, monkeypatch):
+    # chunks are cut by the world's bytes alone, so MRC and MMSE passes, for
+    # one UE or an index array of them, and the MSE pass all draw the same
+    # (chunk index, size) worlds, one per chunk
     scen = random_scenario(rng, L=2, K=3, N=4, T=9)
     cache = build_cache(scen, impaired_profile(), make_book(scen))
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**15)
     draws = []
     draw_world = montecarlo.draw_world
     monkeypatch.setattr(montecarlo, "draw_world",
-                        lambda *a, **kw: draws.append(a[5]) or draw_world(*a, **kw))
-    for kind in FilterKind:
+                        lambda *a, **kw: draws.append(a[5:7]) or draw_world(*a, **kw))
+    mc, ts = McConfig(trials=200, seed=1), [5, 8]
+    runs = [(estimate_moments, (cache, kind, 0, k, ts, mc))
+            for kind in FilterKind for k in (1, np.arange(3))]
+    runs.append((empirical_mse, (cache, 0, 1, 0, ts, mc)))
+    seen = []
+    for fn, args in runs:
         draws.clear()
-        estimate_moments(cache, kind, 0, np.arange(3), [5, 8], McConfig(trials=200, seed=1))
-        assert len(draws) > 2 and draws == list(range(len(draws)))
+        fn(*args)
+        seen.append(list(draws))
+    assert len(seen[0]) > 2 and [i for i, _ in seen[0]] == list(range(len(seen[0])))
+    assert all(s == seen[0] for s in seen)
 
 
 def test_mc_rate_matches_closed_form(rng):
@@ -397,6 +407,16 @@ def test_chunk_budget_covers_world_arrays(rng, monkeypatch, lo):
     world = sum(a.nbytes for a in draw_world(scen, hw, book, 0, ts, 0, 1, seed=0))
     assert len(budgets) == 2
     assert min(budgets) >= world
+    if lo is LoMode.SLO:
+        # and the peak of a draw per trial, where under SLOs the phase walk
+        # of every antenna over all 492 data uses of a drop dominates
+        scen = generate("distributed", N=64, snr_db=5.0, T=500, seed=0)
+        book = make_book(scen)
+        ts = np.asarray(book.data_times(), dtype=float)
+        draw_world(scen, hw, book, 0, ts, 0, 1, seed=0)  # numpy's first-use allocations
+        trials = 20
+        peak = _traced_peak(lambda: draw_world(scen, hw, book, 0, ts, 0, trials, seed=0))
+        assert world_bytes(scen, hw, book, ts) >= peak / trials
 
 
 class _FakeBlas:
@@ -523,12 +543,14 @@ def test_tiles_bound_the_peak_memory_of_a_chunk(rng, monkeypatch):
     cache = build_cache(scen, hw, make_book(scen))
     ts = np.array([7.0, 15.0])
     cache.pblocks(0)  # the cell build is not part of the chunk
-    L, K, N = scen.L, scen.K, scen.N
-    per_trial = (world_bytes(scen, hw, cache.book, ts) + 16 * ts.size * (L * K + 4)
-                 + 16 * (L * K * N + N * N))
+    L, K, N, r = scen.L, scen.K, scen.N, cache.B * cache.Ae
+    per_trial = world_bytes(scen, hw, cache.book, ts)  # chunks count the world alone
+    # tiles add one UE's samples, estimate and filter, and the filter's blocks and system
+    per_tile_trial = (per_trial + 16 * (ts.size * (L * K + 4) + 2 * N)
+                      + 16 * (3 * r * N + N * N))
     trials = 200
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", trials * per_trial)
-    monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 4 * per_trial)
+    monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 4 * per_tile_trial)
     sizes = []
     chunk_sizes = montecarlo._chunk_sizes
     monkeypatch.setattr(montecarlo, "_chunk_sizes",
@@ -561,9 +583,7 @@ def test_peak_memory_does_not_grow_with_trials(rng, monkeypatch):
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     cache = build_cache(scen, hw, make_book(scen))
     ts = np.arange(9.0, 41.0, 2.0)
-    L, K, N = scen.L, scen.K, scen.N
-    per_trial = (world_bytes(scen, hw, cache.book, ts) + 16 * ts.size * (L * K + 4)
-                 + 16 * (L * K * N + N * N))
+    per_trial = world_bytes(scen, hw, cache.book, ts)  # chunks count the world alone
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 50 * per_trial)
     sizes = []
     chunk_sizes = montecarlo._chunk_sizes

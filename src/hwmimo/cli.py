@@ -28,6 +28,8 @@ from .circuits import (
 )
 from .estimator import build_cache, error_covariance
 from .experiments import (
+    SEED_MAX,
+    TRIALS_MAX,
     ConfigError,
     HardwareVariant,
     ScenarioSpec,
@@ -49,13 +51,17 @@ from .rates import NumericalInvariantError, ScalingExponents, check_scaling_law
 from .scenario_gen import SHADOW_STD_DB, save_scenario
 
 
-# flag -> (HWMIMO_* variable, type, fallback, minimum) of the run settings
-# that a subcommand takes through _add_common
+# flag -> (HWMIMO_* variable, type, fallback) of the run settings that a
+# subcommand takes through _add_common
 _ENV_DEFAULTS = {
-    "seed": ("SEED", int, 0, 0),
-    "out": ("OUT", Path, Path("."), None),
-    "threads": ("THREADS", int, 1, 1),
+    "seed": ("SEED", int, 0),
+    "out": ("OUT", Path, Path(".")),
+    "threads": ("THREADS", int, 1),
 }
+
+# integer flag -> (minimum, maximum or None)
+_BOUNDS = {"trials": (1, TRIALS_MAX), "t_stride": (1, None), "threads": (1, None),
+           "seed": (0, SEED_MAX), "drop_index": (0, SEED_MAX)}
 
 _FROM_ENV = object()  # the default of a run setting: see _fill_env_defaults
 
@@ -71,7 +77,7 @@ def _fill_env_defaults(args) -> None:
     """Give each run setting of the command that the command line left out
     its HWMIMO_* value, or its fallback.  ``preset`` has its own ``--seed``
     (default: the config's seed), so it never reads HWMIMO_SEED."""
-    for dest, (name, cast, fallback, minimum) in _ENV_DEFAULTS.items():
+    for dest, (name, cast, fallback) in _ENV_DEFAULTS.items():
         if getattr(args, dest, None) is not _FROM_ENV:
             continue
         raw = os.environ.get(f"HWMIMO_{name}")
@@ -79,9 +85,17 @@ def _fill_env_defaults(args) -> None:
             value = fallback if raw is None else cast(raw)
         except ValueError as exc:
             raise ConfigError(f"bad HWMIMO_{name} environment value {raw!r}") from exc
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"HWMIMO_{name} must be >= {minimum}, got {value}")
+        if dest in _BOUNDS:
+            _check_bound(dest, value, f"HWMIMO_{name}")
         setattr(args, dest, value)
+
+
+def _check_bound(dest: str, value: int, label: str) -> None:
+    low, high = _BOUNDS[dest]
+    if value < low:
+        raise ConfigError(f"{label} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{label} must be <= {high}, got {value}")
 
 
 def _add_scenario_source(p: argparse.ArgumentParser) -> None:
@@ -124,11 +138,10 @@ def _check_args(args) -> None:
         # a list flag left out is None or its default; given, it must name a value
         if isinstance(value, list) and not value:
             raise ConfigError(f"--{name.replace('_', '-')} must list at least one value")
-    for name, minimum in (("trials", 1), ("t_stride", 1), ("threads", 1),
-                          ("seed", 0), ("drop_index", 0)):
+    for name in _BOUNDS:
         value = getattr(args, name, None)
-        if value is not None and value < minimum:
-            raise ConfigError(f"--{name.replace('_', '-')} must be >= {minimum}, got {value}")
+        if value is not None:
+            _check_bound(name, value, f"--{name.replace('_', '-')}")
 
 
 def _check_index(args, name: str, bound: int) -> None:

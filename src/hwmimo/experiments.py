@@ -47,6 +47,12 @@ REFERENCE_KAPPA = 0.0156
 REFERENCE_XI_OVER_SIGMA2 = 1.58
 REFERENCE_DELTA = 1.58e-4
 
+# a seed or drop index of 2^32 or more would draw another (seed, drop) key's
+# stream: SeedSequence splits an int into 32-bit words
+SEED_MAX = 2**32 - 1
+# 10^9 MMSE trials run for about two weeks; far larger counts cannot even list their chunks
+TRIALS_MAX = 10**9
+
 
 @dataclass(frozen=True)
 class HardwareVariant:
@@ -153,8 +159,10 @@ def validate_config(cfg: RunConfig) -> None:
         for v in values:
             _require(v in known, f"unknown {what} {v!r}")
     _require(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
+    _require(cfg.seed <= SEED_MAX, f"seed must be <= {SEED_MAX}, got {cfg.seed}")
     _require(cfg.scenario.drops >= 1, "drops must be >= 1")
     _require(exp.trials >= 1, f"trials must be >= 1, got {exp.trials}")
+    _require(exp.trials <= TRIALS_MAX, f"trials must be <= {TRIALS_MAX}, got {exp.trials}")
 
 
 # -- presets -------------------------------------------------------------------

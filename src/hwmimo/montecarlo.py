@@ -197,42 +197,37 @@ def _fan_out(fn, jobs: list, threads: int):
 def _fold(tiles, trials: int) -> list:
     """``[(mean, se), ...]`` of each per-trial array of the ``tiles``
     (tuples of arrays that lead with their trials, ``trials`` in all),
-    folded in trial order as the tiles come.  Only the running sums and
-    the sums of the at most ``_BATCHES`` batches of ``np.array_split`` are
-    kept.  Cumulative sums add one trial at a time, so with more than one
-    value per trial a mean is numpy's ``mean(axis=0)`` of the joined trials
-    bit for bit (numpy sums a single column pairwise).  The SE is the
-    spread of the batch means over sqrt(batches), for complex values
+    folded in trial order as the tiles come.  Only the running sum and the
+    sums of the at most ``_BATCHES`` batches of ``np.array_split`` are
+    kept, and each trial is added to its two sums in place, so no tile is
+    copied.  The sums start at -0.0, which adds as the identity, and add
+    one trial at a time, so wherever the tiles are cut a mean with more
+    than one value per trial is numpy's ``mean(axis=0)`` of the joined
+    trials bit for bit (numpy sums a single column pairwise).  The SE is
+    the spread of the batch means over sqrt(batches), for complex values
     sqrt(var re + var im)."""
-
-    def summed(prefix, x):  # prefix + x[0] + x[1] + ..., in that order
-        x = x if prefix is None else np.concatenate([prefix[None], x])
-        return np.cumsum(x, axis=0)[-1].copy()
-
     nb = min(_BATCHES, trials)
     sizes = np.full(nb, trials // nb)
     sizes[: trials % nb] += 1
-    ends = np.cumsum(sizes)
-    sums, done = None, 0
+    acc = None  # per array: row 0 the running sum, row 1 + b the sum of batch b
+    b, left = -1, 0  # the batch of the last trial, and the trials it still takes
     for tile in tiles:
-        if sums is None:
-            sums = [None] * len(tile)
-            batch_sums = [np.empty((nb, *x.shape[1:]), x.dtype) for x in tile]
-        n, lo = len(tile[0]), 0
-        while lo < n:  # trials lo..hi of the tile fall in batch b
-            b = int(np.searchsorted(ends, done + lo, side="right"))
-            hi = min(n, int(ends[b]) - done)
-            fresh = done + lo == ends[b] - sizes[b]
-            for bs, x in zip(batch_sums, tile):
-                bs[b] = summed(None if fresh else bs[b], x[lo:hi])
-            lo = hi
-        sums = [summed(s, x) for s, x in zip(sums, tile)]
-        done += n
+        if acc is None:
+            acc = [-np.zeros((1 + nb, *x.shape[1:]), x.dtype) for x in tile]
+        for trial in zip(*tile):
+            if not left:  # the trial opens batch b + 1
+                b += 1
+                left = int(sizes[b])
+                rows = [(a[0, ...], a[1 + b, ...]) for a in acc]  # views: the adds stay in place
+            for (total, batch), x in zip(rows, trial):
+                total += x
+                batch += x
+            left -= 1
     out = []
-    for s, bs in zip(sums, batch_sums):
-        means = bs / sizes.reshape((nb,) + (1,) * (bs.ndim - 1))
-        se = means.std(axis=0, ddof=1) / math.sqrt(nb) if nb > 1 else np.zeros(bs.shape[1:])
-        out.append((s / trials, se))
+    for a in acc:
+        means = a[1:] / sizes.reshape((nb,) + (1,) * (a.ndim - 1))
+        se = means.std(axis=0, ddof=1) / math.sqrt(nb) if nb > 1 else np.zeros(a.shape[1:])
+        out.append((a[0] / trials, se))
     return out
 
 
@@ -349,8 +344,8 @@ def estimate_moments(
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     L, K, N = cache.scenario.L, cache.scenario.K, cache.scenario.N
     ues = np.ravel(k)
-    # per UE its samples and their fold copies, and its estimate and filter at one use
-    tile_bytes = ues.size * 16 * (ts.size * (L * K + 4) + 2 * N)
+    # per UE its samples, and its estimate and filter at one use
+    tile_bytes = ues.size * (8 * ts.size * (L * K + 4) + 32 * N)
     gains = [[cache.reduced_gain(j, j, u, t) for u in ues.tolist()] for t in ts]
     subspace = None
     if filter_kind is FilterKind.MMSE:

@@ -106,6 +106,14 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
      "--carrier-hz", "1e200", "--symbol-time-s", "1", "--lo-quality", "1"],
     ["scaling-law", "--z1", "0.5", "--z2", "1e300", "--z3", "0", "-N", "64", "-T", "40",
      "--deployment", "colocated", "--n-grid", "64"],
+    # (seed, drop) keys of 2^32 or more would draw another key's stream
+    ["rates-mc", *_SMALL, "--ideal", "--trials", "2", "--seed", "4294967296"],
+    ["rates-cf", *_SMALL, "--ideal", "--drop-index", "4294967296"],
+    ["preset", "fig7", "--drops", "1", "--seed", "4294967296"],
+    # trial counts past the cap, rejected before any chunk is planned
+    ["rates-mc", *_SMALL, "--ideal", "--trials", "99999999999999999999", "--t-stride", "20"],
+    ["estimate", *_SMALL, "--ideal", "--trials", "99999999999999999999", "--t-stride", "20"],
+    ["preset", "fig7", "--drops", "1", "--trials", "1000000001"],
 ], ids=["not-a-scenario", "delta-nan", "B-below-K", "N-not-multiple-of-4", "trials-0",
         "t-stride-0", "n-grid-0", "xi-below-sigma2", "threads-0", "scenario-without-L",
         "scenario-with-string-L", "delta0-negative", "pilots-fill-block", "snr-db-overflow",
@@ -116,7 +124,9 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
         "rates-mc-pilots-fill-block", "estimate-pilots-fill-block", "rates-cf-threads-flag",
         "bad-choice", "non-number", "missing-required-flag", "carrier-overflow",
         "lna-noise-figure-overflow", "z2-overflow", "circuit-source-overflow",
-        "scaled-profile-overflow"])
+        "scaled-profile-overflow", "seed-above-cap", "drop-index-above-cap",
+        "preset-seed-above-cap", "rates-mc-trials-above-cap", "estimate-trials-above-cap",
+        "preset-trials-above-cap"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
         "not_a_scenario": {"hello": "world"},
@@ -166,6 +176,8 @@ _YAML_BASE = {
     ("experiment", "trials", 0),
     (None, "threads", 2),  # the run settings come from the command line
     (None, "out", "elsewhere"),
+    (None, "seed", 2**32),
+    ("experiment", "trials", 10**30),
 ])
 def test_bad_yaml_config_exits_2_with_one_line(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(_YAML_BASE))
@@ -316,6 +328,19 @@ def test_negative_seed_or_drop_index_exits_2_naming_the_input(
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+
+def test_hwmimo_seed_above_the_cap_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HWMIMO_SEED", "4294967296")
+    assert main(["scenario-gen", *_SMALL, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: HWMIMO_SEED must be <= 4294967295, got 4294967296\n"
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_seed_and_drop_index_at_the_cap_run(tmp_path):
+    argv = ["rates-mc", *_SMALL, "--ideal", "--trials", "2", "--t-stride", "20",
+            "--seed", "4294967295", "--drop-index", "4294967295"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
 
 
 def test_overflowing_pilot_covariance_exits_3(tmp_path, capsys):

@@ -5,7 +5,8 @@ Each example draws the argv of one subcommand from a grammar of its flags,
 or a YAML run configuration for ``preset``, with values from edge pools: 0,
 negative, huge, inf/nan, non-numbers, empty lists, out-of-range indices,
 and flags a command does not take.  Sizes stay tiny (N <= 16, T <= 40,
-trials <= 4), so each in-process ``main`` call costs milliseconds.  Exit 0
+trials <= 4; a huge trial count exits 2 before it runs), so each
+in-process ``main`` call costs milliseconds.  Exit 0
 writes nothing to stderr, exit 2 or 3 exactly one line (each warning counts
 as a line), exit 2 writes no CSV, and every CSV of an exit 0 holds a row.
 """
@@ -88,7 +89,8 @@ _CIRCUIT = {
     "--lo-quality": _float("1e-17"),
 }
 _EXPONENTS = {f"--z{i}": _float("0", "0.5", "1") for i in (1, 2, 3)}
-_TRIALS = {"--trials": _count("1", "4")}  # always given: the defaults run 10^4 trials
+# always given: the defaults run 10^4 trials; a huge count exits 2 before any chunk is planned
+_TRIALS = {"--trials": _count("1", "4", edges=(HUGE,))}
 _THREADS = {"--threads": _count("1", "2")}
 
 # command -> (flags always given, flags each drawn or left out, draws a hardware source)
@@ -135,7 +137,7 @@ def command_lines(draw) -> list:
                              ("nope", "{tmp}/missing.yaml", "{tmp}/garbage.json")))
         argv = [command, which, "--drops", draw(_count("1")),
                 draw(st.sampled_from(["--n-grid", "--t-grid"])), draw(_grid("16", "40,80"))]
-        argv += draw(_flags({**_THREADS, "--trials": _count("1", "4"), "--seed": _SEED}))
+        argv += draw(_flags({**_THREADS, **_TRIALS, "--seed": _SEED}))
     else:
         always, optional, hardware = GRAMMAR[command]
         argv = [command, *_given(draw, always), *draw(_flags(optional))]
@@ -205,6 +207,9 @@ def _check_exit(argv: list) -> None:
 @example(argv=["rates-cf", "--lo", "xyz"])
 @example(argv=["rates-cf", "-N", "abc"])
 @example(argv=["sweep-n", "--ideal", "-N", "8", "-T", "20"])
+# trial counts past the cap, which no chunk list could hold
+@example(argv=["rates-mc", "--ideal", "-N", "8", "-T", "20", "--trials", HUGE])
+@example(argv=["estimate", "--ideal", "-N", "8", "-T", "20", "--trials", HUGE])
 def test_every_command_line_exits_0_2_or_3(files, argv):
     _check_exit([a.replace("{tmp}", str(files)) for a in argv])
 
@@ -266,7 +271,7 @@ YAML_GRAMMAR = {
     ("pilots", "length"): _size(2, 16, None, edges=(20, 21, 10**9)),
     ("experiment", "n_grid"): _yaml_grid([8, 16], [4]),
     ("experiment", "t_grid"): _yaml_grid([20, 40], [9]),
-    ("experiment", "trials"): _size(1, 4),
+    ("experiment", "trials"): _size(1, 4, edges=(10**30,)),
     ("experiment", "filter_kind"): _pool("mmse", "mrc"),
     ("experiment", "include_asymptote"): _values((True,), ("abc",)),
     ("experiment", "bogus"): _pool(1),
@@ -316,6 +321,8 @@ def _with_files(value, tmp: Path):
 @example(cfg={**_YAML_BASE, "scenario": {**_YAML_BASE["scenario"], "deployments": []}})
 @example(cfg={**_YAML_BASE, "pilots": {**_YAML_BASE["pilots"], "books": []}})
 @example(cfg={**_YAML_BASE, "pilots": {**_YAML_BASE["pilots"], "placements": []}})
+# a trial count past the cap
+@example(cfg={**_YAML_BASE, "experiment": {"kind": "rates-mc", "trials": 10**30}})
 def test_every_yaml_run_config_exits_0_2_or_3(files, cfg):
     cfg = _with_files(cfg, files)
     with contextlib.suppress(ConfigError):  # any other exception fails the test

@@ -152,6 +152,39 @@ def test_fold_equals_the_joined_reduction(trials):
         np.testing.assert_array_equal(se, want_se)
 
 
+def _random_tiles(g, values, cuts):
+    """``values`` cut at ``cuts`` random places along its trial axis, one tile each."""
+    trials = values.shape[0]
+    edges = [0, *np.sort(g.choice(np.arange(1, trials), size=cuts, replace=False)).tolist(),
+             trials]
+    return [(values[lo:hi],) for lo, hi in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("trials", [99, 1000, 4321])
+def test_fold_of_one_value_per_trial_ignores_the_tile_cuts(trials):
+    # one value per trial, as `estimate` at one channel use: the running
+    # sums add the same trials in the same order under any cut
+    g = np.random.default_rng(trials)
+    values = g.normal(size=trials) * 10.0 ** g.uniform(-4, 4, size=trials)
+    few = _fold(iter(_random_tiles(g, values, min(trials - 1, 3))), trials)
+    many = _fold(iter(_random_tiles(g, values, min(trials - 1, 40))), trials)
+    for a, b in zip(few[0], many[0]):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_fold_keeps_no_copy_of_a_tile():
+    # only the running and batch sums grow with the per-trial size; the
+    # tiles are added in place, not joined or cumulatively summed
+    g = np.random.default_rng(5)
+    trials = 800
+    real = g.normal(size=(trials, 4, 30, 25))
+    cplx = g.normal(size=(trials, 4)) + 1j * g.normal(size=(trials, 4))
+    tiles = [(real[lo:lo + 400], cplx[lo:lo + 400]) for lo in (0, 400)]
+    one_trial = real[0].nbytes + cplx[0].nbytes
+    peak = _traced_peak(lambda: _fold(iter(tiles), trials))
+    assert peak < (1 + _BATCHES) * one_trial + 400 * one_trial
+
+
 def test_stderr_scaling_with_trials(rng):
     scen = random_scenario(rng, L=1, K=2, N=2, T=8)
     hw = impaired_profile(delta=1e-3, kappa2=0.02)
@@ -546,7 +579,7 @@ def test_tiles_bound_the_peak_memory_of_a_chunk(rng, monkeypatch):
     L, K, N, r = scen.L, scen.K, scen.N, cache.B * cache.Ae
     per_trial = world_bytes(scen, hw, cache.book, ts)  # chunks count the world alone
     # tiles add one UE's samples, estimate and filter, and the filter's blocks and system
-    per_tile_trial = (per_trial + 16 * (ts.size * (L * K + 4) + 2 * N)
+    per_tile_trial = (per_trial + 8 * ts.size * (L * K + 4) + 32 * N
                       + 16 * (3 * r * N + N * N))
     trials = 200
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", trials * per_trial)

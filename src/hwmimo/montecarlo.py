@@ -18,6 +18,12 @@ every product is per trial, so the tile size does not change a bit either.
 The UEs of a cell share each world, and the trials fold into running sums
 as they run, so memory does not grow with the trial count.
 
+A pass (:func:`estimate_moments`, :func:`empirical_mse`) runs BLAS at one
+thread from its first product to its last.  Its products are small, and
+an OpenBLAS worker woken by one spins for about 0.1 s after it, a second
+core's CPU bought for no speed; the pool of ``McConfig.threads`` is a
+pass's only parallelism.
+
 The MMSE filter runs in the r = B*Ae dimensional pilot subspace that every
 estimate of the cell lies in (:func:`mmse_filter`).  The UEs' own gains,
 and the filter's error diagonal and pilot-subspace Gram (:func:`_mmse_use`),
@@ -44,6 +50,8 @@ from .rates import _sinr_from_moments, ergodic_rate
 _CHUNK_TARGET_BYTES = 64 * 2**20  # world bytes per chunk: its trials, and so the random stream
 _TILE_TARGET_BYTES = 8 * 2**20  # trials per tile of a chunk: the size of its temporaries
 _BATCHES = 100  # batch means behind every standard error
+_FOLD_NARROW_BYTES = 1024  # trials up to this size fold in blocks, wider ones one by one
+_FOLD_BLOCK_BYTES = 64 * 2**10  # trials per block of a narrow fold
 
 
 class FilterKind(str, Enum):
@@ -179,7 +187,8 @@ def _fan_out(fn, jobs: list, threads: int):
     finish, on a thread pool when ``threads > 1`` and there is more than
     one job.  While the pool runs, its workers split the BLAS threads (one
     each at least, the count restored afterwards), so pool and BLAS threads
-    do not oversubscribe the cores."""
+    do not oversubscribe the cores.  A Monte Carlo pass has pinned them at
+    one already, so there each worker runs at one."""
     if threads > 1 and len(jobs) > 1:
         workers = min(threads, len(jobs))
         get, put = _blas_threads() or (lambda: 1, lambda n: None)
@@ -194,18 +203,37 @@ def _fan_out(fn, jobs: list, threads: int):
         yield from map(fn, jobs)
 
 
+def _add_in_order(row: np.ndarray, trials: np.ndarray) -> None:
+    """Add ``trials`` (leading axis) to ``row`` in place, one after another.
+    Narrow trials go in blocks through ``np.add.accumulate`` over ``[row;
+    block]``, which adds in sequence too, so the bits are those of one
+    in-place add per trial without a Python step per trial.  Wide trials,
+    and runs too short to pay for a block's two copies, add one by one."""
+    per_trial = trials.itemsize * row.size
+    if per_trial > _FOLD_NARROW_BYTES or len(trials) < 4:
+        for x in trials:
+            row += x
+        return
+    step = _FOLD_BLOCK_BYTES // max(per_trial, 1)
+    for lo in range(0, len(trials), step):
+        work = np.concatenate([row[None], trials[lo:lo + step]])
+        np.add.accumulate(work, axis=0, out=work)
+        row[...] = work[-1]
+
+
 def _fold(tiles, trials: int) -> list:
     """``[(mean, se), ...]`` of each per-trial array of the ``tiles``
     (tuples of arrays that lead with their trials, ``trials`` in all),
     folded in trial order as the tiles come.  Only the running sum and the
     sums of the at most ``_BATCHES`` batches of ``np.array_split`` are
-    kept, and each trial is added to its two sums in place, so no tile is
-    copied.  The sums start at -0.0, which adds as the identity, and add
-    one trial at a time, so wherever the tiles are cut a mean with more
-    than one value per trial is numpy's ``mean(axis=0)`` of the joined
-    trials bit for bit (numpy sums a single column pairwise).  The SE is
-    the spread of the batch means over sqrt(batches), for complex values
-    sqrt(var re + var im)."""
+    kept, and each segment of a tile that falls in one batch is added to
+    its two sums in place (:func:`_add_in_order`), so no tile is copied.
+    The sums start at -0.0, which adds as the identity, and add one trial
+    at a time, so wherever the tiles are cut a mean with more than one
+    value per trial is numpy's ``mean(axis=0)`` of the joined trials bit
+    for bit (numpy sums a single column pairwise).  The SE is the spread
+    of the batch means over sqrt(batches), for complex values sqrt(var re
+    + var im)."""
     nb = min(_BATCHES, trials)
     sizes = np.full(nb, trials // nb)
     sizes[: trials % nb] += 1
@@ -214,15 +242,17 @@ def _fold(tiles, trials: int) -> list:
     for tile in tiles:
         if acc is None:
             acc = [-np.zeros((1 + nb, *x.shape[1:]), x.dtype) for x in tile]
-        for trial in zip(*tile):
-            if not left:  # the trial opens batch b + 1
+        lo, n = 0, len(tile[0])
+        while lo < n:
+            if not left:  # the segment opens batch b + 1
                 b += 1
                 left = int(sizes[b])
-                rows = [(a[0, ...], a[1 + b, ...]) for a in acc]  # views: the adds stay in place
-            for (total, batch), x in zip(rows, trial):
-                total += x
-                batch += x
-            left -= 1
+            hi = min(n, lo + left)
+            for a, x in zip(acc, tile):
+                _add_in_order(a[0, ...], x[lo:hi])  # views: the adds stay in place
+                _add_in_order(a[1 + b, ...], x[lo:hi])
+            left -= hi - lo
+            lo = hi
     out = []
     for a in acc:
         means = a[1:] / sizes.reshape((nb,) + (1,) * (a.ndim - 1))
@@ -325,6 +355,7 @@ def _mmse_use(cache: EstimatorCache, j: int, t) -> tuple:
     return err, gram
 
 
+@_one_blas_thread()
 def estimate_moments(
     cache: EstimatorCache,
     filter_kind: FilterKind,
@@ -374,6 +405,7 @@ def _rate_from_means(cache: EstimatorCache, j: int, k, m: McMoments) -> tuple:
     return np.reshape(rates, np.shape(k)), traj
 
 
+@_one_blas_thread()
 def empirical_mse(
     cache: EstimatorCache, j: int, l: int, k: int, ts, mc: McConfig
 ) -> tuple[np.ndarray, np.ndarray]:

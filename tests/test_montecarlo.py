@@ -6,7 +6,7 @@ import pytest
 
 from hwmimo import estimator, montecarlo
 from hwmimo.channel import draw_world, world_bytes
-from hwmimo.estimator import build_cache
+from hwmimo.estimator import EstimatorCache, build_cache
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile
 from hwmimo.montecarlo import (
     _BATCHES,
@@ -183,6 +183,41 @@ def test_fold_keeps_no_copy_of_a_tile():
     one_trial = real[0].nbytes + cplx[0].nbytes
     peak = _traced_peak(lambda: _fold(iter(tiles), trials))
     assert peak < (1 + _BATCHES) * one_trial + 400 * one_trial
+
+
+class _Counted(np.ndarray):
+    """An array that counts the numpy functions and ufuncs called on it or
+    on its views."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counted.calls += 1
+
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, _Counted) else x for x in xs)
+
+        if out is not None:
+            kwargs["out"] = plain(out)
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        _Counted.calls += 1
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def test_fold_of_cheap_trials_makes_no_numpy_call_per_trial(monkeypatch):
+    # 10^5 one-value trials in one tile fold in blocks: the numpy calls grow
+    # with the batches and the blocks, not with the trials
+    trials = 100_000
+    values = np.random.default_rng(6).normal(size=(trials, 1))
+    monkeypatch.setattr(_Counted, "calls", 0)
+    ((mean, se),) = _fold(iter([(values.view(_Counted),)]), trials)
+    block = montecarlo._FOLD_BLOCK_BYTES // values[0].nbytes
+    assert _Counted.calls <= 8 * (_BATCHES + trials // block + 1)
+    ((want_mean, want_se),) = _fold(iter([(values,)]), trials)
+    np.testing.assert_array_equal(mean, want_mean)
+    np.testing.assert_array_equal(se, want_se)
 
 
 def test_stderr_scaling_with_trials(rng):
@@ -510,6 +545,49 @@ def test_pool_jobs_split_the_live_blas_threads():
         list(montecarlo._fan_out(lambda i: 1 // i, [1, 0], 2))
     assert get() == before
     assert list(montecarlo._fan_out(lambda _: get(), [0, 1], 1)) == [before] * 2
+
+
+def test_monte_carlo_passes_run_at_one_blas_thread(rng, monkeypatch):
+    # a pass pins BLAS at one thread from its first product to its last,
+    # so no BLAS worker spins beside it; pool workers then run at one too,
+    # and the count comes back afterwards, also when a tile raises
+    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
+    blas = _FakeBlas(8)
+    monkeypatch.setattr(estimator, "_blas_threads", lambda: (blas.get, blas.set))
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: (blas.get, blas.set))
+    seen, fail = [], []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            seen.append(blas.threads)
+            if fail and len(seen) >= fail[0]:
+                raise RuntimeError("tile failed")
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(montecarlo, "draw_world", recording(montecarlo.draw_world))
+    monkeypatch.setattr(montecarlo, "_mmse_use", recording(montecarlo._mmse_use))
+    monkeypatch.setattr(EstimatorCache, "reduced_gain", recording(EstimatorCache.reduced_gain))
+    monkeypatch.setattr(EstimatorCache, "apply_reduced_gain",
+                        recording(EstimatorCache.apply_reduced_gain))
+    passes = [lambda mc, kind=kind: estimate_moments(cache, kind, 0, [0, 1], [5, 8], mc)
+              for kind in FilterKind]
+    passes.append(lambda mc: empirical_mse(cache, 0, 1, 0, [5, 8], mc))
+    for run in passes:
+        for threads in (1, 2):
+            mc = McConfig(trials=400, seed=3, threads=threads)
+            fail.clear()
+            seen.clear()
+            run(mc)
+            assert seen and set(seen) == {1} and blas.threads == 8
+            fail.append(len(seen) // 2)
+            seen.clear()
+            with pytest.raises(RuntimeError, match="tile failed"):
+                run(mc)
+            assert set(seen) == {1} and blas.threads == 8
 
 
 def test_fan_out_without_blas_control_gives_the_same_moments(rng, monkeypatch):

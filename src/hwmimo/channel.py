@@ -12,6 +12,11 @@ distortion noise upsilon has per-antenna variance proportional to the
 received pilot power at that antenna for the given channel realization,
 and eta is amplified receiver noise of variance ``xi``.  Samples at data
 times are never drawn.
+
+A draw holds the arrays it returns plus blocks of at most about 1 MiB
+(``rng._BLOCK_BYTES``, or one row when a row is wider) and the pilot-sized
+distortion variance and noise; it forms no whole-chunk normal array, no
+whole-chunk ``|h|^2`` and no rotation at a time it does not use.
 """
 
 import numpy as np
@@ -62,15 +67,21 @@ def draw_phases(
     if times.size > 1:
         gaps = np.diff(times)
         std = np.sqrt(delta * gaps)
-        incr = rng.standard_normal((trials, times.size - 1, n_osc)) * std[:, None]
-        phi[:, 1:, :] = phi[:, :1, :] + np.cumsum(incr, axis=1)
+        incr = rng.standard_normal((trials, times.size - 1, n_osc))
+        incr *= std[:, None]
+        np.cumsum(incr, axis=1, out=incr)
+        np.add(phi[:, :1, :], incr, out=phi[:, 1:, :])
     return phi
 
 
 def world_bytes(scenario: Scenario, hw: HardwareProfile, book: PilotBook, ts) -> int:
     """Bytes per trial of a :func:`draw_world` world at the channel uses ``ts``:
     channels and their power, observation and distortion variance, per (time,
-    oscillator) phase, increment and rotation, and rotations at pilots and ``ts``."""
+    oscillator) phase, increment and rotation, and rotations at pilots and ``ts``.
+
+    The draw forms ``|h|^2`` a block of trials at a time and rotations at the
+    pilots and ``ts`` only, so it holds less than this count.  The count
+    keeps them because it sizes the chunks, and the chunk sizes key the stream."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     n_times = len(set(book.tau) | set(np.asarray(ts).tolist()))
     n_osc = N if hw.lo_mode is LoMode.SLO else 1
@@ -91,9 +102,10 @@ def draw_world(
     phase rotations rot_ts (size, len(ts), n_osc) at the channel uses ``ts``
     and the stacked pilot observation psi (size, B*N), pilot-time major.
     Each entity has its own substream keyed (seed, chunk_index, j, entity);
-    ``seed`` may be a (seed, drop) pair (see :func:`rng.substream`)."""
+    ``seed`` may be a (seed, drop) pair (see :func:`rng.substream`).  Past
+    these outputs the draw holds only blocks of bounded size (see above)."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
-    lam = scenario.full_cov()[j]  # (L, K, N)
+    lam = np.repeat(scenario.cov[j], scenario.multiplicity, axis=-1)  # (L, K, N)
     tau = np.asarray(book.tau, dtype=int)
 
     h = _rng.complex_normal(
@@ -104,24 +116,33 @@ def draw_world(
     n_osc = N if hw.lo_mode is LoMode.SLO else 1
     phases = _rng.substream(seed, chunk_index, j, _rng.PHASE)
     phi = draw_phases(hw.delta, times, n_osc, phases, trials=size)
-    rot = np.exp(1j * phi)  # (size, n_times, n_osc)
     where = {t: i for i, t in enumerate(times)}
-    rot_tau = rot[:, [where[float(t)] for t in tau], :]  # (size, B, n_osc)
-    rot_ts = rot[:, [where[float(t)] for t in ts], :]  # (size, nt, n_osc)
+    rot_tau = np.exp(1j * phi[:, [where[float(t)] for t in tau], :])  # (size, B, n_osc)
+    rot_ts = np.exp(1j * phi[:, [where[float(t)] for t in ts], :])  # (size, nt, n_osc)
+    del phi
 
     # the pilot sums over the L*K links are one GEMM per trial: (B, L*K) @ (L*K, N)
     seq = book.sequences.transpose(1, 0, 2).reshape(B, L * K)
     links = h.reshape(size, L * K, N)
     psi = np.matmul(seq, links)  # the clean observation, (size, B, N)
-    power = np.abs(links)
-    power *= power
-    ups_var = np.matmul(np.abs(seq) ** 2, power)  # received pilot power, (size, B, N)
+    psi *= rot_tau
+    del rot_tau
+    # received pilot power, (size, B, N), from |h|^2 one block of trials at a time
+    seq2 = np.abs(seq) ** 2
+    ups_var = np.empty((size, B, N))
+    rows = max(1, min(size, _rng._BLOCK_BYTES // (8 * L * K * N)))
+    power = np.empty((rows, L * K, N))
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        block = np.abs(links[lo:hi], out=power[: hi - lo])
+        block *= block
+        np.matmul(seq2, block, out=ups_var[lo:hi])
     del power
     ups_var *= hw.kappa2
-    psi *= rot_tau
     psi += _rng.complex_normal(
         _rng.substream(seed, chunk_index, j, _rng.DISTORTION), ups_var, (size, B, N)
     )
+    del ups_var
     psi += _rng.complex_normal(
         _rng.substream(seed, chunk_index, j, _rng.RECEIVER_NOISE), hw.xi, (size, B, N)
     )

@@ -7,6 +7,10 @@ co-located array (A = 1), not the package's per-subarray forms.
 the impairment-free model, :func:`dense_mmse_filter` builds the Monte
 Carlo MMSE filter from its N x N system, and :func:`stacked_mmse_use` its
 pilot-subspace Gram from the stacked zero-padded reduced gains.
+:func:`whole_complex_normal`, :func:`whole_draw_phases` and
+:func:`whole_draw_world` draw the same bits as the package's blockwise
+draws from whole-shape arrays: a normal array per part, every rotation,
+and the pilot power of the whole chunk.
 
 :func:`lmmse_estimate`, :func:`sinr_trajectory`, :func:`ue_rate` and
 :func:`asymptotic_sinr` are compositions of package pieces that give one
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hwmimo import montecarlo
-from hwmimo.channel import draw_world
+from hwmimo import rng as _rng
+from hwmimo.channel import draw_world, sorted_unique
 from hwmimo.estimator import EstimatorCache, error_covariance
 from hwmimo.model import LoMode
 from hwmimo.rates import (
@@ -188,6 +193,57 @@ def all_link_estimates(cache: EstimatorCache, j: int, t, psi: np.ndarray) -> tup
                     for l in range(L) for k in range(K)], axis=1)
     ls, ks = np.indices((L, K))
     return est.reshape(psi.shape[0], L, K, -1), error_covariance(cache, j, ls, ks, t)[0]
+
+
+def whole_complex_normal(rng: np.random.Generator, var, shape) -> np.ndarray:
+    """:func:`hwmimo.rng.complex_normal` from one whole-shape normal array per part."""
+    scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)
+    out = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
+
+
+def whole_draw_phases(delta, times, n_osc, rng, trials) -> np.ndarray:
+    """:func:`hwmimo.channel.draw_phases` with its walk summed out of place."""
+    times = np.asarray(times, dtype=float)
+    phi = np.empty((trials, times.size, n_osc))
+    phi[:, 0, :] = rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_osc))
+    if times.size > 1:
+        std = np.sqrt(delta * np.diff(times))
+        incr = rng.standard_normal((trials, times.size - 1, n_osc)) * std[:, None]
+        phi[:, 1:, :] = phi[:, :1, :] + np.cumsum(incr, axis=1)
+    return phi
+
+
+def whole_draw_world(scenario, hw, book, j, ts, chunk_index, size, seed) -> tuple:
+    """:func:`hwmimo.channel.draw_world` from every cell's covariance, the
+    rotations at every time and the pilot power |h|^2 of the whole chunk."""
+    L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
+    lam = scenario.full_cov()[j]
+    tau = np.asarray(book.tau, dtype=int)
+    h = whole_complex_normal(
+        _rng.substream(seed, chunk_index, j, _rng.CHANNEL), lam, (size, L, K, N)
+    )
+    times = sorted_unique(np.concatenate([tau.astype(float), ts]))
+    n_osc = N if hw.lo_mode is LoMode.SLO else 1
+    phases = _rng.substream(seed, chunk_index, j, _rng.PHASE)
+    rot = np.exp(1j * whole_draw_phases(hw.delta, times, n_osc, phases, size))
+    where = {t: i for i, t in enumerate(times)}
+    rot_tau = rot[:, [where[float(t)] for t in tau], :]
+    rot_ts = rot[:, [where[float(t)] for t in ts], :]
+    seq = book.sequences.transpose(1, 0, 2).reshape(B, L * K)
+    links = h.reshape(size, L * K, N)
+    psi = np.matmul(seq, links)
+    ups_var = np.matmul(np.abs(seq) ** 2, np.abs(links) ** 2) * hw.kappa2
+    psi *= rot_tau
+    psi += whole_complex_normal(
+        _rng.substream(seed, chunk_index, j, _rng.DISTORTION), ups_var, (size, B, N)
+    )
+    psi += whole_complex_normal(
+        _rng.substream(seed, chunk_index, j, _rng.RECEIVER_NOISE), hw.xi, (size, B, N)
+    )
+    return h, rot_ts, psi.reshape(size, B * N)
 
 
 # -- compositions of package pieces ---------------------------------------------

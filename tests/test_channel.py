@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from hwmimo import rng as _rng
 from hwmimo.channel import draw_phases, draw_world, phase_correlation, sorted_unique
 from hwmimo.model import HardwareProfile, LoMode, conventional_profile
 from hwmimo.rng import RECEIVER_NOISE, complex_normal, substream
 
 from conftest import impaired_profile, make_book, random_scenario
+from oracles import whole_complex_normal, whole_draw_world
 
 
 def test_phase_correlation_trivia():
@@ -185,3 +187,50 @@ def test_substreams_disjoint():
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
     np.testing.assert_array_equal(a, substream(1, 0, 0, 0).standard_normal(8))
+
+
+@pytest.mark.parametrize("block_bytes", [2**20, 8 * 5 * 6 * 3, 8])
+@pytest.mark.parametrize("var", ["scalar", "trailing", "full"])
+def test_complex_normal_blocks_match_whole_shape_draw(rng, monkeypatch, block_bytes, var):
+    # 17 rows of 5 x 6: one block, blocks of 3 rows with a ragged last one,
+    # and a budget below one row, which fills one row per block
+    monkeypatch.setattr(_rng, "_BLOCK_BYTES", block_bytes)
+    shape = (17, 5, 6)
+    var = {"scalar": 1.7, "trailing": rng.uniform(0.1, 2.0, (5, 6)),
+           "full": rng.uniform(0.1, 2.0, shape)}[var]
+    got = complex_normal(substream(4, 2, 1, 0), var, shape)
+    want = whole_complex_normal(substream(4, 2, 1, 0), var, shape)
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(), (0, 3), (3, 0)])
+def test_complex_normal_scalar_and_empty_shapes(shape):
+    got = complex_normal(substream(6, 1), 0.8, shape)
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, whole_complex_normal(substream(6, 1), 0.8, shape))
+
+
+def test_complex_normal_row_wider_than_block():
+    # rows of 2**18 entries (2 MiB per part) are filled one row per block
+    shape = (3, 2**18)
+    np.testing.assert_array_equal(complex_normal(substream(5, 0), 0.3, shape),
+                                  whole_complex_normal(substream(5, 0), 0.3, shape))
+
+
+@pytest.mark.parametrize("lo", [LoMode.CLO, LoMode.SLO])
+@pytest.mark.parametrize("block_bytes", [2**20, 3 * 8 * 2 * 3 * 8, 8])
+def test_draw_world_matches_whole_chunk_draw(rng, monkeypatch, lo, block_bytes):
+    # 11 trials in one block, in blocks of 3 (h and |h|^2) with a ragged
+    # last one, and one row per block under a budget narrower than a row;
+    # SLO walks 8 oscillators over 29 times
+    monkeypatch.setattr(_rng, "_BLOCK_BYTES", block_bytes)
+    scen = random_scenario(rng, L=2, K=3, N=8, T=40, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=lo, delta=2e-3, kappa2=0.04)
+    book = make_book(scen)
+    ts = np.arange(5.0, 31.0)
+    got = draw_world(scen, hw, book, 1, ts, 3, 11, seed=(9, 2))
+    want = whole_draw_world(scen, hw, book, 1, ts, 3, 11, seed=(9, 2))
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)

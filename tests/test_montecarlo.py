@@ -646,6 +646,22 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def test_world_draw_holds_its_outputs_and_bounded_blocks():
+    # the mc-mmse chunk (distributed N = 64, 200 links, 100 trials, 3 data
+    # uses under SLOs): past its outputs, a draw holds blocks of about 1 MiB
+    # and the pilot-sized distortion draw, not whole-chunk normals or |h|^2
+    # (35.6 MiB traced over 20.6 MiB of outputs before, 22.7 MiB now)
+    scen = generate("distributed", N=64, snr_db=5.0, T=500, seed=0)
+    hw = HardwareProfile(delta=1.58e-4, kappa2=2.4336e-4, xi=1.58 * scen.sigma2,
+                         lo_mode=LoMode.SLO)
+    book = make_book(scen)
+    ts = np.array([9.0, 173.0, 337.0])
+    outputs = sum(a.nbytes for a in draw_world(scen, hw, book, 0, ts, 0, 100, seed=0))
+    assert outputs > 20 * 2**20
+    peak = _traced_peak(lambda: draw_world(scen, hw, book, 0, ts, 0, 100, seed=0))
+    assert peak < outputs + 6 * 2**20
+
+
 def test_tiles_bound_the_peak_memory_of_a_chunk(rng, monkeypatch):
     # one MMSE chunk of 200 trials holds its world plus a few tiles of
     # temporaries, not 200 trials' estimates, Gram matrices and filters

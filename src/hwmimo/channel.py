@@ -13,17 +13,24 @@ received pilot power at that antenna for the given channel realization,
 and eta is amplified receiver noise of variance ``xi``.  Samples at data
 times are never drawn.
 
-A draw holds the arrays it returns plus blocks of at most about 1 MiB
-(``rng._BLOCK_BYTES``, or one row when a row is wider) and the pilot-sized
-distortion variance and noise; it forms no whole-chunk normal array, no
-whole-chunk ``|h|^2`` and no rotation at a time it does not use.
+A chunk's world is drawn tile by tile: each tile of trials is drawn when
+it is reached, so a chunk holds one tile's world at a time.  A tile holds
+the arrays it returns plus blocks of at most about 1 MiB (``_BLOCK_BYTES``,
+or one trial when a trial is wider) and the pilot-sized distortion
+variance and noise; it forms no whole-tile ``|h|^2`` and no rotation at a
+time it does not use.  Each entity's substream is consumed in trial order
+(see :mod:`hwmimo.rng`), so the tile cuts change no number.
 """
+
+import itertools
 
 import numpy as np
 
 from . import rng as _rng
 from .model import HardwareProfile, LoMode, Scenario
 from .pilots import PilotBook
+
+_BLOCK_BYTES = 2**20  # bytes of the trial blocks in which a draw forms |h|^2
 
 
 def phase_correlation(delta: float, dt) -> np.ndarray | float:
@@ -50,12 +57,14 @@ def draw_phases(
     n_osc: int,
     rng: np.random.Generator,
     trials: int,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample Wiener phase trajectories at the given (sorted, 1-based) times.
 
     Only phase differences and the marginal modulo 2*pi matter downstream,
-    so the walk starts from a uniform phase at the first requested time.
-    Returns shape (trials, len(times), n_osc).
+    so the walk starts from a uniform phase at the first requested time:
+    ``start`` (trials, n_osc) when given, else drawn from ``rng`` before
+    the increments.  Returns shape (trials, len(times), n_osc).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -63,7 +72,7 @@ def draw_phases(
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     phi = np.empty((trials, times.size, n_osc))
-    phi[:, 0, :] = rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_osc))
+    phi[:, 0, :] = rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_osc)) if start is None else start
     if times.size > 1:
         gaps = np.diff(times)
         std = np.sqrt(delta * gaps)
@@ -79,9 +88,11 @@ def world_bytes(scenario: Scenario, hw: HardwareProfile, book: PilotBook, ts) ->
     channels and their power, observation and distortion variance, per (time,
     oscillator) phase, increment and rotation, and rotations at pilots and ``ts``.
 
-    The draw forms ``|h|^2`` a block of trials at a time and rotations at the
-    pilots and ``ts`` only, so it holds less than this count.  The count
-    keeps them because it sizes the chunks, and the chunk sizes key the stream."""
+    It sizes both the chunk partition and, with a pass's own temporaries, a
+    chunk's tiles, so it counts a tile's world per trial.  The draw forms
+    ``|h|^2`` a block of trials at a time and rotations at the pilots and
+    ``ts`` only, so a tile holds less than this count.  The count keeps
+    them because it sizes the chunks, and the chunk sizes key the stream."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     n_times = len(set(book.tau) | set(np.asarray(ts).tolist()))
     n_osc = N if hw.lo_mode is LoMode.SLO else 1
@@ -97,53 +108,62 @@ def draw_world(
     chunk_index: int,
     size: int,
     seed: int,
+    tiles=None,
 ):
-    """One chunk of ``size`` trials seen by cell j: channels h (size, L, K, N),
-    phase rotations rot_ts (size, len(ts), n_osc) at the channel uses ``ts``
-    and the stacked pilot observation psi (size, B*N), pilot-time major.
+    """One chunk of ``size`` trials seen by cell j, as an iterator of one
+    world per tile: ``tiles`` are consecutive trial counts summing to
+    ``size`` (default one tile of all).  A world of n trials holds the
+    channels h (n, L, K, N), the phase rotations rot_ts (n, len(ts), n_osc)
+    at the channel uses ``ts`` and the stacked pilot observation psi
+    (n, B*N), pilot-time major.
     Each entity has its own substream keyed (seed, chunk_index, j, entity);
-    ``seed`` may be a (seed, drop) pair (see :func:`rng.substream`).  Past
-    these outputs the draw holds only blocks of bounded size (see above)."""
+    ``seed`` may be a (seed, drop) pair (see :func:`rng.substream`).  The
+    chunk's phase starts are drawn on the call; everything else of a tile
+    is drawn when the iterator reaches it, continuing each substream, so the
+    tiles joined are the one-tile world bit for bit."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     lam = np.repeat(scenario.cov[j], scenario.multiplicity, axis=-1)  # (L, K, N)
     tau = np.asarray(book.tau, dtype=int)
-
-    h = _rng.complex_normal(
-        _rng.substream(seed, chunk_index, j, _rng.CHANNEL), lam, (size, L, K, N)
-    )
-
     times = sorted_unique(np.concatenate([tau.astype(float), ts]))
-    n_osc = N if hw.lo_mode is LoMode.SLO else 1
-    phases = _rng.substream(seed, chunk_index, j, _rng.PHASE)
-    phi = draw_phases(hw.delta, times, n_osc, phases, trials=size)
     where = {t: i for i, t in enumerate(times)}
-    rot_tau = np.exp(1j * phi[:, [where[float(t)] for t in tau], :])  # (size, B, n_osc)
-    rot_ts = np.exp(1j * phi[:, [where[float(t)] for t in ts], :])  # (size, nt, n_osc)
-    del phi
-
+    at_tau = [where[float(t)] for t in tau]
+    at_ts = [where[float(t)] for t in ts]
+    n_osc = N if hw.lo_mode is LoMode.SLO else 1
+    channel, phases, distortion, noise = (
+        _rng.substream(seed, chunk_index, j, entity)
+        for entity in (_rng.CHANNEL, _rng.PHASE, _rng.DISTORTION, _rng.RECEIVER_NOISE))
+    starts = phases.uniform(0.0, 2.0 * np.pi, size=(size, n_osc))
     # the pilot sums over the L*K links are one GEMM per trial: (B, L*K) @ (L*K, N)
     seq = book.sequences.transpose(1, 0, 2).reshape(B, L * K)
-    links = h.reshape(size, L * K, N)
-    psi = np.matmul(seq, links)  # the clean observation, (size, B, N)
-    psi *= rot_tau
-    del rot_tau
-    # received pilot power, (size, B, N), from |h|^2 one block of trials at a time
     seq2 = np.abs(seq) ** 2
-    ups_var = np.empty((size, B, N))
-    rows = max(1, min(size, _rng._BLOCK_BYTES // (8 * L * K * N)))
-    power = np.empty((rows, L * K, N))
-    for lo in range(0, size, rows):
-        hi = min(lo + rows, size)
-        block = np.abs(links[lo:hi], out=power[: hi - lo])
-        block *= block
-        np.matmul(seq2, block, out=ups_var[lo:hi])
-    del power
-    ups_var *= hw.kappa2
-    psi += _rng.complex_normal(
-        _rng.substream(seed, chunk_index, j, _rng.DISTORTION), ups_var, (size, B, N)
-    )
-    del ups_var
-    psi += _rng.complex_normal(
-        _rng.substream(seed, chunk_index, j, _rng.RECEIVER_NOISE), hw.xi, (size, B, N)
-    )
-    return h, rot_ts, psi.reshape(size, B * N)
+
+    def tile(lo, hi):
+        n = hi - lo
+        h = _rng.complex_normal(channel, lam, (n, L, K, N))
+        phi = draw_phases(hw.delta, times, n_osc, phases, n, start=starts[lo:hi])
+        rot_tau = np.exp(1j * phi[:, at_tau, :])  # (n, B, n_osc)
+        rot_ts = np.exp(1j * phi[:, at_ts, :])  # (n, nt, n_osc)
+        del phi
+        links = h.reshape(n, L * K, N)
+        psi = np.matmul(seq, links)  # the clean observation, (n, B, N)
+        psi *= rot_tau
+        del rot_tau
+        # received pilot power, (n, B, N), from |h|^2 one block of trials at a time
+        ups_var = np.empty((n, B, N))
+        rows = max(1, min(n, _BLOCK_BYTES // (8 * L * K * N)))
+        power = np.empty((rows, L * K, N))
+        for a in range(0, n, rows):
+            block = power[: min(rows, n - a)]
+            np.abs(links[a : a + rows], out=block)
+            block *= block
+            np.matmul(seq2, block, out=ups_var[a : a + rows])
+            del block  # a view would keep power alive past the loop
+        del power
+        ups_var *= hw.kappa2
+        psi += _rng.complex_normal(distortion, ups_var, (n, B, N))
+        del ups_var
+        psi += _rng.complex_normal(noise, hw.xi, (n, B, N))
+        return h, rot_ts, psi.reshape(n, B * N)
+
+    edges = list(itertools.accumulate(tiles or [size], initial=0))
+    return (tile(lo, hi) for lo, hi in zip(edges, edges[1:]))

@@ -12,9 +12,11 @@ source from the estimate without changing its expectation.
 Trials are split into chunks sized by one trial's world alone, each driven
 by its own counter-based substream keyed (seed, drop, chunk) and reduced in
 chunk order: results are bit-identical for any thread count, and every pass
-at the same channel uses draws the same worlds.  A chunk's products run on
-tiles of its trials, sized by the world plus the pass's own temporaries;
-every product is per trial, so the tile size does not change a bit either.
+at the same channel uses draws the same worlds.  A chunk's world is drawn,
+and its products run, tile by tile, on tiles of its trials sized by the
+world plus the pass's own temporaries, so a chunk holds one tile's world
+at a time.  The world's substreams are consumed in trial order and every
+product is per trial, so the tile size does not change a bit either.
 The UEs of a cell share each world, and the trials fold into running sums
 as they run, so memory does not grow with the trial count.
 
@@ -34,7 +36,6 @@ From r = N on, as for every per-antenna covariance (Ae = N, r = B*N), it
 builds the N x N system from Gamma's blocks instead.
 """
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -265,23 +266,22 @@ def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
                  tile_bytes: int, sample) -> list:
     """Run ``sample(tile)`` on consecutive trial tiles of every chunk of
     ``mc.trials`` trials and :func:`_fold` what it returns in trial order.
-    Each chunk draws one world ``(h, rot_ts, psi)`` of cell j at the
-    channel uses ``ts`` from its own substream; a tile is a slice of it
-    along the trial axis.  Chunks fill ``_CHUNK_TARGET_BYTES`` at the
+    Each chunk makes one :func:`draw_world` call of cell j at the channel
+    uses ``ts`` on its own substream, which draws each tile's world
+    ``(h, rot_ts, psi)`` only when the tile is reached, so a chunk holds one
+    tile's world at a time.  Chunks fill ``_CHUNK_TARGET_BYTES`` at the
     world's bytes per trial alone, so every pass at ``ts`` draws the same
     worlds; tiles the smaller ``_TILE_TARGET_BYTES`` at the world plus
-    ``tile_bytes``, the per-trial temporaries of ``sample``.  On one thread
-    each tile is folded as it is made; a pool worker runs a whole chunk."""
+    ``tile_bytes``, the per-trial temporaries of ``sample``, and their cuts
+    change no bit of the world.  On one thread each tile is folded as it is
+    made; a pool worker runs a whole chunk."""
     scen, hw, book = cache.scenario, cache.hw, cache.book
     world_size = world_bytes(scen, hw, book, ts)
 
     def tiles(job):
         idx, size = job
-        world = draw_world(scen, hw, book, j, ts, idx, size, mc.seed)
         tile_sizes = _group_sizes(size, world_size + tile_bytes, _TILE_TARGET_BYTES)
-        edges = list(itertools.accumulate(tile_sizes, initial=0))
-        for lo, hi in zip(edges, edges[1:]):
-            yield sample(tuple(a[lo:hi] for a in world))
+        return map(sample, draw_world(scen, hw, book, j, ts, idx, size, mc.seed, tile_sizes))
 
     jobs = list(enumerate(_chunk_sizes(mc.trials, world_size)))
     run = tiles if mc.threads == 1 else lambda job: list(tiles(job))

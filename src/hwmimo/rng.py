@@ -4,6 +4,13 @@ Every random draw in the package comes from a counter-based Philox stream
 keyed by (master seed, structured spawn key).  Workers processing disjoint
 chunks therefore produce identical numbers no matter how chunks are assigned
 to threads, which is what makes runs bit-reproducible at any thread count.
+
+Within a substream the draws are consumed in C order, and consecutive
+draws of a generator give the values of one whole draw.  A complex normal
+draws each entry's real part and then its imaginary part, so a draw cut
+along its leading axis into consecutive pieces gives the bits of the
+whole: the Monte Carlo world is drawn tile by tile without a tile cut
+moving a number.
 """
 
 import numpy as np
@@ -16,10 +23,6 @@ RECEIVER_NOISE = 3
 DROP = 10
 SHADOW = 11
 
-# bytes of the reused block that complex_normal fills a part through, and
-# that channel.draw_world forms |h|^2 in
-_BLOCK_BYTES = 2**20
-
 
 def substream(master_seed, *key: int) -> np.random.Generator:
     """Independent generator for the given (realization/chunk, cell, entity)
@@ -31,25 +34,20 @@ def substream(master_seed, *key: int) -> np.random.Generator:
 def complex_normal(rng: np.random.Generator, var, shape) -> np.ndarray:
     """Circularly symmetric complex Gaussian with the given per-entry variance.
 
-    ``var`` broadcasts against ``shape``.  All real parts are drawn before
-    all imaginary parts; each part is filled through one reused block of
-    rows along the leading axis (at most ``_BLOCK_BYTES``, or one row), and
-    consecutive fills of a generator give the values of one whole fill.
-    For finite values the result is bitwise ``scale * (re + 1j * im)``
-    without its whole-shape temporaries.
+    ``var`` broadcasts against ``shape``.  Each entry takes two consecutive
+    normals, its real part and then its imaginary part: one
+    ``standard_normal`` fill of the output's float view, scaled in place
+    through that view, so every part is exactly ``sqrt(var / 2) * normal``
+    and no normal array is allocated beside the output.  Drawing the leading
+    axis in consecutive pieces from one generator gives the bits of one
+    whole draw.
     """
     out = np.empty(shape, dtype=complex)
-    scale = np.broadcast_to(np.sqrt(np.asarray(var, dtype=float) / 2.0), out.shape)
-    if out.ndim == 0 or out.size == 0:
-        np.multiply(rng.standard_normal(out.shape), scale, out=out.real)
-        np.multiply(rng.standard_normal(out.shape), scale, out=out.imag)
-        return out
-    n = out.shape[0]
-    rows = max(1, min(n, _BLOCK_BYTES // (8 * out[0].size)))
-    block = np.empty((rows, *out.shape[1:]))
-    for part in (out.real, out.imag):
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            rng.standard_normal(out=block[: hi - lo])
-            np.multiply(block[: hi - lo], scale[lo:hi], out=part[lo:hi])
+    parts = out.reshape(-1).view(float)  # each entry's real part, then its imaginary part
+    rng.standard_normal(out=parts)
+    scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)
+    if scale.ndim:  # both parts of an entry take its scale: rows of 2 * shape[-1] parts
+        scale = np.repeat(np.broadcast_to(scale, scale.shape[:-1] + out.shape[-1:]), 2, axis=-1)
+        parts = parts.reshape(*out.shape[:-1], 2 * out.shape[-1])
+    parts *= scale
     return out

@@ -8,9 +8,10 @@ the impairment-free model, :func:`dense_mmse_filter` builds the Monte
 Carlo MMSE filter from its N x N system, and :func:`stacked_mmse_use` its
 pilot-subspace Gram from the stacked zero-padded reduced gains.
 :func:`whole_complex_normal`, :func:`whole_draw_phases` and
-:func:`whole_draw_world` draw the same bits as the package's blockwise
-draws from whole-shape arrays: a normal array per part, every rotation,
-and the pilot power of the whole chunk.
+:func:`whole_draw_world` define the bits of the package's draws from
+whole-shape arrays: one normal fill of (real, imaginary) pairs viewed as
+complex and scaled, the walk summed out of place, and a chunk's whole
+world with every rotation and the pilot power of the whole chunk.
 
 :func:`lmmse_estimate`, :func:`sinr_trajectory`, :func:`ue_rate` and
 :func:`asymptotic_sinr` are compositions of package pieces that give one
@@ -160,8 +161,8 @@ def mmse_filter_inputs(cache: EstimatorCache, j: int, t, trials: int, seed: int 
     at channel use t, (K, trials, N), and the error diagonal and
     pilot-subspace Gram that :func:`hwmimo.montecarlo.mmse_filter` takes
     there."""
-    _, _, psi = draw_world(cache.scenario, cache.hw, cache.book, j, np.array([float(t)]),
-                           0, trials, seed)
+    _, _, psi = next(draw_world(cache.scenario, cache.hw, cache.book, j, np.array([float(t)]),
+                                0, trials, seed))
     own = [cache.apply_reduced_gain(cache.reduced_gain(j, j, k, t), psi)
            for k in range(cache.scenario.K)]
     return psi, np.stack(own), *montecarlo._mmse_use(cache, j, t)
@@ -196,12 +197,10 @@ def all_link_estimates(cache: EstimatorCache, j: int, t, psi: np.ndarray) -> tup
 
 
 def whole_complex_normal(rng: np.random.Generator, var, shape) -> np.ndarray:
-    """:func:`hwmimo.rng.complex_normal` from one whole-shape normal array per part."""
-    scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)
-    out = np.empty(shape, dtype=complex)
-    np.multiply(rng.standard_normal(shape), scale, out=out.real)
-    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
-    return out
+    """:func:`hwmimo.rng.complex_normal` by its definition: one whole fill
+    of (real, imaginary) normal pairs, viewed as complex and scaled."""
+    pairs = rng.standard_normal((*shape, 2))
+    return pairs.view(complex)[..., 0] * np.sqrt(np.asarray(var, dtype=float) / 2.0)
 
 
 def whole_draw_phases(delta, times, n_osc, rng, trials) -> np.ndarray:
@@ -217,8 +216,9 @@ def whole_draw_phases(delta, times, n_osc, rng, trials) -> np.ndarray:
 
 
 def whole_draw_world(scenario, hw, book, j, ts, chunk_index, size, seed) -> tuple:
-    """:func:`hwmimo.channel.draw_world` from every cell's covariance, the
-    rotations at every time and the pilot power |h|^2 of the whole chunk."""
+    """The world of :func:`hwmimo.channel.draw_world` in one piece: the
+    chunk's whole channels from every cell's covariance, the rotations at
+    every time and the pilot power |h|^2 of the whole chunk."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     lam = scenario.full_cov()[j]
     tau = np.asarray(book.tau, dtype=int)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hwmimo import rng as _rng
+from hwmimo import channel
 from hwmimo.channel import draw_phases, draw_world, phase_correlation, sorted_unique
 from hwmimo.model import HardwareProfile, LoMode, conventional_profile
 from hwmimo.rng import RECEIVER_NOISE, complex_normal, substream
@@ -89,7 +89,7 @@ def test_received_block_obeys_model_equation(rng):
     hw = impaired_profile(lo=LoMode.SLO, delta=5e-3, kappa2=0.0)
     book = make_book(scen, "dft", "uniform")
     size, B, N = 3, book.B, scen.N
-    h, rot_tau, psi = draw_world(scen, hw, book, 1, _pilot_times(book), 0, size, seed=99)
+    h, rot_tau, psi = next(draw_world(scen, hw, book, 1, _pilot_times(book), 0, size, seed=99))
     eta = _eta(hw, 99, 1, (size, B, N))
     np.testing.assert_allclose(psi.reshape(size, B, N) - eta, rot_tau * _clean(book, h), rtol=1e-12)
 
@@ -99,7 +99,7 @@ def test_conventional_profile_reduces_to_clean_model(rng):
     book = make_book(scen, "temporal")
     hw = conventional_profile(scen.sigma2)
     ts = np.arange(1.0, 9.0)
-    h, rot, psi = draw_world(scen, hw, book, 0, ts, 0, 1, seed=5)
+    h, rot, psi = next(draw_world(scen, hw, book, 0, ts, 0, 1, seed=5))
     # no distortion: the observation is the drifted clean signal plus eta only
     B, N = book.B, scen.N
     eta = _eta(hw, 5, 0, (1, B, N))
@@ -122,7 +122,7 @@ def test_clo_applies_common_rotation(rng):
     # antenna sees its pilots through its oscillator's rotation
     for lo, n_osc in [(LoMode.CLO, 1), (LoMode.SLO, N)]:
         hw = impaired_profile(lo=lo, delta=0.01, kappa2=0.0)
-        h, rot_ts, psi = draw_world(scen, hw, book, 0, ts, 0, size, seed=2)
+        h, rot_ts, psi = next(draw_world(scen, hw, book, 0, ts, 0, size, seed=2))
         assert rot_ts.shape == (size, 6, n_osc)
         eta = _eta(hw, 2, 0, (size, B, N))
         np.testing.assert_allclose(
@@ -135,7 +135,7 @@ def test_receiver_noise_variance_statistical(rng):
     hw = HardwareProfile(delta=0.0, kappa2=0.0, xi=1.7, lo_mode=LoMode.CLO)
     book = make_book(scen, "temporal", B=1)
     M = 1600  # 1600 trials * B = 1 * N = 8 = 12800 draws per entry stat
-    h, rot_tau, psi = draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=31)
+    h, rot_tau, psi = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=31))
     eta = psi.reshape(M, 1, scen.N) - rot_tau * _clean(book, h)
     var = np.mean(np.abs(eta) ** 2)
     assert var == pytest.approx(hw.xi, rel=0.02)
@@ -146,7 +146,7 @@ def test_channel_variance_matches_covariance(rng):
     hw = conventional_profile(scen.sigma2)
     book = make_book(scen, "temporal")
     M = 3000
-    h, _, _ = draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=77)
+    h, _, _ = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=77))
     emp = np.mean(np.abs(h) ** 2, axis=0)
     lam = scen.full_cov()[0]
     # O(1/sqrt(M)) convergence of the empirical second moment
@@ -158,7 +158,7 @@ def test_distortion_variance_conditional_on_channel(rng):
     hw = impaired_profile(lo=LoMode.CLO, delta=0.0, kappa2=0.5)
     book = make_book(scen, "temporal", B=1)
     M = 6000  # 6000 trials * B = 1 * N = 2 = 12000 normalized powers
-    h, rot_tau, psi = draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=13)
+    h, rot_tau, psi = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=13))
     # each trial has its own channel, so check the conditional variance by
     # averaging the distortion power normalized by it
     upsilon = psi.reshape(M, 1, scen.N) - rot_tau * _clean(book, h) - _eta(hw, 13, 0, (M, 1, scen.N))
@@ -172,11 +172,11 @@ def test_blocks_deterministic_per_seed(rng):
     hw = impaired_profile()
     book = make_book(scen)
     ts = np.array([3.0, 9.0])
-    w1 = draw_world(scen, hw, book, 1, ts, 7, 4, seed=123)
-    w2 = draw_world(scen, hw, book, 1, ts, 7, 4, seed=123)
+    w1 = next(draw_world(scen, hw, book, 1, ts, 7, 4, seed=123))
+    w2 = next(draw_world(scen, hw, book, 1, ts, 7, 4, seed=123))
     for a, b in zip(w1, w2):
         np.testing.assert_array_equal(a, b)
-    w3 = draw_world(scen, hw, book, 1, ts, 7, 4, seed=124)
+    w3 = next(draw_world(scen, hw, book, 1, ts, 7, 4, seed=124))
     assert not np.array_equal(w1[2], w3[2])
 
 
@@ -189,19 +189,29 @@ def test_substreams_disjoint():
     np.testing.assert_array_equal(a, substream(1, 0, 0, 0).standard_normal(8))
 
 
+def _in_pieces(draw, n, rows):
+    """``draw(lo, hi)`` over consecutive pieces of at most ``rows`` of the
+    leading axis of length ``n``, joined."""
+    return np.concatenate([draw(lo, min(lo + rows, n)) for lo in range(0, n, rows)])
+
+
 @pytest.mark.parametrize("block_bytes", [2**20, 8 * 5 * 6 * 3, 8])
 @pytest.mark.parametrize("var", ["scalar", "trailing", "full"])
-def test_complex_normal_blocks_match_whole_shape_draw(rng, monkeypatch, block_bytes, var):
-    # 17 rows of 5 x 6: one block, blocks of 3 rows with a ragged last one,
-    # and a budget below one row, which fills one row per block
-    monkeypatch.setattr(_rng, "_BLOCK_BYTES", block_bytes)
+def test_complex_normal_blocks_match_whole_shape_draw(rng, block_bytes, var):
+    # 17 rows of 5 x 6 drawn in consecutive blocks from one generator: one
+    # block, blocks of 3 rows with a ragged last one, and one row per block
+    # under a budget below one row; each joins to one whole draw bit for bit
     shape = (17, 5, 6)
+    rows = max(1, min(17, block_bytes // (8 * 30)))
     var = {"scalar": 1.7, "trailing": rng.uniform(0.1, 2.0, (5, 6)),
            "full": rng.uniform(0.1, 2.0, shape)}[var]
-    got = complex_normal(substream(4, 2, 1, 0), var, shape)
+    gen = substream(4, 2, 1, 0)
+    got = _in_pieces(lambda lo, hi: complex_normal(
+        gen, var[lo:hi] if np.ndim(var) == 3 else var, (hi - lo, 5, 6)), 17, rows)
     want = whole_complex_normal(substream(4, 2, 1, 0), var, shape)
     assert got.shape == shape
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(complex_normal(substream(4, 2, 1, 0), var, shape), want)
 
 
 @pytest.mark.parametrize("shape", [(), (0, 3), (3, 0)])
@@ -209,28 +219,59 @@ def test_complex_normal_scalar_and_empty_shapes(shape):
     got = complex_normal(substream(6, 1), 0.8, shape)
     assert got.shape == shape
     np.testing.assert_array_equal(got, whole_complex_normal(substream(6, 1), 0.8, shape))
+    # a draw of this shape then one of 4 entries continue the stream of one draw
+    gen = substream(6, 1)
+    first = complex_normal(gen, 0.8, shape)
+    joined = np.concatenate([first.reshape(-1), complex_normal(gen, 0.8, (4,))])
+    n = first.size + 4
+    np.testing.assert_array_equal(joined, whole_complex_normal(substream(6, 1), 0.8, (n,)))
 
 
 def test_complex_normal_row_wider_than_block():
-    # rows of 2**18 entries (2 MiB per part) are filled one row per block
+    # rows of 2**18 entries (4 MiB each) drawn one row at a time
     shape = (3, 2**18)
-    np.testing.assert_array_equal(complex_normal(substream(5, 0), 0.3, shape),
-                                  whole_complex_normal(substream(5, 0), 0.3, shape))
+    gen = substream(5, 0)
+    np.testing.assert_array_equal(
+        _in_pieces(lambda lo, hi: complex_normal(gen, 0.3, (hi - lo, 2**18)), 3, 1),
+        whole_complex_normal(substream(5, 0), 0.3, shape))
+
+
+def _world_scene(rng, lo):
+    """Two cells of 3 UEs, N = 8 on 2 subarrays; SLOs walk 8 oscillators
+    over 29 times."""
+    scen = random_scenario(rng, L=2, K=3, N=8, T=40, subarrays=2, factorized=True)
+    return scen, impaired_profile(lo=lo, delta=2e-3, kappa2=0.04), make_book(scen)
 
 
 @pytest.mark.parametrize("lo", [LoMode.CLO, LoMode.SLO])
 @pytest.mark.parametrize("block_bytes", [2**20, 3 * 8 * 2 * 3 * 8, 8])
 def test_draw_world_matches_whole_chunk_draw(rng, monkeypatch, lo, block_bytes):
-    # 11 trials in one block, in blocks of 3 (h and |h|^2) with a ragged
-    # last one, and one row per block under a budget narrower than a row;
-    # SLO walks 8 oscillators over 29 times
-    monkeypatch.setattr(_rng, "_BLOCK_BYTES", block_bytes)
-    scen = random_scenario(rng, L=2, K=3, N=8, T=40, subarrays=2, factorized=True)
-    hw = impaired_profile(lo=lo, delta=2e-3, kappa2=0.04)
-    book = make_book(scen)
+    # 11 trials of |h|^2 in one block, in blocks of 3 with a ragged last
+    # one, and one trial per block under a budget narrower than a trial
+    monkeypatch.setattr(channel, "_BLOCK_BYTES", block_bytes)
+    scen, hw, book = _world_scene(rng, lo)
     ts = np.arange(5.0, 31.0)
-    got = draw_world(scen, hw, book, 1, ts, 3, 11, seed=(9, 2))
+    got = next(draw_world(scen, hw, book, 1, ts, 3, 11, seed=(9, 2)))
     want = whole_draw_world(scen, hw, book, 1, ts, 3, 11, seed=(9, 2))
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("lo", [LoMode.CLO, LoMode.SLO])
+@pytest.mark.parametrize("tiles", [[4, 4, 3], [2, 5, 1, 3], [1] * 11],
+                         ids=["ragged", "uneven", "one-trial"])
+def test_draw_world_tiles_join_to_the_one_tile_draw(rng, lo, tiles):
+    # each tile continues every substream of the chunk, so the tiles of a
+    # chunk, joined, are its one-tile world bit for bit, and so the whole
+    # chunk's world
+    scen, hw, book = _world_scene(rng, lo)
+    ts = np.arange(5.0, 31.0)
+    worlds = list(draw_world(scen, hw, book, 1, ts, 3, 11, (9, 2), tiles))
+    assert [w[0].shape[0] for w in worlds] == tiles
+    one = next(draw_world(scen, hw, book, 1, ts, 3, 11, seed=(9, 2)))
+    whole = whole_draw_world(scen, hw, book, 1, ts, 3, 11, seed=(9, 2))
+    for i, (a, b) in enumerate(zip(one, whole, strict=True)):
+        joined = np.concatenate([w[i] for w in worlds])
+        np.testing.assert_array_equal(joined, a)
+        np.testing.assert_array_equal(joined, b)

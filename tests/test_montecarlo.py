@@ -350,6 +350,41 @@ def test_one_world_per_chunk_for_every_ue(rng, monkeypatch):
     assert all(s == seen[0] for s in seen)
 
 
+def test_every_pass_sees_the_same_world_bits_per_chunk(rng, monkeypatch):
+    # MRC and MMSE passes, for one UE or an index array, and the MSE pass
+    # cut a chunk into different tiles, yet each chunk's tiles join to the
+    # same world, its one-tile draw, bit for bit
+    scen = random_scenario(rng, L=2, K=3, N=4, T=9)
+    cache = build_cache(scen, impaired_profile(lo=LoMode.SLO, kappa2=0.03), make_book(scen))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**15)
+    monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 2**14)
+    seen = {}  # chunk index -> its tiles' worlds, of the current pass
+    draw_world = montecarlo.draw_world
+
+    def recording(*args):
+        for world in draw_world(*args):
+            seen.setdefault(args[5], []).append(world)
+            yield world
+
+    monkeypatch.setattr(montecarlo, "draw_world", recording)
+    mc, ts = McConfig(trials=200, seed=1), np.array([5.0, 8.0])
+    runs = [lambda kind=kind, k=k: estimate_moments(cache, kind, 0, k, ts, mc)
+            for kind in FilterKind for k in (1, np.arange(3))]
+    runs.append(lambda: empirical_mse(cache, 0, 1, 0, ts, mc))
+    cuts = set()
+    for run in runs:
+        seen.clear()
+        run()
+        assert len(seen) > 2
+        cuts.add(tuple(tuple(w[0].shape[0] for w in tiles) for tiles in seen.values()))
+        for idx, tiles in seen.items():
+            size = sum(w[0].shape[0] for w in tiles)
+            one = next(draw_world(scen, cache.hw, cache.book, 0, ts, idx, size, mc.seed))
+            for i, a in enumerate(one):
+                np.testing.assert_array_equal(np.concatenate([w[i] for w in tiles]), a)
+    assert len(cuts) > 2  # the passes do cut their chunks differently
+
+
 def test_mc_rate_matches_closed_form(rng):
     scen = random_scenario(rng, L=2, K=2, N=4, T=8)
     hw = impaired_profile(lo=LoMode.CLO, delta=2e-3, kappa2=0.02)
@@ -472,7 +507,7 @@ def test_chunk_budget_covers_world_arrays(rng, monkeypatch, lo):
     mc = McConfig(trials=2)
     empirical_mse(cache, 0, 0, 0, ts, mc)
     estimate_moments(cache, FilterKind.MRC, 0, 0, ts, mc)
-    world = sum(a.nbytes for a in draw_world(scen, hw, book, 0, ts, 0, 1, seed=0))
+    world = sum(a.nbytes for a in next(draw_world(scen, hw, book, 0, ts, 0, 1, seed=0)))
     assert len(budgets) == 2
     assert min(budgets) >= world
     if lo is LoMode.SLO:
@@ -481,9 +516,9 @@ def test_chunk_budget_covers_world_arrays(rng, monkeypatch, lo):
         scen = generate("distributed", N=64, snr_db=5.0, T=500, seed=0)
         book = make_book(scen)
         ts = np.asarray(book.data_times(), dtype=float)
-        draw_world(scen, hw, book, 0, ts, 0, 1, seed=0)  # numpy's first-use allocations
+        next(draw_world(scen, hw, book, 0, ts, 0, 1, seed=0))  # numpy's first-use allocations
         trials = 20
-        peak = _traced_peak(lambda: draw_world(scen, hw, book, 0, ts, 0, trials, seed=0))
+        peak = _traced_peak(lambda: next(draw_world(scen, hw, book, 0, ts, 0, trials, seed=0)))
         assert world_bytes(scen, hw, book, ts) >= peak / trials
 
 
@@ -648,18 +683,38 @@ def _traced_peak(fn):
 
 def test_world_draw_holds_its_outputs_and_bounded_blocks():
     # the mc-mmse chunk (distributed N = 64, 200 links, 100 trials, 3 data
-    # uses under SLOs): past its outputs, a draw holds blocks of about 1 MiB
-    # and the pilot-sized distortion draw, not whole-chunk normals or |h|^2
-    # (35.6 MiB traced over 20.6 MiB of outputs before, 22.7 MiB now)
+    # uses under SLOs) drawn as one tile: past its outputs, a draw holds
+    # blocks of |h|^2 of about 1 MiB and the pilot-sized distortion draw,
+    # not whole-chunk normals or |h|^2 (35.6 MiB traced over 20.6 MiB of
+    # outputs with them, 23.5 MiB now)
     scen = generate("distributed", N=64, snr_db=5.0, T=500, seed=0)
     hw = HardwareProfile(delta=1.58e-4, kappa2=2.4336e-4, xi=1.58 * scen.sigma2,
                          lo_mode=LoMode.SLO)
     book = make_book(scen)
     ts = np.array([9.0, 173.0, 337.0])
-    outputs = sum(a.nbytes for a in draw_world(scen, hw, book, 0, ts, 0, 100, seed=0))
+    outputs = sum(a.nbytes for a in next(draw_world(scen, hw, book, 0, ts, 0, 100, seed=0)))
     assert outputs > 20 * 2**20
-    peak = _traced_peak(lambda: draw_world(scen, hw, book, 0, ts, 0, 100, seed=0))
+    peak = _traced_peak(lambda: next(draw_world(scen, hw, book, 0, ts, 0, 100, seed=0)))
     assert peak < outputs + 6 * 2**20
+
+
+def test_a_pass_holds_one_tile_of_its_world():
+    # the mc-mmse pass (distributed N = 64, 200 links, one 100-trial chunk,
+    # 3 data uses under SLOs) draws its world tile by tile, about 16 trials
+    # at a time, so it never holds the chunk's 19.5 MiB of channels (5.7
+    # MiB traced, against 23.7 MiB when the chunk's world was drawn whole)
+    scen = generate("distributed", N=64, snr_db=5.0, T=500, seed=0)
+    hw = HardwareProfile(delta=1.58e-4, kappa2=2.4336e-4, xi=1.58 * scen.sigma2,
+                         lo_mode=LoMode.SLO)
+    cache = build_cache(scen, hw, make_book(scen))
+    ts = np.array([9.0, 173.0, 337.0])
+    cache.pblocks(0)  # the cell build is not part of the pass
+    estimate_moments(cache, FilterKind.MMSE, 0, 0, ts, McConfig(trials=2))  # first-use allocations
+    channels = 16 * 100 * scen.L * scen.K * scen.N
+    assert channels > 19 * 2**20
+    peak = _traced_peak(lambda: estimate_moments(cache, FilterKind.MMSE, 0, 0, ts,
+                                                 McConfig(trials=100)))
+    assert peak < channels / 2
 
 
 def test_tiles_bound_the_peak_memory_of_a_chunk(rng, monkeypatch):
@@ -682,7 +737,7 @@ def test_tiles_bound_the_peak_memory_of_a_chunk(rng, monkeypatch):
     chunk_sizes = montecarlo._chunk_sizes
     monkeypatch.setattr(montecarlo, "_chunk_sizes",
                         lambda n, per: sizes.append(chunk_sizes(n, per)) or sizes[-1])
-    world = _traced_peak(lambda: draw_world(scen, hw, cache.book, 0, ts, 0, trials, 1))
+    world = _traced_peak(lambda: next(draw_world(scen, hw, cache.book, 0, ts, 0, trials, 1)))
     chunk = _traced_peak(lambda: estimate_moments(cache, FilterKind.MMSE, 0, 0, ts,
                                                   McConfig(trials=trials, seed=1)))
     assert sizes == [[trials]]

@@ -14,15 +14,19 @@ and eta is amplified receiver noise of variance ``xi``.  Samples at data
 times are never drawn.
 
 A chunk's world is drawn tile by tile: each tile of trials is drawn when
-it is reached, so a chunk holds one tile's world at a time.  A tile holds
-the arrays it returns plus blocks of at most about 1 MiB (``_BLOCK_BYTES``,
-or one trial when a trial is wider) and the pilot-sized distortion
-variance and noise; it forms no whole-tile ``|h|^2`` and no rotation at a
-time it does not use.  Each entity's substream is consumed in trial order
-(see :mod:`hwmimo.rng`), so the tile cuts change no number.
+it is reached, and the next tile's channels are drawn on a helper thread
+while the caller works on the current tile (unless the caller asks it not
+to), so a chunk holds one tile's world and the next tile's channels at a
+time.  A tile holds the arrays it
+returns plus blocks of at most about 1 MiB (``_BLOCK_BYTES``, or one trial
+when a trial is wider) and the pilot-sized distortion variance and noise;
+it forms no whole-tile ``|h|^2`` and no rotation at a time it does not use.
+Each entity's substream is consumed by one thread in trial order (see
+:mod:`hwmimo.rng`), so neither the tile cuts nor the helper change a number.
 """
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -88,11 +92,13 @@ def world_bytes(scenario: Scenario, hw: HardwareProfile, book: PilotBook, ts) ->
     channels and their power, observation and distortion variance, per (time,
     oscillator) phase, increment and rotation, and rotations at pilots and ``ts``.
 
-    It sizes both the chunk partition and, with a pass's own temporaries, a
-    chunk's tiles, so it counts a tile's world per trial.  The draw forms
-    ``|h|^2`` a block of trials at a time and rotations at the pilots and
-    ``ts`` only, so a tile holds less than this count.  The count keeps
-    them because it sizes the chunks, and the chunk sizes key the stream."""
+    It sizes both the chunk partition and, with a pass's own temporaries
+    and the next tile's channels drawn ahead, a chunk's tiles, so it counts
+    a tile's world per trial.  The draw forms ``|h|^2`` a block of trials
+    at a time and rotations at the pilots and ``ts`` only, so a tile holds
+    less than this count.  The count keeps them, and leaves out the
+    channels drawn ahead, because it sizes the chunks, and the chunk sizes
+    key the stream."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     n_times = len(set(book.tau) | set(np.asarray(ts).tolist()))
     n_osc = N if hw.lo_mode is LoMode.SLO else 1
@@ -109,6 +115,7 @@ def draw_world(
     size: int,
     seed: int,
     tiles=None,
+    ahead: bool = True,
 ):
     """One chunk of ``size`` trials seen by cell j, as an iterator of one
     world per tile: ``tiles`` are consecutive trial counts summing to
@@ -120,7 +127,12 @@ def draw_world(
     ``seed`` may be a (seed, drop) pair (see :func:`rng.substream`).  The
     chunk's phase starts are drawn on the call; everything else of a tile
     is drawn when the iterator reaches it, continuing each substream, so the
-    tiles joined are the one-tile world bit for bit."""
+    tiles joined are the one-tile world bit for bit.  With more than one
+    tile and ``ahead``, the iterator starts one helper thread that draws
+    every tile's channels, each next tile's while the caller works on the
+    current one, and joins it when it is exhausted or closed; the channel
+    substream is then consumed on the helper alone, in trial order, and the
+    others on the caller's thread."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     lam = np.repeat(scenario.cov[j], scenario.multiplicity, axis=-1)  # (L, K, N)
     tau = np.asarray(book.tau, dtype=int)
@@ -137,13 +149,13 @@ def draw_world(
     seq = book.sequences.transpose(1, 0, 2).reshape(B, L * K)
     seq2 = np.abs(seq) ** 2
 
-    def tile(lo, hi):
+    def tile(lo, hi, drawn):
         n = hi - lo
-        h = _rng.complex_normal(channel, lam, (n, L, K, N))
         phi = draw_phases(hw.delta, times, n_osc, phases, n, start=starts[lo:hi])
         rot_tau = np.exp(1j * phi[:, at_tau, :])  # (n, B, n_osc)
         rot_ts = np.exp(1j * phi[:, at_ts, :])  # (n, nt, n_osc)
         del phi
+        h = drawn()  # the channels: drawn here, or the helper's result
         links = h.reshape(n, L * K, N)
         psi = np.matmul(seq, links)  # the clean observation, (n, B, N)
         psi *= rot_tau
@@ -165,5 +177,22 @@ def draw_world(
         psi += _rng.complex_normal(noise, hw.xi, (n, B, N))
         return h, rot_ts, psi.reshape(n, B * N)
 
+    def channels(lo, hi):
+        return _rng.complex_normal(channel, lam, (hi - lo, L, K, N))
+
+    def worlds(spans):
+        if not ahead or len(spans) == 1:
+            for lo, hi in spans:
+                yield tile(lo, hi, lambda: channels(lo, hi))
+            return
+        # numpy's normal fill releases the GIL, so the helper's draw of the
+        # next tile's channels overlaps the caller's products on this one
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            pending = [helper.submit(channels, *spans[0])]
+            for i, (lo, hi) in enumerate(spans):
+                if i + 1 < len(spans):
+                    pending.append(helper.submit(channels, *spans[i + 1]))
+                yield tile(lo, hi, pending.pop(0).result)
+
     edges = list(itertools.accumulate(tiles or [size], initial=0))
-    return (tile(lo, hi) for lo, hi in zip(edges, edges[1:]))
+    return worlds(list(zip(edges, edges[1:])))

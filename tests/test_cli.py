@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hwmimo import cli
 from hwmimo.cli import main
 from hwmimo.experiments import (
     ConfigError,
@@ -335,6 +337,77 @@ def test_hwmimo_seed_above_the_cap_exits_2_naming_the_variable(tmp_path, capsys,
     assert main(["scenario-gen", *_SMALL, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: HWMIMO_SEED must be <= 4294967295, got 4294967296\n"
     assert not list(tmp_path.glob("*.json"))
+
+
+# a cheap run of every command; the bounds walk appends one bounded flag to it
+_WALK_BASE = {
+    "scenario-gen": _SMALL,
+    "estimate": [*_SMALL, "--ideal", "--trials", "2"],
+    "rates-cf": [*_SMALL, "--ideal"],
+    "sweep-n": [*_SMALL, "--ideal", "--n-grid", "8"],
+    "rates-mc": [*_SMALL, "--ideal", "--trials", "2"],
+    "asymptotic": [*_SMALL, "--ideal"],
+    "scaling-law": [*_SMALL, "--z1", "0.5", "--z2", "0.5", "--z3", "0"],
+    "circuit": [],
+    "preset": ["{tmp}/walk.yaml"],
+}
+_WALK_YAML = {"name": "walk", "seed": 1,
+              "scenario": {"deployments": ["colocated"], "n_antennas": 8, "T": 20},
+              "hardware": [{"label": "ideal", "ideal": True}],
+              "experiment": {"kind": "rates-mc", "trials": 2}}
+_CHEAP_MAX = {"seed", "drop_index"}  # the bounded flags whose maximum runs as cheaply
+
+
+def _bound_cases():
+    """(command, argv tail, environment, message or None for exit 0) of
+    every bounded flag of every command, and of every HWMIMO_* variable
+    that stands in for one: one past each bound exits 2 naming the input,
+    the cheap bound values run."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_WALK_BASE)
+    cases = []
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest not in cli._BOUNDS:
+                continue
+            low, high = cli._BOUNDS[action.dest]
+            flag = f"--{action.dest.replace('_', '-')}"
+            labels = [(flag, [])]
+            if action.default is cli._FROM_ENV:
+                labels.append((f"HWMIMO_{cli._ENV_DEFAULTS[action.dest][0]}", None))
+            for label, tail in labels:
+                past = [(low - 1, f"must be >= {low}")]
+                if high is not None:
+                    past.append((high + 1, f"must be <= {high}"))
+                for value, rule in past:
+                    env = {} if tail is not None else {label: str(value)}
+                    argv = [flag, str(value)] if tail is not None else []
+                    cases.append((command, argv, env, f"{label} {rule}, got {value}"))
+            for value in [low, high] if action.dest in _CHEAP_MAX else [low]:
+                cases.append((command, [flag, str(value)], {}, None))
+    return cases
+
+
+_BOUND_CASES = _bound_cases()
+
+
+@pytest.mark.parametrize(
+    "command,tail,env,message", _BOUND_CASES,
+    ids=[" ".join([c, *t, *(f"{k}={v}" for k, v in e.items())]) for c, t, e, _ in _BOUND_CASES])
+def test_every_bounded_flag_exits_2_one_past_its_bounds(tmp_path, capsys, monkeypatch,
+                                                        command, tail, env, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    (tmp_path / "walk.yaml").write_text(yaml.safe_dump(_WALK_YAML))
+    base = [a.replace("{tmp}", str(tmp_path)) for a in _WALK_BASE[command]]
+    code = main([command, *base, *tail, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not list(tmp_path.glob("*.csv"))
 
 
 def test_seed_and_drop_index_at_the_cap_run(tmp_path):

@@ -1,10 +1,11 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hwmimo import estimator, montecarlo
+from hwmimo import channel, estimator, montecarlo
 from hwmimo.channel import draw_world, world_bytes
 from hwmimo.estimator import EstimatorCache, build_cache
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile
@@ -669,6 +670,105 @@ def test_tile_size_changes_no_bit(rng, monkeypatch):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for a, b in zip(one[1], whole[1]):
         np.testing.assert_array_equal(a, b)
+
+
+def test_channels_are_drawn_one_tile_ahead(rng, monkeypatch):
+    # a chunk of several tiles draws every tile's channels on one helper
+    # thread, and submits tile i + 1's draw before tile i is sampled; a
+    # one-tile world, and a chunk on a pool's worker, draw on their own
+    # thread and start no helper
+    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 1)  # one-trial tiles
+    events, draws, helpers = [], [], []
+    main = threading.get_ident()
+
+    class Helper(channel.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            helpers.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            events.append("submit")
+            return super().submit(fn, *args, **kwargs)
+
+    complex_normal = channel._rng.complex_normal
+
+    def recording_draw(rng_, var, shape):
+        if len(shape) == 4:  # (n, L, K, N): a tile's channels
+            draws.append(threading.get_ident())
+        return complex_normal(rng_, var, shape)
+
+    simulate = montecarlo._simulate_tile
+
+    def recording_sample(*args):
+        events.append("sample")
+        return simulate(*args)
+
+    monkeypatch.setattr(channel, "ThreadPoolExecutor", Helper)
+    monkeypatch.setattr(channel._rng, "complex_normal", recording_draw)
+    monkeypatch.setattr(montecarlo, "_simulate_tile", recording_sample)
+    estimate_moments(cache, FilterKind.MRC, 0, 1, [5, 8], McConfig(trials=6, seed=3))
+    assert len(helpers) == 1 and len(draws) == 6
+    assert len(set(draws)) == 1 and draws[0] != main
+    submits = [i for i, e in enumerate(events) if e == "submit"]
+    samples = [i for i, e in enumerate(events) if e == "sample"]
+    assert len(submits) == len(samples) == 6
+    assert all(submits[i + 1] < samples[i] for i in range(5))
+
+    draws.clear()
+    next(draw_world(scen, hw, cache.book, 0, np.array([5.0]), 0, 6, seed=3))
+    assert draws == [main] and len(helpers) == 1
+
+    # a pool's workers hold the cores already: each draws its chunks' channels itself
+    two_trials = 2 * world_bytes(scen, hw, cache.book, np.array([5.0, 8.0]))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", two_trials)  # 3 chunks of 2 tiles
+    draws.clear()
+    estimate_moments(cache, FilterKind.MRC, 0, 1, [5, 8], McConfig(trials=6, seed=3, threads=2))
+    assert len(draws) == 6 and main not in draws and len(helpers) == 1
+
+
+def test_a_pass_leaves_no_thread_running(rng, monkeypatch):
+    # every helper and pool thread of a pass has ended when it returns,
+    # also when a tile raises, and a world iterator dropped after its
+    # first tile ends its helper
+    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
+    monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 2**13)  # of several tiles
+    start = threading.active_count()
+    seen, fail = [], []
+    apply_gain = EstimatorCache.apply_reduced_gain
+
+    def recording(self, gain, psi):
+        seen.append(threading.active_count())
+        if fail and len(seen) >= fail[0]:
+            raise RuntimeError("tile failed")
+        return apply_gain(self, gain, psi)
+
+    monkeypatch.setattr(EstimatorCache, "apply_reduced_gain", recording)
+    passes = [lambda mc, kind=kind: estimate_moments(cache, kind, 0, [0, 1], [5, 8], mc)
+              for kind in FilterKind]
+    passes.append(lambda mc: empirical_mse(cache, 0, 1, 0, [5, 8], mc))
+    for run in passes:
+        for threads in (1, 2):
+            mc = McConfig(trials=400, seed=3, threads=threads)
+            fail.clear()
+            seen.clear()
+            run(mc)
+            assert max(seen) > start and threading.active_count() == start
+            fail.append(len(seen) // 2)
+            seen.clear()
+            with pytest.raises(RuntimeError, match="tile failed"):
+                run(mc)
+            assert max(seen) > start and threading.active_count() == start
+    worlds = draw_world(scen, hw, cache.book, 0, np.array([5.0]), 0, 6, 3, [2, 2, 2])
+    next(worlds)
+    assert threading.active_count() == start + 1
+    del worlds
+    assert threading.active_count() == start
 
 
 def _traced_peak(fn):

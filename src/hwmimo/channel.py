@@ -15,9 +15,8 @@ times are never drawn.
 
 A chunk's world is drawn tile by tile: each tile of trials is drawn when
 it is reached, and the next tile's channels are drawn on a helper thread
-while the caller works on the current tile (unless the caller asks it not
-to), so a chunk holds one tile's world and the next tile's channels at a
-time.  A tile holds the arrays it
+while the caller works on the current tile, so a chunk holds one tile's
+world and the next tile's channels at a time.  A tile holds the arrays it
 returns plus blocks of at most about 1 MiB (``_BLOCK_BYTES``, or one trial
 when a trial is wider) and the pilot-sized distortion variance and noise;
 it forms no whole-tile ``|h|^2`` and no rotation at a time it does not use.
@@ -115,7 +114,6 @@ def draw_world(
     size: int,
     seed: int,
     tiles=None,
-    ahead: bool = True,
 ):
     """One chunk of ``size`` trials seen by cell j, as an iterator of one
     world per tile: ``tiles`` are consecutive trial counts summing to
@@ -128,11 +126,11 @@ def draw_world(
     chunk's phase starts are drawn on the call; everything else of a tile
     is drawn when the iterator reaches it, continuing each substream, so the
     tiles joined are the one-tile world bit for bit.  With more than one
-    tile and ``ahead``, the iterator starts one helper thread that draws
-    every tile's channels, each next tile's while the caller works on the
-    current one, and joins it when it is exhausted or closed; the channel
-    substream is then consumed on the helper alone, in trial order, and the
-    others on the caller's thread."""
+    tile, the iterator starts one helper thread that draws every tile's
+    channels, each next tile's while the caller works on the current one,
+    and joins it when it is exhausted or closed; the channel substream is
+    then consumed on the helper alone, in trial order, and the others on
+    the caller's thread."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     lam = np.repeat(scenario.cov[j], scenario.multiplicity, axis=-1)  # (L, K, N)
     tau = np.asarray(book.tau, dtype=int)
@@ -181,9 +179,9 @@ def draw_world(
         return _rng.complex_normal(channel, lam, (hi - lo, L, K, N))
 
     def worlds(spans):
-        if not ahead or len(spans) == 1:
-            for lo, hi in spans:
-                yield tile(lo, hi, lambda: channels(lo, hi))
+        if len(spans) == 1:
+            (lo, hi), = spans
+            yield tile(lo, hi, lambda: channels(lo, hi))
             return
         # numpy's normal fill releases the GIL, so the helper's draw of the
         # next tile's channels overlaps the caller's products on this one

@@ -15,11 +15,10 @@ chunk order: results are bit-identical for any thread count, and every pass
 at the same channel uses draws the same worlds.  A chunk's world is drawn,
 and its products run, tile by tile, on tiles of its trials sized by the
 world plus the pass's own temporaries, so a chunk holds one tile's world
-at a time; on the main thread, where no pool worker runs the chunk, one
-helper thread draws the next tile's channels meanwhile, and they are
-counted in the tile too.  Each of the world's substreams is consumed by
-one thread in trial order and every product is per trial, so neither the
-tile size nor the helper changes a bit.
+at a time; one helper thread draws the next tile's channels meanwhile,
+and they are counted in the tile too.  Each of the world's substreams is
+consumed by one thread in trial order and every product is per trial, so
+neither the tile size nor the helper changes a bit.
 The UEs of a cell share each world, and the trials fold into running sums
 as they run, so memory does not grow with the trial count.
 
@@ -27,8 +26,8 @@ A pass (:func:`estimate_moments`, :func:`empirical_mse`) runs BLAS at one
 thread from its first product to its last.  Its products are small, and
 an OpenBLAS worker woken by one spins for about 0.1 s after it, a second
 core's CPU bought for no speed.  A pass's parallelism is the pool of
-``McConfig.threads`` and, on the main thread, where no pool runs it, the
-helper thread that draws each next tile's channels while its products run
+``McConfig.threads`` and, in each chunk of several tiles, the helper
+thread that draws each next tile's channels while its products run
 (numpy's normal fill releases the GIL).
 
 The MMSE filter runs in the r = B*Ae dimensional pilot subspace that every
@@ -43,7 +42,6 @@ builds the N x N system from Gamma's blocks instead.
 
 import contextlib
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -275,30 +273,26 @@ def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
     ``mc.trials`` trials and :func:`_fold` what it returns in trial order.
     Each chunk makes one :func:`draw_world` call of cell j at the channel
     uses ``ts`` on its own substream, which draws each tile's world
-    ``(h, rot_ts, psi)`` only when the tile is reached; on the main thread,
-    it draws the next tile's channels ahead on a helper thread, so a chunk
-    holds one tile's world and the next tile's channels at a time.  Chunks
-    fill ``_CHUNK_TARGET_BYTES`` at the world's bytes per trial alone, so
-    every pass at ``ts`` draws the same worlds; tiles the smaller
+    ``(h, rot_ts, psi)`` only when the tile is reached and the next tile's
+    channels ahead on a helper thread, so a chunk holds one tile's world
+    and the next tile's channels at a time.  Chunks fill
+    ``_CHUNK_TARGET_BYTES`` at the world's bytes per trial alone, so every
+    pass at ``ts`` draws the same worlds; tiles the smaller
     ``_TILE_TARGET_BYTES`` at the world plus the channels drawn ahead plus
     ``tile_bytes``, the per-trial temporaries of ``sample``, and their cuts
     change no bit of the world.  On one thread each tile is folded as it is
-    made; a pool worker runs a whole chunk, with no helper, as the pool's
-    workers hold the cores already."""
+    made; a pool worker runs a whole chunk."""
     scen, hw, book = cache.scenario, cache.hw, cache.book
     world_size = world_bytes(scen, hw, book, ts)
+    ahead_size = 16 * scen.L * scen.K * scen.N  # a trial's channels drawn ahead
 
     def tiles(job):
         idx, size = job
-        # off the main thread the chunk runs on a pool's worker, of the pass
-        # or of a preset, and the pool holds the cores already: a helper
-        # there only adds handoffs
-        ahead = threading.current_thread() is threading.main_thread()
-        per_trial = world_size + ahead * 16 * scen.L * scen.K * scen.N + tile_bytes
-        tile_sizes = _group_sizes(size, per_trial, _TILE_TARGET_BYTES)
+        tile_sizes = _group_sizes(size, world_size + ahead_size + tile_bytes,
+                                  _TILE_TARGET_BYTES)
         # closed on the way out, also when ``sample`` raises, so its helper ends here
         with contextlib.closing(draw_world(scen, hw, book, j, ts, idx, size, mc.seed,
-                                           tile_sizes, ahead)) as worlds:
+                                           tile_sizes)) as worlds:
             yield from map(sample, worlds)
 
     jobs = list(enumerate(_chunk_sizes(mc.trials, world_size)))

@@ -674,14 +674,14 @@ def test_tile_size_changes_no_bit(rng, monkeypatch):
 
 def test_channels_are_drawn_one_tile_ahead(rng, monkeypatch):
     # a chunk of several tiles draws every tile's channels on one helper
-    # thread, and submits tile i + 1's draw before tile i is sampled; a
-    # one-tile world, and a chunk on a pool's worker, draw on their own
-    # thread and start no helper
+    # thread, also on a pool's worker, and submits tile i + 1's draw before
+    # tile i is sampled; a one-tile world draws on its own thread and starts
+    # no helper
     scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     cache = build_cache(scen, hw, make_book(scen))
     monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 1)  # one-trial tiles
-    events, draws, helpers = [], [], []
+    events, draws, helpers, samplers = [], [], [], []
     main = threading.get_ident()
 
     class Helper(channel.ThreadPoolExecutor):
@@ -704,6 +704,7 @@ def test_channels_are_drawn_one_tile_ahead(rng, monkeypatch):
 
     def recording_sample(*args):
         events.append("sample")
+        samplers.append(threading.get_ident())
         return simulate(*args)
 
     monkeypatch.setattr(channel, "ThreadPoolExecutor", Helper)
@@ -721,12 +722,14 @@ def test_channels_are_drawn_one_tile_ahead(rng, monkeypatch):
     next(draw_world(scen, hw, cache.book, 0, np.array([5.0]), 0, 6, seed=3))
     assert draws == [main] and len(helpers) == 1
 
-    # a pool's workers hold the cores already: each draws its chunks' channels itself
+    # a pool's worker samples its chunk while the chunk's own helper draws
     two_trials = 2 * world_bytes(scen, hw, cache.book, np.array([5.0, 8.0]))
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", two_trials)  # 3 chunks of 2 tiles
     draws.clear()
+    samplers.clear()
     estimate_moments(cache, FilterKind.MRC, 0, 1, [5, 8], McConfig(trials=6, seed=3, threads=2))
-    assert len(draws) == 6 and main not in draws and len(helpers) == 1
+    assert len(draws) == len(samplers) == 6 and len(helpers) == 4
+    assert main not in draws and not set(draws) & set(samplers)
 
 
 def test_a_pass_leaves_no_thread_running(rng, monkeypatch):

@@ -14,12 +14,13 @@ and eta is amplified receiver noise of variance ``xi``.  Samples at data
 times are never drawn.
 
 A chunk's world is drawn tile by tile: each tile of trials is drawn when
-it is reached, and the next tile's channels are drawn on a helper thread
-while the caller works on the current tile, so a chunk holds one tile's
-world and the next tile's channels at a time.  A tile holds the arrays it
-returns plus blocks of at most about 1 MiB (``_BLOCK_BYTES``, or one trial
-when a trial is wider) and the pilot-sized distortion variance and noise;
-it forms no whole-tile ``|h|^2`` and no rotation at a time it does not use.
+it is reached, and every tile's channels are drawn on a helper thread, the
+next tile's while the caller works on the current one, so a chunk holds
+one tile's world and the next tile's channels at a time.  A tile holds the
+arrays it returns plus blocks of at most about 1 MiB (``_BLOCK_BYTES``, or
+one trial when a trial is wider) and the pilot-sized distortion variance
+and noise; it forms no whole-tile ``|h|^2`` and no rotation at a time it
+does not use.
 Each entity's substream is consumed by one thread in trial order (see
 :mod:`hwmimo.rng`), so neither the tile cuts nor the helper change a number.
 """
@@ -125,12 +126,11 @@ def draw_world(
     ``seed`` may be a (seed, drop) pair (see :func:`rng.substream`).  The
     chunk's phase starts are drawn on the call; everything else of a tile
     is drawn when the iterator reaches it, continuing each substream, so the
-    tiles joined are the one-tile world bit for bit.  With more than one
-    tile, the iterator starts one helper thread that draws every tile's
-    channels, each next tile's while the caller works on the current one,
-    and joins it when it is exhausted or closed; the channel substream is
-    then consumed on the helper alone, in trial order, and the others on
-    the caller's thread."""
+    tiles joined are the one-tile world bit for bit.  The iterator starts
+    one helper thread that draws every tile's channels, each next tile's
+    while the caller works on the current one, and joins it when it is
+    exhausted or closed; the channel substream is consumed on the helper
+    alone, in trial order, and the others on the caller's thread."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     lam = np.repeat(scenario.cov[j], scenario.multiplicity, axis=-1)  # (L, K, N)
     tau = np.asarray(book.tau, dtype=int)
@@ -147,13 +147,13 @@ def draw_world(
     seq = book.sequences.transpose(1, 0, 2).reshape(B, L * K)
     seq2 = np.abs(seq) ** 2
 
-    def tile(lo, hi, drawn):
+    def tile(lo, hi, ahead):
         n = hi - lo
         phi = draw_phases(hw.delta, times, n_osc, phases, n, start=starts[lo:hi])
         rot_tau = np.exp(1j * phi[:, at_tau, :])  # (n, B, n_osc)
         rot_ts = np.exp(1j * phi[:, at_ts, :])  # (n, nt, n_osc)
         del phi
-        h = drawn()  # the channels: drawn here, or the helper's result
+        h = ahead.result()  # the channels, drawn on the helper
         links = h.reshape(n, L * K, N)
         psi = np.matmul(seq, links)  # the clean observation, (n, B, N)
         psi *= rot_tau
@@ -179,10 +179,6 @@ def draw_world(
         return _rng.complex_normal(channel, lam, (hi - lo, L, K, N))
 
     def worlds(spans):
-        if len(spans) == 1:
-            (lo, hi), = spans
-            yield tile(lo, hi, lambda: channels(lo, hi))
-            return
         # numpy's normal fill releases the GIL, so the helper's draw of the
         # next tile's channels overlaps the caller's products on this one
         with ThreadPoolExecutor(max_workers=1) as helper:
@@ -190,7 +186,7 @@ def draw_world(
             for i, (lo, hi) in enumerate(spans):
                 if i + 1 < len(spans):
                     pending.append(helper.submit(channels, *spans[i + 1]))
-                yield tile(lo, hi, pending.pop(0).result)
+                yield tile(lo, hi, pending.pop(0))
 
     edges = list(itertools.accumulate(tiles or [size], initial=0))
     return worlds(list(zip(edges, edges[1:])))

@@ -68,7 +68,10 @@ _FROM_ENV = object()  # the default of a run setting: see _fill_env_defaults
 
 def _add_common(p: argparse.ArgumentParser, *dests: str) -> None:
     """The run settings ``dests`` of a subcommand: ``--out`` on every
-    command, ``--seed`` where it draws, ``--threads`` where a pool runs."""
+    command, ``--seed`` where it draws, ``--threads`` on ``preset`` alone,
+    whose (deployment, drop) jobs run on a pool.  A Monte Carlo pass runs
+    on the calling thread and one helper, so ``estimate`` and ``rates-mc``
+    take no ``--threads``."""
     for dest in dests:
         p.add_argument(f"--{dest}", type=_ENV_DEFAULTS[dest][1], default=_FROM_ENV)
 
@@ -267,7 +270,7 @@ def _cmd_estimate(args) -> int:
     l = args.source_cell if args.source_cell is not None else j
     ts = _data_times(cache.book, args.t_stride)
     closed = np.array([error_covariance(cache, j, l, args.ue, t)[1] for t in ts])
-    mc = McConfig(trials=args.trials, seed=(args.seed, args.drop_index), threads=args.threads)
+    mc = McConfig(trials=args.trials, seed=(args.seed, args.drop_index))
     mc_mean, _ = empirical_mse(cache, j, l, args.ue, ts, mc)
     rows = [(int(t), closed[i], mc_mean[i]) for i, t in enumerate(ts)]
     return _finish(args, _write_csv(args, ("t", "mse_closed_form", "mse_monte_carlo"), rows))
@@ -316,7 +319,7 @@ def _cmd_asymptotic(args) -> int:
 
 def _cmd_rates_mc(args) -> int:
     cache, j = _inputs(args)
-    mc = McConfig(trials=args.trials, seed=(args.seed, args.drop_index), threads=args.threads)
+    mc = McConfig(trials=args.trials, seed=(args.seed, args.drop_index))
     ts = _data_times(cache.book, args.t_stride)
     ues = np.arange(cache.scenario.K) if args.ue is None else np.array([args.ue])
     m = estimate_moments(cache, FilterKind(args.filter), j, ues, ts, mc)
@@ -458,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _drop_parser(sub, "estimate", "channel-estimation MSE, closed form vs Monte Carlo",
                      _cmd_estimate, t_stride=1)
-    _add_common(p, "threads")
     p.add_argument("--source-cell", type=int, default=None)
     p.add_argument("--ue", type=int, default=0)
     p.add_argument("--trials", type=int, default=20_000)
@@ -471,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _drop_parser(sub, "rates-mc", "simulated SINR expectations and rates",
                      _cmd_rates_mc, t_stride=16)
-    _add_common(p, "threads")
     p.add_argument("--ue", type=int, default=None, help="default: all UEs of the cell")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--filter", choices=["mrc", "mmse"], default="mrc")

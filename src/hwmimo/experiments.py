@@ -10,13 +10,14 @@ byte-identical CSV at any thread count.
 import dataclasses
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .estimator import EstimatorCache, build_cache
+from .estimator import EstimatorCache, _blas_threads, build_cache
 from .model import (
     ConfigError,
     HardwareProfile,
@@ -26,7 +27,7 @@ from .model import (
     require_valid,
     user_input,
 )
-from .montecarlo import FilterKind, McConfig, _fan_out, _rate_from_means, estimate_moments
+from .montecarlo import FilterKind, McConfig, _rate_from_means, estimate_moments
 from .pilots import PilotBook, PlacementKind, dft_book, place, temporal_book
 from .rates import (
     ScalingExponents,
@@ -468,6 +469,27 @@ def _mark_t_maxima(rows) -> list:
 class RunResult:
     csv_path: Path
     rows: list
+
+
+def _fan_out(fn, jobs: list, threads: int):
+    """``fn(job)`` for each of ``jobs``, yielded in job order as they
+    finish, on a thread pool when ``threads > 1`` and there is more than
+    one job.  While the pool runs, its workers split the BLAS threads (one
+    each at least, the count restored afterwards), so pool and BLAS threads
+    do not oversubscribe the cores.  A Monte Carlo pass on a worker pins
+    them at one while it runs."""
+    if threads > 1 and len(jobs) > 1:
+        workers = min(threads, len(jobs))
+        get, put = _blas_threads() or (lambda: 1, lambda n: None)
+        before = get()
+        put(max(1, before // workers))
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(fn, jobs)
+        finally:
+            put(before)
+    else:
+        yield from map(fn, jobs)
 
 
 def run(cfg: RunConfig, out, threads: int = 1) -> RunResult:

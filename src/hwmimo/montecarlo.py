@@ -10,23 +10,21 @@ channel draw (no distortion samples needed), which removes an entire noise
 source from the estimate without changing its expectation.
 
 Trials are split into chunks sized by one trial's world alone, each driven
-by its own counter-based substream keyed (seed, drop, chunk) and reduced in
-chunk order: results are bit-identical for any thread count, and every pass
-at the same channel uses draws the same worlds.  A chunk's world is drawn,
-and its products run, tile by tile, on tiles of its trials sized by the
-world plus the pass's own temporaries, so a chunk holds one tile's world
-at a time; one helper thread draws the next tile's channels meanwhile,
-and they are counted in the tile too.  Each of the world's substreams is
-consumed by one thread in trial order and every product is per trial, so
-neither the tile size nor the helper changes a bit.
-The UEs of a cell share each world, and the trials fold into running sums
-as they run, so memory does not grow with the trial count.
+by its own counter-based substream keyed (seed, drop, chunk), and run in
+chunk order, so every pass at the same channel uses draws the same worlds.
+A chunk's world is drawn, and its products run, tile by tile, on tiles of
+its trials sized by the world plus the pass's own temporaries, so a chunk
+holds one tile's world at a time; one helper thread draws the next tile's
+channels meanwhile, and they are counted in the tile too.  Each of the
+world's substreams is consumed by one thread in trial order and every
+product is per trial, so neither the tile size nor the helper changes a
+bit.  The UEs of a cell share each world, and each tile folds into running
+sums as soon as it is made, so memory does not grow with the trial count.
 
 A pass (:func:`estimate_moments`, :func:`empirical_mse`) runs BLAS at one
 thread from its first product to its last.  Its products are small, and
 an OpenBLAS worker woken by one spins for about 0.1 s after it, a second
-core's CPU bought for no speed.  A pass's parallelism is the pool of
-``McConfig.threads`` and, in each chunk of several tiles, the helper
+core's CPU bought for no speed.  A pass's one concurrency is the helper
 thread that draws each next tile's channels while its products run
 (numpy's normal fill releases the GIL).
 
@@ -42,14 +40,13 @@ builds the N x N system from Gamma's blocks instead.
 
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .channel import draw_world, world_bytes
-from .estimator import EstimatorCache, _blas_threads, _one_blas_thread, error_covariance
+from .estimator import EstimatorCache, _one_blas_thread, error_covariance
 from .model import HardwareProfile, Scenario
 from .rates import _sinr_from_moments, ergodic_rate
 
@@ -67,16 +64,15 @@ class FilterKind(str, Enum):
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, master seed and worker-thread count of one simulation.
+    """Trial count and master seed of one simulation.
 
-    ``seed`` is a seed or a drop's ``(seed, drop)`` ((s, 0) is s); results
-    do not depend on ``threads``: trials run in chunks sized by the world
-    alone, each on its substream keyed (seed, drop, chunk), reduced in order.
+    ``seed`` is a seed or a drop's ``(seed, drop)`` ((s, 0) is s); trials
+    run in chunks sized by the world alone, each on its substream keyed
+    (seed, drop, chunk), reduced in order.
     """
 
     trials: int
     seed: int | tuple[int, int] = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -136,7 +132,7 @@ def mmse_filter(
     r = N on (B >= N/Ae, as for every per-antenna covariance, Ae = N, where
     r = B*N) the r x r system costs more than the N x N one, so the filter
     builds D + F Gamma F^H from Gamma's blocks, O(B^2 Ae N + B N^2), and
-    solves that.  A solve at several BLAS threads, or of several
+    solves that.  A solve on several BLAS workers, or of several
     right-hand sides, may return other last bits, so each UE takes one
     solve per trial at one thread.
     """
@@ -186,27 +182,6 @@ def _group_sizes(trials: int, per_trial_bytes: int, target_bytes: int) -> list:
 
 def _chunk_sizes(trials: int, per_trial_bytes: int) -> list:
     return _group_sizes(trials, per_trial_bytes, _CHUNK_TARGET_BYTES)
-
-
-def _fan_out(fn, jobs: list, threads: int):
-    """``fn(job)`` for each of ``jobs``, yielded in job order as they
-    finish, on a thread pool when ``threads > 1`` and there is more than
-    one job.  While the pool runs, its workers split the BLAS threads (one
-    each at least, the count restored afterwards), so pool and BLAS threads
-    do not oversubscribe the cores.  A Monte Carlo pass has pinned them at
-    one already, so there each worker runs at one."""
-    if threads > 1 and len(jobs) > 1:
-        workers = min(threads, len(jobs))
-        get, put = _blas_threads() or (lambda: 1, lambda n: None)
-        before = get()
-        put(max(1, before // workers))
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(fn, jobs)
-        finally:
-            put(before)
-    else:
-        yield from map(fn, jobs)
 
 
 def _add_in_order(row: np.ndarray, trials: np.ndarray) -> None:
@@ -280,14 +255,13 @@ def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
     pass at ``ts`` draws the same worlds; tiles the smaller
     ``_TILE_TARGET_BYTES`` at the world plus the channels drawn ahead plus
     ``tile_bytes``, the per-trial temporaries of ``sample``, and their cuts
-    change no bit of the world.  On one thread each tile is folded as it is
-    made; a pool worker runs a whole chunk."""
+    change no bit of the world.  Chunks run in order on the calling thread,
+    and each tile is folded as it is made."""
     scen, hw, book = cache.scenario, cache.hw, cache.book
     world_size = world_bytes(scen, hw, book, ts)
     ahead_size = 16 * scen.L * scen.K * scen.N  # a trial's channels drawn ahead
 
-    def tiles(job):
-        idx, size = job
+    def tiles(idx, size):
         tile_sizes = _group_sizes(size, world_size + ahead_size + tile_bytes,
                                   _TILE_TARGET_BYTES)
         # closed on the way out, also when ``sample`` raises, so its helper ends here
@@ -295,9 +269,8 @@ def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
                                            tile_sizes)) as worlds:
             yield from map(sample, worlds)
 
-    jobs = list(enumerate(_chunk_sizes(mc.trials, world_size)))
-    run = tiles if mc.threads == 1 else lambda job: list(tiles(job))
-    return _fold((tile for chunk in _fan_out(run, jobs, mc.threads) for tile in chunk), mc.trials)
+    chunks = enumerate(_chunk_sizes(mc.trials, world_size))
+    return _fold((tile for idx, size in chunks for tile in tiles(idx, size)), mc.trials)
 
 
 def _simulate_tile(

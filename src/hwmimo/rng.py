@@ -1,9 +1,10 @@
 """Reproducible substreams for parallel Monte Carlo.
 
 Every random draw in the package comes from a counter-based Philox stream
-keyed by (master seed, structured spawn key).  Workers processing disjoint
-chunks therefore produce identical numbers no matter how chunks are assigned
-to threads, which is what makes runs bit-reproducible at any thread count.
+keyed by (master seed, structured spawn key), so a stream's numbers do not
+depend on the thread that draws them: the helper that draws a Monte Carlo
+tile's channels ahead, or the ``preset`` pool worker that runs a drop.
+That is what makes runs bit-reproducible at any thread count.
 
 Within a substream the draws are consumed in C order, and consecutive
 draws of a generator give the values of one whole draw.  A complex normal

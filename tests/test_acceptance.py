@@ -88,7 +88,7 @@ def test_criterion_1_closed_form_vs_monte_carlo():
         cf = mrc_moments(cache, j, k, t)
         mc = estimate_moments(
             cache, FilterKind.MRC, j, k, [t],
-            McConfig(trials=100_000, seed=9000 + i, threads=THREADS),
+            McConfig(trials=100_000, seed=9000 + i),
         )
 
         def close(a, b, se):

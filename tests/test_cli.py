@@ -79,7 +79,7 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["rates-cf", *_SMALL, "--ideal", "--t-stride", "0"],
     ["sweep-n", *_SMALL, "--ideal", "--n-grid", "0"],
     ["rates-cf", *_SMALL, "--delta", "0", "--kappa2", "0", "--xi-over-sigma2", "0.5"],
-    ["rates-mc", *_SMALL, "--ideal", "--trials", "2", "--threads", "0"],
+    ["preset", "fig7", "--drops", "1", "--threads", "0"],
     ["rates-cf", "--scenario", "{tmp}/no_L.json", "--ideal"],
     ["rates-cf", "--scenario", "{tmp}/str_L.json", "--ideal"],
     ["scaling-law", "--z1", "0", "--z2", "0", "--z3", "1", "--delta0", "-1"],
@@ -98,6 +98,9 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
     ["rates-mc", "--ideal", "-N", "8", "-T", "8", "--trials", "2"],
     ["estimate", "--ideal", "-N", "8", "-T", "8", "--trials", "2"],
     ["rates-cf", *_SMALL, "--ideal", "--threads", "2"],
+    # a Monte Carlo pass runs no pool, so its commands take no --threads either
+    ["rates-mc", *_SMALL, "--ideal", "--trials", "2", "--threads", "2"],
+    ["estimate", *_SMALL, "--ideal", "--trials", "2", "--threads", "2"],
     ["rates-cf", "--lo", "xyz"],
     ["rates-cf", "-N", "abc"],
     ["sweep-n", *_SMALL, "--ideal"],
@@ -124,6 +127,7 @@ _SMALL = ["--deployment", "colocated", "-N", "8", "-T", "20"]
         "circuit-negative-z1-exponent-notation", "rates-cf-pilots-fill-block",
         "sweep-n-pilots-fill-block", "asymptotic-pilots-fill-block",
         "rates-mc-pilots-fill-block", "estimate-pilots-fill-block", "rates-cf-threads-flag",
+        "rates-mc-threads-flag", "estimate-threads-flag",
         "bad-choice", "non-number", "missing-required-flag", "carrier-overflow",
         "lna-noise-figure-overflow", "z2-overflow", "circuit-source-overflow",
         "scaled-profile-overflow", "seed-above-cap", "drop-index-above-cap",
@@ -268,10 +272,8 @@ def test_cli_import_leaves_yaml_unloaded():
 
 @pytest.mark.parametrize("name,argv", [
     ("SEED", ["scenario-gen", *_SMALL]),
-    ("THREADS", ["rates-mc", *_SMALL, "--ideal", "--trials", "2"]),
-    ("THREADS", ["estimate", *_SMALL, "--ideal", "--trials", "2"]),
     ("THREADS", ["preset", "{tmp}/ok.yaml"]),
-], ids=["SEED", "THREADS", "THREADS-estimate", "THREADS-preset"])
+], ids=["SEED", "THREADS-preset"])
 def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeypatch, name, argv):
     # a variable is read by the commands that take its flag
     monkeypatch.setenv(f"HWMIMO_{name}", "abc")
@@ -286,9 +288,10 @@ def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeyp
     (["scenario-gen", *_SMALL, "--seed", "3"], {"HWMIMO_SEED": "abc"}),
     (["preset", "{tmp}/ok.yaml", "--seed", "3"], {"HWMIMO_SEED": "abc"}),
     (["preset", "{tmp}/ok.yaml"], {"HWMIMO_SEED": "abc"}),
-    (["rates-mc", *_SMALL, "--ideal", "--trials", "2", "--threads", "1"],
-     {"HWMIMO_THREADS": "abc"}),
+    (["preset", "{tmp}/ok.yaml", "--threads", "1"], {"HWMIMO_THREADS": "abc"}),
     # a command without the flag never reads its variable
+    (["rates-mc", *_SMALL, "--ideal", "--trials", "2"], {"HWMIMO_THREADS": "abc"}),
+    (["estimate", *_SMALL, "--ideal", "--trials", "2"], {"HWMIMO_THREADS": "abc"}),
     (["circuit"], {"HWMIMO_THREADS": "abc", "HWMIMO_SEED": "abc"}),
     (["rates-cf", *_SMALL, "--ideal"], {"HWMIMO_THREADS": "abc"}),
     (["sweep-n", *_SMALL, "--ideal", "--n-grid", "8"], {"HWMIMO_THREADS": "abc"}),
@@ -296,8 +299,9 @@ def test_bad_environment_default_exits_2_with_one_line(tmp_path, capsys, monkeyp
     (["scaling-law", *_SMALL, "--z1", "0.5", "--z2", "0.5", "--z3", "0"],
      {"HWMIMO_THREADS": "abc"}),
     (["scenario-gen", *_SMALL], {"HWMIMO_THREADS": "abc"}),
-], ids=["seed-flag", "preset-seed-flag", "preset-config-seed", "threads-flag", "circuit",
-        "rates-cf", "sweep-n", "asymptotic", "scaling-law", "scenario-gen"])
+], ids=["seed-flag", "preset-seed-flag", "preset-config-seed", "threads-flag", "rates-mc",
+        "estimate", "circuit", "rates-cf", "sweep-n", "asymptotic", "scaling-law",
+        "scenario-gen"])
 def test_environment_is_read_only_for_flags_not_given(tmp_path, monkeypatch, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -630,17 +634,16 @@ def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch
     assert {r["rate"] for r in rows} == {_fmt(float(rate))}
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("filt", ["mrc", "mmse"])
-def test_rates_mc_without_ue_writes_the_rows_of_each_ue(tmp_path, monkeypatch, filt, threads):
+def test_rates_mc_without_ue_writes_the_rows_of_each_ue(tmp_path, monkeypatch, filt):
     # one pass over the UEs of the cell writes, per UE, the bytes of a run
-    # for that UE alone; a small budget gives several chunks on the pool
+    # for that UE alone; a small budget gives several chunks
     from hwmimo import montecarlo
 
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**20)
     args = ["rates-mc", "--deployment", "colocated", "-N", "8", "-T", "20", "--seed", "3",
             "--delta", "1e-3", "--kappa2", "1e-3", "--xi-over-sigma2", "1.2", "--lo", "slo",
-            "--trials", "40", "--t-stride", "3", "--filter", filt, "--threads", threads]
+            "--trials", "40", "--t-stride", "3", "--filter", filt]
     assert main([*args, "--out", str(tmp_path / "all")]) == 0
     header, *rows = (tmp_path / "all" / "rates_mc.csv").read_text().splitlines()
     ues = sorted({int(r.split(",")[0]) for r in rows})

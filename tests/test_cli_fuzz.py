@@ -9,6 +9,11 @@ trials <= 4; a huge trial count exits 2 before it runs), so each
 in-process ``main`` call costs milliseconds.  Exit 0
 writes nothing to stderr, exit 2 or 3 exactly one line (each warning counts
 as a line), exit 2 writes no CSV, and every CSV of an exit 0 holds a row.
+
+A draw reaches an edge value one time in eight, so two deterministic
+walks read the same tables: every edge of every (command, flag) row,
+preset row and YAML key, each set alone on a small valid base, and every
+foreign flag on every command (1154 cases, about 8 s).
 """
 
 import contextlib
@@ -31,9 +36,14 @@ _NUMBER_EDGES = ("0", "-1", "1e300", "-1e300", "inf", "nan", "abc", "")
 _COUNT_EDGES = ("0", "-1", "1.5", "abc", "")
 
 
+_POOLS = {}  # id of a _values strategy -> (its valid values, its edge values)
+
+
 def _values(valid, edges):
     """A valid value seven times in eight, else an edge value."""
-    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(edges if i == 7 else valid))
+    strategy = st.integers(0, 7).flatmap(lambda i: st.sampled_from(edges if i == 7 else valid))
+    _POOLS[id(strategy)] = (valid, edges)
+    return strategy
 
 
 def _pool(*valid):  # the values of a choice flag, or a name that is none
@@ -97,11 +107,11 @@ _THREADS = {"--threads": _count("1", "2")}
 GRAMMAR = {
     "scenario-gen": (_SOURCE, _SCENARIO, False),
     "estimate": ({**_SOURCE, **_TRIALS},
-                 {**_DROP, **_LO, **_THREADS, "--source-cell": _INDEX, "--ue": _INDEX}, True),
+                 {**_DROP, **_LO, "--source-cell": _INDEX, "--ue": _INDEX}, True),
     "rates-cf": (_SOURCE, {**_DROP, **_LO}, True),
     "sweep-n": ({**_SOURCE, "--n-grid": _grid("8", "8,16", "4,16")}, {**_DROP, **_LO}, True),
     "rates-mc": ({**_SOURCE, **_TRIALS},
-                 {**_DROP, **_LO, **_THREADS, "--ue": _INDEX, "--filter": _pool("mrc", "mmse")},
+                 {**_DROP, **_LO, "--ue": _INDEX, "--filter": _pool("mrc", "mmse")},
                  True),
     "asymptotic": (_SOURCE, {**_DROP, **_LO}, True),
     "scaling-law": ({**_SOURCE, **_EXPONENTS},
@@ -110,9 +120,19 @@ GRAMMAR = {
     "circuit": ({}, {**_CIRCUIT, **_LO, **_EXPONENTS,
                      "--n-grid": _grid("1,4,16", str(10**400))}, False),
 }
+# where a command takes hardware: one source, none, or flags of two
+_HARDWARE = _values(("ideal", "triple", "circuit"), ("none", "mixed"))
+# preset: a built-in figure at one drop and a tiny grid, or a config file
+_PRESET_SOURCE = _values(("fig7", "fig8", "fig9", "fig10", "{tmp}/ok.yaml"),
+                         ("nope", "{tmp}/missing.yaml", "{tmp}/garbage.json"))
+_PRESET_DROPS = _count("1")
+_PRESET_GRID_FLAGS = ("--n-grid", "--t-grid")
+_PRESET_GRID = _grid("16", "40,80")
+_PRESET_OPTIONAL = {**_THREADS, **_TRIALS, "--seed": _SEED}
 # flags the command may not take, appended after its own
-_FOREIGN = st.sampled_from([("--threads", "2"), ("--seed", "1"), ("--bogus", "1"),
-                            ("--trials", "2"), ("--ideal",), ("--n-grid", "8")])
+_FOREIGN_FLAGS = [("--threads", "2"), ("--seed", "1"), ("--bogus", "1"), ("--trials", "2"),
+                  ("--ideal",), ("--n-grid", "8")]
+_FOREIGN = st.sampled_from(_FOREIGN_FLAGS)
 
 
 @st.composite
@@ -132,17 +152,15 @@ def _given(draw, flags: dict) -> list:
 @st.composite
 def command_lines(draw) -> list:
     command = draw(st.sampled_from([*GRAMMAR, "preset"]))
-    if command == "preset":  # a built-in figure at one drop and a tiny grid, or a config file
-        which = draw(_values(("fig7", "fig8", "fig9", "fig10", "{tmp}/ok.yaml"),
-                             ("nope", "{tmp}/missing.yaml", "{tmp}/garbage.json")))
-        argv = [command, which, "--drops", draw(_count("1")),
-                draw(st.sampled_from(["--n-grid", "--t-grid"])), draw(_grid("16", "40,80"))]
-        argv += draw(_flags({**_THREADS, **_TRIALS, "--seed": _SEED}))
+    if command == "preset":
+        argv = [command, draw(_PRESET_SOURCE), "--drops", draw(_PRESET_DROPS),
+                draw(st.sampled_from(_PRESET_GRID_FLAGS)), draw(_PRESET_GRID)]
+        argv += draw(_flags(_PRESET_OPTIONAL))
     else:
         always, optional, hardware = GRAMMAR[command]
         argv = [command, *_given(draw, always), *draw(_flags(optional))]
         if hardware:
-            source = draw(_values(("ideal", "triple", "circuit"), ("none", "mixed")))
+            source = draw(_HARDWARE)
             if source in ("ideal", "mixed"):
                 argv.append("--ideal")
             if source in ("triple", "circuit"):
@@ -278,27 +296,39 @@ YAML_GRAMMAR = {
 }
 
 
+_KIND = _pool("sweep-n", "asymptotics", "scaling", "sweep-t", "rates-mc")
+
+
 @st.composite
 def run_configs(draw) -> dict:
     """The base configuration as one of the five kinds (no grid for
     rates-mc, a T grid for sweep-t), then up to three drawn (section, key)
     values."""
-    cfg = yaml.safe_load(yaml.safe_dump(_YAML_BASE))  # a deep copy
-    kind = draw(_pool("sweep-n", "asymptotics", "scaling", "sweep-t", "rates-mc"))
-    grid = {"rates-mc": {"trials": 4}, "sweep-t": {"t_grid": [20, 40]}}.get(kind, {"n_grid": [8]})
-    cfg["experiment"] = {"kind": kind, **grid}
+    cfg = _yaml_base(draw(_KIND))
     keys = list(YAML_GRAMMAR)
     for i in draw(st.lists(st.integers(0, len(keys) - 1), max_size=3, unique=True)):
-        section, key = keys[i]
-        value = draw(YAML_GRAMMAR[keys[i]])
-        if section is None:
-            cfg[key] = value
-        elif section == "hardware" and isinstance(cfg["hardware"], list) and cfg["hardware"]:
-            if isinstance(cfg["hardware"][0], dict):
-                cfg["hardware"][0][key] = value
-        elif isinstance(cfg.get(section), dict):
-            cfg[section][key] = value
+        _put(cfg, *keys[i], draw(YAML_GRAMMAR[keys[i]]))
     return cfg
+
+
+def _yaml_base(kind) -> dict:
+    """A deep copy of the base configuration as experiment ``kind``."""
+    cfg = yaml.safe_load(yaml.safe_dump(_YAML_BASE))
+    grid = {"rates-mc": {"trials": 4}, "sweep-t": {"t_grid": [20, 40]}}.get(kind, {"n_grid": [8]})
+    cfg["experiment"] = {"kind": kind, **grid}
+    return cfg
+
+
+def _put(cfg: dict, section, key, value) -> None:
+    """Set ``key`` of ``section`` of ``cfg`` (see YAML_GRAMMAR), where an
+    earlier value left that section in place."""
+    if section is None:
+        cfg[key] = value
+    elif section == "hardware" and isinstance(cfg["hardware"], list) and cfg["hardware"]:
+        if isinstance(cfg["hardware"][0], dict):
+            cfg["hardware"][0][key] = value
+    elif isinstance(cfg.get(section), dict):
+        cfg[section][key] = value
 
 
 def _with_files(value, tmp: Path):
@@ -330,3 +360,98 @@ def test_every_yaml_run_config_exits_0_2_or_3(files, cfg):
     path = files / "drawn.yaml"
     path.write_text(yaml.safe_dump(cfg))
     _check_exit(["preset", str(path)])
+
+
+# -- every edge of every pool, walked ----------------------------------------
+
+
+def _first(flags: dict) -> dict:
+    """Each of ``flags`` at its first valid value."""
+    return {flag: _POOLS[id(values)][0][0] for flag, values in flags.items()}
+
+
+def _flat(flags: dict) -> list:
+    return [x for item in flags.items() for x in item]
+
+
+def _edge_lines() -> list:
+    """(id, argv) of each edge value of each (command, flag) row of
+    GRAMMAR, of the hardware rows and of preset's rows, set on a small valid
+    base command: the command's always-given flags at their first valid
+    value and ``--ideal`` where it takes hardware (the triple or circuit
+    flags at theirs for the rows of those).  The hardware source's edges
+    and each foreign flag, appended once, are set on each command's base."""
+    cases = []
+
+    def walk(head, base, rows, tail=()):
+        for flag, values in rows.items():
+            for edge in _POOLS[id(values)][1]:
+                cases.append((f"{head[0]} {flag} {edge!r}",
+                              [*head, *_flat({**base, flag: edge}), *tail]))
+
+    for command, (always, optional, hardware) in GRAMMAR.items():
+        base = _first(always)
+        walk([command], base, {**always, **optional}, ["--ideal"] if hardware else [])
+        if hardware:
+            for rows in (_TRIPLE, _CIRCUIT):
+                walk([command], {**base, **_first(rows)}, rows)
+            # the source's edges (see _HARDWARE): none, and the ideal one beside a triple
+            cases.append((f"{command} none", [command, *_flat(base)]))
+            cases.append((f"{command} mixed",
+                          [command, *_flat({**base, **_first(_TRIPLE)}), "--ideal"]))
+        for foreign in _FOREIGN_FLAGS:
+            tail = ["--ideal", *foreign] if hardware else list(foreign)
+            cases.append((f"{command} {' '.join(foreign)}", [command, *_flat(base), *tail]))
+    figure = _POOLS[id(_PRESET_SOURCE)][0][0]
+    drops, grid = _first({"--drops": _PRESET_DROPS, "--n-grid": _PRESET_GRID}).values()
+    cases += [(f"preset {edge!r}", ["preset", edge, "--drops", drops, "--n-grid", grid])
+              for edge in _POOLS[id(_PRESET_SOURCE)][1]]
+    for grid_flag in _PRESET_GRID_FLAGS:
+        rows = {"--drops": _PRESET_DROPS, grid_flag: _PRESET_GRID}
+        walk(["preset", figure], _first(rows), {**rows, **_PRESET_OPTIONAL})
+    return cases
+
+
+def _failures(cases, check) -> list:
+    """The (id, report) of each case whose ``check`` fails, all cases run."""
+    failed = []
+    for name, case in cases:
+        try:
+            check(case)
+        except AssertionError as e:
+            failed.append((name, str(e)[:300]))
+    return failed
+
+
+def test_every_edge_of_every_flag_exits_0_2_or_3(files):
+    assert _failures(_edge_lines(), lambda argv: _check_exit([a.replace("{tmp}", str(files))
+                                                              for a in argv])) == []
+
+
+def _edge_configs() -> list:
+    """(id, config) of each edge value of the experiment kind and of each
+    YAML_GRAMMAR key, set on the base configuration of the kind that reads
+    the key."""
+    kinds = {"trials": "rates-mc", "filter_kind": "rates-mc", "t_grid": "sweep-t"}
+    cases = [(f"kind {edge!r}", _yaml_base(edge)) for edge in _POOLS[id(_KIND)][1]]
+    for (section, key), values in YAML_GRAMMAR.items():
+        for edge in _POOLS[id(values)][1]:
+            cfg = _yaml_base(kinds.get(key, "sweep-n"))
+            _put(cfg, section, key, edge)
+            cases.append((f"{section}.{key} {edge!r}", cfg))
+    return cases
+
+
+def test_every_edge_of_every_yaml_key_exits_0_2_or_3(files):
+    def check(cfg):
+        cfg = _with_files(cfg, files)
+        with contextlib.suppress(ConfigError):  # any other exception fails the test
+            config_from_dict(cfg)
+        path = files / "edge.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        _check_exit(["preset", str(path)])
+
+    cases = _edge_configs()
+    assert len(cases) == sum(len(_POOLS[id(values)][1])
+                             for values in (_KIND, *YAML_GRAMMAR.values()))
+    assert _failures(cases, check) == []

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hwmimo import channel, estimator, montecarlo
+from hwmimo import channel, estimator, experiments, montecarlo
 from hwmimo.channel import draw_world, world_bytes
 from hwmimo.estimator import EstimatorCache, build_cache
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile
@@ -233,74 +233,6 @@ def test_stderr_scaling_with_trials(rng):
         ses.append(est.norm2_se[0])
     # quadrupling the trials halves the standard error, within 20%
     assert ses[0] / ses[1] == pytest.approx(2.0, rel=0.35)
-
-
-def test_deterministic_across_thread_counts(rng, monkeypatch):
-    # chunks run on the pool and reduce in order, so every moment is bitwise
-    # equal at any thread count; on the MMSE path BLAS products also run
-    # inside the pool threads.  A small chunk budget forces several chunks.
-    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
-    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
-    book = make_book(scen)
-    cache = build_cache(scen, hw, book)
-    sizes = []
-    chunk_sizes = montecarlo._chunk_sizes
-    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)
-    monkeypatch.setattr(montecarlo, "_chunk_sizes",
-                        lambda trials, per_trial: sizes.append(chunk_sizes(trials, per_trial))
-                        or sizes[-1])
-    for kind in FilterKind:
-        runs = [
-            estimate_moments(cache, kind, 0, 1, [5, 8], McConfig(trials=600, seed=42, threads=n))
-            for n in (1, 2, 3, 4)
-        ]
-        for other in runs[1:]:
-            for name in _MOMENTS:
-                np.testing.assert_array_equal(getattr(other, name), getattr(runs[0], name))
-    assert len(sizes) == 8 and all(len(s) > 2 for s in sizes)
-
-
-def test_mc_rate_is_bitwise_equal_at_any_thread_count(rng, monkeypatch):
-    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
-    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
-    book = make_book(scen)
-    chunks = []
-    chunk_sizes = montecarlo._chunk_sizes
-    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)
-    monkeypatch.setattr(montecarlo, "_chunk_sizes",
-                        lambda trials, per_trial: chunks.append(chunk_sizes(trials, per_trial))
-                        or chunks[-1])
-    for kind in FilterKind:
-        reps = []
-        for n in (1, 2, 3):
-            cache = build_cache(scen, hw, book)
-            m = estimate_moments(cache, kind, 0, 1, book.data_times(),
-                                 McConfig(trials=600, seed=42, threads=n))
-            reps.append(_rate_from_means(cache, 0, 1, m))
-        for rate, traj in reps[1:]:
-            assert rate == reps[0][0]
-            np.testing.assert_array_equal(traj.sinr, reps[0][1].sinr)
-    assert all(len(c) > 2 for c in chunks)
-
-
-def test_empirical_mse_is_bitwise_equal_at_any_thread_count(rng, monkeypatch):
-    # the chunk runner joins chunks in order, so the MSE and its standard
-    # error do not depend on the thread count; a small budget forces chunks
-    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
-    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
-    cache = build_cache(scen, hw, make_book(scen))
-    chunks = []
-    chunk_sizes = montecarlo._chunk_sizes
-    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)
-    monkeypatch.setattr(montecarlo, "_chunk_sizes",
-                        lambda trials, per_trial: chunks.append(chunk_sizes(trials, per_trial))
-                        or chunks[-1])
-    runs = [empirical_mse(cache, 0, 1, 0, [5, 8], McConfig(trials=600, seed=42, threads=n))
-            for n in (1, 2, 3)]
-    for mean, se in runs[1:]:
-        np.testing.assert_array_equal(mean, runs[0][0])
-        np.testing.assert_array_equal(se, runs[0][1])
-    assert len(chunks) == 3 and all(len(c) >= 3 for c in chunks)
 
 
 @pytest.mark.parametrize("kind", list(FilterKind))
@@ -540,14 +472,14 @@ class _FakeBlas:
 @pytest.fixture
 def fake_blas(monkeypatch):
     blas = _FakeBlas(8)
-    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: (blas.get, blas.set))
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: (blas.get, blas.set))
     return blas
 
 
 @pytest.mark.parametrize("threads,jobs,share", [(2, 4, 4), (3, 5, 2), (4, 2, 4), (16, 20, 1)])
 def test_pool_jobs_split_the_blas_threads(fake_blas, threads, jobs, share):
     # workers = min(threads, jobs) share the 8 BLAS threads, one each at least
-    seen = list(montecarlo._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads))
+    seen = list(experiments._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads))
     assert seen == [share] * jobs
     assert fake_blas.sets == [share, 8] and fake_blas.threads == 8
 
@@ -559,41 +491,40 @@ def test_blas_threads_restored_when_a_job_raises(fake_blas):
         return i
 
     with pytest.raises(ValueError, match="job failed"):
-        list(montecarlo._fan_out(job, [0, 1, 2], 2))
+        list(experiments._fan_out(job, [0, 1, 2], 2))
     assert fake_blas.sets == [4, 8] and fake_blas.threads == 8
 
 
 @pytest.mark.parametrize("threads,jobs", [(1, 3), (4, 1)])
 def test_serial_fan_out_leaves_the_blas_threads(fake_blas, threads, jobs):
-    seen = list(montecarlo._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads))
+    seen = list(experiments._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads))
     assert seen == [8] * jobs and fake_blas.sets == []
 
 
 def test_pool_jobs_split_the_live_blas_threads():
-    blas = montecarlo._blas_threads()
+    blas = estimator._blas_threads()
     if blas is None:
         pytest.skip("numpy's BLAS exposes no thread-count control")
     get = blas[0]
     before = get()
-    assert list(montecarlo._fan_out(lambda _: get(), [0, 1, 2, 3], 2)) == [max(1, before // 2)] * 4
+    assert list(experiments._fan_out(lambda _: get(), [0, 1, 2, 3], 2)) == [max(1, before // 2)] * 4
     assert get() == before
     with pytest.raises(ZeroDivisionError):
-        list(montecarlo._fan_out(lambda i: 1 // i, [1, 0], 2))
+        list(experiments._fan_out(lambda i: 1 // i, [1, 0], 2))
     assert get() == before
-    assert list(montecarlo._fan_out(lambda _: get(), [0, 1], 1)) == [before] * 2
+    assert list(experiments._fan_out(lambda _: get(), [0, 1], 1)) == [before] * 2
 
 
 def test_monte_carlo_passes_run_at_one_blas_thread(rng, monkeypatch):
     # a pass pins BLAS at one thread from its first product to its last,
-    # so no BLAS worker spins beside it; pool workers then run at one too,
-    # and the count comes back afterwards, also when a tile raises
+    # so no BLAS worker spins beside it, and the count comes back
+    # afterwards, also when a tile raises
     scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     cache = build_cache(scen, hw, make_book(scen))
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
     blas = _FakeBlas(8)
     monkeypatch.setattr(estimator, "_blas_threads", lambda: (blas.get, blas.set))
-    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: (blas.get, blas.set))
     seen, fail = [], []
 
     def recording(fn):
@@ -612,36 +543,43 @@ def test_monte_carlo_passes_run_at_one_blas_thread(rng, monkeypatch):
     passes = [lambda mc, kind=kind: estimate_moments(cache, kind, 0, [0, 1], [5, 8], mc)
               for kind in FilterKind]
     passes.append(lambda mc: empirical_mse(cache, 0, 1, 0, [5, 8], mc))
+    mc = McConfig(trials=400, seed=3)
     for run in passes:
-        for threads in (1, 2):
-            mc = McConfig(trials=400, seed=3, threads=threads)
-            fail.clear()
-            seen.clear()
+        fail.clear()
+        seen.clear()
+        run(mc)
+        assert seen and set(seen) == {1} and blas.threads == 8
+        fail.append(len(seen) // 2)
+        seen.clear()
+        with pytest.raises(RuntimeError, match="tile failed"):
             run(mc)
-            assert seen and set(seen) == {1} and blas.threads == 8
-            fail.append(len(seen) // 2)
-            seen.clear()
-            with pytest.raises(RuntimeError, match="tile failed"):
-                run(mc)
-            assert set(seen) == {1} and blas.threads == 8
+        assert set(seen) == {1} and blas.threads == 8
 
 
 def test_fan_out_without_blas_control_gives_the_same_moments(rng, monkeypatch):
+    # passes on two pool workers give the same bits whether or not the
+    # pool can split the BLAS threads and each pass pin them at one
     scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     cache = build_cache(scen, hw, make_book(scen))
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
-    mc = McConfig(trials=600, seed=42, threads=2)
-    split = estimate_moments(cache, FilterKind.MMSE, 0, 1, [5, 8], mc)
+    mc = McConfig(trials=600, seed=42)
+
+    def passes():
+        return list(experiments._fan_out(
+            lambda kind: estimate_moments(cache, kind, 0, 1, [5, 8], mc), list(FilterKind), 2))
+
+    split = passes()
     monkeypatch.setattr(estimator, "_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
-    montecarlo._blas_threads.cache_clear()
+    estimator._blas_threads.cache_clear()
     try:
-        assert montecarlo._blas_threads() is None
-        plain = estimate_moments(cache, FilterKind.MMSE, 0, 1, [5, 8], mc)
+        assert estimator._blas_threads() is None
+        plain = passes()
     finally:
-        montecarlo._blas_threads.cache_clear()
-    for name in _MOMENTS:
-        np.testing.assert_array_equal(getattr(plain, name), getattr(split, name))
+        estimator._blas_threads.cache_clear()
+    for a, b in zip(plain, split):
+        for name in _MOMENTS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_tile_size_changes_no_bit(rng, monkeypatch):
@@ -673,15 +611,14 @@ def test_tile_size_changes_no_bit(rng, monkeypatch):
 
 
 def test_channels_are_drawn_one_tile_ahead(rng, monkeypatch):
-    # a chunk of several tiles draws every tile's channels on one helper
-    # thread, also on a pool's worker, and submits tile i + 1's draw before
-    # tile i is sampled; a one-tile world draws on its own thread and starts
-    # no helper
+    # a chunk draws every tile's channels on one helper thread, and
+    # submits tile i + 1's draw before tile i is sampled; a one-tile world
+    # draws on a helper too
     scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     cache = build_cache(scen, hw, make_book(scen))
     monkeypatch.setattr(montecarlo, "_TILE_TARGET_BYTES", 1)  # one-trial tiles
-    events, draws, helpers, samplers = [], [], [], []
+    events, draws, helpers = [], [], []
     main = threading.get_ident()
 
     class Helper(channel.ThreadPoolExecutor):
@@ -704,7 +641,6 @@ def test_channels_are_drawn_one_tile_ahead(rng, monkeypatch):
 
     def recording_sample(*args):
         events.append("sample")
-        samplers.append(threading.get_ident())
         return simulate(*args)
 
     monkeypatch.setattr(channel, "ThreadPoolExecutor", Helper)
@@ -720,22 +656,13 @@ def test_channels_are_drawn_one_tile_ahead(rng, monkeypatch):
 
     draws.clear()
     next(draw_world(scen, hw, cache.book, 0, np.array([5.0]), 0, 6, seed=3))
-    assert draws == [main] and len(helpers) == 1
-
-    # a pool's worker samples its chunk while the chunk's own helper draws
-    two_trials = 2 * world_bytes(scen, hw, cache.book, np.array([5.0, 8.0]))
-    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", two_trials)  # 3 chunks of 2 tiles
-    draws.clear()
-    samplers.clear()
-    estimate_moments(cache, FilterKind.MRC, 0, 1, [5, 8], McConfig(trials=6, seed=3, threads=2))
-    assert len(draws) == len(samplers) == 6 and len(helpers) == 4
-    assert main not in draws and not set(draws) & set(samplers)
+    assert len(draws) == 1 and draws[0] != main and len(helpers) == 2
 
 
 def test_a_pass_leaves_no_thread_running(rng, monkeypatch):
-    # every helper and pool thread of a pass has ended when it returns,
-    # also when a tile raises, and a world iterator dropped after its
-    # first tile ends its helper
+    # every helper thread of a pass has ended when it returns, also when
+    # a tile raises, and a world iterator dropped after its first tile
+    # ends its helper
     scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     cache = build_cache(scen, hw, make_book(scen))
@@ -755,18 +682,17 @@ def test_a_pass_leaves_no_thread_running(rng, monkeypatch):
     passes = [lambda mc, kind=kind: estimate_moments(cache, kind, 0, [0, 1], [5, 8], mc)
               for kind in FilterKind]
     passes.append(lambda mc: empirical_mse(cache, 0, 1, 0, [5, 8], mc))
+    mc = McConfig(trials=400, seed=3)
     for run in passes:
-        for threads in (1, 2):
-            mc = McConfig(trials=400, seed=3, threads=threads)
-            fail.clear()
-            seen.clear()
+        fail.clear()
+        seen.clear()
+        run(mc)
+        assert max(seen) > start and threading.active_count() == start
+        fail.append(len(seen) // 2)
+        seen.clear()
+        with pytest.raises(RuntimeError, match="tile failed"):
             run(mc)
-            assert max(seen) > start and threading.active_count() == start
-            fail.append(len(seen) // 2)
-            seen.clear()
-            with pytest.raises(RuntimeError, match="tile failed"):
-                run(mc)
-            assert max(seen) > start and threading.active_count() == start
+        assert max(seen) > start and threading.active_count() == start
     worlds = draw_world(scen, hw, cache.book, 0, np.array([5.0]), 0, 6, 3, [2, 2, 2])
     next(worlds)
     assert threading.active_count() == start + 1
@@ -887,9 +813,9 @@ def test_peak_memory_does_not_grow_with_trials(rng, monkeypatch):
 
 def test_mmse_moments_bitwise_equal_at_any_thread_and_blas_count(monkeypatch):
     # the GEMMs of a realistic drop (distributed, N = 64 on Ae = 4
-    # subarrays, 25 cells of 8 UEs) give the same bits on any number of
-    # pool workers and BLAS threads; the solves run at one BLAS thread
-    blas = montecarlo._blas_threads()
+    # subarrays, 25 cells of 8 UEs) give the same bits at any number of
+    # BLAS threads; the solves run at one BLAS thread
+    blas = estimator._blas_threads()
     if blas is None:
         pytest.skip("numpy's BLAS exposes no thread-count control")
     get, put = blas
@@ -900,17 +826,16 @@ def test_mmse_moments_bitwise_equal_at_any_thread_and_blas_count(monkeypatch):
     assert (cache.Ae, cache.scenario.L * cache.scenario.K) == (4, 200)
     ts = [9, 40]
 
-    def moments(threads):
-        return estimate_moments(cache, FilterKind.MMSE, 12, 0, ts,
-                                McConfig(trials=12, seed=4, threads=threads))
+    def moments():
+        return estimate_moments(cache, FilterKind.MMSE, 12, 0, ts, McConfig(trials=12, seed=4))
 
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 5 * 2**20)  # several chunks
-    runs = [moments(threads) for threads in (1, 2, 3)]
+    runs = [moments()]
     before = get()
     try:
         for n in (1, 2):
             put(n)
-            runs.append(moments(1))
+            runs.append(moments())
     finally:
         put(before)
     for other in runs[1:]:
@@ -921,9 +846,9 @@ def test_mmse_moments_bitwise_equal_at_any_thread_and_blas_count(monkeypatch):
 def test_mmse_moments_at_n_128_bitwise_equal_at_any_thread_count(monkeypatch):
     # from N = 128 on, LAPACK's solve returns other last bits at other BLAS
     # thread counts, so it runs at one; each UE of a pass then gets the bits
-    # of its own pass on 1, 2 and 3 pool workers and at 1 and 2 BLAS
-    # threads (ROADMAP item 1's command at a small trial count)
-    blas = montecarlo._blas_threads()
+    # of its own pass at 1 and 2 BLAS threads (ROADMAP item 1's command at
+    # a small trial count)
+    blas = estimator._blas_threads()
     if blas is None:
         pytest.skip("numpy's BLAS exposes no thread-count control")
     get, put = blas
@@ -933,11 +858,10 @@ def test_mmse_moments_at_n_128_bitwise_equal_at_any_thread_count(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 5 * 2**20)  # 4 chunks of 3 trials
     ts, ues = [9.0, 109.0], np.arange(scen.K)
 
-    def moments(k, threads=1):
-        return estimate_moments(cache, FilterKind.MMSE, 12, k, ts,
-                                McConfig(trials=12, seed=3, threads=threads))
+    def moments(k):
+        return estimate_moments(cache, FilterKind.MMSE, 12, k, ts, McConfig(trials=12, seed=3))
 
-    runs = [moments(ues, threads) for threads in (1, 2, 3)]
+    runs = [moments(ues)]
     before = get()
     try:
         for n in (1, 2):

@@ -634,13 +634,20 @@ def test_rates_mc_matches_library_from_one_world_per_chunk(tmp_path, monkeypatch
     assert {r["rate"] for r in rows} == {_fmt(float(rate))}
 
 
+@pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("filt", ["mrc", "mmse"])
-def test_rates_mc_without_ue_writes_the_rows_of_each_ue(tmp_path, monkeypatch, filt):
+def test_rates_mc_without_ue_writes_the_rows_of_each_ue(tmp_path, monkeypatch, filt, chunks):
     # one pass over the UEs of the cell writes, per UE, the bytes of a run
-    # for that UE alone; a small budget gives several chunks
+    # for that UE alone, in one chunk at the default budget and in two at
+    # a small one
     from hwmimo import montecarlo
 
-    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**20)
+    if chunks == 2:
+        monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**20)
+    cuts = []
+    chunk_sizes = montecarlo._chunk_sizes
+    monkeypatch.setattr(montecarlo, "_chunk_sizes",
+                        lambda *a: cuts.append(chunk_sizes(*a)) or cuts[-1])
     args = ["rates-mc", "--deployment", "colocated", "-N", "8", "-T", "20", "--seed", "3",
             "--delta", "1e-3", "--kappa2", "1e-3", "--xi-over-sigma2", "1.2", "--lo", "slo",
             "--trials", "40", "--t-stride", "3", "--filter", filt]
@@ -652,6 +659,7 @@ def test_rates_mc_without_ue_writes_the_rows_of_each_ue(tmp_path, monkeypatch, f
         assert main([*args, "--ue", str(k), "--out", str(tmp_path / str(k))]) == 0
         one = (tmp_path / str(k) / "rates_mc.csv").read_text().splitlines()
         assert one == [header, *(r for r in rows if r.startswith(f"{k},"))]
+    assert cuts and all(len(c) == chunks for c in cuts)
 
 
 def test_rates_mc_drop_index_writes_the_rates_of_that_drop_of_a_run(tmp_path):

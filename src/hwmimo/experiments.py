@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimator import EstimatorCache, _blas_threads, build_cache
+from .estimator import EstimatorCache, _one_blas_thread, build_cache
 from .model import (
     ConfigError,
     HardwareProfile,
@@ -474,20 +474,10 @@ class RunResult:
 def _fan_out(fn, jobs: list, threads: int):
     """``fn(job)`` for each of ``jobs``, yielded in job order as they
     finish, on a thread pool when ``threads > 1`` and there is more than
-    one job.  While the pool runs, its workers split the BLAS threads (one
-    each at least, the count restored afterwards), so pool and BLAS threads
-    do not oversubscribe the cores.  A Monte Carlo pass on a worker pins
-    them at one while it runs."""
+    one job."""
     if threads > 1 and len(jobs) > 1:
-        workers = min(threads, len(jobs))
-        get, put = _blas_threads() or (lambda: 1, lambda n: None)
-        before = get()
-        put(max(1, before // workers))
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(fn, jobs)
-        finally:
-            put(before)
+        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            yield from pool.map(fn, jobs)
     else:
         yield from map(fn, jobs)
 
@@ -495,13 +485,17 @@ def _fan_out(fn, jobs: list, threads: int):
 def run(cfg: RunConfig, out, threads: int = 1) -> RunResult:
     """Execute a run configuration: fan out independent (deployment, drop)
     jobs on ``threads`` workers, assemble rows in deterministic order and
-    write CSV + manifest into ``out``; the manifest records neither."""
+    write CSV + manifest into ``out``; the manifest records neither.  The
+    jobs run BLAS at one thread, serially and on the pool alike, so no idle
+    BLAS worker spins beside them and no pool worker shares the cores with
+    BLAS threads."""
     validate_config(cfg)
     job = _JOBS[cfg.experiment.kind]
     tasks = [(dep, drop) for dep in cfg.scenario.deployments for drop in range(cfg.scenario.drops)]
 
-    chunks = _fan_out(lambda task: job(cfg, *task), tasks, threads)
-    rows = [r for chunk in chunks for r in chunk]
+    with _one_blas_thread():  # rows collected in here, so no job outlives the pin
+        rows = [r for chunk in _fan_out(lambda task: job(cfg, *task), tasks, threads)
+                for r in chunk]
     if cfg.experiment.t_grid:
         rows.extend(_mark_t_maxima(rows))
 

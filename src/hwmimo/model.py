@@ -93,12 +93,6 @@ class Scenario:
         """Antennas represented by each stored covariance entry (N / reduced_dim)."""
         return self.N // self.reduced_dim
 
-    def full_cov(self) -> np.ndarray:
-        """Covariance diagonals expanded to one value per antenna, (L, L, K, N)."""
-        if self.reduced_dim == self.N:
-            return self.cov
-        return np.repeat(self.cov, self.multiplicity, axis=-1)
-
 
 def validate(scenario: Scenario, hw: HardwareProfile | None = None) -> tuple:
     """Check every model invariant; returns the violations instead of raising.

@@ -32,9 +32,10 @@ class MomentCoefficients:
         distortion(t)   = m * c_dist
 
     Per link E|v^H h_lk|^2 = m (tr_term + third_<lo>) + m^2 quad_<lo> (see
-    :func:`mrc_moments`); lin_<lo> and quad_<lo> here are the sums of those
-    parts over the links, weighted by the powers p_lk, which is linear and
-    so taken before any multiplicity.  quad_* are exactly the
+    the oracle ``mrc_moments`` in ``tests/oracles.py``, which evaluates
+    these forms directly at d(t)); lin_<lo> and quad_<lo> here are the sums
+    of those parts over the links, weighted by the powers p_lk, which is
+    linear and so taken before any multiplicity.  quad_* are exactly the
     pilot-contamination terms that persist as m grows.  scale(t) is the
     larger of the two gap factors of the damping d(t) (see :func:`_gaps`);
     the ``*_unit`` fields repeat c_norm and quad_* at d(t) / scale(t),
@@ -283,47 +284,6 @@ def mrc_moment_coefficients(cache: EstimatorCache, j: int, k, ts) -> MomentCoeff
         quad_slo=f["quad_slo"],
         quad_clo_unit=quad_clo_unit,
         quad_slo_unit=f["quad_slo_unit"],
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class MrcMoments:
-    """The four MRC moments at one channel use: E||v||^2, E{v^H h} (equal to
-    the first by the estimator's orthogonality), E|v^H h_lm|^2 per link, and
-    the distortion cross moment E|v^H upsilon|^2."""
-
-    norm2: float
-    first: float
-    second: np.ndarray  # (L, K)
-    distortion: float
-
-
-def mrc_moments(cache: EstimatorCache, j: int, k: int, t, lo_mode: LoMode | None = None) -> MrcMoments:
-    """Closed-form MRC moments for UE k of cell j at channel use t, per link.
-
-    The coefficient forms of :func:`_coefficient_parts` are evaluated
-    directly at the damping d(t); with m = N/A,
-
-        E|v^H h_lk|^2 = m (tr_term + third_<lo>) + m^2 quad_<lo>,
-
-    with third_slo = sXs - sdx2.  Without phase drift the CLO terms are
-    the SLO ones, as in :func:`mrc_moment_coefficients`.
-    """
-    lo = lo_mode or cache.hw.lo_mode
-    d = cache.d_delta([t])
-    quadratic, amp = _coefficient_parts(cache, j, k, d, d)
-    f = {name: part[0] for name, part in {**quadratic, **_quartic(amp, amp)}.items()}
-    if lo is LoMode.CLO and cache.hw.delta != 0.0:
-        third, quad = f["third_clo"], f["quad_clo"]
-    else:
-        third, quad = f["sXs"] - f["sdx2"], f["quad_slo"]
-    m = cache.mult
-    norm2 = float(m * f["c_norm"])
-    return MrcMoments(
-        norm2=norm2,
-        first=norm2,
-        second=m * (f["tr_term"] + third) + m**2 * quad,
-        distortion=float(m * f["c_dist"]),
     )
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hwmimo import estimator
 from hwmimo.channel import phase_correlation
 from hwmimo.model import HardwareProfile, LoMode, Scenario
 from hwmimo.pilots import PlacementKind, dft_book, place, temporal_book
@@ -47,6 +48,27 @@ def make_book(scenario: Scenario, kind: str = "dft", placement: str = "beginning
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240611)
+
+
+class FakeBlas:
+    """BLAS thread-count control that holds the count it is set to."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.threads = n
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A :class:`FakeBlas` at 8 threads in place of numpy's BLAS control."""
+    blas = FakeBlas(8)
+    monkeypatch.setattr(estimator, "_blas_threads", lambda: (blas.get, blas.set))
+    return blas
 
 
 def impaired_profile(lo=LoMode.SLO, delta=1e-3, kappa2=0.01, xi=1.3, sigma2=1.0):

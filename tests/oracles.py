@@ -13,6 +13,10 @@ whole-shape arrays: one normal fill of (real, imaginary) pairs viewed as
 complex and scaled, the walk summed out of place, and a chunk's whole
 world with every rotation and the pilot power of the whole chunk.
 
+:func:`mrc_moments` evaluates the package's coefficient forms directly at
+one channel use's damping, without the separable rebuild of
+:func:`hwmimo.rates.mrc_moment_coefficients`, and :func:`full_cov` expands
+a scenario's covariances to one value per antenna.
 :func:`lmmse_estimate`, :func:`sinr_trajectory`, :func:`ue_rate` and
 :func:`asymptotic_sinr` are compositions of package pieces that give one
 estimate, trajectory, rate or limit at a time; :func:`loglog_slope` fits the
@@ -29,11 +33,12 @@ from hwmimo import montecarlo
 from hwmimo import rng as _rng
 from hwmimo.channel import draw_world, sorted_unique
 from hwmimo.estimator import EstimatorCache, error_covariance
-from hwmimo.model import LoMode
+from hwmimo.model import LoMode, Scenario, expand_covariance
 from hwmimo.rates import (
-    MrcMoments,
     SinrTrajectory,
     _asymptote,
+    _coefficient_parts,
+    _quartic,
     ergodic_rate,
     mrc_moment_coefficients,
     sinr_trajectory_from_coefficients,
@@ -41,6 +46,18 @@ from hwmimo.rates import (
 
 
 # -- independent derivations ---------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class MrcMoments:
+    """The four MRC moments at one channel use: E||v||^2, E{v^H h} (equal to
+    the first by the estimator's orthogonality), E|v^H h_lm|^2 per link, and
+    the distortion cross moment E|v^H upsilon|^2."""
+
+    norm2: float
+    first: float
+    second: np.ndarray  # (L, K)
+    distortion: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +142,7 @@ def conventional_mmse_estimate(scen, book, psi_vec, j, l, k, sigma2):
     """Classical multi-cell MMSE estimator for the impairment-free model,
     coded independently of the production path."""
     B, N = book.B, scen.N
-    lam = scen.full_cov()[j]
+    lam = full_cov(scen)[j]
     Psi = sigma2 * np.eye(B * N, dtype=complex)
     for ll in range(scen.L):
         for mm in range(scen.K):
@@ -220,7 +237,7 @@ def whole_draw_world(scenario, hw, book, j, ts, chunk_index, size, seed) -> tupl
     chunk's whole channels from every cell's covariance, the rotations at
     every time and the pilot power |h|^2 of the whole chunk."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
-    lam = scenario.full_cov()[j]
+    lam = full_cov(scenario)[j]
     tau = np.asarray(book.tau, dtype=int)
     h = whole_complex_normal(
         _rng.substream(seed, chunk_index, j, _rng.CHANNEL), lam, (size, L, K, N)
@@ -247,6 +264,41 @@ def whole_draw_world(scenario, hw, book, j, ts, chunk_index, size, seed) -> tupl
 
 
 # -- compositions of package pieces ---------------------------------------------
+
+
+def full_cov(scenario: Scenario) -> np.ndarray:
+    """Covariance diagonals of ``scenario`` expanded to one value per
+    antenna, (L, L, K, N)."""
+    return expand_covariance(scenario.cov, scenario.N, scenario.reduced_dim)
+
+
+def mrc_moments(cache: EstimatorCache, j: int, k: int, t, lo_mode: LoMode | None = None) -> MrcMoments:
+    """Closed-form MRC moments for UE k of cell j at channel use t, per link.
+
+    The coefficient forms of :func:`hwmimo.rates._coefficient_parts` are
+    evaluated directly at the damping d(t); with m = N/A,
+
+        E|v^H h_lk|^2 = m (tr_term + third_<lo>) + m^2 quad_<lo>,
+
+    with third_slo = sXs - sdx2.  Without phase drift the CLO terms are
+    the SLO ones, as in :func:`hwmimo.rates.mrc_moment_coefficients`.
+    """
+    lo = lo_mode or cache.hw.lo_mode
+    d = cache.d_delta([t])
+    quadratic, amp = _coefficient_parts(cache, j, k, d, d)
+    f = {name: part[0] for name, part in {**quadratic, **_quartic(amp, amp)}.items()}
+    if lo is LoMode.CLO and cache.hw.delta != 0.0:
+        third, quad = f["third_clo"], f["quad_clo"]
+    else:
+        third, quad = f["sXs"] - f["sdx2"], f["quad_slo"]
+    m = cache.mult
+    norm2 = float(m * f["c_norm"])
+    return MrcMoments(
+        norm2=norm2,
+        first=norm2,
+        second=m * (f["tr_term"] + third) + m**2 * quad,
+        distortion=float(m * f["c_dist"]),
+    )
 
 
 def lmmse_estimate(cache: EstimatorCache, psi: np.ndarray, j: int, l: int, k: int, t) -> EstimateResult:

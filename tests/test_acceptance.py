@@ -22,7 +22,6 @@ from hwmimo.pilots import dft_book, place, temporal_book
 from hwmimo.rates import (
     ScalingExponents,
     mrc_moment_coefficients,
-    mrc_moments,
     scaled_profile,
     sinr_trajectory_from_coefficients,
 )
@@ -33,6 +32,7 @@ from oracles import (
     lmmse_estimate,
     lmmse_estimate_colocated,
     loglog_slope,
+    mrc_moments,
     mrc_moments_colocated,
 )
 

@@ -7,7 +7,7 @@ from hwmimo.model import HardwareProfile, LoMode, conventional_profile
 from hwmimo.rng import RECEIVER_NOISE, complex_normal, substream
 
 from conftest import impaired_profile, make_book, random_scenario
-from oracles import whole_complex_normal, whole_draw_world
+from oracles import full_cov, whole_complex_normal, whole_draw_world
 
 
 def test_phase_correlation_trivia():
@@ -148,7 +148,7 @@ def test_channel_variance_matches_covariance(rng):
     M = 3000
     h, _, _ = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=77))
     emp = np.mean(np.abs(h) ** 2, axis=0)
-    lam = scen.full_cov()[0]
+    lam = full_cov(scen)[0]
     # O(1/sqrt(M)) convergence of the empirical second moment
     assert np.all(np.abs(emp - lam) < 5 * lam / np.sqrt(M))
 

@@ -22,6 +22,8 @@ from hwmimo.experiments import (
     run,
 )
 
+from oracles import full_cov
+
 
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
@@ -461,7 +463,7 @@ def test_sweep_n_on_a_per_antenna_file_matches_rates_cf(tmp_path):
     from hwmimo.scenario_gen import generate, save_scenario
 
     scen = generate("distributed", N=8, snr_db=5.0, T=20, seed=3)
-    save_scenario(dataclasses.replace(scen, cov=scen.full_cov()), tmp_path / "full.json")
+    save_scenario(dataclasses.replace(scen, cov=full_cov(scen)), tmp_path / "full.json")
     common = ["--scenario", str(tmp_path / "full.json"), "--ideal", "--t-stride", "4"]
     assert main(["rates-cf", *common, "--out", str(tmp_path / "cf")]) == 0
     assert main(["sweep-n", *common, "--n-grid", "8", "--out", str(tmp_path / "sweep")]) == 0

@@ -21,7 +21,7 @@ from hwmimo.pilots import place, temporal_book
 from hwmimo.scenario_gen import generate
 
 from conftest import impaired_profile, make_book, random_scenario
-from oracles import conventional_mmse_estimate, lmmse_estimate, lmmse_estimate_colocated
+from oracles import conventional_mmse_estimate, full_cov, lmmse_estimate, lmmse_estimate_colocated
 
 
 # -- independent oracles ------------------------------------------------------
@@ -30,7 +30,7 @@ from oracles import conventional_mmse_estimate, lmmse_estimate, lmmse_estimate_c
 def brute_force_estimate(scen, hw, book, psi_vec, j, l, k, t):
     """Direct dense evaluation of the estimator and its error covariance."""
     B, N = book.B, scen.N
-    lam = scen.full_cov()[j]
+    lam = full_cov(scen)[j]
     grams = damped_pilot_grams(book, hw.delta)
     Psi = hw.xi * np.eye(B * N, dtype=complex)
     for ll in range(scen.L):
@@ -271,7 +271,7 @@ def test_estimate_vanishes_far_from_pilots(rng):
     psi = pilot_observation(scen, hw, book, seed=6)
     res = lmmse_estimate(cache, psi, 0, 0, 0, t=1900)
     assert np.max(np.abs(res.hhat)) < 1e-12
-    lam = scen.full_cov()[0, 0, 0]
+    lam = full_cov(scen)[0, 0, 0]
     np.testing.assert_allclose(res.error_diag, lam, rtol=1e-10)
 
 
@@ -279,7 +279,7 @@ def test_error_covariance_bounded_by_prior(rng):
     scen = random_scenario(rng, L=2, K=2, N=4, T=20)
     hw = impaired_profile(delta=1e-2, kappa2=0.1)
     cache = build_cache(scen, hw, make_book(scen, "dft", "uniform"))
-    lam = scen.full_cov()
+    lam = full_cov(scen)
     for t in [1, 7, 20]:
         for (l, k) in [(0, 0), (1, 1)]:
             diag, mse = error_covariance(cache, 0, l, k, t)

@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
+from hwmimo import estimator, experiments, montecarlo
+from hwmimo.estimator import build_cache
 from hwmimo.experiments import (
     ExperimentSpec,
     HardwareVariant,
@@ -13,6 +16,9 @@ from hwmimo.experiments import (
     run,
 )
 from hwmimo.model import LoMode
+from hwmimo.montecarlo import FilterKind, McConfig, estimate_moments
+
+from conftest import impaired_profile, make_book, random_scenario
 
 
 def tiny_cfg(**exp_kw):
@@ -108,8 +114,6 @@ def test_every_closed_form_kind_grows_exponent_variants_with_n(tmp_path):
 
 
 def test_scaling_kind_builds_a_fixed_triple_once_per_book(tmp_path, monkeypatch):
-    from hwmimo import experiments
-
     builds = []
     build = experiments.build_cache
     monkeypatch.setattr(experiments, "build_cache", lambda *a: builds.append(1) or build(*a))
@@ -167,8 +171,6 @@ def test_rates_mc_kind_is_bitwise_equal_at_any_thread_count(tmp_path):
 
 
 def test_rates_mc_kind_builds_one_cache_per_variant_and_book(tmp_path, monkeypatch):
-    from hwmimo import experiments
-
     cfg = tiny_cfg(kind="rates-mc", trials=20)
     cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, drops=1))
     builds = []
@@ -209,3 +211,78 @@ def test_sweep_t_marks_maximum_rows(tmp_path):
         best_rate = max(curve[(label, "rate", n, T)] for T in (20, 40, 80))
         assert m[6] == pytest.approx(best_rate)
         assert curve[(label, "rate", n, best_t)] == pytest.approx(best_rate)
+
+
+def _recording_jobs(monkeypatch, get, fail_drop=None):
+    """Make the ``sweep-n`` job record the BLAS thread count ``get()`` on
+    entry, into the returned list; the job of drop ``fail_drop`` raises."""
+    seen = []
+
+    def job(cfg, deployment, drop):
+        seen.append(get())
+        if drop == fail_drop:
+            raise RuntimeError("job failed")
+        return experiments._job_sweep_n(cfg, deployment, drop)
+
+    monkeypatch.setitem(experiments._JOBS, "sweep-n", job)
+    return seen
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_jobs_run_at_one_blas_thread(tmp_path, monkeypatch, fake_blas, threads):
+    # serial or pooled, every (deployment, drop) job runs BLAS at one
+    # thread, so no idle BLAS worker spins beside it; the count comes back
+    seen = _recording_jobs(monkeypatch, fake_blas.get)
+    run(tiny_cfg(kind="sweep-n", n_grid=(16,)), tmp_path, threads)
+    assert seen == [1, 1] and fake_blas.threads == 8
+
+
+def test_blas_threads_restored_when_a_job_raises(tmp_path, monkeypatch, fake_blas):
+    seen = _recording_jobs(monkeypatch, fake_blas.get, fail_drop=1)
+    for threads in (1, 2):
+        seen.clear()
+        with pytest.raises(RuntimeError, match="job failed"):
+            run(tiny_cfg(kind="sweep-n", n_grid=(16,)), tmp_path, threads)
+        assert seen == [1, 1] and fake_blas.threads == 8
+
+
+def test_run_pins_the_live_blas_threads(tmp_path, monkeypatch):
+    blas = estimator._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no thread-count control")
+    get = blas[0]
+    before = get()
+    for fail_drop in (None, 1):
+        seen = _recording_jobs(monkeypatch, get, fail_drop)
+        for threads in (1, 2):
+            seen.clear()
+            with pytest.raises(RuntimeError) if fail_drop else contextlib.nullcontext():
+                run(tiny_cfg(kind="sweep-n", n_grid=(16,)), tmp_path, threads)
+            assert seen == [1, 1] and get() == before
+
+
+def test_fan_out_without_blas_control_gives_the_same_moments(rng, monkeypatch):
+    # passes on two pool workers give the same bits whether or not each
+    # pass can pin the BLAS threads at one
+    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
+    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
+    cache = build_cache(scen, hw, make_book(scen))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
+    mc = McConfig(trials=600, seed=42)
+
+    def passes():
+        return list(experiments._fan_out(
+            lambda kind: estimate_moments(cache, kind, 0, 1, [5, 8], mc), list(FilterKind), 2))
+
+    pinned = passes()
+    monkeypatch.setattr(estimator, "_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
+    estimator._blas_threads.cache_clear()
+    try:
+        assert estimator._blas_threads() is None
+        plain = passes()
+    finally:
+        estimator._blas_threads.cache_clear()
+    for a, b in zip(plain, pinned):
+        for name in ("norm2", "norm2_se", "first", "first_se", "second", "second_se",
+                     "distortion", "distortion_se"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))

@@ -12,6 +12,7 @@ from hwmimo.model import (
 )
 
 from conftest import random_scenario
+from oracles import full_cov
 
 
 def test_validate_ok_toy_scenario(rng):
@@ -87,7 +88,7 @@ def test_scenario_cov_layout(rng):
     scen = random_scenario(rng, N=8, factorized=True, subarrays=2)
     assert scen.reduced_dim == scen.subarrays and scen.subarrays != scen.N
     assert scen.multiplicity == 4
-    full = scen.full_cov()
+    full = full_cov(scen)
     assert full.shape == (2, 2, 2, 8)
     np.testing.assert_allclose(factorize_covariance(full, 2), scen.cov)
     dense = random_scenario(rng, N=8)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hwmimo import channel, estimator, experiments, montecarlo
+from hwmimo import channel, estimator, montecarlo
 from hwmimo.channel import draw_world, world_bytes
 from hwmimo.estimator import EstimatorCache, build_cache
 from hwmimo.model import HardwareProfile, LoMode, Scenario, conventional_profile
@@ -19,15 +19,16 @@ from hwmimo.montecarlo import (
     estimate_moments,
     mmse_filter,
 )
-from hwmimo.rates import mrc_moments
 from hwmimo.scenario_gen import generate
 
 from conftest import impaired_profile, make_book, random_scenario
 from oracles import (
     all_link_estimates,
     dense_mmse_filter,
+    full_cov,
     mean_and_batch_se,
     mmse_filter_inputs,
+    mrc_moments,
     stacked_mmse_use,
     ue_rate,
 )
@@ -455,67 +456,7 @@ def test_chunk_budget_covers_world_arrays(rng, monkeypatch, lo):
         assert world_bytes(scen, hw, book, ts) >= peak / trials
 
 
-class _FakeBlas:
-    """BLAS thread-count control that records what it is set to."""
-
-    def __init__(self, threads):
-        self.threads, self.sets = threads, []
-
-    def get(self):
-        return self.threads
-
-    def set(self, n):
-        self.sets.append(n)
-        self.threads = n
-
-
-@pytest.fixture
-def fake_blas(monkeypatch):
-    blas = _FakeBlas(8)
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: (blas.get, blas.set))
-    return blas
-
-
-@pytest.mark.parametrize("threads,jobs,share", [(2, 4, 4), (3, 5, 2), (4, 2, 4), (16, 20, 1)])
-def test_pool_jobs_split_the_blas_threads(fake_blas, threads, jobs, share):
-    # workers = min(threads, jobs) share the 8 BLAS threads, one each at least
-    seen = list(experiments._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads))
-    assert seen == [share] * jobs
-    assert fake_blas.sets == [share, 8] and fake_blas.threads == 8
-
-
-def test_blas_threads_restored_when_a_job_raises(fake_blas):
-    def job(i):
-        if i == 1:
-            raise ValueError("job failed")
-        return i
-
-    with pytest.raises(ValueError, match="job failed"):
-        list(experiments._fan_out(job, [0, 1, 2], 2))
-    assert fake_blas.sets == [4, 8] and fake_blas.threads == 8
-
-
-@pytest.mark.parametrize("threads,jobs", [(1, 3), (4, 1)])
-def test_serial_fan_out_leaves_the_blas_threads(fake_blas, threads, jobs):
-    seen = list(experiments._fan_out(lambda _: fake_blas.get(), list(range(jobs)), threads))
-    assert seen == [8] * jobs and fake_blas.sets == []
-
-
-def test_pool_jobs_split_the_live_blas_threads():
-    blas = estimator._blas_threads()
-    if blas is None:
-        pytest.skip("numpy's BLAS exposes no thread-count control")
-    get = blas[0]
-    before = get()
-    assert list(experiments._fan_out(lambda _: get(), [0, 1, 2, 3], 2)) == [max(1, before // 2)] * 4
-    assert get() == before
-    with pytest.raises(ZeroDivisionError):
-        list(experiments._fan_out(lambda i: 1 // i, [1, 0], 2))
-    assert get() == before
-    assert list(experiments._fan_out(lambda _: get(), [0, 1], 1)) == [before] * 2
-
-
-def test_monte_carlo_passes_run_at_one_blas_thread(rng, monkeypatch):
+def test_monte_carlo_passes_run_at_one_blas_thread(rng, monkeypatch, fake_blas):
     # a pass pins BLAS at one thread from its first product to its last,
     # so no BLAS worker spins beside it, and the count comes back
     # afterwards, also when a tile raises
@@ -523,13 +464,11 @@ def test_monte_carlo_passes_run_at_one_blas_thread(rng, monkeypatch):
     hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
     cache = build_cache(scen, hw, make_book(scen))
     monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
-    blas = _FakeBlas(8)
-    monkeypatch.setattr(estimator, "_blas_threads", lambda: (blas.get, blas.set))
     seen, fail = [], []
 
     def recording(fn):
         def call(*args, **kwargs):
-            seen.append(blas.threads)
+            seen.append(fake_blas.threads)
             if fail and len(seen) >= fail[0]:
                 raise RuntimeError("tile failed")
             return fn(*args, **kwargs)
@@ -548,38 +487,12 @@ def test_monte_carlo_passes_run_at_one_blas_thread(rng, monkeypatch):
         fail.clear()
         seen.clear()
         run(mc)
-        assert seen and set(seen) == {1} and blas.threads == 8
+        assert seen and set(seen) == {1} and fake_blas.threads == 8
         fail.append(len(seen) // 2)
         seen.clear()
         with pytest.raises(RuntimeError, match="tile failed"):
             run(mc)
-        assert set(seen) == {1} and blas.threads == 8
-
-
-def test_fan_out_without_blas_control_gives_the_same_moments(rng, monkeypatch):
-    # passes on two pool workers give the same bits whether or not the
-    # pool can split the BLAS threads and each pass pin them at one
-    scen = random_scenario(rng, L=2, K=2, N=4, T=9, subarrays=2, factorized=True)
-    hw = impaired_profile(lo=LoMode.SLO, delta=3e-3, kappa2=0.03)
-    cache = build_cache(scen, hw, make_book(scen))
-    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET_BYTES", 2**16)  # several chunks
-    mc = McConfig(trials=600, seed=42)
-
-    def passes():
-        return list(experiments._fan_out(
-            lambda kind: estimate_moments(cache, kind, 0, 1, [5, 8], mc), list(FilterKind), 2))
-
-    split = passes()
-    monkeypatch.setattr(estimator, "_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
-    estimator._blas_threads.cache_clear()
-    try:
-        assert estimator._blas_threads() is None
-        plain = passes()
-    finally:
-        estimator._blas_threads.cache_clear()
-    for a, b in zip(plain, split):
-        for name in _MOMENTS:
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert set(seen) == {1} and fake_blas.threads == 8
 
 
 def test_tile_size_changes_no_bit(rng, monkeypatch):
@@ -778,7 +691,7 @@ def test_mmse_use_forms_no_per_link_gain_stack():
     # (32, 256) zero-padded reduced gain; Gamma needs only B*Ae = 256
     # entries of each
     scen = generate("distributed", N=32, snr_db=5.0, T=60, seed=2)
-    scen = dataclasses.replace(scen, cov=scen.full_cov())
+    scen = dataclasses.replace(scen, cov=full_cov(scen))
     hw = HardwareProfile(delta=1.58e-4, kappa2=2.4336e-4, xi=1.58 * scen.sigma2,
                          lo_mode=LoMode.SLO)
     cache = build_cache(scen, hw, make_book(scen))

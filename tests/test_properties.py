@@ -24,7 +24,7 @@ from conftest import (
     make_book,
     random_scenario,
 )
-from oracles import all_link_estimates, dense_mmse_filter, mmse_filter_inputs
+from oracles import all_link_estimates, dense_mmse_filter, full_cov, mmse_filter_inputs
 
 
 @st.composite
@@ -102,7 +102,7 @@ def test_clo_and_slo_bitwise_equal_without_drift(cache):
 @given(caches())
 def test_error_covariance_at_most_prior(cache):
     scen = cache.scenario
-    prior = scen.full_cov()
+    prior = full_cov(scen)
     for t in range(1, scen.T + 1):
         for j in range(scen.L):
             for l in range(scen.L):

@@ -27,7 +27,6 @@ from hwmimo.rates import (
     check_scaling_law,
     ergodic_rate,
     mrc_moment_coefficients,
-    mrc_moments,
     scaled_profile,
     sinr_trajectory_from_coefficients,
 )
@@ -39,7 +38,14 @@ from conftest import (
     make_book,
     random_scenario,
 )
-from oracles import asymptotic_sinr, mrc_moments_colocated, sinr_trajectory, ue_rate
+from oracles import (
+    asymptotic_sinr,
+    full_cov,
+    mrc_moments,
+    mrc_moments_colocated,
+    sinr_trajectory,
+    ue_rate,
+)
 
 
 # -- dense closed-form oracle (explicit Kronecker products, no reductions) ----
@@ -47,7 +53,7 @@ from oracles import asymptotic_sinr, mrc_moments_colocated, sinr_trajectory, ue_
 
 def dense_mrc_moments(scen, hw, book, j, k, t, lo):
     N, B, L, K = scen.N, book.B, scen.L, scen.K
-    lam = scen.full_cov()[j]  # (L, K, N)
+    lam = full_cov(scen)[j]  # (L, K, N)
     grams = damped_pilot_grams(book, hw.delta)
     Psi = hw.xi * np.eye(B * N, dtype=complex)
     Xs = np.empty((L, K, B, B), dtype=complex)

@@ -20,7 +20,9 @@ one tile's world and the next tile's channels at a time.  A tile holds the
 arrays it returns plus blocks of at most about 1 MiB (``_BLOCK_BYTES``, or
 one trial when a trial is wider) and the pilot-sized distortion variance
 and noise; it forms no whole-tile ``|h|^2`` and no rotation at a time it
-does not use.
+does not use.  The ``|h|^2`` blocks give both the pilots' distortion
+variance and the data-time distortion weight a pass reads, so ``|h|^2`` is
+formed once per tile.
 Each entity's substream is consumed by one thread in trial order (see
 :mod:`hwmimo.rng`), so neither the tile cuts nor the helper change a number.
 """
@@ -120,8 +122,10 @@ def draw_world(
     world per tile: ``tiles`` are consecutive trial counts summing to
     ``size`` (default one tile of all).  A world of n trials holds the
     channels h (n, L, K, N), the phase rotations rot_ts (n, len(ts), n_osc)
-    at the channel uses ``ts`` and the stacked pilot observation psi
-    (n, B*N), pilot-time major.
+    at the channel uses ``ts``, the stacked pilot observation psi
+    (n, B*N), pilot-time major, and the distortion weight
+    kappa2 sum_lk p_lk |h_lk|^2 (n, N), from the same ``|h|^2`` blocks as
+    the pilots' distortion variance.
     Each entity has its own substream keyed (seed, chunk_index, j, entity);
     ``seed`` may be a (seed, drop) pair (see :func:`rng.substream`).  The
     chunk's phase starts are drawn on the call; everything else of a tile
@@ -146,6 +150,7 @@ def draw_world(
     # the pilot sums over the L*K links are one GEMM per trial: (B, L*K) @ (L*K, N)
     seq = book.sequences.transpose(1, 0, 2).reshape(B, L * K)
     seq2 = np.abs(seq) ** 2
+    p = scenario.powers.reshape(L * K)
 
     def tile(lo, hi, ahead):
         n = hi - lo
@@ -158,8 +163,10 @@ def draw_world(
         psi = np.matmul(seq, links)  # the clean observation, (n, B, N)
         psi *= rot_tau
         del rot_tau
-        # received pilot power, (n, B, N), from |h|^2 one block of trials at a time
+        # received pilot power, (n, B, N), and the distortion weight, (n, N),
+        # from |h|^2 one block of trials at a time
         ups_var = np.empty((n, B, N))
+        weight = np.empty((n, N))
         rows = max(1, min(n, _BLOCK_BYTES // (8 * L * K * N)))
         power = np.empty((rows, L * K, N))
         for a in range(0, n, rows):
@@ -167,13 +174,15 @@ def draw_world(
             np.abs(links[a : a + rows], out=block)
             block *= block
             np.matmul(seq2, block, out=ups_var[a : a + rows])
+            np.matmul(p, block, out=weight[a : a + rows])
             del block  # a view would keep power alive past the loop
         del power
         ups_var *= hw.kappa2
+        weight *= hw.kappa2
         psi += _rng.complex_normal(distortion, ups_var, (n, B, N))
         del ups_var
         psi += _rng.complex_normal(noise, hw.xi, (n, B, N))
-        return h, rot_ts, psi.reshape(n, B * N)
+        return h, rot_ts, psi.reshape(n, B * N), weight
 
     def channels(lo, hi):
         return _rng.complex_normal(channel, lam, (hi - lo, L, K, N))

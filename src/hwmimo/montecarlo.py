@@ -247,8 +247,8 @@ def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
     """Run ``sample(tile)`` on consecutive trial tiles of every chunk of
     ``mc.trials`` trials and :func:`_fold` what it returns in trial order.
     Each chunk makes one :func:`draw_world` call of cell j at the channel
-    uses ``ts`` on its own substream, which draws each tile's world
-    ``(h, rot_ts, psi)`` only when the tile is reached and the next tile's
+    uses ``ts`` on its own substreams, which draws each tile's world
+    ``(h, rot_ts, psi, weight)`` only when the tile is reached and the next tile's
     channels ahead on a helper thread, so a chunk holds one tile's world
     and the next tile's channels at a time.  Chunks fill
     ``_CHUNK_TARGET_BYTES`` at the world's bytes per trial alone, so every
@@ -285,6 +285,9 @@ def _simulate_tile(
     (a 1-D index array) of cell j at each channel use, all from one
     ``world`` tile: ``(norm2, first, second, distortion)`` of shapes
     (size, nk, nt), (size, nk, nt), (size, nk, nt, L, K) and (size, nk, nt).
+    The distortion moment weighs each filter's |v|^2 by the world's fourth
+    element, kappa2 sum_lk p_lk |h_lk|^2, which the draw formed from its
+    ``|h|^2`` blocks.
     ``gains[it]`` holds the reduced gains of the channel use ``it``, one
     per UE, of its own link; each filter starts from those estimates.  The
     MRC filter is the own estimate, and takes ``subspace`` None; the MMSE
@@ -292,14 +295,9 @@ def _simulate_tile(
     :func:`_mmse_use` at that use."""
     scen, hw = cache.scenario, cache.hw
     L, K, N = scen.L, scen.K, scen.N
-    h, rot_ts, psi = world
+    h, rot_ts, psi, dist_weight = world
     size = h.shape[0]
     links = h.reshape(size, L * K, N)
-    power = np.abs(links)
-    power *= power
-    dist_weight = np.matmul(scen.powers.reshape(-1), power)  # (size, N)
-    del power
-    dist_weight *= hw.kappa2
 
     shape = (size, ues.size, len(gains))
     norm2 = np.empty(shape)
@@ -401,7 +399,7 @@ def empirical_mse(
     gains = [cache.reduced_gain(j, l, k, t) for t in ts]
 
     def sample(world):
-        h, rot_ts, psi = world
+        h, rot_ts, psi, _ = world
         out = np.empty((h.shape[0], ts.size))
         for it, gain in enumerate(gains):
             est = cache.apply_reduced_gain(gain, psi)

@@ -11,7 +11,8 @@ pilot-subspace Gram from the stacked zero-padded reduced gains.
 :func:`whole_draw_world` define the bits of the package's draws from
 whole-shape arrays: one normal fill of (real, imaginary) pairs viewed as
 complex and scaled, the walk summed out of place, and a chunk's whole
-world with every rotation and the pilot power of the whole chunk.
+world with every rotation, and the pilot power and distortion weight of
+the whole chunk.
 
 :func:`mrc_moments` evaluates the package's coefficient forms directly at
 one channel use's damping, without the separable rebuild of
@@ -178,7 +179,7 @@ def mmse_filter_inputs(cache: EstimatorCache, j: int, t, trials: int, seed: int 
     at channel use t, (K, trials, N), and the error diagonal and
     pilot-subspace Gram that :func:`hwmimo.montecarlo.mmse_filter` takes
     there."""
-    _, _, psi = next(draw_world(cache.scenario, cache.hw, cache.book, j, np.array([float(t)]),
+    _, _, psi, _ = next(draw_world(cache.scenario, cache.hw, cache.book, j, np.array([float(t)]),
                                 0, trials, seed))
     own = [cache.apply_reduced_gain(cache.reduced_gain(j, j, k, t), psi)
            for k in range(cache.scenario.K)]
@@ -235,7 +236,8 @@ def whole_draw_phases(delta, times, n_osc, rng, trials) -> np.ndarray:
 def whole_draw_world(scenario, hw, book, j, ts, chunk_index, size, seed) -> tuple:
     """The world of :func:`hwmimo.channel.draw_world` in one piece: the
     chunk's whole channels from every cell's covariance, the rotations at
-    every time and the pilot power |h|^2 of the whole chunk."""
+    every time, and the pilot power and distortion weight from the |h|^2
+    of the whole chunk."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B
     lam = full_cov(scenario)[j]
     tau = np.asarray(book.tau, dtype=int)
@@ -252,7 +254,9 @@ def whole_draw_world(scenario, hw, book, j, ts, chunk_index, size, seed) -> tupl
     seq = book.sequences.transpose(1, 0, 2).reshape(B, L * K)
     links = h.reshape(size, L * K, N)
     psi = np.matmul(seq, links)
-    ups_var = np.matmul(np.abs(seq) ** 2, np.abs(links) ** 2) * hw.kappa2
+    power = np.abs(links) ** 2
+    ups_var = np.matmul(np.abs(seq) ** 2, power) * hw.kappa2
+    weight = np.matmul(scenario.powers.reshape(-1), power) * hw.kappa2
     psi *= rot_tau
     psi += whole_complex_normal(
         _rng.substream(seed, chunk_index, j, _rng.DISTORTION), ups_var, (size, B, N)
@@ -260,7 +264,7 @@ def whole_draw_world(scenario, hw, book, j, ts, chunk_index, size, seed) -> tupl
     psi += whole_complex_normal(
         _rng.substream(seed, chunk_index, j, _rng.RECEIVER_NOISE), hw.xi, (size, B, N)
     )
-    return h, rot_ts, psi.reshape(size, B * N)
+    return h, rot_ts, psi.reshape(size, B * N), weight
 
 
 # -- compositions of package pieces ---------------------------------------------

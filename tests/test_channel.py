@@ -89,7 +89,7 @@ def test_received_block_obeys_model_equation(rng):
     hw = impaired_profile(lo=LoMode.SLO, delta=5e-3, kappa2=0.0)
     book = make_book(scen, "dft", "uniform")
     size, B, N = 3, book.B, scen.N
-    h, rot_tau, psi = next(draw_world(scen, hw, book, 1, _pilot_times(book), 0, size, seed=99))
+    h, rot_tau, psi, _ = next(draw_world(scen, hw, book, 1, _pilot_times(book), 0, size, seed=99))
     eta = _eta(hw, 99, 1, (size, B, N))
     np.testing.assert_allclose(psi.reshape(size, B, N) - eta, rot_tau * _clean(book, h), rtol=1e-12)
 
@@ -99,7 +99,7 @@ def test_conventional_profile_reduces_to_clean_model(rng):
     book = make_book(scen, "temporal")
     hw = conventional_profile(scen.sigma2)
     ts = np.arange(1.0, 9.0)
-    h, rot, psi = next(draw_world(scen, hw, book, 0, ts, 0, 1, seed=5))
+    h, rot, psi, _ = next(draw_world(scen, hw, book, 0, ts, 0, 1, seed=5))
     # no distortion: the observation is the drifted clean signal plus eta only
     B, N = book.B, scen.N
     eta = _eta(hw, 5, 0, (1, B, N))
@@ -122,7 +122,7 @@ def test_clo_applies_common_rotation(rng):
     # antenna sees its pilots through its oscillator's rotation
     for lo, n_osc in [(LoMode.CLO, 1), (LoMode.SLO, N)]:
         hw = impaired_profile(lo=lo, delta=0.01, kappa2=0.0)
-        h, rot_ts, psi = next(draw_world(scen, hw, book, 0, ts, 0, size, seed=2))
+        h, rot_ts, psi, _ = next(draw_world(scen, hw, book, 0, ts, 0, size, seed=2))
         assert rot_ts.shape == (size, 6, n_osc)
         eta = _eta(hw, 2, 0, (size, B, N))
         np.testing.assert_allclose(
@@ -135,7 +135,7 @@ def test_receiver_noise_variance_statistical(rng):
     hw = HardwareProfile(delta=0.0, kappa2=0.0, xi=1.7, lo_mode=LoMode.CLO)
     book = make_book(scen, "temporal", B=1)
     M = 1600  # 1600 trials * B = 1 * N = 8 = 12800 draws per entry stat
-    h, rot_tau, psi = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=31))
+    h, rot_tau, psi, _ = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=31))
     eta = psi.reshape(M, 1, scen.N) - rot_tau * _clean(book, h)
     var = np.mean(np.abs(eta) ** 2)
     assert var == pytest.approx(hw.xi, rel=0.02)
@@ -146,7 +146,7 @@ def test_channel_variance_matches_covariance(rng):
     hw = conventional_profile(scen.sigma2)
     book = make_book(scen, "temporal")
     M = 3000
-    h, _, _ = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=77))
+    h, _, _, _ = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=77))
     emp = np.mean(np.abs(h) ** 2, axis=0)
     lam = full_cov(scen)[0]
     # O(1/sqrt(M)) convergence of the empirical second moment
@@ -158,7 +158,7 @@ def test_distortion_variance_conditional_on_channel(rng):
     hw = impaired_profile(lo=LoMode.CLO, delta=0.0, kappa2=0.5)
     book = make_book(scen, "temporal", B=1)
     M = 6000  # 6000 trials * B = 1 * N = 2 = 12000 normalized powers
-    h, rot_tau, psi = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=13))
+    h, rot_tau, psi, _ = next(draw_world(scen, hw, book, 0, _pilot_times(book), 0, M, seed=13))
     # each trial has its own channel, so check the conditional variance by
     # averaging the distortion power normalized by it
     upsilon = psi.reshape(M, 1, scen.N) - rot_tau * _clean(book, h) - _eta(hw, 13, 0, (M, 1, scen.N))
@@ -247,7 +247,8 @@ def _world_scene(rng, lo):
 @pytest.mark.parametrize("block_bytes", [2**20, 3 * 8 * 2 * 3 * 8, 8])
 def test_draw_world_matches_whole_chunk_draw(rng, monkeypatch, lo, block_bytes):
     # 11 trials of |h|^2 in one block, in blocks of 3 with a ragged last
-    # one, and one trial per block under a budget narrower than a trial
+    # one, and one trial per block under a budget narrower than a trial;
+    # the pilot power and the distortion weight both come from the blocks
     monkeypatch.setattr(channel, "_BLOCK_BYTES", block_bytes)
     scen, hw, book = _world_scene(rng, lo)
     ts = np.arange(5.0, 31.0)
@@ -264,7 +265,7 @@ def test_draw_world_matches_whole_chunk_draw(rng, monkeypatch, lo, block_bytes):
 def test_draw_world_tiles_join_to_the_one_tile_draw(rng, lo, tiles):
     # each tile continues every substream of the chunk, so the tiles of a
     # chunk, joined, are its one-tile world bit for bit, and so the whole
-    # chunk's world
+    # chunk's world, distortion weight included
     scen, hw, book = _world_scene(rng, lo)
     ts = np.arange(5.0, 31.0)
     worlds = list(draw_world(scen, hw, book, 1, ts, 3, 11, (9, 2), tiles))

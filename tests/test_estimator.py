@@ -198,7 +198,7 @@ def test_stacked_gains_apply_as_per_link_estimates(rng, subarrays):
     cache = build_cache(scen, hw, book)
     assert cache.Ae == subarrays
     size, t = 5, 7
-    _, _, psi = next(draw_world(scen, hw, book, 1, np.array([float(t)]), 0, size, seed=21))
+    _, _, psi, _ = next(draw_world(scen, hw, book, 1, np.array([float(t)]), 0, size, seed=21))
     links = [(l, k) for l in range(scen.L) for k in range(scen.K)]
     gains = [cache.reduced_gain(1, l, k, t) for l, k in links]
     stacked = cache.apply_reduced_gain(np.concatenate(gains), psi)
@@ -305,7 +305,7 @@ def test_estimation_statistics_monte_carlo(rng):
     cache = build_cache(scen, hw, book)
     t, l, k = 6, 0, 1
     M = 4000
-    h, rot_ts, psi = next(draw_world(scen, hw, book, 0, np.array([float(t)]), 0, M, seed=55))
+    h, rot_ts, psi, _ = next(draw_world(scen, hw, book, 0, np.array([float(t)]), 0, M, seed=55))
     est = cache.apply_reduced_gain(cache.reduced_gain(0, l, k, t), psi)
     err = rot_ts[:, 0, :] * h[:, l, k, :] - est
     err_sq = np.sum(np.abs(err) ** 2)
@@ -324,7 +324,7 @@ def test_estimation_mse_matches_for_common_oscillator(rng):
     cache = build_cache(scen, hw, book)
     t, l, k = 6, 1, 0
     M = 4000
-    h, rot_ts, psi = next(draw_world(scen, hw, book, 0, np.array([float(t)]), 0, M, seed=66))
+    h, rot_ts, psi, _ = next(draw_world(scen, hw, book, 0, np.array([float(t)]), 0, M, seed=66))
     est = cache.apply_reduced_gain(cache.reduced_gain(0, l, k, t), psi)
     err_sq = np.sum(np.abs(rot_ts[:, 0, :] * h[:, l, k, :] - est) ** 2)
     _, mse = error_covariance(cache, 0, l, k, t)

@@ -97,8 +97,9 @@ def world_bytes(scenario: Scenario, hw: HardwareProfile, book: PilotBook, ts) ->
     It sizes both the chunk partition and, with a pass's own temporaries
     and the next tile's channels drawn ahead, a chunk's tiles, so it counts
     a tile's world per trial.  The draw forms ``|h|^2`` a block of trials
-    at a time and rotations at the pilots and ``ts`` only, so a tile holds
-    less than this count.  The count keeps them, and leaves out the
+    at a time (keeping only the N-wide distortion weight of it) and
+    rotations at the pilots and ``ts`` only, so a tile holds less than
+    this count.  The count keeps them, and leaves out the
     channels drawn ahead, because it sizes the chunks, and the chunk sizes
     key the stream."""
     L, K, N, B = scenario.L, scenario.K, scenario.N, book.B

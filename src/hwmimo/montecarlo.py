@@ -10,8 +10,9 @@ channel draw (no distortion samples needed), which removes an entire noise
 source from the estimate without changing its expectation.
 
 Trials are split into chunks sized by one trial's world alone, each driven
-by its own counter-based substream keyed (seed, drop, chunk), and run in
-chunk order, so every pass at the same channel uses draws the same worlds.
+by its own substreams keyed (seed, drop, chunk) and then by cell and
+entity (SFC64 generators, see :mod:`hwmimo.rng`), and run in chunk
+order, so every pass at the same channel uses draws the same worlds.
 A chunk's world is drawn, and its products run, tile by tile, on tiles of
 its trials sized by the world plus the pass's own temporaries, so a chunk
 holds one tile's world at a time; one helper thread draws the next tile's
@@ -248,8 +249,8 @@ def _over_chunks(cache: EstimatorCache, j: int, ts: np.ndarray, mc: McConfig,
     ``mc.trials`` trials and :func:`_fold` what it returns in trial order.
     Each chunk makes one :func:`draw_world` call of cell j at the channel
     uses ``ts`` on its own substreams, which draws each tile's world
-    ``(h, rot_ts, psi, weight)`` only when the tile is reached and the next tile's
-    channels ahead on a helper thread, so a chunk holds one tile's world
+    ``(h, rot_ts, psi, weight)`` only when the tile is reached and the next
+    tile's channels ahead on a helper thread, so a chunk holds one tile's world
     and the next tile's channels at a time.  Chunks fill
     ``_CHUNK_TARGET_BYTES`` at the world's bytes per trial alone, so every
     pass at ``ts`` draws the same worlds; tiles the smaller

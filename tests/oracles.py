@@ -180,7 +180,7 @@ def mmse_filter_inputs(cache: EstimatorCache, j: int, t, trials: int, seed: int 
     pilot-subspace Gram that :func:`hwmimo.montecarlo.mmse_filter` takes
     there."""
     _, _, psi, _ = next(draw_world(cache.scenario, cache.hw, cache.book, j, np.array([float(t)]),
-                                0, trials, seed))
+                                   0, trials, seed))
     own = [cache.apply_reduced_gain(cache.reduced_gain(j, j, k, t), psi)
            for k in range(cache.scenario.K)]
     return psi, np.stack(own), *montecarlo._mmse_use(cache, j, t)

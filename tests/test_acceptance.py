@@ -211,7 +211,8 @@ def test_criterion_4_lmmse_properties():
     err_sq = 0.0
     chunk = 10_000
     for ci in range(M // chunk):
-        h, rot_ts, psi, _ = next(draw_world(scen, hw, book, j, np.array([t]), ci, chunk, seed=4040))
+        h, rot_ts, psi, _ = next(draw_world(scen, hw, book, j, np.array([t]), ci, chunk,
+                                            seed=4040))
         est = cache.apply_reduced_gain(gain, psi)
         err = rot_ts[:, 0, :] * h[:, l, k, :] - est
         cross += err.T @ psi.conj()

@@ -4,7 +4,8 @@ import pytest
 from hwmimo import channel
 from hwmimo.channel import draw_phases, draw_world, phase_correlation, sorted_unique
 from hwmimo.model import HardwareProfile, LoMode, conventional_profile
-from hwmimo.rng import RECEIVER_NOISE, complex_normal, substream
+from hwmimo.rng import (CHANNEL, DISTORTION, DROP, PHASE, RECEIVER_NOISE, SHADOW,
+                        complex_normal, substream)
 
 from conftest import impaired_profile, make_book, random_scenario
 from oracles import full_cov, whole_complex_normal, whole_draw_world
@@ -187,6 +188,15 @@ def test_substreams_disjoint():
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
     np.testing.assert_array_equal(a, substream(1, 0, 0, 0).standard_normal(8))
+
+
+def test_world_entities_draw_sfc64_and_other_keys_philox():
+    # the entity, the key's last element, picks the bit generator
+    for entity in (CHANNEL, PHASE, DISTORTION, RECEIVER_NOISE):
+        assert type(substream((3, 1), 2, 0, entity).bit_generator) is np.random.SFC64
+        assert type(substream(3, entity).bit_generator) is np.random.SFC64
+    for key in ((2, 0, DROP), (2, 0, SHADOW), (2, 0, 7), ()):
+        assert type(substream(3, *key).bit_generator) is np.random.Philox
 
 
 def _in_pieces(draw, n, rows):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,34 @@ def test_scenario_file_round_trip(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         load_scenario(bad)
+
+
+# recorded on the Philox scenario streams; a change of the world's
+# generator must move none of them
+_DROP_FIRST = {
+    0: [0.27027099579416214, 0.021880738936960298, 0.7318059613788632],
+    12: [0.5953523982494056, 0.46554459877255094, 0.36038940075164283],
+    24: [0.25188933128726576, 0.5713282438424091, 0.19997195896738762],
+}
+_SHADOW_FIRST = [1.530108710766037, -1.2183498197602474, -0.4233003167214122]
+_DROP_DIGESTS = {
+    "colocated": "e7512fe88d7ed44e1f71f9736acdae3f6e006725e5c2e7d78529c49c06e7fb41",
+    "distributed": "f2977e0c430620a0720b5a036d7779501792c373722fc4890b148acd436f9514",
+}
+
+
+@pytest.mark.parametrize("deployment", ["colocated", "distributed"])
+def test_scenario_streams_keep_their_recorded_values(deployment):
+    for c, first in _DROP_FIRST.items():
+        assert _rng.substream(1, 0, c, _rng.DROP).uniform(size=3).tolist() == first
+    assert _rng.substream(1, 0, 0, _rng.SHADOW).normal(size=3).tolist() == _SHADOW_FIRST
+    # one drop: the UE positions and shadow draws bit for bit, the
+    # covariances and powers to the 12 digits a CSV keeps
+    layout = build_layout(deployment, 16)
+    pos = drop_users(layout, 1, 2)
+    shadow = link_gains(layout, pos, 1, 2).shadow
+    scen = generate(deployment, N=16, snr_db=5.0, T=40, seed=1, drop_index=2)
+    digest = hashlib.sha256(pos.tobytes() + shadow.tobytes())
+    for x in (scen.cov, scen.powers):
+        digest.update(" ".join(f"{v:.11e}" for v in x.ravel()).encode())
+    assert digest.hexdigest() == _DROP_DIGESTS[deployment]
